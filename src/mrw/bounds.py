@@ -97,54 +97,68 @@ def _box_cells(box: Box):
             return
 
 
+def _line_groups(pattern: SupportPattern) -> tuple[bool, dict[int, list[int]]] | None:
+    """Group the lines of a matrix pattern by their bitmask of nonzero cells.
+
+    Uses the rows, or the columns (``transposed``) when the rows have more
+    than _CLOSURE_SIDE_CAP distinct masks; gives up (None) when both sides
+    do.  Returns ``(transposed, {mask: lines with that mask})``.
+    """
+    for transposed in (False, True):
+        masks: dict[int, int] = {}
+        for cell in pattern.cells:
+            line, other = (cell[1], cell[0]) if transposed else cell
+            masks[line] = masks.get(line, 0) | (1 << other)
+        groups: dict[int, list[int]] = {}
+        for line, mask in masks.items():
+            groups.setdefault(mask, []).append(line)
+        if len(groups) <= _CLOSURE_SIDE_CAP:
+            return transposed, groups
+    return None
+
+
+def _subset_dp(groups: dict[int, list[int]]) -> tuple[list[int], list[int]]:
+    """Intersection and line count of every subset of the distinct masks.
+
+    Subsets are bitsets over the masks in sorted order, and each extends the
+    subset without its lowest bit, so both arrays fill in one pass.  Index 0
+    is the empty subset: its intersection is the all-ones sentinel -1.
+    """
+    patterns = sorted(groups)
+    mults = [len(groups[p]) for p in patterns]
+    s = len(patterns)
+    inter = [0] * (1 << s)
+    msum = [0] * (1 << s)
+    inter[0] = -1
+    for subset in range(1, 1 << s):
+        low = (subset & -subset).bit_length() - 1
+        rest = subset & (subset - 1)
+        inter[subset] = inter[rest] & patterns[low]
+        msum[subset] = msum[rest] + mults[low]
+    return inter, msum
+
+
 def _maximal_boxes_2d(pattern: SupportPattern) -> list[Box] | None:
     """All maximal support boxes of a matrix pattern via closure enumeration.
 
-    Enumerates subsets of the distinct row patterns of the smaller side
-    (transposing if needed); the closure of a row set R is the pair
-    (rows(cols(R)), cols(R)), and every maximal box arises this way.  Gives up
-    when both sides have more than _CLOSURE_SIDE_CAP distinct patterns.
+    Enumerates subsets of the distinct line masks of one side (see
+    _line_groups); the closure of a line set R is the pair
+    (lines(masks(R)), masks(R)), and every maximal box arises this way.
     """
-    nrows, ncols = pattern.dims
-    row_masks: dict[int, int] = {}
-    for (i, j) in pattern.cells:
-        row_masks[i] = row_masks.get(i, 0) | (1 << j)
-    transposed = False
-    distinct_rows = set(row_masks.values())
-    if len(distinct_rows) > _CLOSURE_SIDE_CAP:
-        col_masks: dict[int, int] = {}
-        for (i, j) in pattern.cells:
-            col_masks[j] = col_masks.get(j, 0) | (1 << i)
-        if len(set(col_masks.values())) > _CLOSURE_SIDE_CAP:
-            return None
-        transposed = True
-        row_masks = col_masks
-        nrows, ncols = ncols, nrows
-
-    patterns = sorted(set(row_masks.values()))
-    s = len(patterns)
-    # intersection of every subset of distinct row patterns, by low-bit DP
-    inter = [0] * (1 << s)
-    full_cols = (1 << ncols) - 1
-    inter[0] = full_cols
-    closures: set[int] = set()
-    for subset in range(1, 1 << s):
-        low = (subset & -subset).bit_length() - 1
-        inter[subset] = inter[subset & (subset - 1)] & patterns[low]
-        if inter[subset]:
-            closures.add(inter[subset])
+    grouped = _line_groups(pattern)
+    if grouped is None:
+        return None
+    transposed, groups = grouped
+    inter, _ = _subset_dp(groups)
     boxes: list[Box] = []
-    for colmask in sorted(closures):
-        rows = tuple(sorted(i for i, rm in row_masks.items() if rm & colmask == colmask))
-        cols = tuple(i for i in range(ncols) if colmask >> i & 1)
-        if transposed:
-            boxes.append((cols, rows))
-        else:
-            boxes.append((rows, cols))
-    # closures of distinct subsets can coincide as boxes only via colmask, so
-    # boxes are distinct; drop non-maximal ones (subset closures are maximal
-    # by construction, but guard against duplicates across orientations)
-    return sorted(set(boxes))
+    for colmask in sorted({mask for mask in inter[1:] if mask}):
+        rows = tuple(
+            sorted(i for mask, lines in groups.items() if mask & colmask == colmask for i in lines)
+        )
+        cols = tuple(i for i in range(colmask.bit_length()) if colmask >> i & 1)
+        boxes.append((cols, rows) if transposed else (rows, cols))
+    # distinct closures differ in their column set, so the boxes are distinct
+    return sorted(boxes)
 
 
 def _maximal_boxes_bfs(pattern: SupportPattern) -> list[Box] | None:
@@ -202,41 +216,17 @@ def enumerate_maximal_boxes(pattern: SupportPattern) -> list[Box] | None:
 def _max_box_size_2d(pattern: SupportPattern) -> int | None:
     """Exact maximum cell count of any support box of a matrix pattern.
 
-    Runs over subsets of distinct row patterns (transposing to the smaller
-    side): for a subset S, (all rows whose pattern is in S, intersection of S)
-    is a valid support box, and the largest box arises from the subset of its
-    rows' patterns, so max over S of multiplicity(S) * |inter(S)| is exact.
+    Runs over subsets of distinct line masks (see _line_groups): for a subset
+    S, (all lines whose mask is in S, intersection of S) is a valid support
+    box, and the largest box arises from the subset of its lines' masks, so
+    max over S of multiplicity(S) * |inter(S)| is exact.
     """
-    row_masks: dict[int, int] = {}
-    for (i, j) in pattern.cells:
-        row_masks[i] = row_masks.get(i, 0) | (1 << j)
-    counts: dict[int, int] = {}
-    for mask in row_masks.values():
-        counts[mask] = counts.get(mask, 0) + 1
-    if len(counts) > _CLOSURE_SIDE_CAP:
-        col_masks: dict[int, int] = {}
-        for (i, j) in pattern.cells:
-            col_masks[j] = col_masks.get(j, 0) | (1 << i)
-        counts = {}
-        for mask in col_masks.values():
-            counts[mask] = counts.get(mask, 0) + 1
-        if len(counts) > _CLOSURE_SIDE_CAP:
-            return None
-    patterns = sorted(counts)
-    mults = [counts[p] for p in patterns]
-    s = len(patterns)
-    best = 0
-    inter = [0] * (1 << s)
-    msum = [0] * (1 << s)
-    inter[0] = -1  # all-ones sentinel for the empty intersection
-    for subset in range(1, 1 << s):
-        low = (subset & -subset).bit_length() - 1
-        rest = subset & (subset - 1)
-        inter[subset] = (inter[rest] & patterns[low]) if rest else patterns[low]
-        msum[subset] = msum[rest] + mults[low]
-        size = inter[subset].bit_count() * msum[subset]
-        if size > best:
-            best = size
+    grouped = _line_groups(pattern)
+    if grouped is None:
+        return None
+    inter, msum = _subset_dp(grouped[1])
+    # the empty subset has msum 0, so its sentinel intersection adds nothing
+    best = max(mask.bit_count() * count for mask, count in zip(inter, msum))
     return best if best > 0 else None
 
 
@@ -263,23 +253,19 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def box_cover_exact(
-    pattern: SupportPattern,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    cell_cap: int = EXACT_CELL_CAP,
-) -> BoxCoverResult:
+def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUDGET) -> BoxCoverResult:
     """Bracket (and, if feasible, solve) the minimum box cover of a support.
 
     Exact search is iterative deepening over covers built from maximal boxes,
     with a counting prune, a memo of refuted uncovered-sets, and deterministic
-    tie-breaking.  Patterns beyond `cell_cap` cells, or whose maximal boxes
+    tie-breaking.  Patterns beyond EXACT_CELL_CAP cells, or whose maximal boxes
     cannot be enumerated, fall back to the certified counting lower bound and
     a greedy/singleton upper bound with `exact=False`.
     """
     cells = sorted(pattern.cells)
     if not cells:
         return BoxCoverResult(lower=0, upper=0, exact=True, boxes=(), note="empty support")
-    if len(cells) > cell_cap:
+    if len(cells) > EXACT_CELL_CAP:
         # certified counting bound only; no box materialization at this size
         maxbox = _max_box_size_2d(pattern) if pattern.order == 2 else None
         if maxbox is None:
@@ -296,7 +282,7 @@ def box_cover_exact(
             upper=len(cells),
             exact=counting == len(cells),
             boxes=None,
-            note=f"support of {len(cells)} cells exceeds exact-search cap {cell_cap}; "
+            note=f"support of {len(cells)} cells exceeds exact-search cap {EXACT_CELL_CAP}; "
             "counting lower bound",
         )
     boxes = enumerate_maximal_boxes(pattern)
@@ -445,12 +431,12 @@ def rank_lower_bound(m) -> int:
     return max(rank_exact(m.mode_flattening(mode)) for mode in range(m.order))
 
 
-def mr_bounds(m, node_budget: int = DEFAULT_NODE_BUDGET, nmf_attempt: bool = True) -> MrBoundReport:
+def mr_bounds(m, node_budget: int = DEFAULT_NODE_BUDGET) -> MrBoundReport:
     """Bracket the monotone rank of a nonnegative matrix or exact tensor.
 
     lower = max(exact rank, certified box-cover lower bound); upper is the
     best of the dimension bound, the singleton-support factorization, and (for
-    matrices with a gap, when `nmf_attempt`) a small seeded numeric search.
+    matrices with a gap) a small seeded numeric search.
     """
     _validate_nonneg_exact(m)
     pattern = support_pattern(m)
@@ -469,7 +455,7 @@ def mr_bounds(m, node_budget: int = DEFAULT_NODE_BUDGET, nmf_attempt: bool = Tru
     upper, status = min(candidates, key=lambda c: (c[0], c[1] != "exact"))
 
     factorization = None
-    if nmf_attempt and isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:
+    if isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:
         from .numkit import SearchBudget, nmf_search
 
         found = nmf_search(m, lower, budget=SearchBudget(restarts=2, iterations=400), tol=1e-6)

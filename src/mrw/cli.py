@@ -55,9 +55,6 @@ from .serialize import (
 )
 from .verify import run_verify_suite
 
-# re-exported here because file round-tripping is a front-end concern
-from .serialize import io_roundtrip  # noqa: F401
-
 
 def _emit(args, text: str) -> None:
     if args.out:

@@ -177,11 +177,11 @@ def spaced_distance_block(spec: FunctionFSpec, k: int) -> RatMatrix:
     """The n^(d/2-k) square block hiding inside the level-(d/2-k) flattening.
 
     Entry (i, j) is ((j - i) * n^k)^2, i.e. the squared-difference matrix over
-    the arithmetic progression 0, n^k, 2n^k, ...  For k = d/2 this degenerates
-    to the 1x1 zero matrix.
+    the arithmetic progression 0, n^k, 2n^k, ...  For k = 0 this is the whole
+    middle flattening; for k = d/2 it degenerates to the 1x1 zero matrix.
     """
-    if not (1 <= k <= spec.half):
-        raise ValidationError(f"block stride exponent k={k} outside [1..{spec.half}]")
+    if not (0 <= k <= spec.half):
+        raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")
     m = spec.n ** (spec.half - k)
     step = spec.n ** k
     return RatMatrix(m, m, [Fraction(((j - i) * step) ** 2) for i in range(m) for j in range(m)])
@@ -191,10 +191,11 @@ def spaced_block_column_indices(spec: FunctionFSpec, k: int) -> list[int]:
     """Column indices inside flattening(spec, d/2-k) that realize the block.
 
     The block's row p is the p-th (d/2-k)-tuple; its matching column is the
-    (d/2+k)-tuple (1,)*k + p-th tuple + (1,)*k, returned as 0-based lex ranks.
+    (d/2+k)-tuple (1,)*k + p-th tuple + (1,)*k, returned as 0-based lex ranks;
+    for k = 0 that is every column in order.
     """
-    if not (1 <= k <= spec.half):
-        raise ValidationError(f"block stride exponent k={k} outside [1..{spec.half}]")
+    if not (0 <= k <= spec.half):
+        raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")
     m = spec.n ** (spec.half - k)
     ones = (1,) * k
     cols = []

@@ -19,12 +19,11 @@ import numpy as np
 from .bounds import box_cover_exact, support_pattern
 from .constructions import (
     DivTensorSpec,
-    EdmSpec,
     FunctionFSpec,
     divisibility_tensor,
-    edm,
     flattening,
     offset_square_matrix,
+    spaced_distance_block,
 )
 from .dtensor import CAPACITY_LIMIT
 from .errors import CapacityError, DimensionError, ValidationError
@@ -60,35 +59,29 @@ class AbpProfile:
         return self.total_monotone_lower / self.total_size
 
 
-def abp_profile(n: int, d: int, node_budget: int | None = None) -> AbpProfile:
+def abp_profile(n: int, d: int) -> AbpProfile:
     """Exact level ranks plus certified per-level monotone lower bounds.
 
-    The monotone bound for level j is the box-cover lower bound of the
-    square distance block of size n^min(j, d-j) sitting inside that level's
-    flattening (full off-diagonal support); ranks are exact over the
-    rationals.  Levels mirrored around d/2 share their block, so the bound is
-    computed once per block size.
+    The monotone bound for level j is the box-cover lower bound of
+    spaced_distance_block(spec, d/2 - min(j, d-j)), the square distance block
+    of size n^min(j, d-j) sitting inside that level's flattening (full
+    off-diagonal support); ranks are exact over the rationals.  Levels
+    mirrored around d/2 share their block, so the bound is computed once per
+    block.
     """
     spec = FunctionFSpec(n, d)
     if spec.total_size > CAPACITY_LIMIT:
         raise CapacityError(f"n^d = {spec.total_size} exceeds capacity")
     ranks = [rank_exact(flattening(spec, k)) for k in range(d + 1)]
 
-    from .bounds import DEFAULT_NODE_BUDGET
-
-    budget = node_budget if node_budget is not None else DEFAULT_NODE_BUDGET
     block_bound: dict[int, tuple[int, bool]] = {}
     levels = []
     for j in range(d + 1):
-        m = n ** min(j, d - j)
-        if m not in block_bound:
-            if m == 1:
-                block_bound[m] = (0, True)
-            else:
-                block = edm(EdmSpec([i * (spec.half_size // m) for i in range(m)]))
-                res = box_cover_exact(support_pattern(block), node_budget=budget)
-                block_bound[m] = (res.lower, res.exact)
-        lb, certified = block_bound[m]
+        k = spec.half - min(j, d - j)
+        if k not in block_bound:
+            res = box_cover_exact(support_pattern(spaced_distance_block(spec, k)))
+            block_bound[k] = (res.lower, res.exact)
+        lb, certified = block_bound[k]
         levels.append(AbpLevel(level=j, rank=ranks[j], mr_lower=lb, mr_lower_certified=certified))
 
     half = d // 2
@@ -125,13 +118,6 @@ def quantum_distribution(u0, u1, v0, v1) -> np.ndarray:
     return 0.5 * np.abs(amp) ** 2
 
 
-def _seq_sum(values):
-    total = values[0]
-    for v in values[1:]:
-        total = total + v
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class HiddenVariableModel:
     """Shared value Z with conditionally independent sides.
@@ -152,7 +138,7 @@ class HiddenVariableModel:
         for dist in (self.weights, *self.cond_x, *self.cond_y):
             if any(p < 0 for p in dist):
                 raise ValidationError("probabilities must be nonnegative")
-            total = _seq_sum(list(dist))
+            total = sum(dist)
             if isinstance(total, Fraction):
                 if total != 1:
                     raise ValidationError("distribution must sum to 1 exactly")
@@ -247,8 +233,8 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
     cond_y = []
     for term in fact.terms:
         u, v = term
-        su = _seq_sum(list(u))
-        sv = _seq_sum(list(v))
+        su = sum(u)
+        sv = sum(v)
         mass = su * sv
         if mass == 0:
             warnings.warn("dropping zero-mass factorization term")
@@ -256,7 +242,7 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
         weights.append(mass)
         cond_x.append(tuple(x / su for x in u))
         cond_y.append(tuple(y / sv for y in v))
-    total = _seq_sum(weights)
+    total = sum(weights)
     if isinstance(total, Fraction):
         if total != 1:
             raise ValidationError("term masses of an exact factorization must sum to 1")

@@ -179,6 +179,17 @@ def _as_float_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
+def _rank1_sum(dims: tuple[int, ...], terms) -> np.ndarray:
+    """Float sum of the outer products of each term's per-mode vectors."""
+    out = np.zeros(dims, dtype=float)
+    for term in terms:
+        block = np.array([float(x) for x in term[0]], dtype=float)
+        for vec in term[1:]:
+            block = np.multiply.outer(block, np.array([float(x) for x in vec]))
+        out += block
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class NonnegFactorization:
     """Sum of r rank-1 terms, each a tuple of one vector per mode.
@@ -220,13 +231,7 @@ class NonnegFactorization:
         return any(x < 0 for term in self.terms for vec in term for x in vec)
 
     def reconstruct_float(self) -> np.ndarray:
-        out = np.zeros(self.dims, dtype=float)
-        for term in self.terms:
-            block = np.array([float(x) for x in term[0]], dtype=float)
-            for vec in term[1:]:
-                block = np.multiply.outer(block, np.array([float(x) for x in vec]))
-            out += block
-        return out
+        return _rank1_sum(self.dims, self.terms)
 
     def reconstruct_exact(self):
         """Exact reconstruction; RatMatrix for order 2, DenseTensor otherwise."""
@@ -441,13 +446,7 @@ class CpDecomposition:
         return len(self.terms)
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.dims, dtype=float)
-        for term in self.terms:
-            block = np.array(term[0], dtype=float)
-            for vec in term[1:]:
-                block = np.multiply.outer(block, np.array(vec, dtype=float))
-            out += block
-        return out
+        return _rank1_sum(self.dims, self.terms)
 
 
 def _khatri_rao(factors: list[np.ndarray]) -> np.ndarray:

@@ -177,17 +177,19 @@ def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:
         raise DimensionError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
 
 
-def rank_exact(m: RatMatrix) -> int:
-    """Exact rank over the rationals by fraction-free elimination.
+def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
+    """Fraction-free elimination: (rank, row-swap sign, last pivot).
 
     Pivots are chosen canonically (first nonzero entry scanning columns left
     to right, rows top to bottom), so intermediate values never depend on
     scheduling.  The Bareiss update keeps entries as exact minors, which
-    bounds coefficient growth on integer input.
+    bounds coefficient growth on integer input; for a square matrix of full
+    rank the last pivot is the determinant up to the sign.
     """
     work = [list(row) for row in m.iter_rows()]
     rows, cols = m.rows, m.cols
     pivot_row = 0
+    sign = 1
     prev_pivot = Fraction(1)
     for col in range(cols):
         if pivot_row == rows:
@@ -197,6 +199,7 @@ def rank_exact(m: RatMatrix) -> int:
             continue
         if pivot != pivot_row:
             work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+            sign = -sign
         piv = work[pivot_row][col]
         for r in range(pivot_row + 1, rows):
             factor = work[r][col]
@@ -212,34 +215,20 @@ def rank_exact(m: RatMatrix) -> int:
             work[r][col] = Fraction(0)
         prev_pivot = piv
         pivot_row += 1
-    return pivot_row
+    return pivot_row, sign, prev_pivot
+
+
+def rank_exact(m: RatMatrix) -> int:
+    """Exact rank over the rationals by fraction-free elimination."""
+    return _bareiss(m)[0]
 
 
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination with sign tracking."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.shape}")
-    n = m.rows
-    work = [list(row) for row in m.iter_rows()]
-    sign = 1
-    prev_pivot = Fraction(1)
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if work[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        piv = work[k][k]
-        for r in range(k + 1, n):
-            factor = work[r][k]
-            row_k = work[k]
-            row_r = work[r]
-            for c in range(k + 1, n):
-                row_r[c] = (piv * row_r[c] - factor * row_k[c]) / prev_pivot
-            row_r[k] = Fraction(0)
-        prev_pivot = piv
-    return sign * work[n - 1][n - 1]
+    rank, sign, last_pivot = _bareiss(m)
+    return sign * last_pivot if rank == m.rows else Fraction(0)
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

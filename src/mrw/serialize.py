@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 from typing import Any
 
-from .bounds import BoxCoverResult, MrBoundReport
+from .bounds import MrBoundReport
 from .dtensor import DenseTensor
 from .errors import ParseError
 from .numkit import NonnegFactorization
@@ -56,18 +56,6 @@ def factorization_to_obj(f: NonnegFactorization, rational: bool = False) -> dict
         "dims": list(f.dims),
         "terms": [[[enc(x) for x in vec] for vec in term] for term in f.terms],
     }
-
-
-def box_cover_to_obj(res: BoxCoverResult) -> dict:
-    obj: dict[str, Any] = {
-        "lower": res.lower,
-        "upper": res.upper,
-        "exact": res.exact,
-        "note": res.note,
-    }
-    if res.boxes is not None:
-        obj["boxes"] = [[list(part) for part in box] for box in res.boxes]
-    return obj
 
 
 def mr_report_to_obj(rep: MrBoundReport, rational: bool = False) -> dict:

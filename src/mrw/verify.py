@@ -354,12 +354,14 @@ def run_verify_suite(
             )
         )
     total = time.perf_counter() - suite_start
+    within = total <= RUNTIME_LIMIT_SECONDS
+    # wall time varies run to run, so it goes in runtime_ms, never in observed
     results.append(
         CheckResult(
             id="runtime-budget",
             claim="full suite finishes within the wall-clock budget",
-            status="pass" if total <= RUNTIME_LIMIT_SECONDS else "fail",
-            observed=f"{total:.1f}s",
+            status="pass" if within else "fail",
+            observed="within budget" if within else "over budget",
             expected=f"<= {RUNTIME_LIMIT_SECONDS:.0f}s",
             runtime_ms=int(total * 1000),
         )

@@ -6,9 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrw.bounds import (
     BoxCoverResult,
+    _max_box_size_2d,
+    _maximal_boxes_2d,
+    _maximal_boxes_bfs,
     box_cover_exact,
     div_tensor_mr_exact,
     enumerate_maximal_boxes,
@@ -130,6 +135,33 @@ def test_maximal_box_enumeration_matches_definition():
                     )
                 )
                 assert not (grown <= pat.cells)
+
+
+@st.composite
+def small_patterns(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+    return SupportPattern(dims=(rows, cols), cells=frozenset(cells))
+
+
+@st.composite
+def tall_patterns(draw):
+    """More than 16 distinct row masks, at most 6 distinct column masks, so the
+    closure enumeration has to run on the columns."""
+    cols = 6
+    sparse_masks = [m for m in range(1, 1 << cols) if m.bit_count() <= 2]
+    masks = draw(st.lists(st.sampled_from(sparse_masks), min_size=17, max_size=21, unique=True))
+    cells = {(i, j) for i, mask in enumerate(masks) for j in range(cols) if mask >> j & 1}
+    return SupportPattern(dims=(len(masks), cols), cells=frozenset(cells))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(small_patterns(), tall_patterns()))
+def test_support_mask_kernels_match_bfs(pattern):
+    boxes = _maximal_boxes_bfs(pattern)
+    assert _maximal_boxes_2d(pattern) == boxes
+    sizes = [len(rows) * len(cols) for rows, cols in boxes]
+    assert _max_box_size_2d(pattern) == (max(sizes) if sizes else None)
 
 
 def random_exact_factorization(rng: random.Random, rows: int, cols: int, r: int):

@@ -130,7 +130,7 @@ def test_spaced_block_values_and_submatrix():
     assert spaced_distance_block(spec, 2)[0, 0] == 0
     for n, d in [(2, 4), (3, 4), (2, 6)]:
         s = FunctionFSpec(n, d)
-        for k in range(1, d // 2 + 1):
+        for k in range(d // 2 + 1):
             block = spaced_distance_block(s, k)
             host = flattening(s, d // 2 - k)
             cols = spaced_block_column_indices(s, k)

@@ -13,6 +13,7 @@ from mrw.bounds import box_cover_exact, support_pattern
 from mrw.constructions import CorrelationSpec, build_correlation, outcome_distribution
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
+    HiddenVariableModel,
     abp_profile,
     comm_ladder,
     comm_report,
@@ -22,7 +23,7 @@ from mrw.models import (
     hv_sample,
     quantum_distribution,
 )
-from mrw.numkit import NonnegFactorization
+from mrw.numkit import NonnegFactorization, nmf_search
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
@@ -120,6 +121,15 @@ def test_hv_model_drops_zero_mass_terms():
         model = hv_model_from_factorization(p, fact)
     assert model.support_size == 2
     assert any("zero-mass" in str(w.message) for w in caught)
+
+
+def test_empty_models_raise_validation_error():
+    zero = RatMatrix.zeros(2, 2)
+    # nmf_search returns the zero-term factorization for an all-zero matrix
+    with pytest.raises(ValidationError):
+        hv_model_from_factorization(zero, nmf_search(zero, 1))
+    with pytest.raises(ValidationError):
+        HiddenVariableModel((), (), ())
 
 
 def test_hv_round_trip_for_correlation_size_four():

@@ -7,6 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrw.errors import DimensionError, ValidationError
 from mrw.ratlinalg import (
@@ -123,6 +126,49 @@ def test_det_matches_cofactor_expansion():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
         assert det_exact(m) == naive_det(m)
+
+
+@st.composite
+def planted_deficient_matrices(draw):
+    """Small rational matrices, square or rectangular, with repeated or zero
+    rows and columns planted to force rank deficiency, and zero entries
+    planted to force row swaps and zero multipliers in the elimination."""
+    rows = draw(st.integers(1, 5))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(["zero-entry", "repeat-row", "zero-row", "repeat-col", "zero-col"])
+        )
+        i = draw(st.integers(0, rows - 1))
+        j = draw(st.integers(0, cols - 1))
+        if kind == "zero-entry":
+            data[i][j] = Fraction(0)
+        elif kind == "repeat-row":
+            data[i] = list(data[draw(st.integers(0, rows - 1))])
+        elif kind == "zero-row":
+            data[i] = [Fraction(0)] * cols
+        elif kind == "repeat-col":
+            src = draw(st.integers(0, cols - 1))
+            for row in data:
+                row[j] = row[src]
+        else:
+            for row in data:
+                row[j] = Fraction(0)
+    return RatMatrix.from_rows(data)
+
+
+@settings(derandomize=True, deadline=None)
+@given(planted_deficient_matrices())
+def test_rank_and_det_match_sympy(m):
+    oracle = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.iter_rows()]
+    )
+    assert rank_exact(m) == oracle.rank()
+    if m.is_square:
+        det = oracle.det()
+        assert det_exact(m) == Fraction(int(det.p), int(det.q))
 
 
 def test_char_poly_worked_values():
