@@ -16,6 +16,7 @@ provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 from .dtensor import DenseTensor
@@ -82,19 +83,6 @@ class BoxCoverResult:
     exact: bool
     boxes: tuple[Box, ...] | None
     note: str
-
-
-def _box_cells(box: Box):
-    idx = [0] * len(box)
-    while True:
-        yield tuple(part[i] for part, i in zip(box, idx))
-        for m in range(len(box) - 1, -1, -1):
-            idx[m] += 1
-            if idx[m] < len(box[m]):
-                break
-            idx[m] = 0
-        else:
-            return
 
 
 def _line_groups(pattern: SupportPattern) -> tuple[bool, dict[int, list[int]]] | None:
@@ -188,7 +176,7 @@ def _maximal_boxes_bfs(pattern: SupportPattern) -> list[Box] | None:
                 if v in have:
                     continue
                 new_cells = [
-                    cell[:m] + (v,) + cell[m + 1 :] for cell in _box_cells(box)
+                    cell[:m] + (v,) + cell[m + 1 :] for cell in product(*box)
                 ]
                 work += len(new_cells)
                 if work > _BFS_WORK_CAP:
@@ -302,7 +290,7 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
     masks = []
     for box in boxes:
         mask = 0
-        for cell in _box_cells(box):
+        for cell in product(*box):
             mask |= 1 << cell_ix[cell]
         masks.append(mask)
     maxbox = max(mask.bit_count() for mask in masks)

@@ -302,9 +302,6 @@ class ScaledAntisymmetric:
     def size(self) -> int:
         return self.base.rows
 
-    def entry_squared(self, i: int, j: int) -> Fraction:
-        return self.scale_sq * self.base[i, j] ** 2
-
     def hadamard_square(self) -> RatMatrix:
         """Exact entrywise square s^2 * (base o base)."""
         sq = hadamard(self.base, self.base)
@@ -366,7 +363,7 @@ def outcome_distribution(spec: CorrelationSpec) -> RatMatrix:
 def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     """Construct C, P and the spectral vectors, and cross-check them.
 
-    u0/u1 come from the iterative spectral split of C; v0 = conj(u0) and
+    u0/u1 come from the spectral split of C; v0 = conj(u0) and
     v1 = -conj(u1).  The reported reconstruction error is the max deviation
     between rational P and 0.5*|u0(x)v0(y) + u1(x)v1(y)|^2.
     """

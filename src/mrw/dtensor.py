@@ -8,12 +8,12 @@ comfortably in memory.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DimensionError
-from .ratlinalg import RatMatrix
+from .ratlinalg import RatMatrix, is_exact
 
 CAPACITY_LIMIT = 1 << 20
 
@@ -37,7 +37,7 @@ class DenseTensor:
     @classmethod
     def from_function(cls, dims: Sequence[int], fn: Callable[[tuple[int, ...]], object]) -> "DenseTensor":
         dims = tuple(dims)
-        return cls(dims, (fn(idx) for idx in _iter_indices(dims)))
+        return cls(dims, map(fn, product(*map(range, dims))))
 
     @property
     def order(self) -> int:
@@ -65,10 +65,10 @@ class DenseTensor:
         return self._values[self.flat_index(idx)]
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self._values)
+        return is_exact(self._values)
 
     def iter_indices(self) -> Iterable[tuple[int, ...]]:
-        return _iter_indices(self.dims)
+        return product(*map(range, self.dims))
 
     def mode_flattening(self, mode: int) -> RatMatrix:
         """Matrix with one row per index of `mode`, columns in lex order of the
@@ -77,17 +77,13 @@ class DenseTensor:
             raise DimensionError(f"mode {mode} out of range for order {self.order}")
         if not self.is_exact():
             raise DimensionError("mode flattening requires exact (int/Fraction) entries")
-        other = [d for m, d in enumerate(self.dims) if m != mode]
-        ncols = prod(other)
-        rows: list[list] = [[None] * ncols for _ in range(self.dims[mode])]
-        for idx in _iter_indices(self.dims):
-            col = 0
-            for m, i in enumerate(idx):
-                if m == mode:
-                    continue
-                col = col * self.dims[m] + i
-            rows[idx[mode]][col] = self[idx]
-        return RatMatrix(self.dims[mode], ncols, [v for r in rows for v in r])
+        other = [range(d) for m, d in enumerate(self.dims) if m != mode]
+        entries = [
+            self[rest[:mode] + (i,) + rest[mode:]]
+            for i in range(self.dims[mode])
+            for rest in product(*other)
+        ]
+        return RatMatrix(self.dims[mode], prod(map(len, other)), entries)
 
     def to_numpy(self):
         import numpy as np
@@ -107,15 +103,3 @@ class DenseTensor:
     def __repr__(self) -> str:
         return f"DenseTensor(dims={self.dims}, {len(self._values)} entries)"
 
-
-def _iter_indices(dims: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    idx = [0] * len(dims)
-    while True:
-        yield tuple(idx)
-        for m in range(len(dims) - 1, -1, -1):
-            idx[m] += 1
-            if idx[m] < dims[m]:
-                break
-            idx[m] = 0
-        else:
-            return

@@ -28,7 +28,7 @@ from .constructions import (
 from .dtensor import CAPACITY_LIMIT
 from .errors import CapacityError, DimensionError, ValidationError
 from .numkit import DEFAULT_SEED, NonnegFactorization, verify_nonneg_factorization
-from .ratlinalg import RatMatrix, rank_exact
+from .ratlinalg import RatMatrix, is_exact, rank_exact
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,7 @@ class HiddenVariableModel:
         return (len(self.cond_x[0]), len(self.cond_y[0])) if self.weights else (0, 0)
 
     def is_rational(self) -> bool:
-        return all(
-            isinstance(p, (int, Fraction)) and not isinstance(p, bool)
-            for dist in (self.weights, *self.cond_x, *self.cond_y)
-            for p in dist
-        )
+        return is_exact(p for dist in (self.weights, *self.cond_x, *self.cond_y) for p in dist)
 
     def joint_float(self) -> np.ndarray:
         nx, ny = self.shape
@@ -170,17 +166,11 @@ class HiddenVariableModel:
     def joint_exact(self) -> RatMatrix:
         if not self.is_rational():
             raise ValidationError("exact joint needs rational probabilities")
-        nx, ny = self.shape
-        entries = [Fraction(0)] * (nx * ny)
-        for w, cx, cy in zip(self.weights, self.cond_x, self.cond_y):
-            wf = Fraction(w)
-            for i, px in enumerate(cx):
-                if px == 0:
-                    continue
-                row = wf * Fraction(px)
-                for j, py in enumerate(cy):
-                    entries[i * ny + j] += row * Fraction(py)
-        return RatMatrix(nx, ny, entries)
+        terms = tuple(
+            (tuple(w * px for px in cx), cy)
+            for w, cx, cy in zip(self.weights, self.cond_x, self.cond_y)
+        )
+        return NonnegFactorization(dims=self.shape, terms=terms).reconstruct_exact()
 
 
 def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
@@ -261,10 +251,6 @@ class HvSampleReport:
     seed: int
     counts: np.ndarray
     tv_distance: float
-
-    @property
-    def empirical(self) -> np.ndarray:
-        return self.counts / self.trials
 
 
 def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED) -> HvSampleReport:

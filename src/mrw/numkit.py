@@ -1,13 +1,13 @@
 """Seeded, budgeted floating-point numerics.
 
-Three tools live here: an iterative rotation (Jacobi) eigensolver specialized
-to the Hermitian matrices arising from antisymmetric input, a nonnegative
-factorization search driven by multiplicative updates with random restarts,
-and an alternating-least-squares tensor fitter.  Searches are deterministic
-given (input, seed, budget): restarts are ranked by (residual, restart index)
-so the outcome never depends on execution order.  A successful search is a
-witness, never a proof of optimality; failure after budget exhaustion proves
-nothing.
+Three tools live here: the spectral split of a rank-2 antisymmetric matrix
+(LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
+search driven by HALS sweeps and linear-program polishing with random
+restarts, and an alternating-least-squares tensor fitter.  Searches are
+deterministic given (input, seed, budget): restarts are ranked by (residual,
+restart index) so the outcome never depends on execution order.  A successful
+search is a witness, never a proof of optimality; failure after budget
+exhaustion proves nothing.
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 import numpy as np
 
-from .dtensor import DenseTensor, _iter_indices
+from .dtensor import DenseTensor
 from .errors import DimensionError, UnsupportedRankError, ValidationError
-from .ratlinalg import RatMatrix, rank_exact
+from .ratlinalg import RatMatrix, is_exact, rank_exact
 
 DEFAULT_SEED = 1729
 
@@ -70,54 +73,6 @@ class SpectralPair:
         return float(np.max(np.abs(self.reconstruct() - np.asarray(c, dtype=complex))))
 
 
-def hermitian_jacobi(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Sweeps run in fixed row-major order over the strict upper triangle, so the
-    result is deterministic.  Stops once every off-diagonal magnitude is at
-    most tol * max(1, largest initial magnitude).
-
-    Returns (eigenvalues, V) with V's columns the eigenvectors (unordered).
-    """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionError("jacobi needs a square matrix")
-    if n == 1:
-        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
-    threshold = tol * max(1.0, float(np.max(np.abs(a))))
-    v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= threshold:
-                    continue
-                off = max(off, mag)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                sigma = (t * c) * (apq / mag)
-                # column rotation: H <- H U with U the (p,q) plane rotation
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - np.conj(sigma) * a[:, q]
-                a[:, q] = sigma * col_p + c * a[:, q]
-                # row rotation: H <- U^H H
-                row_p = a[p, :].copy()
-                a[p, :] = c * row_p - sigma * a[q, :]
-                a[q, :] = np.conj(sigma) * row_p + c * a[q, :]
-                vcol_p = v[:, p].copy()
-                v[:, p] = c * vcol_p - np.conj(sigma) * v[:, q]
-                v[:, q] = sigma * vcol_p + c * v[:, q]
-        if off <= threshold:
-            break
-    else:
-        raise ValidationError("jacobi rotations failed to converge")
-    return np.real(np.diag(a)), v
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))
     pivot = vec[k]
@@ -126,12 +81,13 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (np.conj(pivot) / abs(pivot))
 
 
-def antisym_spectral(c, tol: float = 1e-12) -> SpectralPair:
+def antisym_spectral(c) -> SpectralPair:
     """Spectral split of an antisymmetric rank-2 matrix.
 
     Accepts an exact `RatMatrix`, a `ScaledAntisymmetric`, or a float array.
     Exact inputs are validated exactly (antisymmetry and rank 2); float input
-    is validated numerically.  Diagonalizes iC by Jacobi rotations to `tol`.
+    is validated numerically.  Diagonalizes the Hermitian matrix iC with
+    LAPACK (`np.linalg.eigh`).
     """
     from .constructions import ScaledAntisymmetric
 
@@ -153,17 +109,16 @@ def antisym_spectral(c, tol: float = 1e-12) -> SpectralPair:
         if float(np.max(np.abs(cf + cf.T))) > 1e-9 * scale:
             raise ValidationError("matrix is not antisymmetric")
 
-    eigvals, vecs = hermitian_jacobi(1j * cf, tol=tol)
-    i_min = int(np.argmin(eigvals))
-    i_max = int(np.argmax(eigvals))
-    lam = 0.5 * (eigvals[i_max] - eigvals[i_min])
+    # eigh returns the eigenvalues of iC in ascending order
+    eigvals, vecs = np.linalg.eigh(1j * cf)
+    lam = 0.5 * (eigvals[-1] - eigvals[0])
     if lam <= 0.0:
         raise UnsupportedRankError("matrix has no nonzero spectrum")
     significant = int(np.sum(np.abs(eigvals) > 1e-9 * max(1.0, lam)))
     if significant != 2:
         raise UnsupportedRankError(f"spectral split needs numeric rank 2, saw {significant}")
-    u0 = _fix_phase(vecs[:, i_min])
-    u1 = _fix_phase(vecs[:, i_max])
+    u0 = _fix_phase(vecs[:, 0])
+    u1 = _fix_phase(vecs[:, -1])
     return SpectralPair(lambda_magnitude=float(lam), u0=u0, u1=u1)
 
 
@@ -220,12 +175,7 @@ class NonnegFactorization:
         return len(self.terms)
 
     def is_rational(self) -> bool:
-        return all(
-            isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-            for term in self.terms
-            for vec in term
-            for x in vec
-        )
+        return is_exact(x for term in self.terms for vec in term for x in vec)
 
     def has_negative_entry(self) -> bool:
         return any(x < 0 for term in self.terms for vec in term for x in vec)
@@ -237,18 +187,18 @@ class NonnegFactorization:
         """Exact reconstruction; RatMatrix for order 2, DenseTensor otherwise."""
         if not self.is_rational():
             raise ValidationError("exact reconstruction needs rational factors")
-        values = {}
-
-        def accumulate(prefix: tuple[int, ...], weight: Fraction, mode: int, term):
-            if mode == self.order:
-                values[prefix] = values.get(prefix, Fraction(0)) + weight
-                return
-            for i, x in enumerate(term[mode]):
-                accumulate(prefix + (i,), weight * Fraction(x), mode + 1, term)
-
+        strides = [math.prod(self.dims[m + 1 :]) for m in range(self.order)]
+        flat = [Fraction(0)] * math.prod(self.dims)
         for term in self.terms:
-            accumulate((), Fraction(1), 0, term)
-        flat = [values.get(idx, Fraction(0)) for idx in _iter_indices(self.dims)]
+            # zero entries add nothing, so walk only the support: unit and
+            # singleton factorizations then cost one product per nonzero cell
+            support = [
+                [(i * stride, Fraction(x)) for i, x in enumerate(vec) if x]
+                for vec, stride in zip(term, strides)
+            ]
+            for cell in product(*support):
+                offsets, factors = zip(*cell)
+                flat[sum(offsets)] += reduce(mul, factors)
         if self.order == 2:
             return RatMatrix(self.dims[0], self.dims[1], flat)
         return DenseTensor(self.dims, flat)

@@ -32,6 +32,11 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
 
+def is_exact(values: Iterable) -> bool:
+    """True when every value is an int or a Fraction (booleans are not)."""
+    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+
+
 class RatMatrix:
     """Dense matrix of exact rationals, stored row-major and immutable.
 
@@ -115,9 +120,6 @@ class RatMatrix:
         return self.is_square and all(
             self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols)
         )
-
-    def map_entries(self, fn) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [fn(e) for e in self._entries])
 
     def to_float_rows(self) -> list[list[float]]:
         return [[float(e) for e in self.row(i)] for i in range(self.rows)]

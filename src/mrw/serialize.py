@@ -97,14 +97,20 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]):
     raise ParseError(f"{where}: unsupported entry {raw!r}")
 
 
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
     warnings_out: list[str] = []
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError):
         raise ParseError("matrix object needs rows, cols and entries")
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if not _is_size(rows) or not _is_size(cols):
         raise ParseError("rows and cols must be integers")
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list")
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
     parsed = [
@@ -119,8 +125,10 @@ def parse_tensor(obj: dict) -> tuple[DenseTensor, list[str]]:
         dims, entries = obj["dims"], obj["entries"]
     except (KeyError, TypeError):
         raise ParseError("tensor object needs dims and entries")
-    if not dims or not all(isinstance(d, int) and d >= 1 for d in dims):
-        raise ParseError("dims must be positive integers")
+    if not isinstance(dims, list) or not dims or not all(_is_size(d) and d >= 1 for d in dims):
+        raise ParseError("dims must be a list of positive integers")
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list")
     if len(entries) != prod(dims):
         raise ParseError(f"dims product {prod(dims)} does not match {len(entries)} entries")
     values = []
@@ -181,8 +189,6 @@ def detect_kind(obj: Any) -> str:
         return "factorization"
     if "dims" in obj:
         return "tensor"
-    if "checks" in obj:
-        return "report"
     raise ParseError("unrecognized object kind")
 
 
@@ -200,14 +206,11 @@ def io_roundtrip(path: str):
     elif kind == "tensor":
         value, warns = parse_tensor(obj)
         canon = canonical_dumps(tensor_to_obj(value))
-    elif kind == "factorization":
+    else:
         value, warns = parse_factorization(obj)
         canon = canonical_dumps(
             factorization_to_obj(value, rational=value.is_rational())
         )
-    else:
-        value, warns = obj, []
-        canon = canonical_dumps(obj)
     with open(path, "r", encoding="utf-8") as fh:
         original = fh.read()
     return kind, value, canon, warns, original == canon

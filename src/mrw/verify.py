@@ -97,7 +97,7 @@ def _random_distinct_fractions(rng: random.Random, n: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def check_edm_rank(scale: str, seed: int):
+def check_edm_rank(scale: str, seed: int, budget: float):
     ns = (3, 5, 8, 16) if scale == "full" else (3, 5, 8)
     rng = random.Random(seed)
     ranks = {}
@@ -108,13 +108,13 @@ def check_edm_rank(scale: str, seed: int):
     return ok, f"ranks {ranks}", "rank 3 at every size"
 
 
-def check_edm_mr_bracket(scale: str, seed: int, budget_factor: float = 1.0):
+def check_edm_mr_bracket(scale: str, seed: int, budget: float):
     n, r = (16, 10) if scale == "full" else (8, 8)
     m = edm(EdmSpec.integers(n))
     cover = box_cover_exact(support_pattern(m))
     log_floor = math.ceil(math.log2(n))
     fact = nmf_search(
-        m, r, budget=DEFAULT_NMF_BUDGET.scaled(budget_factor), seed=seed, tol=1e-3
+        m, r, budget=DEFAULT_NMF_BUDGET.scaled(budget), seed=seed, tol=1e-3
     )
     if fact is None:
         return False, f"cover lower {cover.lower}; no factorization at r={r}", (
@@ -136,7 +136,7 @@ _WORKED_LEFT = [[0, 1, 4, 9, 1, 0, 1, 4], [4, 1, 0, 1, 9, 4, 1, 0]]
 _WORKED_STEP = [[1], [9]]
 
 
-def check_worked_example(scale: str, seed: int):
+def check_worked_example(scale: str, seed: int, budget: float):
     spec = FunctionFSpec(2, 4)
     pairs = [
         (flattening(spec, 2), _WORKED_MIDDLE),
@@ -151,7 +151,7 @@ def check_worked_example(scale: str, seed: int):
     return all(same), f"byte-identical: {same}", "all three displayed matrices byte-identical"
 
 
-def check_abp_profile(scale: str, seed: int):
+def check_abp_profile(scale: str, seed: int, budget: float):
     p24 = abp_profile(2, 4)
     ok = p24.total_size == 9
     details = [f"total(2,4)={p24.total_size}"]
@@ -167,13 +167,13 @@ def check_abp_profile(scale: str, seed: int):
     return ok, "; ".join(details), "total 9 at (2,4); caps, mirror and step hold everywhere"
 
 
-def check_abp_trend(scale: str, seed: int):
+def check_abp_trend(scale: str, seed: int, budget: float):
     ratios = [abp_profile(n, 4).separation_ratio for n in (2, 3, 4)]
     ok = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
     return ok, f"ratios {[round(x, 4) for x in ratios]}", "non-decreasing over n in {2,3,4}"
 
 
-def check_quantum_pipeline(scale: str, seed: int):
+def check_quantum_pipeline(scale: str, seed: int, budget: float):
     sizes = (2, 4, 8, 16) if scale == "full" else (2, 4, 8)
     worst_spectral = 0.0
     worst_dist = 0.0
@@ -204,7 +204,7 @@ def check_quantum_pipeline(scale: str, seed: int):
     )
 
 
-def check_hv_chain(scale: str, seed: int):
+def check_hv_chain(scale: str, seed: int, budget: float):
     p = build_correlation(CorrelationSpec(4)).p_matrix
     cover = box_cover_exact(support_pattern(p))
     facts = exact_unit_factorizations(p)
@@ -228,7 +228,7 @@ def check_hv_chain(scale: str, seed: int):
     )
 
 
-def check_divisibility(scale: str, seed: int):
+def check_divisibility(scale: str, seed: int, budget: float):
     configs = [(2, 3), (3, 3), (2, 4)] if scale == "full" else [(2, 3)]
     details = []
     for base, order in configs:
@@ -257,7 +257,7 @@ def _log_rank_chain_holds(rows: tuple[int, ...], ncols: int) -> bool:
     return True
 
 
-def check_log_rank_chain(scale: str, seed: int):
+def check_log_rank_chain(scale: str, seed: int, budget: float):
     side = 4 if scale == "full" else 3
     # depth, rank and cover number are all invariant under duplicating rows
     # and permuting rows, so checking one canonical representative per
@@ -286,7 +286,7 @@ def check_log_rank_chain(scale: str, seed: int):
     return True, f"{checked} canonical instances checked", "chain holds on all instances"
 
 
-def check_separation_report(scale: str, seed: int):
+def check_separation_report(scale: str, seed: int, budget: float):
     ladder = comm_ladder(2, 10**6)
     ratios = [r.separation_ratio for r in ladder]
     if not all(a < b for a, b in zip(ratios, ratios[1:])):
@@ -306,6 +306,8 @@ def check_separation_report(scale: str, seed: int):
     )
 
 
+# every check takes (scale, seed, budget) and returns (ok, observed, expected);
+# budget multiplies the search budgets of the checks that search
 _CHECKS = [
     ("edm-rank-3", "squared-difference distance matrices have exact rank 3", check_edm_rank),
     (
@@ -339,10 +341,7 @@ def run_verify_suite(
     for cid, claim, fn in _CHECKS:
         start = time.perf_counter()
         try:
-            if fn is check_edm_mr_bracket:
-                ok, observed, expected = fn(scale, seed, budget_factor)
-            else:
-                ok, observed, expected = fn(scale, seed)
+            ok, observed, expected = fn(scale, seed, budget_factor)
             status = "pass" if ok else "fail"
         except Exception as exc:  # a crashed check is a failed check
             status, observed, expected = "fail", f"raised {exc!r}", "check completes"

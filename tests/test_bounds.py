@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mrw.bounds import (
@@ -155,7 +155,6 @@ def tall_patterns(draw):
     return SupportPattern(dims=(len(masks), cols), cells=frozenset(cells))
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.one_of(small_patterns(), tall_patterns()))
 def test_support_mask_kernels_match_bfs(pattern):
     boxes = _maximal_boxes_bfs(pattern)

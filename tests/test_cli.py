@@ -84,6 +84,23 @@ def test_bad_file_exits_2(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("rank", "--matrix", '{"rows": 1, "cols": 1, "entries": 5}'),
+        ("mr", "--matrix", '{"rows": 1, "cols": 1, "entries": null}'),
+        ("dcc", "--matrix", '{"rows": true, "cols": 1, "entries": ["1"]}'),
+        ("mr", "--tensor", '{"dims": 5, "entries": [1]}'),
+        ("mr", "--tensor", '{"dims": [2, true], "entries": ["1", "0"]}'),
+    ],
+)
+def test_malformed_shape_exits_2(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, flag, str(path))
+    assert code == 2 and err.startswith("error:")
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--matrix", "/nonexistent/x.json")
     assert code == 2

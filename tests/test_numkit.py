@@ -2,9 +2,12 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrw.constructions import CorrelationSpec, DivTensorSpec, difference_matrix, divisibility_tensor, EdmSpec, edm
 from mrw.errors import DimensionError, UnsupportedRankError, ValidationError
@@ -13,21 +16,10 @@ from mrw.numkit import (
     SearchBudget,
     antisym_spectral,
     cp_als,
-    hermitian_jacobi,
     nmf_search,
     verify_nonneg_factorization,
 )
 from mrw.ratlinalg import RatMatrix, char_poly_exact
-
-
-def test_jacobi_matches_numpy_eigh():
-    rng = np.random.default_rng(12)
-    for n in (2, 4, 7):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = a + a.conj().T
-        vals, vecs = hermitian_jacobi(h)
-        assert np.allclose(sorted(vals), np.linalg.eigvalsh(h), atol=1e-9)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, h, atol=1e-9)
 
 
 def test_spectral_split_worked_values():
@@ -170,6 +162,26 @@ def _best_rank1_grid_oracle(arr: np.ndarray, steps: int = 48) -> float:
                 inner = float(np.einsum("ijk,i,j,k->", arr, u, v, w))
                 best = max(best, abs(inner))
     return math.sqrt(max(norm_sq - best * best, 0.0))
+
+
+@st.composite
+def rational_factorizations(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    vals = st.sampled_from([Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(2, 7), 2])
+    terms = draw(
+        st.lists(st.tuples(*(st.tuples(*[vals] * d) for d in dims)), min_size=0, max_size=4)
+    )
+    return NonnegFactorization(dims=dims, terms=tuple(terms))
+
+
+@given(rational_factorizations())
+def test_reconstruct_exact_matches_outer_product_sum(fact):
+    oracle = np.full(fact.dims, Fraction(0), dtype=object)
+    for term in fact.terms:
+        oracle = oracle + reduce(np.multiply.outer, [np.array(v, dtype=object) for v in term])
+    rec = fact.reconstruct_exact()
+    values = rec.entries if isinstance(rec, RatMatrix) else rec.values
+    assert list(values) == list(oracle.ravel())
 
 
 def test_cp_als_rank_one_exact():
