@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dtensor import CAPACITY_LIMIT, DenseTensor
+from .dtensor import DenseTensor
 from .errors import CapacityError, ValidationError
 from .ratlinalg import (
+    CAPACITY_LIMIT,
     CharPoly,
     RatMatrix,
     RationalLike,

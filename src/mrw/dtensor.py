@@ -12,10 +12,8 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, DimensionError
-from .ratlinalg import RatMatrix, is_exact
-
-CAPACITY_LIMIT = 1 << 20
+from .errors import DimensionError
+from .ratlinalg import RatMatrix, check_capacity, is_exact
 
 
 class DenseTensor:
@@ -26,8 +24,7 @@ class DenseTensor:
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionError(f"tensor dims {dims} must be an order >= 2 shape of positives")
         size = prod(dims)
-        if size > CAPACITY_LIMIT:
-            raise CapacityError(f"tensor with {size} entries exceeds the {CAPACITY_LIMIT} guard")
+        check_capacity(size, "tensor")
         vals = tuple(values)
         if len(vals) != size:
             raise DimensionError(f"expected {size} entries for dims {dims}, got {len(vals)}")

@@ -25,10 +25,9 @@ from .constructions import (
     offset_square_matrix,
     spaced_distance_block,
 )
-from .dtensor import CAPACITY_LIMIT
 from .errors import CapacityError, DimensionError, ValidationError
 from .numkit import DEFAULT_SEED, NonnegFactorization, verify_nonneg_factorization
-from .ratlinalg import RatMatrix, is_exact, rank_exact
+from .ratlinalg import CAPACITY_LIMIT, RatMatrix, is_exact, rank_exact
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,41 @@
 
 Matrices are immutable value objects backed by ``fractions.Fraction``, so every
 operation here is a pure function whose output is reproducible bit for bit.
-Rank and determinant use fraction-free (Bareiss-style) elimination with a
+The rank, determinant and characteristic-polynomial kernels clear
+denominators first and then run on Python ints, whose size is unbounded, so
+no step pays for a gcd: rank and determinant scale each row by the lcm of its
+denominators and run integer-preserving (Bareiss) elimination with a
 canonical pivot rule -- first nonzero entry in column order -- and the
-characteristic polynomial is computed by the Faddeev-LeVerrier recurrence,
-which stays inside the rationals.  Nothing in this module touches floating
-point: separation claims elsewhere in the workbench rely on exact rank values,
-where float pivoting could silently misreport.
+characteristic polynomial runs the Faddeev-LeVerrier recurrence on the
+integer matrix D*M, where every division is exact, and rescales each
+coefficient once at the end.  Nothing in this module touches floating point:
+separation claims elsewhere in the workbench rely on exact rank values, where
+float pivoting could silently misreport.  Dense matrices (and tensors) hold at
+most ``CAPACITY_LIMIT`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import CapacityError, DimensionError, ValidationError
 
 RationalLike = Fraction | int | str
+
+# Largest entry count of a dense matrix or tensor, checked before any entry
+# is built: it keeps storage in memory and refuses, say, a 3000x3000 matrix
+# file whose elimination would run for hours.
+CAPACITY_LIMIT = 1 << 20
+
+
+def check_capacity(entries: int, what: str) -> None:
+    """Raise CapacityError when a dense ``what`` would hold too many entries."""
+    if entries > CAPACITY_LIMIT:
+        raise CapacityError(f"{what} with {entries} entries exceeds the {CAPACITY_LIMIT} guard")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -50,6 +68,7 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
+        check_capacity(rows * cols, "matrix")
         data = tuple(as_fraction(e) for e in entries)
         if len(data) != rows * cols:
             raise DimensionError(
@@ -179,20 +198,30 @@ def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:
         raise DimensionError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
 
 
-def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
-    """Fraction-free elimination: (rank, row-swap sign, last pivot).
+def _scaled_row(row: Sequence[Fraction], scale: int) -> list[int]:
+    """``row`` times ``scale``, a common multiple of its denominators, as ints."""
+    return [e.numerator * (scale // e.denominator) for e in row]
 
-    Pivots are chosen canonically (first nonzero entry scanning columns left
-    to right, rows top to bottom), so intermediate values never depend on
-    scheduling.  The Bareiss update keeps entries as exact minors, which
-    bounds coefficient growth on integer input; for a square matrix of full
-    rank the last pivot is the determinant up to the sign.
+
+def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
+    """Integer-preserving elimination: (rank, row-swap sign, last pivot).
+
+    Each row is first scaled by the lcm of its denominators, so the loop runs
+    on Python ints and every Bareiss update divides exactly by the previous
+    pivot (Bareiss 1968: the entries are minors of the scaled matrix).  A
+    positive row scale multiplies every intermediate in that row by a positive
+    constant, so the zero pattern, the pivots chosen, the rank and the swap
+    sign are those of the unscaled matrix.  Pivots are chosen canonically
+    (first nonzero entry scanning columns left to right, rows top to bottom).
+    The last pivot is returned divided by the product of the row scales: for a
+    square matrix of full rank it is then the determinant up to the sign.
     """
-    work = [list(row) for row in m.iter_rows()]
+    scales = [lcm(*(e.denominator for e in row)) for row in m.iter_rows()]
+    work = [_scaled_row(row, s) for row, s in zip(m.iter_rows(), scales)]
     rows, cols = m.rows, m.cols
     pivot_row = 0
     sign = 1
-    prev_pivot = Fraction(1)
+    prev_pivot = 1
     for col in range(cols):
         if pivot_row == rows:
             break
@@ -202,26 +231,28 @@ def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
         if pivot != pivot_row:
             work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
             sign = -sign
-        piv = work[pivot_row][col]
+        row_p = work[pivot_row]
+        piv = row_p[col]
+        tail_p = row_p[col + 1 :]
         for r in range(pivot_row + 1, rows):
-            factor = work[r][col]
+            row_r = work[r]
+            factor = row_r[col]
             if factor == 0:
                 # Still rescale so later divisions by prev_pivot stay exact.
-                for c in range(col + 1, cols):
-                    work[r][c] = (piv * work[r][c]) / prev_pivot
+                row_r[col + 1 :] = [piv * x // prev_pivot for x in row_r[col + 1 :]]
             else:
-                row_p = work[pivot_row]
-                row_r = work[r]
-                for c in range(col + 1, cols):
-                    row_r[c] = (piv * row_r[c] - factor * row_p[c]) / prev_pivot
-            work[r][col] = Fraction(0)
+                row_r[col + 1 :] = [
+                    (piv * x - factor * y) // prev_pivot
+                    for x, y in zip(row_r[col + 1 :], tail_p)
+                ]
+                row_r[col] = 0
         prev_pivot = piv
         pivot_row += 1
-    return pivot_row, sign, prev_pivot
+    return pivot_row, sign, Fraction(prev_pivot, prod(scales))
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Exact rank over the rationals by fraction-free elimination."""
+    """Exact rank over the rationals by integer-preserving elimination."""
     return _bareiss(m)[0]
 
 
@@ -233,29 +264,6 @@ def det_exact(m: RatMatrix) -> Fraction:
     return sign * last_pivot if rank == m.rows else Fraction(0)
 
 
-def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    bt = b.transpose()
-    out = []
-    for i in range(a.rows):
-        ra = a.row(i)
-        for j in range(b.cols):
-            cb = bt.row(j)
-            out.append(sum((x * y for x, y in zip(ra, cb) if x and y), Fraction(0)))
-    return RatMatrix(a.rows, b.cols, out)
-
-
-def mat_add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    _require_same_shape(a, b, "addition")
-    return RatMatrix(a.rows, a.cols, [x + y for x, y in zip(a.entries, b.entries)])
-
-
-def mat_scale(a: RatMatrix, s: RationalLike) -> RatMatrix:
-    sf = as_fraction(s)
-    return RatMatrix(a.rows, a.cols, [sf * x for x in a.entries])
-
-
 def trace(m: RatMatrix) -> Fraction:
     if not m.is_square:
         raise DimensionError("trace needs a square matrix")
@@ -263,25 +271,31 @@ def trace(m: RatMatrix) -> Fraction:
 
 
 def char_poly_exact(m: RatMatrix) -> CharPoly:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
+    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier on integers.
 
-    The recurrence M_1 = M, c_{n-1} = -tr(M_1),
-    M_k = M (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k stays exact over the
-    rationals; no root finding is involved.
+    With D the lcm of all denominators, the recurrence runs on the integer
+    matrix A = D*M: A_1 = A, c_{n-1} = -tr(A_1),
+    A_k = (A_{k-1} + c_{n-k+1} I) A, c_{n-k} = -tr(A_k)/k.  For an integer
+    matrix every c_j is an integer, so the division by k is exact.  A_{k-1} is
+    a polynomial in A and commutes with it, which lets each product run
+    against the fixed columns of A.  Coefficient j of M is c_j(A) / D^(n-j);
+    no root finding is involved.
     """
     if not m.is_square:
         raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.shape}")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = RatMatrix.identity(n)
-    mk = m
-    coeffs[n - 1] = -trace(mk)
+    den = lcm(*(e.denominator for e in m.entries))
+    ak = [_scaled_row(row, den) for row in m.iter_rows()]
+    a_cols = tuple(zip(*ak))  # A itself, by columns; ak's rows may now change
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    coeffs[n - 1] = -sum(ak[i][i] for i in range(n))
     for k in range(2, n + 1):
-        shifted = mat_add(mk, mat_scale(ident, coeffs[n - k + 1]))
-        mk = mat_mul(m, shifted)
-        coeffs[n - k] = -trace(mk) / k
-    return CharPoly(tuple(coeffs))
+        for i in range(n):
+            ak[i][i] += coeffs[n - k + 1]
+        ak = [[sum(map(mul, row, col)) for col in a_cols] for row in ak]
+        coeffs[n - k] = -sum(ak[i][i] for i in range(n)) // k
+    return CharPoly(tuple(Fraction(c, den ** (n - j)) for j, c in enumerate(coeffs)))
 
 
 def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -19,7 +19,7 @@ from .bounds import MrBoundReport
 from .dtensor import DenseTensor
 from .errors import ParseError
 from .numkit import NonnegFactorization
-from .ratlinalg import RatMatrix
+from .ratlinalg import RatMatrix, check_capacity
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -111,6 +111,7 @@ def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
         raise ParseError("rows and cols must be integers")
     if not isinstance(entries, list):
         raise ParseError("entries must be a list")
+    check_capacity(rows * cols, "matrix")
     if len(entries) != rows * cols:
         raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
     parsed = [
@@ -147,10 +148,16 @@ def parse_factorization(obj: dict) -> tuple[NonnegFactorization, list[str]]:
         order, dims, terms = obj["order"], obj["dims"], obj["terms"]
     except (KeyError, TypeError):
         raise ParseError("factorization object needs order, dims and terms")
+    if not isinstance(dims, list) or not all(_is_size(d) and d >= 1 for d in dims):
+        raise ParseError("dims must be a list of positive integers")
     if order != len(dims):
         raise ParseError("order does not match dims")
+    if not isinstance(terms, list):
+        raise ParseError("terms must be a list")
     parsed_terms = []
     for t, term in enumerate(terms):
+        if not isinstance(term, list) or not all(isinstance(vec, list) for vec in term):
+            raise ParseError(f"term {t} must be a list of factor-vector lists")
         if len(term) != order:
             raise ParseError(f"term {t} has {len(term)} factor vectors, expected {order}")
         vecs = []
@@ -158,7 +165,10 @@ def parse_factorization(obj: dict) -> tuple[NonnegFactorization, list[str]]:
             vals = []
             for x in vec:
                 if isinstance(x, str):
-                    vals.append(Fraction(x))
+                    try:
+                        vals.append(Fraction(x))
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise ParseError(f"term {t}: bad rational literal {x!r} ({exc})")
                 elif isinstance(x, (int, float)) and not isinstance(x, bool):
                     vals.append(float(x))
                 else:

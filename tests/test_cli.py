@@ -101,6 +101,13 @@ def test_malformed_shape_exits_2(tmp_path, capsys, command, flag, text):
     assert code == 2 and err.startswith("error:")
 
 
+def test_oversized_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"rows": 3000, "cols": 3000, "entries": []}')
+    code, _, err = run(capsys, "rank", "--matrix", str(path))
+    assert code == 2 and err.startswith("error:") and "guard" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--matrix", "/nonexistent/x.json")
     assert code == 2

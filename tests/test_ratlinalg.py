@@ -1,6 +1,6 @@
 """Exact linear algebra: worked values plus randomized cross-checks against
 independent oracles (plain fraction Gaussian elimination, cofactor expansion,
-principal-minor sums)."""
+principal-minor sums, sympy)."""
 
 import itertools
 import random
@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrw.errors import DimensionError, ValidationError
+from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.ratlinalg import (
     RatMatrix,
     char_poly_exact,
@@ -129,13 +129,14 @@ def test_det_matches_cofactor_expansion():
 
 
 @st.composite
-def planted_deficient_matrices(draw):
-    """Small rational matrices, square or rectangular, with repeated or zero
-    rows and columns planted to force rank deficiency, and zero entries
-    planted to force row swaps and zero multipliers in the elimination."""
-    rows = draw(st.integers(1, 5))
-    cols = rows if draw(st.booleans()) else draw(st.integers(1, 5))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+def planted_deficient_matrices(draw, max_size=8, square=False):
+    """Rational matrices up to ``max_size`` a side, square or rectangular,
+    with repeated or zero rows and columns planted to force rank deficiency,
+    and zero entries planted to force row swaps and zero multipliers in the
+    elimination.  Denominators up to 12 give the rows different scales."""
+    rows = draw(st.integers(1, max_size))
+    cols = rows if square or draw(st.booleans()) else draw(st.integers(1, max_size))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(
@@ -159,15 +160,29 @@ def planted_deficient_matrices(draw):
     return RatMatrix.from_rows(data)
 
 
-@given(planted_deficient_matrices())
-def test_rank_and_det_match_sympy(m):
-    oracle = sympy.Matrix(
+def to_sympy(m: RatMatrix) -> sympy.Matrix:
+    return sympy.Matrix(
         [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.iter_rows()]
     )
+
+
+def to_fraction(value: sympy.Rational) -> Fraction:
+    return Fraction(int(value.p), int(value.q))
+
+
+@given(planted_deficient_matrices())
+def test_rank_and_det_match_sympy(m):
+    oracle = to_sympy(m)
     assert rank_exact(m) == oracle.rank()
     if m.is_square:
-        det = oracle.det()
-        assert det_exact(m) == Fraction(int(det.p), int(det.q))
+        assert det_exact(m) == to_fraction(oracle.det())
+
+
+@given(planted_deficient_matrices(max_size=6, square=True))
+def test_char_poly_matches_sympy(m):
+    oracle = to_sympy(m)
+    high_to_low = oracle.charpoly(sympy.Symbol("x")).all_coeffs()
+    assert char_poly_exact(m).coeffs == tuple(to_fraction(c) for c in reversed(high_to_low))
 
 
 def test_char_poly_worked_values():
@@ -277,6 +292,11 @@ def test_submatrix_rejects_bad_indices():
         submatrix(m, [0, 2], [0])
     with pytest.raises(ValidationError):
         submatrix(m, [], [0])
+
+
+def test_capacity_guard_rejects_oversized_matrix():
+    with pytest.raises(CapacityError):
+        RatMatrix(1025, 1024, [])
 
 
 def test_entries_are_canonical_fractions():

@@ -80,3 +80,19 @@ def test_factorization_round_trip_float_and_rational():
     fobj = factorization_to_obj(fact, rational=False)
     parsed_f, _ = parse_factorization(fobj)
     assert parsed_f.terms[0][1][1] == 0.5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"order": 2, "dims": 5, "terms": []}',
+        '{"order": 2, "dims": [1, 1], "terms": 7}',
+        '{"order": 2, "dims": [1, 1], "terms": [[["x"], ["1"]]]}',
+        '{"order": 2, "dims": [1, 1], "terms": [["x", ["1"]]]}',
+    ],
+)
+def test_malformed_factorization_raises_parse_error(tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        io_roundtrip(str(path))
