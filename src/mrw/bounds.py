@@ -76,13 +76,15 @@ def support_pattern(m) -> SupportPattern:
 class BoxCoverResult:
     """Bracket on the minimum number of support-contained boxes covering the
     support.  `lower` is always certified; `exact` means lower == upper ==
-    optimum with `boxes` an optimal cover."""
+    optimum with `boxes` an optimal cover.  `nodes` counts the search nodes
+    expanded over all deepening rounds (0 when no search ran)."""
 
     lower: int
     upper: int
     exact: bool
     boxes: tuple[Box, ...] | None
     note: str
+    nodes: int = 0
 
 
 def _line_groups(pattern: SupportPattern) -> tuple[bool, dict[int, list[int]]] | None:
@@ -241,6 +243,17 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _some_box_covers(by_size: list[tuple[int, int]], uncovered: int, need: int) -> bool:
+    """True iff some mask covers `need` cells of `uncovered`; `by_size` holds
+    (popcount, mask) pairs, largest first."""
+    for size, mask in by_size:
+        if size < need:
+            return False
+        if (mask & uncovered).bit_count() >= need:
+            return True
+    return False
+
+
 def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUDGET) -> BoxCoverResult:
     """Bracket (and, if feasible, solve) the minimum box cover of a support.
 
@@ -249,6 +262,15 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
     tie-breaking.  Patterns beyond EXACT_CELL_CAP cells, or whose maximal boxes
     cannot be enumerated, fall back to the certified counting lower bound and
     a greedy/singleton upper bound with `exact=False`.
+
+    The counting prune refutes an uncovered set U at depth d when no box
+    covers need = ceil(|U| / d) cells of U.  It is an early-exit test: boxes
+    are sorted by size once, largest first, and the scan stops at the first
+    box that reaches `need` or the first too small to.  The branching cell is
+    the first uncovered cell in a fixed order by (number of covering boxes,
+    index), since those counts never change during the search.  `node_budget`
+    caps the nodes expanded over all rounds; `nodes` in the result reports
+    them.
     """
     cells = sorted(pattern.cells)
     if not cells:
@@ -308,6 +330,8 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         for ci in range(len(cells)):
             if mask >> ci & 1:
                 covering[ci].append(bi)
+    pivot_order = sorted(range(len(cells)), key=lambda ci: (len(covering[ci]), ci))
+    by_size = sorted(((mask.bit_count(), mask) for mask in masks), reverse=True)
 
     memo: dict[int, int] = {}
     nodes = 0
@@ -320,27 +344,13 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
             return False
         if memo.get(uncovered, 0) >= depth:
             return False
-        nodes += 1
-        if nodes > node_budget:
+        if nodes >= node_budget:
             raise _BudgetExhausted
-        best_cover = 0
-        for mask in masks:
-            c = (mask & uncovered).bit_count()
-            if c > best_cover:
-                best_cover = c
-        if best_cover * depth < uncovered.bit_count():
+        nodes += 1
+        if not _some_box_covers(by_size, uncovered, -(-uncovered.bit_count() // depth)):
             memo[uncovered] = max(memo.get(uncovered, 0), depth)
             return False
-        # pivot: uncovered cell with fewest covering boxes, lowest index first
-        pivot = -1
-        pivot_deg = None
-        u = uncovered
-        while u:
-            ci = (u & -u).bit_length() - 1
-            deg = len(covering[ci])
-            if pivot_deg is None or deg < pivot_deg:
-                pivot, pivot_deg = ci, deg
-            u &= u - 1
+        pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
         cand = sorted(
             covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi)
         )
@@ -363,10 +373,16 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
                     exact=True,
                     boxes=tuple(boxes[i] for i in chosen),
                     note="optimal cover found",
+                    nodes=nodes,
                 )
             t += 1
         return BoxCoverResult(
-            lower=upper, upper=upper, exact=True, boxes=greedy_boxes, note="greedy proven optimal"
+            lower=upper,
+            upper=upper,
+            exact=True,
+            boxes=greedy_boxes,
+            note="greedy proven optimal",
+            nodes=nodes,
         )
     except _BudgetExhausted:
         return BoxCoverResult(
@@ -375,6 +391,7 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
             exact=False,
             boxes=greedy_boxes,
             note=f"node budget {node_budget} exhausted while refuting size {t}",
+            nodes=nodes,
         )
 
 
@@ -419,17 +436,18 @@ def rank_lower_bound(m) -> int:
     return max(rank_exact(m.mode_flattening(mode)) for mode in range(m.order))
 
 
-def mr_bounds(m, node_budget: int = DEFAULT_NODE_BUDGET) -> MrBoundReport:
+def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     """Bracket the monotone rank of a nonnegative matrix or exact tensor.
 
     lower = max(exact rank, certified box-cover lower bound); upper is the
     best of the dimension bound, the singleton-support factorization, and (for
-    matrices with a gap) a small seeded numeric search.
+    matrices with a gap) a small seeded numeric search.  `budget_factor`
+    scales both the cover search's node budget and the numeric search.
     """
     _validate_nonneg_exact(m)
     pattern = support_pattern(m)
     rank_lb = rank_lower_bound(m) if pattern.cells else 0
-    cover = box_cover_exact(pattern, node_budget=node_budget)
+    cover = box_cover_exact(pattern, node_budget=int(DEFAULT_NODE_BUDGET * budget_factor))
     if cover.lower >= rank_lb:
         lower, witness = cover.lower, "boxcover"
     else:
@@ -446,7 +464,8 @@ def mr_bounds(m, node_budget: int = DEFAULT_NODE_BUDGET) -> MrBoundReport:
     if isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:
         from .numkit import SearchBudget, nmf_search
 
-        found = nmf_search(m, lower, budget=SearchBudget(restarts=2, iterations=400), tol=1e-6)
+        budget = SearchBudget(restarts=2, iterations=400).scaled(budget_factor)
+        found = nmf_search(m, lower, budget=budget, tol=1e-6)
         if found is not None:
             upper, status = lower, "heuristic-certified"
             factorization = found

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import DEFAULT_NODE_BUDGET, mr_bounds
+from .bounds import mr_bounds
 from .constructions import (
     CorrelationSpec,
     DivTensorSpec,
@@ -120,8 +120,7 @@ def cmd_mr(args) -> int:
         target, warns = parse_tensor(load_json_file(args.tensor))
         for w in warns:
             print(f"warning: {w}", file=sys.stderr)
-    budget = int(DEFAULT_NODE_BUDGET * _budget_factor(args))
-    rep = mr_bounds(target, node_budget=budget)
+    rep = mr_bounds(target, budget_factor=_budget_factor(args))
     _emit(args, canonical_dumps(mr_report_to_obj(rep, rational=args.rational)))
     return 0
 

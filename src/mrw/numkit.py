@@ -74,10 +74,14 @@ class SpectralPair:
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if abs(pivot) == 0.0:
+    """Rotate `vec` so that its first entry of (near-)largest modulus is real
+    and positive.  Moduli within a relative 1e-9 of the maximum count as tied,
+    so last-bit rounding cannot move the pivot between entries of equal size."""
+    mags = np.abs(vec)
+    top = mags.max()
+    if top == 0.0:
         return vec
+    pivot = vec[int(np.argmax(mags >= top * (1 - 1e-9)))]
     return vec * (np.conj(pivot) / abs(pivot))
 
 

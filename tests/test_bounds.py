@@ -138,6 +138,36 @@ def test_maximal_box_enumeration_matches_definition():
 
 
 @st.composite
+def oracle_patterns(draw):
+    """Matrix patterns up to 3x4 and tensor patterns up to 2x2x2: small enough
+    for brute_force_cover."""
+    dims = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 4)),
+            st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+        )
+    )
+    grid = list(itertools.product(*map(range, dims)))
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    return SupportPattern(dims=dims, cells=frozenset(c for c, k in zip(grid, keep) if k))
+
+
+@given(oracle_patterns())
+def test_exact_cover_matches_brute_force(pattern):
+    res = box_cover_exact(pattern)
+    if not res.exact:
+        return
+    assert res.lower == res.upper == brute_force_cover(pattern)
+    assert len(res.boxes) == res.lower
+    covered = set()
+    for box in res.boxes:
+        cells = set(itertools.product(*box))
+        assert cells <= pattern.cells
+        covered |= cells
+    assert covered == pattern.cells
+
+
+@st.composite
 def small_patterns(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
@@ -249,3 +279,13 @@ def test_cover_respects_node_budget():
     full = box_cover_exact(pat)
     assert full.exact and full.lower == 5
     assert res.lower <= full.lower
+
+
+def test_cover_node_count_pins_search_path():
+    # any change to the visited nodes or their order moves these numbers
+    pat = support_pattern(edm(EdmSpec.integers(8)))
+    assert box_cover_exact(pat).nodes == 35064
+    assert box_cover_exact(pat, node_budget=35064).exact
+    short = box_cover_exact(pat, node_budget=35063)
+    assert not short.exact and short.nodes == 35063
+    assert box_cover_exact(support_pattern(edm(EdmSpec.integers(3)))).nodes == 0

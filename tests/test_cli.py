@@ -143,3 +143,29 @@ def test_budget_resolution_order(monkeypatch):
     monkeypatch.setenv("MRW_BUDGET", "2.5")
     assert _budget_factor(Namespace(budget=None)) == 2.5
     assert _budget_factor(Namespace(budget=0.5)) == 0.5  # flag beats env
+
+
+def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
+    import mrw.bounds
+    import mrw.numkit
+    from mrw.numkit import SearchBudget
+
+    seen = {}
+    cover = mrw.bounds.box_cover_exact
+
+    def spy_cover(pattern, node_budget):
+        seen["nodes"] = node_budget
+        return cover(pattern, node_budget=node_budget)
+
+    def spy_nmf(m, r, budget, tol):
+        seen["nmf"] = budget
+        return None
+
+    monkeypatch.setattr(mrw.bounds, "box_cover_exact", spy_cover)
+    monkeypatch.setattr(mrw.numkit, "nmf_search", spy_nmf)
+    path = tmp_path / "m.json"
+    # rank 2 and cover 2 against the dimension bound 3, so mr runs its search
+    path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": ["1", "1", "0", "1", "1", "0", "0", "0", "1"]}))
+    code, _, _ = run(capsys, "mr", "--matrix", str(path), "--budget", "0.5")
+    assert code == 0
+    assert seen == {"nodes": 25_000, "nmf": SearchBudget(restarts=1, iterations=200)}

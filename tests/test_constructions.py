@@ -193,6 +193,14 @@ def test_correlation_reconstruction_accuracy():
         assert abs(corr.lambda_magnitude - (0.5) ** 0.5) < 1e-9
 
 
+def test_correlation_spectral_phase_is_fixed():
+    # |u0[0]| and |u0[N-1]| tie up to rounding; the phase rule must not
+    # depend on which of the two rounds larger
+    for n in (4, 8, 16, 32):
+        u0 = build_correlation(CorrelationSpec(n)).u0
+        assert u0[0].real > 0 and abs(u0[0].imag) <= 1e-15
+
+
 def test_difference_matrix_is_rank_two():
     cm = difference_matrix(CorrelationSpec(8))
     assert cm.base.is_antisymmetric()
