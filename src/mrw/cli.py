@@ -33,7 +33,7 @@ from .constructions import (
     offset_square_matrix,
     outcome_distribution,
 )
-from .errors import WorkbenchError
+from .errors import ValidationError, WorkbenchError
 from .models import (
     abp_profile,
     comm_ladder,
@@ -76,12 +76,14 @@ def _load_matrix(path: str):
 
 
 def _budget_factor(args) -> float:
-    env = os.environ.get("MRW_BUDGET")
-    if args.budget is not None:
-        return args.budget
-    if env is not None:
-        return float(env)
-    return 1.0
+    raw = args.budget if args.budget is not None else os.environ.get("MRW_BUDGET", 1.0)
+    try:
+        factor = float(raw)
+    except ValueError:
+        factor = math.nan
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValidationError(f"budget must be a finite number > 0, got {raw!r}")
+    return factor
 
 
 def cmd_gen(args) -> int:

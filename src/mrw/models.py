@@ -9,6 +9,7 @@ communication complexity plus the multiparty separation report.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -280,59 +281,31 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
 # deterministic two-party communication
 # ---------------------------------------------------------------------------
 
-_dcc_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _dcc_state(rows: tuple[int, ...], ncols: int) -> tuple[int, tuple[int, ...]]:
-    # duplicate rows follow identical optimal paths, so dedup + sort is safe
-    return (ncols, tuple(sorted(set(rows))))
-
-
+@functools.cache
 def _dcc_solve(rows: tuple[int, ...], ncols: int) -> int:
-    state = _dcc_state(rows, ncols)
-    cached = _dcc_cache.get(state)
-    if cached is not None:
-        return cached
-    distinct = state[1]
-    full = (1 << ncols) - 1
-    if len(distinct) == 1 and distinct[0] in (0, full):
-        _dcc_cache[state] = 0
+    # Depth is invariant under duplicated rows or columns and under
+    # transposition.  A state with unsorted or repeated rows, or repeated
+    # columns, hands off to its transpose with sorted distinct columns; in at
+    # most two hand-offs it has neither, and a constant matrix becomes 1x1.
+    cols = tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols))
+    distinct_cols = tuple(sorted(set(cols)))
+    if len(distinct_cols) < ncols or rows != tuple(sorted(set(rows))):
+        return _dcc_solve(distinct_cols, len(rows))
+    if len(rows) == 1 and ncols == 1:
         return 0
     best = math.inf
-    k = len(distinct)
-    # row party speaks: bipartition the distinct rows, first row pinned left
-    if k >= 2:
-        for assign in range(2 ** (k - 1)):
-            left = [distinct[0]]
-            right = []
-            for i in range(1, k):
-                (left if assign >> (i - 1) & 1 else right).append(distinct[i])
-            if not right:
+    # the row party's move on M, then the column party's as a row move on M^T:
+    # bipartition the items, the first pinned left; skip the right half once
+    # the left alone cannot beat the best move so far
+    for items, width in ((rows, ncols), (distinct_cols, len(rows))):
+        rest = items[1:]
+        for assign in range(2 ** len(rest) - 1):
+            left = _dcc_solve((items[0],) + tuple(x for i, x in enumerate(rest) if assign >> i & 1), width)
+            if 1 + left >= best:
                 continue
-            cost = 1 + max(_dcc_solve(tuple(left), ncols), _dcc_solve(tuple(right), ncols))
-            if cost < best:
-                best = cost
-    # column party speaks: bipartition the columns, column 0 pinned left
-    if ncols >= 2:
-        for assign in range(2 ** (ncols - 1)):
-            left_cols = [0] + [j for j in range(1, ncols) if assign >> (j - 1) & 1]
-            if len(left_cols) == ncols:
-                continue
-            right_cols = [j for j in range(1, ncols) if not assign >> (j - 1) & 1]
-            left_rows = tuple(
-                sum(((r >> c) & 1) << i for i, c in enumerate(left_cols)) for r in distinct
-            )
-            right_rows = tuple(
-                sum(((r >> c) & 1) << i for i, c in enumerate(right_cols)) for r in distinct
-            )
-            cost = 1 + max(
-                _dcc_solve(left_rows, len(left_cols)),
-                _dcc_solve(right_rows, len(right_cols)),
-            )
-            if cost < best:
-                best = cost
-    _dcc_cache[state] = int(best)
-    return int(best)
+            right = _dcc_solve(tuple(x for i, x in enumerate(rest) if not assign >> i & 1), width)
+            best = min(best, 1 + max(left, right))
+    return best
 
 
 def dcc_exact_2party(m) -> int:
@@ -340,8 +313,12 @@ def dcc_exact_2party(m) -> int:
 
     At every node one party announces one bit by bipartitioning its current
     input set; leaves must be constant submatrices; the value is the minimax
-    depth.  Exhaustive over bipartitions with memoization (duplicate rows
-    merged); exponential in principle, capped at 16x16 input.
+    depth.  Exhaustive over bipartitions of the rows and of the columns, with
+    a process-wide memo over states reduced to distinct rows and distinct
+    columns (a column move is a row move on the transpose).  The 16x16 cap
+    bounds the shape, not the time or the memo: three random n x n inputs
+    take about 0.5 s at n = 7, 12 s at n = 8 and 68 s (147 MB peak) at n = 9
+    on one core of a 2-vCPU host.
     """
     if isinstance(m, RatMatrix):
         grid = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]

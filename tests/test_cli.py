@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, JSON output, warnings, file handling."""
 
 import json
+import math
 
 import pytest
 
 from mrw.cli import main
+from mrw.errors import ValidationError
 from mrw.serialize import canonical_dumps
 
 
@@ -143,6 +145,25 @@ def test_budget_resolution_order(monkeypatch):
     monkeypatch.setenv("MRW_BUDGET", "2.5")
     assert _budget_factor(Namespace(budget=None)) == 2.5
     assert _budget_factor(Namespace(budget=0.5)) == 0.5  # flag beats env
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError):
+            _budget_factor(Namespace(budget=bad))
+    for bad in ("abc", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("MRW_BUDGET", bad)
+        with pytest.raises(ValidationError):
+            _budget_factor(Namespace(budget=None))
+
+
+def test_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": ["0", "1"]}))
+    monkeypatch.delenv("MRW_BUDGET", raising=False)
+    for flag in ("nan", "inf", "0", "-1"):
+        code, out, err = run(capsys, "mr", "--matrix", str(path), "--budget", flag)
+        assert code == 2 and out == "" and err.startswith("error: budget"), flag
+    monkeypatch.setenv("MRW_BUDGET", "abc")
+    code, out, err = run(capsys, "mr", "--matrix", str(path))
+    assert code == 2 and out == "" and err.startswith("error: budget")
 
 
 def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from mrw.constructions import CorrelationSpec, build_correlation, outcome_distri
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
     HiddenVariableModel,
+    _dcc_solve,
     abp_profile,
     comm_ladder,
     comm_report,
@@ -231,11 +232,28 @@ def test_depth_worked_values():
 
 def test_depth_matches_brute_force():
     rng = random.Random(19)
-    grids = [[[0]], [[1]], [[0, 1], [1, 0]], [[1, 1], [1, 0]]]
-    for _ in range(12):
-        grids.append([[rng.randint(0, 1) for _ in range(3)] for _ in range(3)])
+    grids = [[[0]], [[1]], [[0, 1], [1, 0]], [[1, 1], [1, 0]], [[1] * 4] * 3]
+    for nr, nc, count in ((3, 3, 12), (1, 4, 2), (4, 1, 2), (2, 3, 3), (3, 2, 3), (3, 4, 4)):
+        for _ in range(count):
+            grids.append([[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)])
+    # duplicated rows and columns: blow small grids up to 4x4 or less by
+    # repeating shuffled indices
+    for nr, nc, big_r, big_c in ((2, 2, 4, 4), (2, 3, 4, 4), (3, 2, 4, 4), (3, 3, 4, 3), (3, 3, 3, 4)):
+        base = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
+        rows = list(range(nr)) + [rng.randrange(nr) for _ in range(big_r - nr)]
+        cols = list(range(nc)) + [rng.randrange(nc) for _ in range(big_c - nc)]
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        grids.append([[base[i][j] for j in cols] for i in rows])
+    cold = []
     for grid in grids:
-        assert dcc_exact_2party(grid) == brute_force_depth(grid)
+        _dcc_solve.cache_clear()
+        cold.append(dcc_exact_2party(grid))
+        assert cold[-1] == brute_force_depth(grid), grid
+    # warm: the memo keeps the states of every grid and transpose solved so far
+    for grid, depth in zip(grids, cold):
+        assert dcc_exact_2party([list(col) for col in zip(*grid)]) == depth, grid
+        assert dcc_exact_2party(grid) == depth, grid
 
 
 def test_depth_dominates_log_rank_and_cover():
