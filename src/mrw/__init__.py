@@ -74,6 +74,8 @@ from .models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    divisibility_rank_witness,
+    edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,

@@ -20,6 +20,7 @@ import numpy as np
 from .bounds import box_cover_exact, support_pattern
 from .constructions import (
     DivTensorSpec,
+    EdmSpec,
     FunctionFSpec,
     divisibility_tensor,
     flattening,
@@ -199,6 +200,55 @@ def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
         ),
     )
     return [rows, cols, singles]
+
+
+def edm_folding_factorization(spec: EdmSpec) -> NonnegFactorization:
+    """Exact nonnegative factorization of edm(spec) by repeated folding.
+
+    With centre c and u = |x - c|, v = |y - c|:
+    (x - y)^2 = (u - v)^2 + 4uv [x, y on opposite sides of c].  The indicator
+    part is two nonnegative rank-1 terms; (u - v)^2 is the distance matrix of
+    the folded values, so the fold repeats with c = (min + max) / 2 until one
+    value is left.  Each fold merges the two extremes, so r <= 2(n - 1); an
+    arithmetic progression halves at every fold, giving r = 2 ceil(log2 n).
+    """
+    xs = list(spec.values)
+    terms = []
+    while len(set(xs)) > 1:
+        c = (min(xs) + max(xs)) / 2
+        u = [abs(x - c) for x in xs]
+        below = tuple(ui if x < c else Fraction(0) for x, ui in zip(xs, u))
+        above = tuple(ui if x > c else Fraction(0) for x, ui in zip(xs, u))
+        terms += [(tuple(4 * b for b in below), above), (tuple(4 * a for a in above), below)]
+        xs = u
+    return NonnegFactorization(dims=(spec.n, spec.n), terms=tuple(terms))
+
+
+def divisibility_rank_witness(spec: DivTensorSpec) -> NonnegFactorization:
+    """Exact signed rank-1 decomposition of the divisibility tensor.
+
+    A cell depends only on S = sum(i + 1), which takes m = order*(base-1) + 1
+    values.  With nodes lambda_t = 1..m, solve sum_t c_t lambda_t^S = [base | S]
+    exactly through the Lagrange dual basis of the Vandermonde system; term t
+    is c_t (lambda_t^(i+1))_i in the first mode and (lambda_t^(i+1))_i in the
+    others.  Entries are signed, so this witnesses rank <= m <= base*order
+    (check it by exact reconstruction), not monotone rank.
+    """
+    base, order = spec.base, spec.order
+    m = order * (base - 1) + 1
+    nodes = range(1, m + 1)
+    terms = []
+    for t in nodes:
+        # coefficients of L_t(z) = prod_{s != t} (z - s) / (t - s), lowest first
+        poly = [Fraction(1)]
+        for s in nodes:
+            if s != t:
+                poly = [(hi - s * lo) / (t - s) for hi, lo in zip([0, *poly], [*poly, 0])]
+        # sum_k L_t[k] f(order + k) solves for c_t * t^order
+        c = sum((p for k, p in enumerate(poly) if (order + k) % base == 0), Fraction(0)) / t**order
+        powers = tuple(Fraction(t) ** (i + 1) for i in range(base))
+        terms.append((tuple(c * p for p in powers),) + (powers,) * (order - 1))
+    return NonnegFactorization(dims=(base,) * order, terms=tuple(terms))
 
 
 def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableModel:

@@ -34,19 +34,14 @@ from .models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    divisibility_rank_witness,
+    edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
     quantum_distribution,
 )
-from .numkit import (
-    DEFAULT_NMF_BUDGET,
-    DEFAULT_SEED,
-    SpectralPair,
-    cp_als,
-    nmf_search,
-    verify_nonneg_factorization,
-)
+from .numkit import DEFAULT_SEED, SpectralPair, verify_nonneg_factorization
 from .ratlinalg import RatMatrix, rank_exact
 from .serialize import canonical_dumps, matrix_to_obj
 
@@ -97,7 +92,7 @@ def _random_distinct_fractions(rng: random.Random, n: int) -> list[Fraction]:
     return sorted(vals)
 
 
-def check_edm_rank(scale: str, seed: int, budget: float):
+def check_edm_rank(scale: str, seed: int):
     ns = (3, 5, 8, 16) if scale == "full" else (3, 5, 8)
     rng = random.Random(seed)
     ranks = {}
@@ -108,26 +103,19 @@ def check_edm_rank(scale: str, seed: int, budget: float):
     return ok, f"ranks {ranks}", "rank 3 at every size"
 
 
-def check_edm_mr_bracket(scale: str, seed: int, budget: float):
-    n, r = (16, 10) if scale == "full" else (8, 8)
-    m = edm(EdmSpec.integers(n))
+def check_edm_mr_bracket(scale: str, seed: int):
+    n = 16 if scale == "full" else 8
+    spec = EdmSpec.integers(n)
+    m = edm(spec)
     cover = box_cover_exact(support_pattern(m))
     log_floor = math.ceil(math.log2(n))
-    fact = nmf_search(
-        m, r, budget=DEFAULT_NMF_BUDGET.scaled(budget), seed=seed, tol=1e-3
-    )
-    if fact is None:
-        return False, f"cover lower {cover.lower}; no factorization at r={r}", (
-            f"cover lower >= {log_floor} and verified r={r} witness"
-        )
-    vmax = max(m.entries)
-    chk = verify_nonneg_factorization(m, fact, tol=1e-3 * float(vmax))
-    rel = float(chk.max_abs_error) / float(vmax)
-    ok = cover.lower >= log_floor and chk.passed and fact.r == r
+    fact = edm_folding_factorization(spec)
+    chk = verify_nonneg_factorization(m, fact, tol=0)
+    ok = cover.lower >= log_floor and chk.passed and fact.r == 2 * log_floor
     return (
         ok,
-        f"cover lower {cover.lower}; witness r={fact.r} relative err {rel:.2e} (heuristic)",
-        f"cover lower >= {log_floor}; witness error <= 1e-3 relative",
+        f"cover lower {cover.lower}; witness r={fact.r} {'exact' if chk.passed else chk.reason}",
+        f"cover lower >= {log_floor}; exact folding witness r={2 * log_floor}",
     )
 
 
@@ -136,7 +124,7 @@ _WORKED_LEFT = [[0, 1, 4, 9, 1, 0, 1, 4], [4, 1, 0, 1, 9, 4, 1, 0]]
 _WORKED_STEP = [[1], [9]]
 
 
-def check_worked_example(scale: str, seed: int, budget: float):
+def check_worked_example(scale: str, seed: int):
     spec = FunctionFSpec(2, 4)
     pairs = [
         (flattening(spec, 2), _WORKED_MIDDLE),
@@ -151,7 +139,7 @@ def check_worked_example(scale: str, seed: int, budget: float):
     return all(same), f"byte-identical: {same}", "all three displayed matrices byte-identical"
 
 
-def check_abp_profile(scale: str, seed: int, budget: float):
+def check_abp_profile(scale: str, seed: int):
     p24 = abp_profile(2, 4)
     ok = p24.total_size == 9
     details = [f"total(2,4)={p24.total_size}"]
@@ -167,13 +155,13 @@ def check_abp_profile(scale: str, seed: int, budget: float):
     return ok, "; ".join(details), "total 9 at (2,4); caps, mirror and step hold everywhere"
 
 
-def check_abp_trend(scale: str, seed: int, budget: float):
+def check_abp_trend(scale: str, seed: int):
     ratios = [abp_profile(n, 4).separation_ratio for n in (2, 3, 4)]
     ok = all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
     return ok, f"ratios {[round(x, 4) for x in ratios]}", "non-decreasing over n in {2,3,4}"
 
 
-def check_quantum_pipeline(scale: str, seed: int, budget: float):
+def check_quantum_pipeline(scale: str, seed: int):
     sizes = (2, 4, 8, 16) if scale == "full" else (2, 4, 8)
     worst_spectral = 0.0
     worst_dist = 0.0
@@ -204,7 +192,7 @@ def check_quantum_pipeline(scale: str, seed: int, budget: float):
     )
 
 
-def check_hv_chain(scale: str, seed: int, budget: float):
+def check_hv_chain(scale: str, seed: int):
     p = build_correlation(CorrelationSpec(4)).p_matrix
     cover = box_cover_exact(support_pattern(p))
     facts = exact_unit_factorizations(p)
@@ -228,7 +216,10 @@ def check_hv_chain(scale: str, seed: int, budget: float):
     )
 
 
-def check_divisibility(scale: str, seed: int, budget: float):
+_DIV_EXPECTED = "support = mr = base^(order-1); exact rank witness r <= base*order"
+
+
+def check_divisibility(scale: str, seed: int):
     configs = [(2, 3), (3, 3), (2, 4)] if scale == "full" else [(2, 3)]
     details = []
     for base, order in configs:
@@ -237,12 +228,16 @@ def check_divisibility(scale: str, seed: int, budget: float):
         pattern = support_pattern(tensor)
         expected = base ** (order - 1)
         mr = div_tensor_mr_exact(spec)  # runs the singleton-box predicate
-        fit = cp_als(tensor, base * order, seed=seed)
-        ok_one = pattern.size == expected and mr == expected and fit.residual < 1e-6
-        details.append(f"({base},{order}): support {pattern.size}, mr {mr}, residual {fit.residual:.1e}")
+        witness = divisibility_rank_witness(spec)
+        exact = witness.reconstruct_exact() == tensor
+        ok_one = pattern.size == expected and mr == expected and exact and witness.r <= base * order
+        details.append(
+            f"({base},{order}): support {pattern.size}, mr {mr}, "
+            f"rank witness r={witness.r} {'exact' if exact else 'wrong'}"
+        )
         if not ok_one:
-            return False, "; ".join(details), f"support = mr = base^(order-1), residual < 1e-6"
-    return True, "; ".join(details), "support = mr = base^(order-1); residual < 1e-6"
+            return False, "; ".join(details), _DIV_EXPECTED
+    return True, "; ".join(details), _DIV_EXPECTED
 
 
 def _log_rank_chain_holds(rows: tuple[int, ...], ncols: int) -> bool:
@@ -257,7 +252,7 @@ def _log_rank_chain_holds(rows: tuple[int, ...], ncols: int) -> bool:
     return True
 
 
-def check_log_rank_chain(scale: str, seed: int, budget: float):
+def check_log_rank_chain(scale: str, seed: int):
     side = 4 if scale == "full" else 3
     # depth, rank and cover number are all invariant under duplicating rows
     # and permuting rows, so checking one canonical representative per
@@ -286,7 +281,7 @@ def check_log_rank_chain(scale: str, seed: int, budget: float):
     return True, f"{checked} canonical instances checked", "chain holds on all instances"
 
 
-def check_separation_report(scale: str, seed: int, budget: float):
+def check_separation_report(scale: str, seed: int):
     ladder = comm_ladder(2, 10**6)
     ratios = [r.separation_ratio for r in ladder]
     if not all(a < b for a, b in zip(ratios, ratios[1:])):
@@ -306,13 +301,12 @@ def check_separation_report(scale: str, seed: int, budget: float):
     )
 
 
-# every check takes (scale, seed, budget) and returns (ok, observed, expected);
-# budget multiplies the search budgets of the checks that search
+# every check takes (scale, seed) and returns (ok, observed, expected)
 _CHECKS = [
     ("edm-rank-3", "squared-difference distance matrices have exact rank 3", check_edm_rank),
     (
         "edm-mr-bracket",
-        "distance-matrix monotone rank bracketed by cover bound and searched witness",
+        "distance-matrix monotone rank bracketed by cover bound and exact folding witness",
         check_edm_mr_bracket,
     ),
     ("worked-example-fidelity", "the d=4, n=2 displayed matrices reproduce byte-exactly", check_worked_example),
@@ -320,7 +314,7 @@ _CHECKS = [
     ("abp-separation-trend", "monotone/plain level-size ratio grows with n at d=4", check_abp_trend),
     ("quantum-pipeline", "correlation objects: exact distribution and spectral split agree", check_quantum_pipeline),
     ("hv-lower-bound-chain", "hidden-variable support size dominates the cover bound; sampling matches", check_hv_chain),
-    ("divisibility-tensor", "divisibility tensor: singleton boxes, exact monotone rank, low-rank fit", check_divisibility),
+    ("divisibility-tensor", "divisibility tensor: singleton boxes, exact monotone rank, exact rank witness", check_divisibility),
     ("log-rank-chain", "protocol depth dominates log rank and log cover bound", check_log_rank_chain),
     ("separation-report", "multiparty separation ratio grows without bound", check_separation_report),
 ]
@@ -330,9 +324,7 @@ CHECK_IDS = [cid for cid, _, _ in _CHECKS]
 RUNTIME_LIMIT_SECONDS = 600.0
 
 
-def run_verify_suite(
-    scale: str = "small", seed: int = DEFAULT_SEED, budget_factor: float = 1.0
-) -> VerifyReport:
+def run_verify_suite(scale: str = "small", seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check at the given scale; deterministic given the seed."""
     if scale not in ("small", "full"):
         raise ValueError("scale must be 'small' or 'full'")
@@ -341,7 +333,7 @@ def run_verify_suite(
     for cid, claim, fn in _CHECKS:
         start = time.perf_counter()
         try:
-            ok, observed, expected = fn(scale, seed, budget_factor)
+            ok, observed, expected = fn(scale, seed)
             status = "pass" if ok else "fail"
         except Exception as exc:  # a crashed check is a failed check
             status, observed, expected = "fail", f"raised {exc!r}", "check completes"

@@ -5,6 +5,8 @@ prints one pass/fail line and enforces both the check outcome and its stated
 wall-clock budget.
 """
 
+import re
+
 import pytest
 
 from mrw.numkit import DEFAULT_SEED
@@ -52,6 +54,18 @@ def test_one_check_per_criterion(full_report):
     ids = [c.id for c in full_report.checks]
     assert len(ids) == len(set(ids))
     assert set(CHECK_IDS) <= set(ids)
+
+
+def test_exact_witnesses_pinned(full_report):
+    observed = {c.id: c.observed for c in full_report.checks}
+    # benchmarks/workloads.py parses this prefix into bracket_gap
+    edm_m = re.match(r"cover lower (\d+); witness r=(\d+) exact$", observed["edm-mr-bracket"])
+    assert edm_m, observed["edm-mr-bracket"]
+    assert int(edm_m.group(1)) <= int(edm_m.group(2)) == 8
+    div_r = re.findall(r"rank witness r=(\d+) exact", observed["divisibility-tensor"])
+    assert div_r == ["4", "7", "5"], observed["divisibility-tensor"]
+    for text in observed.values():
+        assert "heuristic" not in text and "residual" not in text, text
 
 
 def test_suite_deterministic_given_seed():

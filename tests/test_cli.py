@@ -145,7 +145,8 @@ def test_budget_resolution_order(monkeypatch):
     monkeypatch.setenv("MRW_BUDGET", "2.5")
     assert _budget_factor(Namespace(budget=None)) == 2.5
     assert _budget_factor(Namespace(budget=0.5)) == 0.5  # flag beats env
-    for bad in (math.nan, math.inf, 0.0, -1.0):
+    assert _budget_factor(Namespace(budget=10.0)) == 10.0  # the ceiling itself
+    for bad in (math.nan, math.inf, 0.0, -1.0, 10.5, 1e300):
         with pytest.raises(ValidationError):
             _budget_factor(Namespace(budget=bad))
     for bad in ("abc", "nan", "inf", "0", "-1"):
@@ -158,9 +159,13 @@ def test_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": ["0", "1"]}))
     monkeypatch.delenv("MRW_BUDGET", raising=False)
-    for flag in ("nan", "inf", "0", "-1"):
+    for flag in ("nan", "inf", "0", "-1", "1e300", "10.5"):
         code, out, err = run(capsys, "mr", "--matrix", str(path), "--budget", flag)
         assert code == 2 and out == "" and err.startswith("error: budget"), flag
+        assert err.count("\n") == 1, flag
+    # verify runs no search, yet still rejects a malformed budget before any check
+    code, out, err = run(capsys, "verify", "--budget", "nan")
+    assert code == 2 and out == "" and err.startswith("error: budget")
     monkeypatch.setenv("MRW_BUDGET", "abc")
     code, out, err = run(capsys, "mr", "--matrix", str(path))
     assert code == 2 and out == "" and err.startswith("error: budget")

@@ -8,9 +8,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mrw.bounds import box_cover_exact, support_pattern
-from mrw.constructions import CorrelationSpec, build_correlation, outcome_distribution
+from mrw.constructions import (
+    CorrelationSpec,
+    DivTensorSpec,
+    EdmSpec,
+    build_correlation,
+    divisibility_tensor,
+    edm,
+    outcome_distribution,
+)
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
     HiddenVariableModel,
@@ -19,6 +29,8 @@ from mrw.models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    divisibility_rank_witness,
+    edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
@@ -158,6 +170,45 @@ def test_hv_sample_statistics_and_determinism():
     assert rep.tv_distance <= 0.02  # 3-sigma multinomial band
     rep2 = hv_sample(model, 10**5, seed=11)
     assert np.array_equal(rep.counts, rep2.counts)
+
+
+# ---------------------------------------------------------------------------
+# exact closed-form witnesses
+# ---------------------------------------------------------------------------
+
+@given(
+    st.lists(
+        st.fractions(min_value=-40, max_value=40, max_denominator=9),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    )
+)
+def test_folding_witness_reconstructs_edm_exactly(values):
+    spec = EdmSpec(values)
+    fact = edm_folding_factorization(spec)
+    assert fact.reconstruct_exact() == edm(spec)
+    assert not fact.has_negative_entry()
+    assert fact.r <= 2 * (spec.n - 1)
+
+
+def test_folding_witness_on_integers_is_logarithmic():
+    for n in range(1, 65):
+        spec = EdmSpec.integers(n)
+        fact = edm_folding_factorization(spec)
+        assert fact.r == 2 * math.ceil(math.log2(n)), n
+        assert fact.reconstruct_exact() == edm(spec), n
+
+
+@pytest.mark.parametrize("base", [2, 3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_divisibility_witness_reconstructs_tensor_exactly(base, order):
+    spec = DivTensorSpec(base, order)
+    witness = divisibility_rank_witness(spec)
+    rec = witness.reconstruct_exact()
+    flat = rec.entries if order == 2 else rec.values
+    assert list(flat) == list(divisibility_tensor(spec).values)
+    assert witness.r == order * (base - 1) + 1 <= base * order
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ def test_report_shape_and_ids():
 
 def test_sabotaged_rank_fails_its_check(monkeypatch):
     monkeypatch.setattr(verify, "rank_exact", lambda m: 2)
-    ok, observed, _ = verify.check_edm_rank("small", 1, 1.0)
+    ok, observed, _ = verify.check_edm_rank("small", 1)
     assert not ok and "2" in observed
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch):
-    def boom(scale, seed, budget):
+    def boom(scale, seed):
         raise RuntimeError("kernel unavailable")
 
     monkeypatch.setitem(
