@@ -4,9 +4,12 @@ Lower bounds come from two sound sources: the exact linear rank, and the
 box-cover number of the support (every nonnegative rank-1 term has
 box-shaped support and terms cannot cancel, so any r-term nonnegative
 decomposition yields r support-contained boxes covering the support).  The
-cover number itself is solved exactly by branch and bound over maximal boxes
-when the support is small; past the cap we fall back to the certified
-counting bound ceil(|support| / max-box-size), never to a heuristic.
+cover number itself is solved exactly when the support is small: a box
+system (the maximal boxes as bitmasks over the cells, with per-cell covering
+lists and a fixed pivot order) is built once per pattern, and one
+iterative-deepening search over it runs from the counting bound up to the
+greedy cover.  Past the cap we fall back to the certified counting bound
+ceil(|support| / max-box-size), never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
 factorization, or a searched numeric factorization, each labeled with its
@@ -76,8 +79,10 @@ def support_pattern(m) -> SupportPattern:
 class BoxCoverResult:
     """Bracket on the minimum number of support-contained boxes covering the
     support.  `lower` is always certified; `exact` means lower == upper ==
-    optimum with `boxes` an optimal cover.  `nodes` counts the search nodes
-    expanded over all deepening rounds (0 when no search ran)."""
+    optimum with `boxes` an optimal cover.  Otherwise `boxes`, when not None,
+    is a cover of `upper` boxes: the witness for the upper bound.  `nodes`
+    counts the search nodes expanded over all deepening rounds (0 when no
+    search ran)."""
 
     lower: int
     upper: int
@@ -220,23 +225,9 @@ def _max_box_size_2d(pattern: SupportPattern) -> int | None:
     return best if best > 0 else None
 
 
-def _greedy_cover(masks: list[int], full: int) -> list[int]:
-    """Greedy set cover over box masks: largest marginal gain, ties by index."""
-    uncovered = full
-    picked: list[int] = []
-    while uncovered:
-        best_i = -1
-        best_gain = 0
-        for i, mask in enumerate(masks):
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_i < 0:
-            raise ValidationError("boxes do not cover the support")
-        picked.append(best_i)
-        uncovered &= ~masks[best_i]
-    return picked
+def _counting_bound(cells: int, maxbox: int) -> int:
+    """ceil(cells / maxbox): no fewer boxes of at most maxbox cells cover them."""
+    return -(-cells // maxbox)
 
 
 class _BudgetExhausted(Exception):
@@ -245,7 +236,8 @@ class _BudgetExhausted(Exception):
 
 def _some_box_covers(by_size: list[tuple[int, int]], uncovered: int, need: int) -> bool:
     """True iff some mask covers `need` cells of `uncovered`; `by_size` holds
-    (popcount, mask) pairs, largest first."""
+    (popcount, mask) pairs, largest first, so the scan stops at the first box
+    that reaches `need` or the first too small to."""
     for size, mask in by_size:
         if size < need:
             return False
@@ -254,145 +246,149 @@ def _some_box_covers(by_size: list[tuple[int, int]], uncovered: int, need: int) 
     return False
 
 
+class _BoxSystem:
+    """A pattern's maximal boxes as bitmasks over its sorted cells.
+
+    Built once per pattern, it holds what the search reads at every node:
+    the box masks, the boxes covering each cell, the fixed pivot order (cells
+    by number of covering boxes, then index: those counts never change during
+    the search) and the (popcount, mask) pairs, largest first.
+    """
+
+    def __init__(self, boxes: list[Box], cells: list[tuple[int, ...]]):
+        cell_ix = {c: i for i, c in enumerate(cells)}
+        self.boxes = boxes
+        self.masks: list[int] = []
+        self.covering: list[list[int]] = [[] for _ in cells]
+        for bi, box in enumerate(boxes):
+            mask = 0
+            for cell in product(*box):
+                ci = cell_ix[cell]
+                mask |= 1 << ci
+                self.covering[ci].append(bi)
+            self.masks.append(mask)
+        self.full = (1 << len(cells)) - 1
+        self.pivot_order = sorted(range(len(cells)), key=lambda ci: (len(self.covering[ci]), ci))
+        self.by_size = sorted(((mask.bit_count(), mask) for mask in self.masks), reverse=True)
+        self.counting = _counting_bound(len(cells), self.by_size[0][0])
+
+    def greedy_cover(self) -> tuple[Box, ...]:
+        """Greedy set cover: largest marginal gain, ties by box index."""
+        masks, uncovered = self.masks, self.full
+        picked: list[Box] = []
+        while uncovered:
+            best = max(range(len(masks)), key=lambda i: (masks[i] & uncovered).bit_count())
+            if not masks[best] & uncovered:
+                raise ValidationError("boxes do not cover the support")
+            picked.append(self.boxes[best])
+            uncovered &= ~masks[best]
+        return tuple(picked)
+
+    def deepen(self, upper: int, node_budget: int) -> tuple[int, tuple[Box, ...] | None, int]:
+        """Iterative deepening for a cover of fewer than `upper` boxes.
+
+        Tries depths from the counting bound upwards with a depth-first search
+        that memoizes refuted uncovered sets, refutes an uncovered set U at
+        depth d when no box covers ceil(|U| / d) of its cells, and branches on
+        the first uncovered cell in pivot order.  Returns (depth, cover,
+        nodes): the first depth with a cover and that cover; `upper` and None
+        when every smaller depth is refuted; or the depth being refuted and
+        None when `node_budget` nodes were expanded first.
+        """
+        masks, covering, pivot_order, by_size = self.masks, self.covering, self.pivot_order, self.by_size
+        memo: dict[int, int] = {}
+        nodes = 0
+
+        def dfs(uncovered: int, depth: int, chosen: list[int]) -> bool:
+            nonlocal nodes
+            if uncovered == 0:
+                return True
+            if depth == 0 or memo.get(uncovered, 0) >= depth:
+                return False
+            if nodes >= node_budget:
+                raise _BudgetExhausted
+            nodes += 1
+            if _some_box_covers(by_size, uncovered, -(-uncovered.bit_count() // depth)):
+                pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
+                cand = sorted(
+                    covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi)
+                )
+                for bi in cand:
+                    chosen.append(bi)
+                    if dfs(uncovered & ~masks[bi], depth - 1, chosen):
+                        return True
+                    chosen.pop()
+            # any stored depth is below `depth` (checked above); children store strict subsets
+            memo[uncovered] = depth
+            return False
+
+        depth = self.counting
+        try:
+            while depth < upper:
+                chosen: list[int] = []
+                if dfs(self.full, depth, chosen):
+                    return depth, tuple(self.boxes[i] for i in chosen), nodes
+                depth += 1
+        except _BudgetExhausted:
+            pass
+        return depth, None, nodes
+
+
 def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUDGET) -> BoxCoverResult:
     """Bracket (and, if feasible, solve) the minimum box cover of a support.
 
-    Exact search is iterative deepening over covers built from maximal boxes,
-    with a counting prune, a memo of refuted uncovered-sets, and deterministic
-    tie-breaking.  Patterns beyond EXACT_CELL_CAP cells, or whose maximal boxes
-    cannot be enumerated, fall back to the certified counting lower bound and
-    a greedy/singleton upper bound with `exact=False`.
-
-    The counting prune refutes an uncovered set U at depth d when no box
-    covers need = ceil(|U| / d) cells of U.  It is an early-exit test: boxes
-    are sorted by size once, largest first, and the scan stops at the first
-    box that reaches `need` or the first too small to.  The branching cell is
-    the first uncovered cell in a fixed order by (number of covering boxes,
-    index), since those counts never change during the search.  `node_budget`
-    caps the nodes expanded over all rounds; `nodes` in the result reports
-    them.
+    Builds the pattern's box system once, takes its greedy cover as the upper
+    bound and runs the search from the counting bound up to it; `node_budget`
+    caps the nodes the search expands.  Patterns beyond EXACT_CELL_CAP cells,
+    or whose maximal boxes cannot be enumerated, fall back to the certified
+    counting lower bound (or 1) and the singleton upper bound.
     """
-    cells = sorted(pattern.cells)
-    if not cells:
+    n = pattern.size
+    if n == 0:
         return BoxCoverResult(lower=0, upper=0, exact=True, boxes=(), note="empty support")
-    if len(cells) > EXACT_CELL_CAP:
+    if n > EXACT_CELL_CAP:
         # certified counting bound only; no box materialization at this size
         maxbox = _max_box_size_2d(pattern) if pattern.order == 2 else None
         if maxbox is None:
             return BoxCoverResult(
                 lower=1,
-                upper=len(cells),
-                exact=len(cells) == 1,
+                upper=n,
+                exact=False,
                 boxes=None,
                 note="max box size not computable; singleton cover upper bound",
             )
-        counting = -(-len(cells) // maxbox)
+        counting = _counting_bound(n, maxbox)
         return BoxCoverResult(
             lower=counting,
-            upper=len(cells),
-            exact=counting == len(cells),
+            upper=n,
+            exact=counting == n,
             boxes=None,
-            note=f"support of {len(cells)} cells exceeds exact-search cap {EXACT_CELL_CAP}; "
+            note=f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; "
             "counting lower bound",
         )
+    cells = sorted(pattern.cells)
     boxes = enumerate_maximal_boxes(pattern)
     if boxes is None:
-        singles: tuple[Box, ...] | None = None
-        if len(cells) <= 4096:
-            singles = tuple(tuple((v,) for v in cell) for cell in cells)
         return BoxCoverResult(
             lower=1,
-            upper=len(cells),
-            exact=len(cells) == 1,
-            boxes=singles,
+            upper=n,
+            exact=n == 1,
+            boxes=tuple(tuple((v,) for v in cell) for cell in cells),
             note="maximal boxes not enumerable; singleton cover upper bound",
         )
-    cell_ix = {c: i for i, c in enumerate(cells)}
-    full = (1 << len(cells)) - 1
-    masks = []
-    for box in boxes:
-        mask = 0
-        for cell in product(*box):
-            mask |= 1 << cell_ix[cell]
-        masks.append(mask)
-    maxbox = max(mask.bit_count() for mask in masks)
-    counting = -(-len(cells) // maxbox)
-    greedy_ix = _greedy_cover(masks, full)
-    upper = len(greedy_ix)
-    greedy_boxes = tuple(boxes[i] for i in greedy_ix)
-    if counting == upper:
-        return BoxCoverResult(
-            lower=upper, upper=upper, exact=True, boxes=greedy_boxes, note="counting matches greedy"
-        )
-
-    covering: list[list[int]] = [[] for _ in cells]
-    for bi, mask in enumerate(masks):
-        for ci in range(len(cells)):
-            if mask >> ci & 1:
-                covering[ci].append(bi)
-    pivot_order = sorted(range(len(cells)), key=lambda ci: (len(covering[ci]), ci))
-    by_size = sorted(((mask.bit_count(), mask) for mask in masks), reverse=True)
-
-    memo: dict[int, int] = {}
-    nodes = 0
-
-    def dfs(uncovered: int, depth: int, chosen: list[int]) -> bool:
-        nonlocal nodes
-        if uncovered == 0:
-            return True
-        if depth == 0:
-            return False
-        if memo.get(uncovered, 0) >= depth:
-            return False
-        if nodes >= node_budget:
-            raise _BudgetExhausted
-        nodes += 1
-        if not _some_box_covers(by_size, uncovered, -(-uncovered.bit_count() // depth)):
-            memo[uncovered] = max(memo.get(uncovered, 0), depth)
-            return False
-        pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
-        cand = sorted(
-            covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi)
-        )
-        for bi in cand:
-            chosen.append(bi)
-            if dfs(uncovered & ~masks[bi], depth - 1, chosen):
-                return True
-            chosen.pop()
-        memo[uncovered] = max(memo.get(uncovered, 0), depth)
-        return False
-
-    t = max(counting, 1)
-    try:
-        while t < upper:
-            chosen: list[int] = []
-            if dfs(full, t, chosen):
-                return BoxCoverResult(
-                    lower=t,
-                    upper=t,
-                    exact=True,
-                    boxes=tuple(boxes[i] for i in chosen),
-                    note="optimal cover found",
-                    nodes=nodes,
-                )
-            t += 1
-        return BoxCoverResult(
-            lower=upper,
-            upper=upper,
-            exact=True,
-            boxes=greedy_boxes,
-            note="greedy proven optimal",
-            nodes=nodes,
-        )
-    except _BudgetExhausted:
-        return BoxCoverResult(
-            lower=t,
-            upper=upper,
-            exact=False,
-            boxes=greedy_boxes,
-            note=f"node budget {node_budget} exhausted while refuting size {t}",
-            nodes=nodes,
-        )
+    system = _BoxSystem(boxes, cells)
+    greedy = system.greedy_cover()
+    depth, cover, nodes = system.deepen(len(greedy), node_budget)
+    if cover is not None:
+        note = "optimal cover found"
+    elif depth == len(greedy):
+        cover = greedy
+        note = "counting matches greedy" if depth == system.counting else "greedy proven optimal"
+    else:
+        cover, note = greedy, f"node budget {node_budget} exhausted while refuting size {depth}"
+    return BoxCoverResult(
+        lower=depth, upper=len(cover), exact=depth == len(cover), boxes=cover, note=note, nodes=nodes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Thin wrappers over the library: `gen` emits objects in the shared JSON
 formats, `rank`/`mr`/`dcc` analyze files, `abp`/`quantum`/`comm` print
 reports, and `verify` replays the desk-scale reproduction suite.  Exit codes:
-0 success, 1 verification/check failure, 2 input or I/O error.  Every
-stochastic command takes --seed (default 1729); MRW_BUDGET or --budget scales
-the default search budgets.
+0 success, 1 verification/check failure, 2 input or I/O error.  `quantum
+--simulate` and `verify` read --seed (default 1729); MRW_BUDGET or --budget
+scales the default search budgets.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bounds import mr_bounds
@@ -64,8 +63,8 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parse_values(raw: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
+def _parse_values(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 def _load_matrix(path: str):
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[common], help="generate objects in the shared JSON formats")
+    gen = sub.add_parser("gen", help="generate objects in the shared JSON formats")
     gen_sub = gen.add_subparsers(dest="object", required=True)
     g_edm = gen_sub.add_parser("edm", parents=[common])
     g_edm.add_argument("--n", type=int, default=4)

@@ -46,7 +46,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, bool):
         raise ValidationError("boolean is not a rational entry")
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
 

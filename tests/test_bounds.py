@@ -152,19 +152,38 @@ def oracle_patterns(draw):
     return SupportPattern(dims=dims, cells=frozenset(c for c, k in zip(grid, keep) if k))
 
 
-@given(oracle_patterns())
-def test_exact_cover_matches_brute_force(pattern):
-    res = box_cover_exact(pattern)
-    if not res.exact:
+def assert_brackets_optimum(pattern: SupportPattern, res: BoxCoverResult, best: int) -> None:
+    """lower <= best <= upper, and boxes, when given, are a valid cover of
+    size upper."""
+    assert res.lower <= best <= res.upper
+    assert res.exact == (res.lower == res.upper)
+    if res.boxes is None:
         return
-    assert res.lower == res.upper == brute_force_cover(pattern)
-    assert len(res.boxes) == res.lower
+    assert len(res.boxes) == res.upper
     covered = set()
     for box in res.boxes:
         cells = set(itertools.product(*box))
         assert cells <= pattern.cells
         covered |= cells
     assert covered == pattern.cells
+
+
+@given(oracle_patterns())
+def test_exact_cover_matches_brute_force(pattern):
+    assert_brackets_optimum(pattern, box_cover_exact(pattern), brute_force_cover(pattern))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+def test_cover_brackets_brute_force_under_small_budgets(dims):
+    """Every pattern of these shapes at budgets 1-20, so the budget-exhausted
+    exit runs as well as the others."""
+    grid = list(itertools.product(*map(range, dims)))
+    for bits in range(1 << len(grid)):
+        cells = frozenset(c for k, c in enumerate(grid) if bits >> k & 1)
+        pattern = SupportPattern(dims=dims, cells=cells)
+        best = brute_force_cover(pattern)
+        for node_budget in range(1, 21):
+            assert_brackets_optimum(pattern, box_cover_exact(pattern, node_budget=node_budget), best)
 
 
 @st.composite

@@ -38,6 +38,22 @@ def test_gen_values_flag(capsys):
     assert json.loads(out)["entries"][1] == "9/4"
 
 
+@pytest.mark.parametrize("values", ["abc", "1/0"])
+def test_gen_bad_values_exit_2(capsys, values):
+    code, out, err = run(capsys, "gen", "edm", "--values", values)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_gen_flags_go_after_the_object(tmp_path, capsys):
+    out_file = tmp_path / "edm.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--out", str(out_file), "edm", "--n", "3"])
+    assert exc.value.code == 2 and not out_file.exists()
+    code, out, _ = run(capsys, "gen", "edm", "--n", "3", "--out", str(out_file))
+    assert code == 0 and out == "" and json.loads(out_file.read_text())["rows"] == 3
+
+
 def test_mr_on_tensor_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "divtensor", "--base", "2", "--order", "3",
                        "--out", str(tmp_path / "t.json"))

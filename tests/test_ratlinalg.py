@@ -304,3 +304,9 @@ def test_entries_are_canonical_fractions():
     assert m[0, 0] == Fraction(1, 2)
     assert m[0, 1] == Fraction(3, 2)
     assert m[0, 0].denominator == 2
+
+
+@pytest.mark.parametrize("text", ["abc", "1/0", ""])
+def test_unparsable_string_entry_is_a_validation_error(text):
+    with pytest.raises(ValidationError):
+        RatMatrix(1, 1, [text])
