@@ -18,9 +18,12 @@ provenance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+
+import numpy as np
 
 from .dtensor import DenseTensor
 from .errors import ValidationError
@@ -28,6 +31,11 @@ from .ratlinalg import RatMatrix, rank_exact
 
 DEFAULT_NODE_BUDGET = 50_000
 EXACT_CELL_CAP = 64
+# the batched prune holds masks over the cells in uint64 words
+assert EXACT_CELL_CAP <= 64
+# a node with fewer children prunes them one at a time: for so few, numpy's
+# per-call overhead costs more than the scalar scans it saves
+_BATCH_MIN_CHILDREN = 8
 _CLOSURE_SIDE_CAP = 16
 _BFS_BOX_CAP = 20_000
 _BFS_WORK_CAP = 500_000
@@ -68,8 +76,6 @@ def support_pattern(m) -> SupportPattern:
     if isinstance(m, DenseTensor):
         cells = frozenset(idx for idx in m.iter_indices() if m[idx] != 0)
         return SupportPattern(dims=m.dims, cells=cells)
-    import numpy as np
-
     arr = np.asarray(m)
     cells = frozenset(tuple(int(i) for i in idx) for idx in zip(*np.nonzero(arr)))
     return SupportPattern(dims=tuple(arr.shape), cells=cells)
@@ -294,39 +300,78 @@ class _BoxSystem:
         nodes): the first depth with a cover and that cover; `upper` and None
         when every smaller depth is refuted; or the depth being refuted and
         None when `node_budget` nodes were expanded first.
+
+        An expanded node orders its children (fewest uncovered cells first,
+        ties by box index).  When its pivot has at least _BATCH_MIN_CHILDREN
+        covering boxes (one child each), it computes the counting prune of all
+        children in one numpy pass over uint64 masks; otherwise each child
+        runs the scalar `_some_box_covers`.  Either way the children are then
+        visited one at a time, so the nodes, their order and the memo are the
+        same on both paths.
         """
         masks, covering, pivot_order, by_size = self.masks, self.covering, self.pivot_order, self.by_size
+        wide = [len(boxes) >= _BATCH_MIN_CHILDREN for boxes in covering]
+        if self.counting < upper and any(wide):
+            words = np.array(masks, dtype=np.uint64)
+            cov_ix = [np.array(c, dtype=np.intp) for c in covering]
+            cov_words = [words[c] for c in cov_ix]
+            big_words = np.array([mask for _, mask in by_size], dtype=np.uint64)
+            neg_sizes = [-size for size, _ in by_size]  # ascending, for bisect
         memo: dict[int, int] = {}
         nodes = 0
 
-        def dfs(uncovered: int, depth: int, chosen: list[int]) -> bool:
+        def expand(uncovered: int, depth: int, chosen: list[int]) -> bool:
+            """Visit the children of a counted node that passed its prune."""
             nonlocal nodes
-            if uncovered == 0:
-                return True
-            if depth == 0 or memo.get(uncovered, 0) >= depth:
-                return False
-            if nodes >= node_budget:
-                raise _BudgetExhausted
-            nodes += 1
-            if _some_box_covers(by_size, uncovered, -(-uncovered.bit_count() // depth)):
-                pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
-                cand = sorted(
-                    covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi)
-                )
-                for bi in cand:
+            pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
+            d = depth - 1
+            passes = None
+            if wide[pivot]:
+                left = np.uint64(uncovered) & ~cov_words[pivot]
+                sizes = np.bitwise_count(left)
+                order = np.argsort(sizes, kind="stable")
+                left, sizes = left[order], sizes[order]
+                cand = cov_ix[pivot][order].tolist()
+                children = left.tolist()
+                if d > 0:
+                    need = (sizes + (d - 1)) // d  # ceil; stays in uint8 as both are <= 64
+                    k = bisect_right(neg_sizes, -int(need[0]))  # boxes that can meet some need
+                    if k:
+                        counts = np.bitwise_count(left[:, None] & big_words[None, :k])
+                        passes = (counts.max(1) >= need).tolist()
+                    else:
+                        passes = [False] * len(cand)
+            else:
+                cand = sorted(covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi))
+                children = [uncovered & ~masks[bi] for bi in cand]
+            for i, (bi, child) in enumerate(zip(cand, children)):
+                if child == 0:
                     chosen.append(bi)
-                    if dfs(uncovered & ~masks[bi], depth - 1, chosen):
+                    return True
+                if d == 0 or memo.get(child, 0) >= d:
+                    continue
+                if nodes >= node_budget:
+                    raise _BudgetExhausted
+                nodes += 1
+                if passes[i] if passes is not None else _some_box_covers(by_size, child, -(-child.bit_count() // d)):
+                    chosen.append(bi)
+                    if expand(child, d, chosen):
                         return True
                     chosen.pop()
-            # any stored depth is below `depth` (checked above); children store strict subsets
-            memo[uncovered] = depth
+                # any stored depth is below `d` (checked above); children store strict subsets
+                memo[child] = d
             return False
 
         depth = self.counting
         try:
             while depth < upper:
+                # the root is never memoized and, as depth >= the counting
+                # bound, always passes its prune
+                if nodes >= node_budget:
+                    raise _BudgetExhausted
+                nodes += 1
                 chosen: list[int] = []
-                if dfs(self.full, depth, chosen):
+                if expand(self.full, depth, chosen):
                     return depth, tuple(self.boxes[i] for i in chosen), nodes
                 depth += 1
         except _BudgetExhausted:

@@ -3,9 +3,11 @@
 Thin wrappers over the library: `gen` emits objects in the shared JSON
 formats, `rank`/`mr`/`dcc` analyze files, `abp`/`quantum`/`comm` print
 reports, and `verify` replays the desk-scale reproduction suite.  Exit codes:
-0 success, 1 verification/check failure, 2 input or I/O error.  `quantum
---simulate` and `verify` read --seed (default 1729); MRW_BUDGET or --budget
-scales the default search budgets.
+0 success, 1 verification/check failure, 2 input or I/O error.  Every command
+takes --out; `quantum --simulate` and `verify` read --seed (default 1729);
+MRW_BUDGET or --budget (`mr`, `verify`) scales the default search budgets;
+`mr` and `quantum` take --rational, `abp` and `comm` take --csv.  A command
+given a flag it does not read exits 2.
 """
 
 from __future__ import annotations
@@ -249,68 +251,75 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mrw", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mrw {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for stochastic steps")
-    common.add_argument("--budget", type=float, default=None, help="budget multiplier (overrides MRW_BUDGET)")
-    common.add_argument("--csv", action="store_true", help="emit a CSV table where supported")
-    common.add_argument("--rational", action="store_true", help="emit exact rationals where supported")
-    common.add_argument("--out", help="write output to a file instead of stdout")
+
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    # the shared flags, each given only to the commands that read it
+    out = flag("--out", help="write output to a file instead of stdout")
+    seed = flag("--seed", type=int, default=DEFAULT_SEED, help="seed for stochastic steps")
+    budget = flag("--budget", type=float, default=None, help="budget multiplier (overrides MRW_BUDGET)")
+    as_csv = flag("--csv", action="store_true", help="emit a CSV table")
+    rational = flag("--rational", action="store_true", help="emit exact rationals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate objects in the shared JSON formats")
     gen_sub = gen.add_subparsers(dest="object", required=True)
-    g_edm = gen_sub.add_parser("edm", parents=[common])
+    g_edm = gen_sub.add_parser("edm", parents=[out])
     g_edm.add_argument("--n", type=int, default=4)
     g_edm.add_argument("--values", help="comma-separated distinct rationals")
-    g_fl = gen_sub.add_parser("flatten", parents=[common])
+    g_fl = gen_sub.add_parser("flatten", parents=[out])
     g_fl.add_argument("--n", type=int, required=True)
     g_fl.add_argument("--d", type=int, required=True)
     g_fl.add_argument("--k", type=int, required=True)
-    g_sub = gen_sub.add_parser("subsidiary", parents=[common])
+    g_sub = gen_sub.add_parser("subsidiary", parents=[out])
     g_sub.add_argument("--n", type=int, required=True)
     g_sub.add_argument("--d", type=int, required=True)
     g_sub.add_argument("--root", action="store_true", help="emit the unsquared offsets")
-    g_div = gen_sub.add_parser("divtensor", parents=[common])
+    g_div = gen_sub.add_parser("divtensor", parents=[out])
     g_div.add_argument("--base", type=int, required=True)
     g_div.add_argument("--order", type=int, required=True)
-    g_cor = gen_sub.add_parser("correlation", parents=[common])
+    g_cor = gen_sub.add_parser("correlation", parents=[out])
     g_cor.add_argument("--N", type=int, required=True)
     g_cor.add_argument("--part", choices=["P", "base"], default="P")
     for p in (g_edm, g_fl, g_sub, g_div, g_cor):
         p.set_defaults(func=cmd_gen)
     gen.set_defaults(func=cmd_gen)
 
-    rank_p = sub.add_parser("rank", parents=[common], help="exact rank of a matrix file")
+    rank_p = sub.add_parser("rank", parents=[out], help="exact rank of a matrix file")
     rank_p.add_argument("--matrix", required=True)
     rank_p.set_defaults(func=cmd_rank)
 
-    mr_p = sub.add_parser("mr", parents=[common], help="monotone-rank bracket of a matrix/tensor file")
+    mr_p = sub.add_parser("mr", parents=[out, budget, rational],
+                          help="monotone-rank bracket of a matrix/tensor file")
     src = mr_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix")
     src.add_argument("--tensor")
     mr_p.set_defaults(func=cmd_mr)
 
-    abp_p = sub.add_parser("abp", parents=[common], help="level rank profile")
+    abp_p = sub.add_parser("abp", parents=[out, as_csv], help="level rank profile")
     abp_p.add_argument("--n", type=int, required=True)
     abp_p.add_argument("--d", type=int, required=True)
     abp_p.set_defaults(func=cmd_abp)
 
-    q_p = sub.add_parser("quantum", parents=[common], help="correlation pipeline report")
+    q_p = sub.add_parser("quantum", parents=[out, seed, rational], help="correlation pipeline report")
     q_p.add_argument("--N", type=int, required=True)
     q_p.add_argument("--simulate", type=int, default=0, help="sample this many trials")
     q_p.set_defaults(func=cmd_quantum)
 
-    comm_p = sub.add_parser("comm", parents=[common], help="multiparty separation report")
+    comm_p = sub.add_parser("comm", parents=[out, as_csv], help="multiparty separation report")
     comm_p.add_argument("--nbits", type=int, required=True)
     comm_p.add_argument("--d", type=int, required=True)
     comm_p.add_argument("--ladder", action="store_true", help="table of reports up to d")
     comm_p.set_defaults(func=cmd_comm)
 
-    dcc_p = sub.add_parser("dcc", parents=[common], help="exact two-party protocol depth")
+    dcc_p = sub.add_parser("dcc", parents=[out], help="exact two-party protocol depth")
     dcc_p.add_argument("--matrix", required=True)
     dcc_p.set_defaults(func=cmd_dcc)
 
-    ver_p = sub.add_parser("verify", parents=[common], help="replay the reproduction suite")
+    ver_p = sub.add_parser("verify", parents=[out, seed, budget], help="replay the reproduction suite")
     ver_p.add_argument("--scale", choices=["small", "full"], default="small")
     ver_p.add_argument("--json", action="store_true", help="also emit the JSON report")
     ver_p.set_defaults(func=cmd_verify)

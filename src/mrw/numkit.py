@@ -245,15 +245,23 @@ def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     stacked solution (r x ncols), or None if the solver fails.
     """
     from scipy.optimize import linprog
-    from scipy.sparse import block_diag, csr_matrix, hstack, vstack
+    from scipy.sparse import coo_array
 
     m, r = a.shape
     ncols = b.shape[1]
-    blocks = block_diag([csr_matrix(a)] * ncols, format="csr")
-    eps_col = csr_matrix(np.ones((m * ncols, 1)))
-    upper = hstack([blocks, -eps_col], format="csr")
-    lower = hstack([-blocks, -eps_col], format="csr")
-    a_ub = vstack([upper, lower], format="csr")
+    half = m * ncols
+    # [[B, -1], [-B, -1]] with B = blockdiag(a, ..., a), one block per column,
+    # as triplets over the nonzeros of a; linprog turns them into the same
+    # int32 CSC matrix as a scipy.sparse block_diag/hstack/vstack assembly
+    rows, terms = np.nonzero(a)
+    vals = np.tile(a[rows, terms], ncols)
+    block = np.arange(ncols)[:, None]
+    b_rows = (block * m + rows).ravel()
+    b_cols = (block * r + terms).ravel()
+    row = np.concatenate([b_rows, b_rows + half, np.arange(2 * half)]).astype(np.int32)
+    col = np.concatenate([b_cols, b_cols, np.full(2 * half, r * ncols)]).astype(np.int32)
+    data = np.concatenate([vals, -vals, np.full(2 * half, -1.0)])
+    a_ub = coo_array((data, (row, col)), shape=(2 * half, r * ncols + 1))
     rhs = b.T.ravel()
     b_ub = np.concatenate([rhs, -rhs])
     cost = np.zeros(r * ncols + 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mrw.bounds
 from mrw.bounds import (
     BoxCoverResult,
     _max_box_size_2d,
@@ -308,3 +309,50 @@ def test_cover_node_count_pins_search_path():
     short = box_cover_exact(pat, node_budget=35063)
     assert not short.exact and short.nodes == 35063
     assert box_cover_exact(support_pattern(edm(EdmSpec.integers(3)))).nodes == 0
+
+
+def test_cover_node_count_pins_scalar_prune_path():
+    # the 7x7 circulant without its three leading diagonals: 28 cells, each in
+    # at most 6 maximal boxes, under _BATCH_MIN_CHILDREN, so every node
+    # prunes its children one at a time
+    pat = SupportPattern((7, 7), frozenset((i, j) for i in range(7) for j in range(7) if (j - i) % 7 > 2))
+    system = mrw.bounds._BoxSystem(enumerate_maximal_boxes(pat), sorted(pat.cells))
+    assert max(map(len, system.covering)) < mrw.bounds._BATCH_MIN_CHILDREN
+    full = box_cover_exact(pat)
+    assert full.exact and full.lower == 7 and full.nodes == 503
+    short = box_cover_exact(pat, node_budget=502)
+    assert not short.exact and short.nodes == 502
+
+
+def batch_oracle_patterns() -> list[SupportPattern]:
+    """Near-crowns of side 6-8 less seeded cells, seeded 0/1 4x4x4 tensors and
+    edm(2..9): pivots on both sides of _BATCH_MIN_CHILDREN."""
+    rng = random.Random(1729)
+    patterns = [support_pattern(edm(EdmSpec.integers(n))) for n in range(2, 10)]
+    for n in (6, 7, 8):
+        for removed in (1, 2, 3):
+            cells = {(i, j) for i in range(n) for j in range(n) if i != j}
+            cells -= set(rng.sample(sorted(cells), removed))
+            patterns.append(SupportPattern((n, n), frozenset(cells)))
+    for _ in range(6):
+        cells = {c for c in itertools.product(range(4), repeat=3) if rng.random() < 0.5}
+        patterns.append(SupportPattern((4, 4, 4), frozenset(cells)))
+    return patterns
+
+
+def test_batched_prune_matches_scalar_prune(monkeypatch):
+    searched = {"batched": 0, "scalar": 0}
+    for pattern in batch_oracle_patterns():
+        for node_budget in (1, 7, 50, 500, 50_000):
+            reports = []
+            for min_children in (0, 10**9):  # every node batched, then none
+                monkeypatch.setattr(mrw.bounds, "_BATCH_MIN_CHILDREN", min_children)
+                reports.append(repr(box_cover_exact(pattern, node_budget=node_budget)))
+            assert reports[0] == reports[1], (pattern, node_budget)
+        monkeypatch.undo()
+        boxes = enumerate_maximal_boxes(pattern) if pattern.size <= 64 else None
+        if boxes is not None and box_cover_exact(pattern).nodes > 1:
+            widest = max(map(len, mrw.bounds._BoxSystem(boxes, sorted(pattern.cells)).covering))
+            searched["batched" if widest >= mrw.bounds._BATCH_MIN_CHILDREN else "scalar"] += 1
+    # under the default rule, searches run both ways
+    assert searched["batched"] >= 5 and searched["scalar"] >= 3, searched

@@ -54,6 +54,25 @@ def test_gen_flags_go_after_the_object(tmp_path, capsys):
     assert code == 0 and out == "" and json.loads(out_file.read_text())["rows"] == 3
 
 
+@pytest.mark.parametrize(
+    ("argv", "unused"),
+    [
+        (["rank", "--matrix", "m.json", "--csv"], "--csv"),
+        (["mr", "--matrix", "m.json", "--seed", "1"], "--seed 1"),
+        (["dcc", "--matrix", "m.json", "--rational"], "--rational"),
+        (["gen", "edm", "--budget", "2"], "--budget 2"),
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, unused):
+    path = tmp_path / "m.json"
+    path.write_text(canonical_dumps({"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}))
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if arg == "m.json" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {unused}" in err
+
+
 def test_mr_on_tensor_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "divtensor", "--base", "2", "--order", "3",
                        "--out", str(tmp_path / "t.json"))

@@ -14,6 +14,7 @@ from mrw.errors import DimensionError, UnsupportedRankError, ValidationError
 from mrw.numkit import (
     NonnegFactorization,
     SearchBudget,
+    _chebyshev_refit,
     antisym_spectral,
     cp_als,
     nmf_search,
@@ -99,6 +100,44 @@ def test_nmf_distance_matrix_witness():
     assert fact is not None
     vmax = float(max(m.entries))
     assert verify_nonneg_factorization(m, fact, 1e-3 * vmax).passed
+
+
+def sparse_block_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle: the polish LP with its constraint matrix assembled from
+    scipy.sparse blocks (block_diag, hstack, vstack)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag, csr_matrix, hstack, vstack
+
+    m, r = a.shape
+    ncols = b.shape[1]
+    blocks = block_diag([csr_matrix(a)] * ncols, format="csr")
+    eps_col = csr_matrix(np.ones((m * ncols, 1)))
+    a_ub = vstack(
+        [hstack([blocks, -eps_col], format="csr"), hstack([-blocks, -eps_col], format="csr")],
+        format="csr",
+    )
+    rhs = b.T.ravel()
+    cost = np.zeros(r * ncols + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.concatenate([rhs, -rhs]), bounds=(0, None), method="highs")
+    assert res.success
+    return np.maximum(res.x[: r * ncols].reshape(ncols, r).T, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chebyshev_refit_matches_sparse_block_assembly(seed):
+    rng = np.random.default_rng(seed)
+    m, r = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+    ncols = 1 if seed % 3 == 0 else int(rng.integers(2, 9))
+    a = rng.random((m, r))
+    b = rng.random((m, ncols))
+    if seed % 2:
+        a[rng.random(a.shape) < 0.4] = 0.0
+    assert np.array_equal(_chebyshev_refit(a, b), sparse_block_refit(a, b))
+    # the alternating polish feeds one refit's clipped output into the next,
+    # so exact zeros in `a` are the common case
+    h = _chebyshev_refit(a, b)
+    assert np.array_equal(_chebyshev_refit(h.T, b.T), sparse_block_refit(h.T, b.T))
 
 
 def test_verify_exact_factorization_of_swap():
