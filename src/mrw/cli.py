@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -248,7 +249,10 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` returns a
+    fresh namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(prog="mrw", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mrw {__version__}")
 
@@ -327,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WorkbenchError as exc:

@@ -29,6 +29,10 @@ DEFAULT_SEED = 1729
 
 _FLOOR = 1e-12
 
+# nmf_search runs a round's HALS sweeps in chunks of this many and checks the
+# error against tol after each; the sweeps themselves are the same
+_SWEEP_CHUNK = 25
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -221,20 +225,36 @@ def _hals_sweeps(v: np.ndarray, w: np.ndarray, h: np.ndarray, sweeps: int) -> No
 
     Each column update is the exact nonnegative minimizer of the Frobenius
     objective with everything else fixed, so iterates stay nonnegative and the
-    objective never increases.
+    objective never increases.  An update of row h_k (column w_k likewise) is
+    max((g_k - gram_k @ h + gram_kk * h_k) / max(gram_kk, floor), floor),
+    evaluated in that order into scratch buffers.
     """
     r = w.shape[1]
+    h_rows = list(h)
+    w_cols = [w[:, k] for k in range(r)]
+    num_h, term_h = np.empty(h.shape[1]), np.empty(h.shape[1])
+    num_w, term_w = np.empty(w.shape[0]), np.empty(w.shape[0])
     for _ in range(sweeps):
         wtv = w.T @ v
         wtw = w.T @ w
-        for k in range(r):
-            num = wtv[k] - wtw[k] @ h + wtw[k, k] * h[k]
-            h[k] = np.maximum(num / max(wtw[k, k], _FLOOR), _FLOOR)
+        diag = wtw.diagonal().tolist()
+        den = [max(d, _FLOOR) for d in diag]
+        for k, hk in enumerate(h_rows):
+            np.matmul(wtw[k], h, out=num_h)
+            np.subtract(wtv[k], num_h, out=num_h)
+            np.add(num_h, np.multiply(diag[k], hk, out=term_h), out=num_h)
+            np.divide(num_h, den[k], out=num_h)
+            np.maximum(num_h, _FLOOR, out=hk)
         vht = v @ h.T
         hht = h @ h.T
-        for k in range(r):
-            num = vht[:, k] - w @ hht[:, k] + hht[k, k] * w[:, k]
-            w[:, k] = np.maximum(num / max(hht[k, k], _FLOOR), _FLOOR)
+        diag = hht.diagonal().tolist()
+        den = [max(d, _FLOOR) for d in diag]
+        for k, wk in enumerate(w_cols):
+            np.matmul(w, hht[:, k], out=num_w)
+            np.subtract(vht[:, k], num_w, out=num_w)
+            np.add(num_w, np.multiply(diag[k], wk, out=term_w), out=num_w)
+            np.divide(num_w, den[k], out=num_w)
+            np.maximum(num_w, _FLOOR, out=wk)
 
 
 def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -285,14 +305,19 @@ def nmf_search(
 ) -> NonnegFactorization | None:
     """Search for an r-term nonnegative factorization of a nonnegative matrix.
 
-    Each restart runs floor-clipped HALS sweeps (`budget.iterations` per
-    round) and then polishes with alternating Chebyshev linear-program refits,
-    which directly attack the success metric: relative max-norm error
+    Each restart runs floor-clipped HALS sweeps (at most `budget.iterations`
+    per round) and then polishes with alternating Chebyshev linear-program
+    refits, which directly attack the success metric: relative max-norm error
     max|M - WH| / max|M| <= tol.  Three perturb-and-retry rounds run per
-    restart.  The result is the factorization of the lowest-index restart that
-    reaches tol (deterministic and independent of any parallel completion
-    order); if none succeeds the search returns None, which is *not* evidence
-    that no such factorization exists.
+    restart.  The search stops as soon as the error reaches tol: the sweeps
+    are checked every 25, the polish is skipped when the sweeps already reach
+    tol, and it ends at the first refit that does.  A search that never
+    reaches tol does all `budget.restarts * 3` rounds of sweeps.  The result
+    is the factorization of the lowest-index restart that reaches tol
+    (deterministic and independent of any parallel completion order); if none
+    succeeds the search returns None, which is *not* evidence that no such
+    factorization exists.  Non-finite entries and a tol that is negative or
+    not finite raise `ValidationError`.
     """
     if isinstance(m, RatMatrix):
         if any(e < 0 for e in m.entries):
@@ -300,10 +325,14 @@ def nmf_search(
     v = _as_float_array(m)
     if v.ndim != 2:
         raise DimensionError("nmf_search expects a matrix")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("matrix entries must be finite")
     if np.any(v < 0):
         raise ValidationError("matrix must be nonnegative")
     if r < 1:
         raise ValidationError("rank target must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
     budget = budget or DEFAULT_NMF_BUDGET
     vmax = float(np.max(v))
     if vmax == 0.0:
@@ -317,12 +346,20 @@ def nmf_search(
         w = rng.uniform(0.1, 1.0, size=(nrow, r)) * init_scale
         h = rng.uniform(0.1, 1.0, size=(r, ncol)) * init_scale
         for _ in range(rounds):
-            _hals_sweeps(v, w, h, budget.iterations)
-            err = _max_rel_err(v, w, h, vmax)
+            # the round's sweeps in chunks, checked against tol after each
+            left = budget.iterations
+            while True:
+                chunk = min(_SWEEP_CHUNK, left)
+                _hals_sweeps(v, w, h, chunk)
+                left -= chunk
+                err = _max_rel_err(v, w, h, vmax)
+                if err <= tol or left <= 0:
+                    break
             if best is None or err < best[0]:
                 best = (err, restart, w.copy(), h.copy())
-            # alternating minimax polish; monotone in the max-norm error
-            for _ in range(20):
+            # alternating minimax polish, skipped once the sweeps reach tol;
+            # monotone in the max-norm error
+            for _ in range(0 if err <= tol else 20):
                 h_new = _chebyshev_refit(w, v)
                 if h_new is None:
                     break
@@ -334,8 +371,7 @@ def nmf_search(
                 err_new = _max_rel_err(v, w, h, vmax)
                 if err_new < best[0]:
                     best = (err_new, restart, w.copy(), h.copy())
-                if err_new >= err - 1e-12:
-                    err = min(err, err_new)
+                if err_new <= tol or err_new >= err - 1e-12:
                     break
                 err = err_new
             if best[0] <= tol:

@@ -230,3 +230,42 @@ def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "mr", "--matrix", str(path), "--budget", "0.5")
     assert code == 0
     assert seen == {"nodes": 25_000, "nmf": SearchBudget(restarts=1, iterations=200)}
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    import mrw.bounds
+    from mrw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    nodes = []
+    cover = mrw.bounds.box_cover_exact
+
+    def spy_cover(pattern, node_budget):
+        nodes.append(node_budget)
+        return cover(pattern, node_budget=node_budget)
+
+    monkeypatch.setattr(mrw.bounds, "box_cover_exact", spy_cover)
+    monkeypatch.delenv("MRW_BUDGET", raising=False)
+    path = tmp_path / "m.json"
+    path.write_text(canonical_dumps({"rows": 2, "cols": 2, "entries": ["1", "1", "0", "1"]}))
+    calls = [
+        ["mr", "--matrix", str(path), "--budget", "2"],
+        ["mr", "--matrix", str(path)],
+        ["quantum", "--N", "4", "--simulate", "20", "--seed", "3"],
+        ["quantum", "--N", "4", "--simulate", "20"],
+    ]
+    outs = []
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        outs.append(json.loads(out))
+    assert nodes == [100_000, 50_000]
+    assert [obj["simulation"]["seed"] for obj in outs[2:]] == [3, 1729]
+    for argv in calls:
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+    # a flag the command does not read is still rejected on a second call
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--matrix", str(path), "--csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err

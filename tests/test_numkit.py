@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mrw import numkit
 from mrw.constructions import CorrelationSpec, DivTensorSpec, difference_matrix, divisibility_tensor, EdmSpec, edm
 from mrw.errors import DimensionError, UnsupportedRankError, ValidationError
 from mrw.numkit import (
     NonnegFactorization,
     SearchBudget,
     _chebyshev_refit,
+    _hals_sweeps,
+    _max_rel_err,
     antisym_spectral,
     cp_als,
     nmf_search,
@@ -100,6 +103,143 @@ def test_nmf_distance_matrix_witness():
     assert fact is not None
     vmax = float(max(m.entries))
     assert verify_nonneg_factorization(m, fact, 1e-3 * vmax).passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nmf_rejects_non_finite_entries_before_any_sweep(monkeypatch, bad):
+    def no_sweeps(*args):
+        raise AssertionError("swept a matrix with a non-finite entry")
+
+    monkeypatch.setattr(numkit, "_hals_sweeps", no_sweeps)
+    m = np.ones((3, 3))
+    m[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        nmf_search(m, 2)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf])
+def test_nmf_rejects_bad_tol_before_any_sweep(monkeypatch, tol):
+    def no_sweeps(*args):
+        raise AssertionError("swept with a bad tol")
+
+    monkeypatch.setattr(numkit, "_hals_sweeps", no_sweeps)
+    with pytest.raises(ValidationError, match="tol"):
+        nmf_search(np.ones((3, 3)), 1, tol=tol)
+
+
+def old_hals_sweeps(v, w, h, sweeps):
+    """Oracle: the HALS loop before its in-place rewrite."""
+    floor = 1e-12
+    r = w.shape[1]
+    for _ in range(sweeps):
+        wtv = w.T @ v
+        wtw = w.T @ w
+        for k in range(r):
+            num = wtv[k] - wtw[k] @ h + wtw[k, k] * h[k]
+            h[k] = np.maximum(num / max(wtw[k, k], floor), floor)
+        vht = v @ h.T
+        hht = h @ h.T
+        for k in range(r):
+            num = vht[:, k] - w @ hht[:, k] + hht[k, k] * w[:, k]
+            w[:, k] = np.maximum(num / max(hht[k, k], floor), floor)
+
+
+@pytest.mark.parametrize(
+    ("nrow", "ncol", "r", "sweeps"),
+    [(6, 5, 1, 20), (1, 7, 3, 20), (7, 1, 3, 20), (1, 1, 1, 5), (8, 8, 6, 30), (5, 9, 4, 30), (64, 64, 63, 3)],
+)
+def test_hals_sweeps_match_the_old_loop_bit_for_bit(nrow, ncol, r, sweeps):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(0, 5, size=(nrow, ncol)).astype(float)
+        v[rng.random(v.shape) < 0.3] = 0.0  # exact zeros
+        w = rng.uniform(0.1, 1.0, size=(nrow, r))
+        h = rng.uniform(0.1, 1.0, size=(r, ncol))
+        if seed % 2:
+            # the polish hands back Fortran-ordered factors
+            w, h = np.asfortranarray(w), np.asfortranarray(h)
+        w_old, h_old = w.copy(order="K"), h.copy(order="K")
+        _hals_sweeps(v, w, h, sweeps)
+        old_hals_sweeps(v, w_old, h_old, sweeps)
+        assert np.array_equal(w, w_old) and np.array_equal(h, h_old)
+
+
+def test_nmf_stops_sweeping_at_tol_and_skips_the_polish(monkeypatch):
+    swept = []
+    sweeps = numkit._hals_sweeps
+
+    def count_sweeps(v, w, h, n):
+        swept.append(n)
+        sweeps(v, w, h, n)
+
+    def no_refit(a, b):
+        raise AssertionError("polished a fit that already reached tol")
+
+    monkeypatch.setattr(numkit, "_hals_sweeps", count_sweeps)
+    monkeypatch.setattr(numkit, "_chebyshev_refit", no_refit)
+    rank1 = np.outer([1.0, 2.0, 3.0, 0.5], [4.0, 0.5, 2.0])
+    budget = SearchBudget(restarts=2, iterations=400)
+    fact = nmf_search(rank1, 1, budget=budget)
+    assert fact is not None
+    assert verify_nonneg_factorization(rank1, fact, 1e-6 * rank1.max()).passed
+    assert sum(swept) < budget.iterations
+
+
+def full_budget_nmf_search(v, r, budget, seed=1729, tol=1e-6):
+    """Oracle: the search loop before it stopped at tol.  Every round runs all
+    its sweeps and a polish; returns whether some iterate reached tol."""
+    vmax = float(np.max(v))
+    rng = np.random.default_rng(seed)
+    nrow, ncol = v.shape
+    init_scale = math.sqrt(float(np.mean(v)) / r)
+    best = math.inf
+    for _ in range(budget.restarts):
+        w = rng.uniform(0.1, 1.0, size=(nrow, r)) * init_scale
+        h = rng.uniform(0.1, 1.0, size=(r, ncol)) * init_scale
+        for _ in range(3):
+            old_hals_sweeps(v, w, h, budget.iterations)
+            err = _max_rel_err(v, w, h, vmax)
+            best = min(best, err)
+            for _ in range(20):
+                h_new = _chebyshev_refit(w, v)
+                if h_new is None:
+                    break
+                h = h_new
+                w_new = _chebyshev_refit(h.T, v.T)
+                if w_new is None:
+                    break
+                w = w_new.T
+                err_new = _max_rel_err(v, w, h, vmax)
+                best = min(best, err_new)
+                if err_new >= err - 1e-12:
+                    break
+                err = err_new
+            if best <= tol:
+                return True
+            w *= rng.uniform(0.7, 1.3, size=w.shape)
+            h *= rng.uniform(0.7, 1.3, size=h.shape)
+    return False
+
+
+def test_nmf_stop_at_tol_loses_no_success():
+    budget = SearchBudget(restarts=2, iterations=100)
+    found = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        nrow, ncol = (int(x) for x in rng.integers(5, 9, size=2))
+        if seed % 3 == 2:
+            v = (rng.random((nrow, ncol)) < 0.85).astype(float)
+        else:
+            k = 2 + seed % 2
+            v = (rng.integers(0, 5, size=(nrow, k)) @ rng.integers(0, 5, size=(k, ncol))).astype(float)
+        r = int(np.linalg.matrix_rank(v))
+        fact = nmf_search(v, r, budget=budget)
+        if fact is not None:
+            found += 1
+            assert verify_nonneg_factorization(v, fact, 1e-6 * v.max()).passed, seed
+        elif full_budget_nmf_search(v, r, budget):
+            pytest.fail(f"seed {seed}: the full-budget search succeeds, the search that stops at tol fails")
+    assert found >= 6
 
 
 def sparse_block_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
