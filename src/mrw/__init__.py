@@ -25,7 +25,6 @@ from .ratlinalg import (
     char_poly_exact,
     det_exact,
     hadamard,
-    kronecker,
     rank_exact,
     submatrix,
 )
@@ -36,7 +35,6 @@ from .constructions import (
     EdmSpec,
     FunctionFSpec,
     build_correlation,
-    complete_unitary_columns,
     divisibility_tensor,
     edm,
     flattening,
@@ -44,6 +42,7 @@ from .constructions import (
     offset_square_matrix,
     outcome_distribution,
     pack_index,
+    quantum_distribution,
     spaced_distance_block,
     unpack_index,
 )
@@ -79,9 +78,7 @@ from .models import (
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
-    quantum_distribution,
 )
-from .serialize import io_roundtrip
 from .verify import VerifyReport, run_verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,7 @@ formats, `rank`/`mr`/`dcc` analyze files, `abp`/`quantum`/`comm` print
 reports, and `verify` replays the desk-scale reproduction suite.  Exit codes:
 0 success, 1 verification/check failure, 2 input or I/O error.  Every command
 takes --out; `quantum --simulate` and `verify` read --seed (default 1729);
-MRW_BUDGET or --budget (`mr`, `verify`) scales the default search budgets;
+MRW_BUDGET or --budget (`mr` only) scales the default search budgets;
 `mr` and `quantum` take --rational, `abp` and `comm` take --csv.  A command
 given a flag it does not read exits 2.
 """
@@ -28,6 +28,7 @@ from .constructions import (
     EdmSpec,
     FunctionFSpec,
     build_correlation,
+    difference_matrix,
     divisibility_tensor,
     edm,
     flattening,
@@ -44,7 +45,7 @@ from .models import (
     hv_model_from_factorization,
     hv_sample,
 )
-from .numkit import DEFAULT_SEED, SpectralPair
+from .numkit import DEFAULT_SEED
 from .ratlinalg import rank_exact
 from .serialize import (
     canonical_dumps,
@@ -113,7 +114,7 @@ def cmd_gen(args) -> int:
     elif kind == "correlation":
         spec = CorrelationSpec(args.N)
         if args.part == "base":
-            _emit(args, canonical_dumps(matrix_to_obj(build_correlation(spec).c_matrix.base)))
+            _emit(args, canonical_dumps(matrix_to_obj(difference_matrix(spec).base)))
         else:
             _emit(args, canonical_dumps(matrix_to_obj(outcome_distribution(spec))))
     return 0
@@ -172,11 +173,10 @@ def cmd_abp(args) -> int:
 
 def cmd_quantum(args) -> int:
     corr = build_correlation(CorrelationSpec(args.N))
-    pair = SpectralPair(corr.lambda_magnitude, corr.u0, corr.u1)
     obj = {
         "N": args.N,
         "lambdaMagnitude": corr.lambda_magnitude,
-        "spectralReconstructionError": pair.reconstruction_error(corr.c_matrix.to_float()),
+        "spectralReconstructionError": corr.spectral_error,
         "distributionError": corr.reconstruction_error,
         "sumP": str(corr.p_matrix.entry_sum()),
         "charPoly": [str(c) for c in corr.c_matrix.char_poly().coeffs],
@@ -239,7 +239,6 @@ def cmd_dcc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _budget_factor(args)  # no check searches, but a malformed budget is still bad input
     report = run_verify_suite(scale=args.scale, seed=args.seed)
     for c in report.checks:
         print(f"[{c.status.upper():>4}] {c.id}: {c.observed} ({c.runtime_ms} ms)")
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     dcc_p.add_argument("--matrix", required=True)
     dcc_p.set_defaults(func=cmd_dcc)
 
-    ver_p = sub.add_parser("verify", parents=[out, seed, budget], help="replay the reproduction suite")
+    ver_p = sub.add_parser("verify", parents=[out, seed], help="replay the reproduction suite")
     ver_p.add_argument("--scale", choices=["small", "full"], default="small")
     ver_p.add_argument("--json", action="store_true", help="also emit the JSON report")
     ver_p.set_defaults(func=cmd_verify)

@@ -3,9 +3,10 @@
 Everything here is a pure constructor: squared-difference distance matrices,
 the degree-d coefficient family and its flattenings, the divisibility tensor,
 and the correlation-matrix pipeline (antisymmetric difference matrix C, the
-outcome distribution P = C o C, and the spectral vectors feeding the quantum
-side).  Exact rational output wherever the object is rational; floats appear
-only in the spectral vectors.
+outcome distribution P = C o C, the spectral vectors feeding the quantum side
+and the quantum outcome distribution they give).  Exact rational output
+wherever the object is rational; floats appear only in the spectral vectors
+and what is computed from them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dtensor import DenseTensor
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, DimensionError, ValidationError
 from .ratlinalg import (
     CAPACITY_LIMIT,
     CharPoly,
@@ -125,15 +126,6 @@ def unpack_index(value: int, n: int, length: int) -> tuple[int, ...]:
         rest, r = divmod(rest, n)
         digits.append(r + 1)
     return tuple(reversed(digits))
-
-
-def coefficient(spec: FunctionFSpec, index: Sequence[int]) -> Fraction:
-    """Coefficient of the monomial addressed by a full length-d index tuple."""
-    if len(index) != spec.d:
-        raise ValidationError(f"index tuple must have length {spec.d}")
-    left = pack_index(index[: spec.half], spec.n)
-    right = pack_index(index[spec.half :], spec.n)
-    return Fraction((left - right) ** 2)
 
 
 def flattening(spec: FunctionFSpec, k: int) -> RatMatrix:
@@ -344,6 +336,7 @@ class CorrelationObjects:
     v0: np.ndarray
     v1: np.ndarray
     lambda_magnitude: float
+    spectral_error: float
     reconstruction_error: float
 
 
@@ -361,12 +354,22 @@ def outcome_distribution(spec: CorrelationSpec) -> RatMatrix:
     return p
 
 
+def quantum_distribution(u0, u1, v0, v1) -> np.ndarray:
+    """Outcome distribution 0.5 * |u0(x) v0(y) + u1(x) v1(y)|^2."""
+    u0, u1, v0, v1 = (np.asarray(v, dtype=complex) for v in (u0, u1, v0, v1))
+    if not (u0.shape == u1.shape == v0.shape == v1.shape) or u0.ndim != 1:
+        raise DimensionError("need four vectors of equal length")
+    amp = np.outer(u0, v0) + np.outer(u1, v1)
+    return 0.5 * np.abs(amp) ** 2
+
+
 def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     """Construct C, P and the spectral vectors, and cross-check them.
 
     u0/u1 come from the spectral split of C; v0 = conj(u0) and
-    v1 = -conj(u1).  The reported reconstruction error is the max deviation
-    between rational P and 0.5*|u0(x)v0(y) + u1(x)v1(y)|^2.
+    v1 = -conj(u1).  The spectral error is the max deviation between C and
+    its rank-2 reconstruction from u0/u1; the reconstruction error is the max
+    deviation between rational P and :func:`quantum_distribution`.
     """
     from .numkit import antisym_spectral
 
@@ -376,10 +379,8 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     u0, u1 = pair.u0, pair.u1
     v0 = np.conj(u0)
     v1 = -np.conj(u1)
-    amp = np.outer(u0, v0) + np.outer(u1, v1)
-    p_prime = 0.5 * np.abs(amp) ** 2
     p_float = np.array(p.to_float_rows())
-    err = float(np.max(np.abs(p_prime - p_float)))
+    err = float(np.max(np.abs(quantum_distribution(u0, u1, v0, v1) - p_float)))
     return CorrelationObjects(
         spec=spec,
         c_matrix=cmat,
@@ -389,50 +390,6 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
         v0=v0,
         v1=v1,
         lambda_magnitude=pair.lambda_magnitude,
+        spectral_error=pair.reconstruction_error(cmat.to_float()),
         reconstruction_error=err,
     )
-
-
-@dataclass(frozen=True)
-class CompletionReport:
-    orthonormal: bool
-    extendable: bool
-    max_defect: float
-
-
-def complete_unitary_columns(u0: np.ndarray, u1: np.ndarray, tol: float = 1e-9) -> CompletionReport:
-    """Check that u0, u1 are orthonormal and extend to a full orthonormal basis.
-
-    Completion is plain Gram-Schmidt against the standard basis; the report
-    carries the worst orthonormality defect of the completed system.  Failures
-    are reported, never raised.
-    """
-    u0 = np.asarray(u0, dtype=complex)
-    u1 = np.asarray(u1, dtype=complex)
-    if u0.shape != u1.shape or u0.ndim != 1:
-        return CompletionReport(orthonormal=False, extendable=False, max_defect=float("inf"))
-    n = u0.shape[0]
-    pair_defect = max(
-        abs(np.linalg.norm(u0) - 1.0),
-        abs(np.linalg.norm(u1) - 1.0),
-        abs(np.vdot(u0, u1)),
-    )
-    if pair_defect > tol:
-        return CompletionReport(orthonormal=False, extendable=False, max_defect=float(pair_defect))
-    basis = [u0, u1]
-    for i in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[i] = 1.0
-        for b in basis:
-            cand = cand - np.vdot(b, cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            basis.append(cand / norm)
-    if len(basis) < n:
-        return CompletionReport(orthonormal=True, extendable=False, max_defect=float(pair_defect))
-    q = np.column_stack(basis)
-    gram = q.conj().T @ q
-    defect = float(np.max(np.abs(gram - np.eye(n))))
-    return CompletionReport(orthonormal=True, extendable=defect <= tol, max_defect=defect)

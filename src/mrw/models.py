@@ -110,15 +110,6 @@ def abp_profile(n: int, d: int) -> AbpProfile:
 # hidden-variable models
 # ---------------------------------------------------------------------------
 
-def quantum_distribution(u0, u1, v0, v1) -> np.ndarray:
-    """Outcome distribution 0.5 * |u0(x) v0(y) + u1(x) v1(y)|^2."""
-    u0, u1, v0, v1 = (np.asarray(v, dtype=complex) for v in (u0, u1, v0, v1))
-    if not (u0.shape == u1.shape == v0.shape == v1.shape) or u0.ndim != 1:
-        raise DimensionError("need four vectors of equal length")
-    amp = np.outer(u0, v0) + np.outer(u1, v1)
-    return 0.5 * np.abs(amp) ** 2
-
-
 @dataclass(frozen=True, eq=False)
 class HiddenVariableModel:
     """Shared value Z with conditionally independent sides.

@@ -36,10 +36,17 @@ _SWEEP_CHUNK = 25
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Restart/iteration limits for the stochastic searches."""
+    """Restart/iteration limits for the stochastic searches; both are
+    integers >= 1, anything else raises `ValidationError`."""
 
     restarts: int
     iterations: int
+
+    def __post_init__(self):
+        for name in ("restarts", "iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
     def scaled(self, factor: float) -> "SearchBudget":
         return SearchBudget(
@@ -378,9 +385,8 @@ def nmf_search(
                 break
             w *= rng.uniform(0.7, 1.3, size=w.shape)
             h *= rng.uniform(0.7, 1.3, size=h.shape)
-        if best is not None and best[0] <= tol:
+        if best[0] <= tol:
             break
-    assert best is not None
     if best[0] > tol:
         return None
     return from_matrix_factors(best[2], best[3])

@@ -267,12 +267,6 @@ def det_exact(m: RatMatrix) -> Fraction:
     return sign * last_pivot if rank == m.rows else Fraction(0)
 
 
-def trace(m: RatMatrix) -> Fraction:
-    if not m.is_square:
-        raise DimensionError("trace needs a square matrix")
-    return sum((m[i, i] for i in range(m.rows)), Fraction(0))
-
-
 def char_poly_exact(m: RatMatrix) -> CharPoly:
     """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier on integers.
 
@@ -305,18 +299,6 @@ def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Entrywise product of two equally shaped matrices."""
     _require_same_shape(a, b, "entrywise product")
     return RatMatrix(a.rows, a.cols, [x * y for x, y in zip(a.entries, b.entries)])
-
-
-def kronecker(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product, shape (ra*rb) x (ca*cb)."""
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                aij = a[i, j]
-                row_b = b.row(k)
-                out.extend(aij * v for v in row_b)
-    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def submatrix(m: RatMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:

@@ -1,9 +1,11 @@
 """Shared JSON formats and canonical serialization.
 
 Matrices: {"rows": R, "cols": C, "entries": ["p/q", ...]} row-major, integers
-may omit the denominator.  Tensors: {"dims": [...], "entries": [...]}.
+may omit the denominator.  Tensors: {"dims": [...], "entries": [...]}.  Both
+are parsed (`parse_matrix`, `parse_tensor`) and emitted (`*_to_obj`).
 Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
-with decimal floats, or exact "p/q" strings on request.  Canonical bytes are
+with decimal floats, or exact "p/q" strings on request; they are only
+emitted, inside `mr` reports, and no command reads them.  Canonical bytes are
 what `canonical_dumps` emits; parsing normalizes entries and reports
 non-canonical input as warnings rather than errors.
 """
@@ -142,42 +144,6 @@ def parse_tensor(obj: dict) -> tuple[DenseTensor, list[str]]:
     return DenseTensor(dims, values), warnings_out
 
 
-def parse_factorization(obj: dict) -> tuple[NonnegFactorization, list[str]]:
-    warnings_out: list[str] = []
-    try:
-        order, dims, terms = obj["order"], obj["dims"], obj["terms"]
-    except (KeyError, TypeError):
-        raise ParseError("factorization object needs order, dims and terms")
-    if not isinstance(dims, list) or not all(_is_size(d) and d >= 1 for d in dims):
-        raise ParseError("dims must be a list of positive integers")
-    if order != len(dims):
-        raise ParseError("order does not match dims")
-    if not isinstance(terms, list):
-        raise ParseError("terms must be a list")
-    parsed_terms = []
-    for t, term in enumerate(terms):
-        if not isinstance(term, list) or not all(isinstance(vec, list) for vec in term):
-            raise ParseError(f"term {t} must be a list of factor-vector lists")
-        if len(term) != order:
-            raise ParseError(f"term {t} has {len(term)} factor vectors, expected {order}")
-        vecs = []
-        for vec in term:
-            vals = []
-            for x in vec:
-                if isinstance(x, str):
-                    try:
-                        vals.append(Fraction(x))
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise ParseError(f"term {t}: bad rational literal {x!r} ({exc})")
-                elif isinstance(x, (int, float)) and not isinstance(x, bool):
-                    vals.append(float(x))
-                else:
-                    raise ParseError(f"term {t}: unsupported factor value {x!r}")
-            vecs.append(tuple(vals))
-        parsed_terms.append(tuple(vecs))
-    return NonnegFactorization(dims=tuple(dims), terms=tuple(parsed_terms)), warnings_out
-
-
 def load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -188,39 +154,3 @@ def load_json_file(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno)
-
-
-def detect_kind(obj: Any) -> str:
-    if not isinstance(obj, dict):
-        raise ParseError("top-level JSON value must be an object")
-    if "rows" in obj and "cols" in obj:
-        return "matrix"
-    if "terms" in obj and "dims" in obj:
-        return "factorization"
-    if "dims" in obj:
-        return "tensor"
-    raise ParseError("unrecognized object kind")
-
-
-def io_roundtrip(path: str):
-    """Parse a shared-format file and reserialize it canonically.
-
-    Returns (kind, value, canonical_text, warnings, identical) where
-    `identical` says whether the input bytes already were canonical.
-    """
-    obj = load_json_file(path)
-    kind = detect_kind(obj)
-    if kind == "matrix":
-        value, warns = parse_matrix(obj)
-        canon = canonical_dumps(matrix_to_obj(value))
-    elif kind == "tensor":
-        value, warns = parse_tensor(obj)
-        canon = canonical_dumps(tensor_to_obj(value))
-    else:
-        value, warns = parse_factorization(obj)
-        canon = canonical_dumps(
-            factorization_to_obj(value, rational=value.is_rational())
-        )
-    with open(path, "r", encoding="utf-8") as fh:
-        original = fh.read()
-    return kind, value, canon, warns, original == canon

@@ -39,9 +39,8 @@ from .models import (
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
-    quantum_distribution,
 )
-from .numkit import DEFAULT_SEED, SpectralPair, verify_nonneg_factorization
+from .numkit import DEFAULT_SEED, verify_nonneg_factorization
 from .ratlinalg import RatMatrix, rank_exact
 from .serialize import canonical_dumps, matrix_to_obj
 
@@ -172,12 +171,8 @@ def check_quantum_pipeline(scale: str, seed: int):
             return False, f"nonzero diagonal at N={n}", "zero diagonal"
         if not p.is_symmetric() or p.entry_sum() != 1:
             return False, f"symmetry/normalization failed at N={n}", "symmetric, sums to 1"
-        pair = SpectralPair(corr.lambda_magnitude, corr.u0, corr.u1)
-        worst_spectral = max(worst_spectral, pair.reconstruction_error(corr.c_matrix.to_float()))
-        pq = quantum_distribution(corr.u0, corr.u1, corr.v0, corr.v1)
-        worst_dist = max(
-            worst_dist, float(np.max(np.abs(pq - np.array(p.to_float_rows()))))
-        )
+        worst_spectral = max(worst_spectral, corr.spectral_error)
+        worst_dist = max(worst_dist, corr.reconstruction_error)
         poly = corr.c_matrix.char_poly()
         expected = [Fraction(0)] * (n + 1)
         expected[n] = Fraction(1)

@@ -38,6 +38,16 @@ def test_gen_values_flag(capsys):
     assert json.loads(out)["entries"][1] == "9/4"
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_gen_correlation_base_is_the_difference_matrix(capsys, n):
+    from mrw.constructions import CorrelationSpec, difference_matrix
+    from mrw.serialize import matrix_to_obj
+
+    code, out, _ = run(capsys, "gen", "correlation", "--N", str(n), "--part", "base")
+    assert code == 0
+    assert out == canonical_dumps(matrix_to_obj(difference_matrix(CorrelationSpec(n)).base))
+
+
 @pytest.mark.parametrize("values", ["abc", "1/0"])
 def test_gen_bad_values_exit_2(capsys, values):
     code, out, err = run(capsys, "gen", "edm", "--values", values)
@@ -61,6 +71,7 @@ def test_gen_flags_go_after_the_object(tmp_path, capsys):
         (["mr", "--matrix", "m.json", "--seed", "1"], "--seed 1"),
         (["dcc", "--matrix", "m.json", "--rational"], "--rational"),
         (["gen", "edm", "--budget", "2"], "--budget 2"),
+        (["verify", "--budget", "2"], "--budget 2"),
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv, unused):
@@ -198,9 +209,6 @@ def test_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "mr", "--matrix", str(path), "--budget", flag)
         assert code == 2 and out == "" and err.startswith("error: budget"), flag
         assert err.count("\n") == 1, flag
-    # verify runs no search, yet still rejects a malformed budget before any check
-    code, out, err = run(capsys, "verify", "--budget", "nan")
-    assert code == 2 and out == "" and err.startswith("error: budget")
     monkeypatch.setenv("MRW_BUDGET", "abc")
     code, out, err = run(capsys, "mr", "--matrix", str(path))
     assert code == 2 and out == "" and err.startswith("error: budget")

@@ -13,7 +13,6 @@ from mrw.constructions import (
     EdmSpec,
     FunctionFSpec,
     build_correlation,
-    complete_unitary_columns,
     difference_matrix,
     divisibility_tensor,
     edm,
@@ -207,13 +206,21 @@ def test_difference_matrix_is_rank_two():
     assert rank_exact(cm.base) == 2
 
 
-def test_complete_unitary_columns():
-    e1 = np.array([1, 0, 0, 0], dtype=complex)
-    e2 = np.array([0, 1, 0, 0], dtype=complex)
-    rep = complete_unitary_columns(e1, e2)
-    assert rep.orthonormal and rep.extendable and rep.max_defect == 0
-    bad = complete_unitary_columns(e1, e1)
-    assert not bad.orthonormal
-    corr = build_correlation(CorrelationSpec(8))
-    rep8 = complete_unitary_columns(corr.u0, corr.u1)
-    assert rep8.orthonormal and rep8.extendable and rep8.max_defect <= 1e-9
+def test_correlation_spectral_vectors_are_orthonormal():
+    for n in (2, 4, 8, 16, 32):
+        corr = build_correlation(CorrelationSpec(n))
+        gram = np.array([[np.vdot(a, b) for b in (corr.u0, corr.u1)] for a in (corr.u0, corr.u1)])
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-9
+
+
+def test_correlation_errors_match_a_direct_recomputation():
+    for n in (2, 8, 32):
+        corr = build_correlation(CorrelationSpec(n))
+        c = corr.c_matrix.to_float()
+        u0, u1 = corr.u0, corr.u1
+        rebuilt = 1j * corr.lambda_magnitude * (np.outer(u0, u0.conj()) - np.outer(u1, u1.conj()))
+        assert corr.spectral_error == np.max(np.abs(rebuilt - c))
+        dist = 0.5 * np.abs(np.outer(u0, corr.v0) + np.outer(u1, corr.v1)) ** 2
+        p = np.array(corr.p_matrix.to_float_rows())
+        assert corr.reconstruction_error == np.max(np.abs(dist - p))
+        assert corr.spectral_error <= 1e-9 and corr.reconstruction_error <= 1e-9

@@ -20,6 +20,7 @@ from mrw.constructions import (
     divisibility_tensor,
     edm,
     outcome_distribution,
+    quantum_distribution,
 )
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
@@ -34,7 +35,6 @@ from mrw.models import (
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
-    quantum_distribution,
 )
 from mrw.numkit import NonnegFactorization, nmf_search
 from mrw.ratlinalg import RatMatrix, rank_exact

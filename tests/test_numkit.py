@@ -127,6 +127,14 @@ def test_nmf_rejects_bad_tol_before_any_sweep(monkeypatch, tol):
         nmf_search(np.ones((3, 3)), 1, tol=tol)
 
 
+@pytest.mark.parametrize("field", ["restarts", "iterations"])
+def test_search_budget_fields_must_be_integers_at_least_1(field):
+    for bad in (0, -1, 1.5, 2.0, True, None):
+        with pytest.raises(ValidationError, match=field):
+            SearchBudget(**{"restarts": 1, "iterations": 1, field: bad})
+    assert SearchBudget(restarts=1, iterations=1).scaled(1e-9) == SearchBudget(1, 1)
+
+
 def old_hals_sweeps(v, w, h, sweeps):
     """Oracle: the HALS loop before its in-place rewrite."""
     floor = 1e-12
