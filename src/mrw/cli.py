@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags, each given only to the commands that read it
     out = flag("--out", help="write output to a file instead of stdout")
     seed = flag("--seed", type=int, default=DEFAULT_SEED, help="seed for stochastic steps")
-    budget = flag("--budget", type=float, default=None, help="budget multiplier (overrides MRW_BUDGET)")
     as_csv = flag("--csv", action="store_true", help="emit a CSV table")
     rational = flag("--rational", action="store_true", help="emit exact rationals")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     rank_p.add_argument("--matrix", required=True)
     rank_p.set_defaults(func=cmd_rank)
 
-    mr_p = sub.add_parser("mr", parents=[out, budget, rational],
+    mr_p = sub.add_parser("mr", parents=[out, rational],
                           help="monotone-rank bracket of a matrix/tensor file")
+    mr_p.add_argument("--budget", type=float, default=None, help="budget multiplier (overrides MRW_BUDGET)")
     src = mr_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix")
     src.add_argument("--tensor")
