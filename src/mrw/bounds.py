@@ -7,9 +7,13 @@ decomposition yields r support-contained boxes covering the support).  The
 cover number itself is solved exactly when the support is small: a box
 system (the maximal boxes as bitmasks over the cells, with per-cell covering
 lists and a fixed pivot order) is built once per pattern, and one
-iterative-deepening search over it runs from the counting bound up to the
-greedy cover.  Past the cap we fall back to the certified counting bound
-ceil(|support| / max-box-size), never to a heuristic.
+iterative-deepening search over it runs from the best certified bound up to
+the greedy cover.  The certified bounds are the counting bound
+ceil(|support| / max-box-size) and, for matrices, the crown bound: an
+induced copy of the m x m off-diagonal pattern (the crown) needs kappa(m)
+boxes, the least k with C(k, floor(k/2)) >= m (de Caen, Gregory and Pullman
+1981, by Sperner's theorem).  Past the cap we fall back to these bounds,
+never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
 factorization, or a searched numeric factorization, each labeled with its
@@ -21,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
@@ -41,6 +45,7 @@ _BFS_BOX_CAP = 20_000
 _BFS_WORK_CAP = 500_000
 
 Box = tuple[tuple[int, ...], ...]
+Crown = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,10 @@ class BoxCoverResult:
     optimum with `boxes` an optimal cover.  Otherwise `boxes`, when not None,
     is a cover of `upper` boxes: the witness for the upper bound.  `nodes`
     counts the search nodes expanded over all deepening rounds (0 when no
-    search ran)."""
+    search ran).  `crown`, when not None, is an induced crown whose cover
+    number kappa(len(crown)) beat the counting bound (or 1 where that is not
+    computable): pairs (r_i, c_i) with a zero at (r_i, c_j) exactly when
+    i == j."""
 
     lower: int
     upper: int
@@ -96,6 +104,7 @@ class BoxCoverResult:
     boxes: tuple[Box, ...] | None
     note: str
     nodes: int = 0
+    crown: Crown | None = None
 
 
 def _line_groups(pattern: SupportPattern) -> tuple[bool, dict[int, list[int]]] | None:
@@ -151,11 +160,10 @@ def _maximal_boxes_2d(pattern: SupportPattern) -> list[Box] | None:
         return None
     transposed, groups = grouped
     inter, _ = _subset_dp(groups)
+    line_masks = sorted((line, mask) for mask, lines in groups.items() for line in lines)
     boxes: list[Box] = []
-    for colmask in sorted({mask for mask in inter[1:] if mask}):
-        rows = tuple(
-            sorted(i for mask, lines in groups.items() if mask & colmask == colmask for i in lines)
-        )
+    for colmask in {mask for mask in inter[1:] if mask}:
+        rows = tuple(line for line, mask in line_masks if mask & colmask == colmask)
         cols = tuple(i for i in range(colmask.bit_length()) if colmask >> i & 1)
         boxes.append((cols, rows) if transposed else (rows, cols))
     # distinct closures differ in their column set, so the boxes are distinct
@@ -236,6 +244,75 @@ def _counting_bound(cells: int, maxbox: int) -> int:
     return -(-cells // maxbox)
 
 
+def crown_cover_number(m: int) -> int:
+    """kappa(m), the box-cover number of the m x m off-diagonal pattern: the
+    least k with C(k, floor(k/2)) >= m.  Boxes A_t x B_t (t < k) cover it
+    only if the sets {t : i in A_t} form an antichain, so Sperner's theorem
+    bounds m; giving each row its own floor(k/2)-subset attains it."""
+    k = 0
+    while comb(k, k // 2) < m:
+        k += 1
+    return k
+
+
+def _row_zeros(pattern: SupportPattern) -> list[int]:
+    """Bitmasks of the zero cells of each row of a matrix pattern."""
+    nrows, ncols = pattern.dims
+    row_zeros = [(1 << ncols) - 1] * nrows
+    for i, j in pattern.cells:
+        row_zeros[i] ^= 1 << j
+    return row_zeros
+
+
+def _induced_crown(row_zeros: list[int], ncols: int) -> Crown:
+    """A greedy induced crown of a matrix pattern, given its row zero masks.
+
+    Takes the zero cells in order of (zeros in the row + zeros in the
+    column, row, column) and keeps a cell when no zero lies between it and
+    the cells kept so far, i.e. both cells of each crossing pair are in the
+    support (which also keeps the rows and columns distinct).
+    """
+    col_zeros = [0] * ncols
+    zeros = []  # row-major, so a stable sort by count keeps ties by (row, column)
+    for i, mask in enumerate(row_zeros):
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            col_zeros[j] |= 1 << i
+            zeros.append((i, j))
+            mask ^= low
+    row_count = [mask.bit_count() for mask in row_zeros]
+    col_count = [mask.bit_count() for mask in col_zeros]
+    zeros.sort(key=lambda cell: row_count[cell[0]] + col_count[cell[1]])
+    kept_rows = kept_cols = 0
+    crown = []
+    for i, j in zeros:
+        if not (row_zeros[i] & kept_cols or col_zeros[j] & kept_rows):
+            kept_rows |= 1 << i
+            kept_cols |= 1 << j
+            crown.append((i, j))
+    return tuple(sorted(crown))
+
+
+def _crown_above(pattern: SupportPattern, bound: int) -> Crown | None:
+    """The greedy induced crown of a matrix pattern if its cover number beats
+    `bound`; None otherwise and for tensors."""
+    if pattern.order != 2:
+        return None
+    # kappa(m) > bound exactly when m > C(bound, floor(bound / 2)) = most.  A
+    # crown of m rows has m(m - 1) support cells and m zeros, and each of its
+    # rows has a zero and m - 1 >= most nonzeros.
+    most = comb(bound, bound // 2)
+    nrows, ncols = pattern.dims
+    if min(nrows, ncols) <= most or pattern.size < most * (most + 1) or nrows * ncols - pattern.size <= most:
+        return None
+    row_zeros = _row_zeros(pattern)
+    if sum(0 < mask.bit_count() <= ncols - most for mask in row_zeros) <= most:
+        return None
+    crown = _induced_crown(row_zeros, ncols)
+    return crown if len(crown) > most else None
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -266,15 +343,17 @@ class _BoxSystem:
         self.boxes = boxes
         self.masks: list[int] = []
         self.covering: list[list[int]] = [[] for _ in cells]
+        covering = self.covering
         for bi, box in enumerate(boxes):
             mask = 0
             for cell in product(*box):
                 ci = cell_ix[cell]
                 mask |= 1 << ci
-                self.covering[ci].append(bi)
+                covering[ci].append(bi)
             self.masks.append(mask)
         self.full = (1 << len(cells)) - 1
-        self.pivot_order = sorted(range(len(cells)), key=lambda ci: (len(self.covering[ci]), ci))
+        # sorted() is stable, so equal counts stay in index order
+        self.pivot_order = sorted(range(len(cells)), key=lambda ci: len(covering[ci]))
         self.by_size = sorted(((mask.bit_count(), mask) for mask in self.masks), reverse=True)
         self.counting = _counting_bound(len(cells), self.by_size[0][0])
 
@@ -283,20 +362,22 @@ class _BoxSystem:
         masks, uncovered = self.masks, self.full
         picked: list[Box] = []
         while uncovered:
-            best = max(range(len(masks)), key=lambda i: (masks[i] & uncovered).bit_count())
-            if not masks[best] & uncovered:
+            gains = [(mask & uncovered).bit_count() for mask in masks]
+            best = gains.index(max(gains))  # the first of the largest
+            if not gains[best]:
                 raise ValidationError("boxes do not cover the support")
             picked.append(self.boxes[best])
             uncovered &= ~masks[best]
         return tuple(picked)
 
-    def deepen(self, upper: int, node_budget: int) -> tuple[int, tuple[Box, ...] | None, int]:
+    def deepen(self, start: int, upper: int, node_budget: int) -> tuple[int, tuple[Box, ...] | None, int]:
         """Iterative deepening for a cover of fewer than `upper` boxes.
 
-        Tries depths from the counting bound upwards with a depth-first search
-        that memoizes refuted uncovered sets, refutes an uncovered set U at
-        depth d when no box covers ceil(|U| / d) of its cells, and branches on
-        the first uncovered cell in pivot order.  Returns (depth, cover,
+        Tries depths from `start`, a certified lower bound no smaller than the
+        counting bound, upwards with a depth-first search that memoizes
+        refuted uncovered sets, refutes an uncovered set U at depth d when no
+        box covers ceil(|U| / d) of its cells, and branches on the first
+        uncovered cell in pivot order.  Returns (depth, cover,
         nodes): the first depth with a cover and that cover; `upper` and None
         when every smaller depth is refuted; or the depth being refuted and
         None when `node_budget` nodes were expanded first.
@@ -309,9 +390,11 @@ class _BoxSystem:
         visited one at a time, so the nodes, their order and the memo are the
         same on both paths.
         """
+        if start >= upper:
+            return start, None, 0
         masks, covering, pivot_order, by_size = self.masks, self.covering, self.pivot_order, self.by_size
         wide = [len(boxes) >= _BATCH_MIN_CHILDREN for boxes in covering]
-        if self.counting < upper and any(wide):
+        if any(wide):
             words = np.array(masks, dtype=np.uint64)
             cov_ix = [np.array(c, dtype=np.intp) for c in covering]
             cov_words = [words[c] for c in cov_ix]
@@ -342,7 +425,8 @@ class _BoxSystem:
                     else:
                         passes = [False] * len(cand)
             else:
-                cand = sorted(covering[pivot], key=lambda bi: (-(masks[bi] & uncovered).bit_count(), bi))
+                # covering lists ascend, so the stable sort breaks ties by box index
+                cand = sorted(covering[pivot], key=lambda bi: -(masks[bi] & uncovered).bit_count())
                 children = [uncovered & ~masks[bi] for bi in cand]
             for i, (bi, child) in enumerate(zip(cand, children)):
                 if child == 0:
@@ -362,7 +446,7 @@ class _BoxSystem:
                 memo[child] = d
             return False
 
-        depth = self.counting
+        depth = start
         try:
             while depth < upper:
                 # the root is never memoized and, as depth >= the counting
@@ -382,35 +466,30 @@ class _BoxSystem:
 def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUDGET) -> BoxCoverResult:
     """Bracket (and, if feasible, solve) the minimum box cover of a support.
 
-    Builds the pattern's box system once, takes its greedy cover as the upper
-    bound and runs the search from the counting bound up to it; `node_budget`
-    caps the nodes the search expands.  Patterns beyond EXACT_CELL_CAP cells,
-    or whose maximal boxes cannot be enumerated, fall back to the certified
-    counting lower bound (or 1) and the singleton upper bound.
+    Builds the pattern's box system once and takes its greedy cover as the
+    upper bound.  When the counting bound falls short of it, a greedy induced
+    crown may raise the lower bound; the search runs from the higher of the
+    two up to the greedy size, and `node_budget` caps the nodes it expands.
+    Patterns beyond EXACT_CELL_CAP cells, or whose maximal boxes cannot be
+    enumerated, fall back to the certified counting or crown lower bound (or
+    1) and the singleton upper bound.
     """
     n = pattern.size
     if n == 0:
         return BoxCoverResult(lower=0, upper=0, exact=True, boxes=(), note="empty support")
     if n > EXACT_CELL_CAP:
-        # certified counting bound only; no box materialization at this size
+        # certified bounds only; no box materialization at this size
         maxbox = _max_box_size_2d(pattern) if pattern.order == 2 else None
-        if maxbox is None:
-            return BoxCoverResult(
-                lower=1,
-                upper=n,
-                exact=False,
-                boxes=None,
-                note="max box size not computable; singleton cover upper bound",
-            )
-        counting = _counting_bound(n, maxbox)
-        return BoxCoverResult(
-            lower=counting,
-            upper=n,
-            exact=counting == n,
-            boxes=None,
-            note=f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; "
-            "counting lower bound",
-        )
+        lower = 1 if maxbox is None else _counting_bound(n, maxbox)
+        crown = _crown_above(pattern, lower)
+        if crown is not None:
+            lower = crown_cover_number(len(crown))
+            note = f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; crown lower bound"
+        elif maxbox is None:
+            note = "max box size not computable; singleton cover upper bound"
+        else:
+            note = f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; counting lower bound"
+        return BoxCoverResult(lower=lower, upper=n, exact=lower == n, boxes=None, note=note, crown=crown)
     cells = sorted(pattern.cells)
     boxes = enumerate_maximal_boxes(pattern)
     if boxes is None:
@@ -423,16 +502,30 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         )
     system = _BoxSystem(boxes, cells)
     greedy = system.greedy_cover()
-    depth, cover, nodes = system.deepen(len(greedy), node_budget)
+    # the crown is only worth finding when a search would run
+    crown = _crown_above(pattern, system.counting) if system.counting < len(greedy) else None
+    start = system.counting if crown is None else crown_cover_number(len(crown))
+    depth, cover, nodes = system.deepen(start, len(greedy), node_budget)
     if cover is not None:
         note = "optimal cover found"
     elif depth == len(greedy):
         cover = greedy
-        note = "counting matches greedy" if depth == system.counting else "greedy proven optimal"
+        if depth == system.counting:
+            note = "counting matches greedy"
+        elif depth == start:
+            note = "crown matches greedy"
+        else:
+            note = "greedy proven optimal"
     else:
         cover, note = greedy, f"node budget {node_budget} exhausted while refuting size {depth}"
     return BoxCoverResult(
-        lower=depth, upper=len(cover), exact=depth == len(cover), boxes=cover, note=note, nodes=nodes
+        lower=depth,
+        upper=len(cover),
+        exact=depth == len(cover),
+        boxes=cover,
+        note=note,
+        nodes=nodes,
+        crown=crown,
     )
 
 
@@ -443,7 +536,7 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
 @dataclass(frozen=True)
 class MrBoundReport:
     lower: int
-    lower_witness: str  # "rank" | "boxcover"
+    lower_witness: str  # "rank" | "boxcover" | "crown"
     upper: int
     upper_status: str  # "exact" | "heuristic-certified" | "trivial"
     cover: BoxCoverResult
@@ -480,7 +573,8 @@ def rank_lower_bound(m) -> int:
 def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     """Bracket the monotone rank of a nonnegative matrix or exact tensor.
 
-    lower = max(exact rank, certified box-cover lower bound); upper is the
+    lower = max(exact rank, certified box-cover lower bound), whose witness
+    is "crown" when the cover's lower bound is its crown's; upper is the
     best of the dimension bound, the singleton-support factorization, and (for
     matrices with a gap) a small seeded numeric search.  `budget_factor`
     scales both the cover search's node budget and the numeric search.
@@ -490,7 +584,8 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     rank_lb = rank_lower_bound(m) if pattern.cells else 0
     cover = box_cover_exact(pattern, node_budget=int(DEFAULT_NODE_BUDGET * budget_factor))
     if cover.lower >= rank_lb:
-        lower, witness = cover.lower, "boxcover"
+        crowned = cover.crown is not None and crown_cover_number(len(cover.crown)) == cover.lower
+        lower, witness = cover.lower, "crown" if crowned else "boxcover"
     else:
         lower, witness = rank_lb, "rank"
 

@@ -155,15 +155,6 @@ class HiddenVariableModel:
             out += float(w) * np.outer([float(p) for p in cx], [float(p) for p in cy])
         return out
 
-    def joint_exact(self) -> RatMatrix:
-        if not self.is_rational():
-            raise ValidationError("exact joint needs rational probabilities")
-        terms = tuple(
-            (tuple(w * px for px in cx), cy)
-            for w, cx, cy in zip(self.weights, self.cond_x, self.cond_y)
-        )
-        return NonnegFactorization(dims=self.shape, terms=terms).reconstruct_exact()
-
 
 def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
     """Three exact nonnegative factorizations of a rational matrix: row-based

@@ -268,18 +268,21 @@ def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Minimize max|b - a @ x| over x >= 0, jointly for all columns of b.
 
     One linear program with a shared epsilon variable: columns decouple, so
-    the shared optimum equals the worst columnwise optimum.  Returns the
+    the shared optimum equals the worst columnwise optimum.  It goes to HiGHS
+    through `milp` with no integer variables, which builds the same model as
+    `linprog(method="highs")` with less Python around the solve.  Returns the
     stacked solution (r x ncols), or None if the solver fails.
     """
-    from scipy.optimize import linprog
+    from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import coo_array
 
     m, r = a.shape
     ncols = b.shape[1]
     half = m * ncols
     # [[B, -1], [-B, -1]] with B = blockdiag(a, ..., a), one block per column,
-    # as triplets over the nonzeros of a; linprog turns them into the same
-    # int32 CSC matrix as a scipy.sparse block_diag/hstack/vstack assembly
+    # as triplets over the nonzeros of a, which the solver turns into the
+    # same int32 CSC matrix as a scipy.sparse block_diag/hstack/vstack
+    # assembly
     rows, terms = np.nonzero(a)
     vals = np.tile(a[rows, terms], ncols)
     block = np.arange(ncols)[:, None]
@@ -293,7 +296,8 @@ def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     b_ub = np.concatenate([rhs, -rhs])
     cost = np.zeros(r * ncols + 1)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    # milp's default bounds are x >= 0
+    res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub))
     if not res.success:
         return None
     return np.maximum(res.x[: r * ncols].reshape(ncols, r).T, 0.0)

@@ -94,10 +94,6 @@ class RatMatrix:
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)

@@ -74,6 +74,8 @@ def mr_report_to_obj(rep: MrBoundReport, rational: bool = False) -> dict:
             "note": rep.cover.note,
         },
     }
+    if rep.cover.crown is not None:
+        obj["cover"]["crown"] = [list(pair) for pair in rep.cover.crown]
     if rep.cover.boxes is not None and rep.cover.exact:
         obj["boxes"] = [[list(part) for part in box] for box in rep.cover.boxes]
     if rep.factorization is not None:

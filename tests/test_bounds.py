@@ -1,9 +1,11 @@
-"""Cover bounds: brute-force oracles on tiny patterns, counting fallback,
-soundness against random exact factorizations, divisibility predicates."""
+"""Cover bounds: brute-force oracles on tiny patterns, counting and crown
+fallbacks, soundness against random exact factorizations, divisibility
+predicates."""
 
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,11 @@ from mrw.bounds import (
     _max_box_size_2d,
     _maximal_boxes_2d,
     _maximal_boxes_bfs,
+    _crown_above,
+    _induced_crown,
+    _row_zeros,
     box_cover_exact,
+    crown_cover_number,
     div_tensor_mr_exact,
     enumerate_maximal_boxes,
     mr_bounds,
@@ -31,11 +37,16 @@ from mrw.ratlinalg import RatMatrix, rank_exact
 
 def brute_force_cover(pattern: SupportPattern, limit: int = 6) -> int:
     """Oracle: smallest support-contained box cover, by trying all
-    combinations of *all* support boxes (not just maximal ones)."""
+    combinations of the support boxes that no added index value keeps inside
+    the support (any cover grows into one of these boxes of the same size)."""
     cells = sorted(pattern.cells)
     if not cells:
         return 0
     mode_values = [sorted({c[m] for c in cells}) for m in range(pattern.order)]
+
+    def inside(parts) -> bool:
+        return all(c in pattern.cells for c in itertools.product(*parts))
+
     boxes = []
     for parts in itertools.product(
         *(
@@ -47,15 +58,33 @@ def brute_force_cover(pattern: SupportPattern, limit: int = 6) -> int:
             for vals in mode_values
         )
     ):
-        box_cells = set(itertools.product(*parts))
-        if box_cells <= pattern.cells:
-            boxes.append(box_cells)
+        if inside(parts) and not any(
+            inside(parts[:m] + ((v,),) + parts[m + 1 :])
+            for m, vals in enumerate(mode_values)
+            for v in vals
+            if v not in parts[m]
+        ):
+            boxes.append(set(itertools.product(*parts)))
     for k in range(1, limit + 1):
         for combo in itertools.combinations(boxes, k):
             union = set().union(*combo)
             if union >= pattern.cells:
                 return k
     raise AssertionError("oracle limit too small")
+
+
+def assert_induced_crown(pattern: SupportPattern, crown) -> None:
+    """Distinct rows and columns, with a zero at (r_i, c_j) exactly when
+    i == j."""
+    assert len({r for r, _ in crown}) == len({c for _, c in crown}) == len(crown)
+    for i, (r, _) in enumerate(crown):
+        for j, (_, c) in enumerate(crown):
+            assert ((r, c) in pattern.cells) == (i != j)
+
+
+# kappa(m) for the crowns below, from C(k, floor(k/2)) = 1, 1, 2, 3, 6, 10,
+# 20, 35, 70 at k = 0..8
+KAPPA = {1: 0, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4, 7: 5, 8: 5, 9: 5, 10: 5, 11: 6, 16: 6, 20: 6, 21: 7, 40: 8}
 
 
 def test_support_pattern_examples():
@@ -112,11 +141,35 @@ def test_cover_all_ones_and_diagonal():
 
 
 def test_cover_counting_fallback_certified():
-    res = box_cover_exact(support_pattern(edm(EdmSpec.integers(16))))
-    assert not res.exact
-    assert res.lower == 4  # ceil(240 / 64): largest crossing-free box is 8x8
+    # five disjoint 4x4 blocks of ones: 80 cells, past the cap; no box has
+    # more than 16 cells, and no induced crown more than 2 rows (kappa 2)
+    blocks = SupportPattern((20, 20), frozenset((i, j) for i in range(20) for j in range(20) if i // 4 == j // 4))
+    assert len(_induced_crown(_row_zeros(blocks), 20)) == 2
+    res = box_cover_exact(blocks)
+    assert not res.exact and res.crown is None
+    assert res.lower == 5 and res.note.endswith("counting lower bound")  # ceil(80 / 16)
+
+
+def test_cover_crown_fallback_certified():
+    # edm(16): the counting bound is ceil(240 / 64) = 4, the crown gives 6
+    pat = support_pattern(edm(EdmSpec.integers(16)))
+    res = box_cover_exact(pat)
+    assert not res.exact and res.lower == KAPPA[16] and res.note.endswith("crown lower bound")
+    assert len(res.crown) == 16
+    assert_induced_crown(pat, res.crown)
+    # edm(40): the maximum box size is not computable; it was lower 1
     big = box_cover_exact(support_pattern(edm(EdmSpec.integers(40))))
-    assert big.lower >= 1
+    assert big.lower == KAPPA[40] and len(big.crown) == 40
+
+
+def test_mr_lower_witness_names_the_crown_when_it_sets_the_bound():
+    # edm(4): rank 3, crown bound 4, met by the greedy cover without a search
+    rep = mr_bounds(edm(EdmSpec.integers(4)))
+    assert (rep.lower, rep.lower_witness, rep.cover.nodes) == (4, "crown", 0)
+    assert rep.cover.note == "crown matches greedy"
+    # a diagonal: the counting bound 3 already matches the greedy cover
+    diag = RatMatrix.from_rows([[int(i == j) for j in range(3)] for i in range(3)])
+    assert mr_bounds(diag).lower_witness == "boxcover"
 
 
 def test_maximal_box_enumeration_matches_definition():
@@ -291,23 +344,37 @@ def test_mr_bounds_heuristic_upper_closes_gap():
     assert rep.factorization is not None and rep.factorization.r == 2
 
 
+def near_crown_7() -> SupportPattern:
+    """crown(7) less cell (0, 1): its greedy crown has 6 rows, and kappa(6) = 4
+    is the counting bound, so the search starts where it did without the
+    crown bound."""
+    return SupportPattern((7, 7), frozenset((i, j) for i in range(7) for j in range(7) if i != j) - {(0, 1)})
+
+
 def test_cover_respects_node_budget():
-    pat = support_pattern(edm(EdmSpec.integers(8)))
+    pat = near_crown_7()
     res = box_cover_exact(pat, node_budget=50)
     assert isinstance(res, BoxCoverResult)
-    assert res.lower >= 4 and not res.exact
+    assert res.lower == 4 and not res.exact and res.crown is None
     full = box_cover_exact(pat)
     assert full.exact and full.lower == 5
-    assert res.lower <= full.lower
+    # edm(8): the crown bound 5 holds while its search runs out of nodes
+    crown = box_cover_exact(support_pattern(edm(EdmSpec.integers(8))), node_budget=5)
+    assert crown.lower == 5 and not crown.exact and crown.nodes == 5
 
 
 def test_cover_node_count_pins_search_path():
     # any change to the visited nodes or their order moves these numbers
-    pat = support_pattern(edm(EdmSpec.integers(8)))
-    assert box_cover_exact(pat).nodes == 35064
-    assert box_cover_exact(pat, node_budget=35064).exact
-    short = box_cover_exact(pat, node_budget=35063)
-    assert not short.exact and short.nodes == 35063
+    pat = near_crown_7()
+    assert crown_cover_number(len(_induced_crown(_row_zeros(pat), 7))) == 4
+    assert box_cover_exact(pat).nodes == 2571
+    assert box_cover_exact(pat, node_budget=2571).exact
+    short = box_cover_exact(pat, node_budget=2570)
+    assert not short.exact and short.nodes == 2570
+    # the crown bound starts edm(8) at 5, which the refutation of 4 took
+    # 35,064 nodes to reach
+    crown = box_cover_exact(support_pattern(edm(EdmSpec.integers(8))))
+    assert crown.exact and crown.nodes == 6 and crown.note == "optimal cover found"
     assert box_cover_exact(support_pattern(edm(EdmSpec.integers(3)))).nodes == 0
 
 
@@ -356,3 +423,41 @@ def test_batched_prune_matches_scalar_prune(monkeypatch):
             searched["batched" if widest >= mrw.bounds._BATCH_MIN_CHILDREN else "scalar"] += 1
     # under the default rule, searches run both ways
     assert searched["batched"] >= 5 and searched["scalar"] >= 3, searched
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_search_from_the_counting_bound_finds_kappa_on_crowns(m):
+    """The unseeded search, started from the counting bound, is the oracle
+    for the crown theorem."""
+    pat = support_pattern(edm(EdmSpec.integers(m)))
+    system = mrw.bounds._BoxSystem(enumerate_maximal_boxes(pat), sorted(pat.cells))
+    greedy = system.greedy_cover()
+    depth, cover, nodes = system.deepen(system.counting, len(greedy), 10**6)
+    assert nodes < 10**6 and (cover is not None or depth == len(greedy))
+    assert depth == KAPPA[m] == crown_cover_number(m)
+
+
+def test_crown_cover_number_values():
+    assert {m: crown_cover_number(m) for m in KAPPA} == KAPPA
+
+
+@st.composite
+def grid_patterns(draw):
+    """Matrix patterns up to 5x5, each cell drawn on its own."""
+    dims = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    grid = list(itertools.product(*map(range, dims)))
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    return SupportPattern(dims=dims, cells=frozenset(c for c, k in zip(grid, keep) if k))
+
+
+@given(grid_patterns())
+def test_induced_crown_is_a_certified_lower_bound(pattern):
+    crown = _induced_crown(_row_zeros(pattern), pattern.dims[1])
+    assert_induced_crown(pattern, crown)
+    best = brute_force_cover(pattern)
+    assert crown_cover_number(len(crown)) <= best
+    assert box_cover_exact(pattern).lower == best
+    # the checks that skip the finder never drop a crown that beats the bound
+    for bound in range(5):
+        beats = len(crown) > comb(bound, bound // 2)
+        assert _crown_above(pattern, bound) == (crown if beats else None)

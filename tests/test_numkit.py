@@ -288,6 +288,21 @@ def test_chebyshev_refit_matches_sparse_block_assembly(seed):
     assert np.array_equal(_chebyshev_refit(h.T, b.T), sparse_block_refit(h.T, b.T))
 
 
+@pytest.mark.parametrize(
+    "m, r, ncols, exact",
+    [(6, 1, 5, False), (8, 6, 8, False), (8, 6, 8, True), (64, 63, 64, False)],
+)
+def test_chebyshev_refit_matches_linprog(m, r, ncols, exact):
+    """The refit goes through `milp`; a `linprog(method="highs")` solve of the
+    same LP gives the same floats, also where b lies in the cone of a and the
+    optimal error is 0."""
+    rng = np.random.default_rng(m * 100 + r)
+    a = rng.random((m, r))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    b = a @ rng.random((r, ncols)) if exact else rng.random((m, ncols))
+    assert np.array_equal(_chebyshev_refit(a, b), sparse_block_refit(a, b))
+
+
 def test_verify_exact_factorization_of_swap():
     swap = RatMatrix.from_rows([[0, 1], [1, 0]])
     fact = NonnegFactorization(

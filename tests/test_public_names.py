@@ -1,4 +1,5 @@
-"""Every public name of the package is used by the package itself."""
+"""Every public name, module-level definition and method of the package is
+used by the package itself."""
 
 import ast
 import pathlib
@@ -30,6 +31,38 @@ def referenced_names() -> set[str]:
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+# definitions no module of the package references, each kept on purpose: the
+# public names above, and the embedding of the crown into an ABP level
+# flattening that the crown lower bound on those flattenings needs
+ALLOWED_UNREFERENCED_DEFINITIONS = ALLOWED_UNREFERENCED | {"spaced_block_column_indices"}
+
+
+def definitions() -> set[str]:
+    """The functions and classes defined at the top of each package module
+    outside `__init__`, and the methods of those classes other than dunders."""
+    names = set()
+    for path in pathlib.Path(mrw.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    sub.name
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
+                )
+    return names
+
+
+def test_every_definition_and_method_is_referenced_in_the_package():
+    unreferenced = definitions() - referenced_names()
+    dead = sorted(unreferenced - ALLOWED_UNREFERENCED_DEFINITIONS)
+    assert not dead, f"definitions nothing in src/mrw uses: {dead}"
+    assert unreferenced == ALLOWED_UNREFERENCED_DEFINITIONS
 
 
 def test_every_public_name_is_referenced_in_the_package():
