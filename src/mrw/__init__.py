@@ -43,7 +43,6 @@ from .constructions import (
     outcome_distribution,
     pack_index,
     quantum_distribution,
-    spaced_distance_block,
     unpack_index,
 )
 from .numkit import (

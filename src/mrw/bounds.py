@@ -26,12 +26,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
+from typing import Sequence
 
 import numpy as np
 
+from .constructions import divisibility_tensor
 from .dtensor import DenseTensor
 from .errors import ValidationError
-from .ratlinalg import RatMatrix, rank_exact
+from .ratlinalg import RatMatrix, rank_exact, submatrix
 
 DEFAULT_NODE_BUDGET = 50_000
 EXACT_CELL_CAP = 64
@@ -253,6 +255,18 @@ def crown_cover_number(m: int) -> int:
     while comb(k, k // 2) < m:
         k += 1
     return k
+
+
+def crown_lower_bound(m: RatMatrix, rows: Sequence[int], cols: Sequence[int]) -> int:
+    """kappa(len(rows)), certified by a crown embedded in m: the restriction
+    of m to `rows` x `cols` (in order) must be square and zero exactly on its
+    diagonal, which is checked here.  Cover number cannot grow under
+    restriction, so kappa bounds m's cover number and monotone rank."""
+    block = submatrix(m, rows, cols)
+    zeros = [k for k, e in enumerate(block.entries) if e == 0]
+    if block.rows != block.cols or zeros != list(range(0, block.rows**2, block.rows + 1)):
+        raise ValidationError("the given rows and columns do not embed a crown")
+    return crown_cover_number(block.rows)
 
 
 def _row_zeros(pattern: SupportPattern) -> list[int]:
@@ -645,8 +659,6 @@ def div_tensor_mr_exact(spec) -> int:
     the base, so both cannot be divisible: every box is a singleton, the cover
     number equals the support size, and the singleton factorization matches it.
     """
-    from .constructions import divisibility_tensor
-
     tensor = divisibility_tensor(spec)
     pattern = support_pattern(tensor)
     expected = spec.base ** (spec.order - 1)

@@ -42,6 +42,7 @@ from .models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
 )
@@ -182,8 +183,6 @@ def cmd_quantum(args) -> int:
         "charPoly": [str(c) for c in corr.c_matrix.char_poly().coeffs],
     }
     if args.simulate:
-        from .models import exact_unit_factorizations
-
         model = hv_model_from_factorization(corr.p_matrix, exact_unit_factorizations(corr.p_matrix)[0])
         rep = hv_sample(model, args.simulate, seed=args.seed)
         obj["simulation"] = {

@@ -166,26 +166,13 @@ def offset_square_matrix(spec: FunctionFSpec) -> RatMatrix:
     return hadamard(base, base)
 
 
-def spaced_distance_block(spec: FunctionFSpec, k: int) -> RatMatrix:
-    """The n^(d/2-k) square block hiding inside the level-(d/2-k) flattening.
-
-    Entry (i, j) is ((j - i) * n^k)^2, i.e. the squared-difference matrix over
-    the arithmetic progression 0, n^k, 2n^k, ...  For k = 0 this is the whole
-    middle flattening; for k = d/2 it degenerates to the 1x1 zero matrix.
-    """
-    if not (0 <= k <= spec.half):
-        raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")
-    m = spec.n ** (spec.half - k)
-    step = spec.n ** k
-    return RatMatrix(m, m, [Fraction(((j - i) * step) ** 2) for i in range(m) for j in range(m)])
-
-
 def spaced_block_column_indices(spec: FunctionFSpec, k: int) -> list[int]:
-    """Column indices inside flattening(spec, d/2-k) that realize the block.
+    """Indices of the crown inside the level-(d/2 -+ k) flattenings.
 
-    The block's row p is the p-th (d/2-k)-tuple; its matching column is the
-    (d/2+k)-tuple (1,)*k + p-th tuple + (1,)*k, returned as 0-based lex ranks;
-    for k = 0 that is every column in order.
+    The p-th (d/2-k)-tuple padded as (1,)*k + tuple + (1,)*k, as 0-based lex
+    ranks.  As columns of flattening(spec, d/2-k), against every row, they
+    give the squared-difference matrix over 0, n^k, 2n^k, ...; as rows of
+    flattening(spec, d/2+k), against every column, the one over 0, 1, 2, ...
     """
     if not (0 <= k <= spec.half):
         raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")

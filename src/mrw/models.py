@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import box_cover_exact, support_pattern
+from .bounds import crown_lower_bound, div_tensor_mr_exact, rank_lower_bound
 from .constructions import (
     DivTensorSpec,
     EdmSpec,
@@ -25,7 +25,7 @@ from .constructions import (
     divisibility_tensor,
     flattening,
     offset_square_matrix,
-    spaced_distance_block,
+    spaced_block_column_indices,
 )
 from .errors import CapacityError, DimensionError, ValidationError
 from .numkit import DEFAULT_SEED, NonnegFactorization, verify_nonneg_factorization
@@ -63,27 +63,24 @@ class AbpProfile:
 def abp_profile(n: int, d: int) -> AbpProfile:
     """Exact level ranks plus certified per-level monotone lower bounds.
 
-    The monotone bound for level j is the box-cover lower bound of
-    spaced_distance_block(spec, d/2 - min(j, d-j)), the square distance block
-    of size n^min(j, d-j) sitting inside that level's flattening (full
-    off-diagonal support); ranks are exact over the rationals.  Levels
-    mirrored around d/2 share their block, so the bound is computed once per
-    block.
+    Level j's flattening holds a full crown of size n^min(j, d-j): the
+    spaced_block_column_indices are its columns at levels j <= d/2 and its
+    rows above, against every index on the other side.  crown_lower_bound
+    checks it on the flattening and returns kappa, the crown's exact cover
+    number.  Ranks are exact over the rationals; one flattening is held at a
+    time.
     """
     spec = FunctionFSpec(n, d)
     if spec.total_size > CAPACITY_LIMIT:
         raise CapacityError(f"n^d = {spec.total_size} exceeds capacity")
-    ranks = [rank_exact(flattening(spec, k)) for k in range(d + 1)]
-
-    block_bound: dict[int, tuple[int, bool]] = {}
     levels = []
     for j in range(d + 1):
-        k = spec.half - min(j, d - j)
-        if k not in block_bound:
-            res = box_cover_exact(support_pattern(spaced_distance_block(spec, k)))
-            block_bound[k] = (res.lower, res.exact)
-        lb, certified = block_bound[k]
-        levels.append(AbpLevel(level=j, rank=ranks[j], mr_lower=lb, mr_lower_certified=certified))
+        flat = flattening(spec, j)
+        crown = spaced_block_column_indices(spec, spec.half - min(j, d - j))
+        rows, cols = (range(flat.rows), crown) if j <= spec.half else (crown, range(flat.cols))
+        bound = crown_lower_bound(flat, rows, cols)
+        levels.append(AbpLevel(level=j, rank=rank_exact(flat), mr_lower=bound, mr_lower_certified=True))
+    ranks = [lv.rank for lv in levels]
 
     half = d // 2
     rank_cap_ok = all(
@@ -423,8 +420,6 @@ def comm_report(nbits: int, d: int, cross_check: bool | None = None) -> CommBoun
     if cross_check:
         if not small:
             raise CapacityError("cross-check needs base^order within capacity")
-        from .bounds import div_tensor_mr_exact, rank_lower_bound
-
         spec = DivTensorSpec(n_big, d)
         tensor = divisibility_tensor(spec)
         report["mr_cross_check"] = div_tensor_mr_exact(spec)

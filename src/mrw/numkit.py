@@ -199,7 +199,7 @@ class NonnegFactorization:
         return _rank1_sum(self.dims, self.terms)
 
     def reconstruct_exact(self):
-        """Exact reconstruction; RatMatrix for order 2, DenseTensor otherwise."""
+        """Exact reconstruction as a DenseTensor of Fractions, for every order."""
         if not self.is_rational():
             raise ValidationError("exact reconstruction needs rational factors")
         strides = [math.prod(self.dims[m + 1 :]) for m in range(self.order)]
@@ -214,8 +214,6 @@ class NonnegFactorization:
             for cell in product(*support):
                 offsets, factors = zip(*cell)
                 flat[sum(offsets)] += reduce(mul, factors)
-        if self.order == 2:
-            return RatMatrix(self.dims[0], self.dims[1], flat)
         return DenseTensor(self.dims, flat)
 
 
@@ -423,12 +421,11 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> Facto
         isinstance(target, DenseTensor) and target.is_exact()
     )
     if exact_target and fact.is_rational():
+        flat = target.entries if isinstance(target, RatMatrix) else target.values
         rec = fact.reconstruct_exact()
-        if isinstance(target, RatMatrix):
-            diffs = [abs(a - b) for a, b in zip(rec.entries, target.entries)]
-        else:
-            diffs = [abs(Fraction(a) - Fraction(b)) for a, b in zip(rec.values, target.values)]
-        err: float | Fraction = max(diffs, default=Fraction(0))
+        err: float | Fraction = max(
+            (abs(a - b) for a, b in zip(rec.values, flat)), default=Fraction(0)
+        )
         within = err <= tol
     else:
         rec_f = fact.reconstruct_float()

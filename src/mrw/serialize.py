@@ -28,15 +28,11 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _entry_str(value: Fraction) -> str:
-    return str(value)
-
-
 def matrix_to_obj(m: RatMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [_entry_str(e) for e in m.entries],
+        "entries": [str(e) for e in m.entries],
     }
 
 

@@ -22,6 +22,7 @@ from mrw.bounds import (
     _row_zeros,
     box_cover_exact,
     crown_cover_number,
+    crown_lower_bound,
     div_tensor_mr_exact,
     enumerate_maximal_boxes,
     mr_bounds,
@@ -281,7 +282,7 @@ def test_lower_bound_soundness_against_random_factorizations():
         rows, cols = rng.randint(2, 4), rng.randint(2, 4)
         r = rng.randint(1, 4)
         fact = random_exact_factorization(rng, rows, cols, r)
-        m = fact.reconstruct_exact()
+        m = RatMatrix(*fact.dims, fact.reconstruct_exact().values)
         assert verify_nonneg_factorization(m, fact, tol=0).passed
         res = box_cover_exact(support_pattern(m))
         assert r >= res.lower
@@ -439,6 +440,18 @@ def test_search_from_the_counting_bound_finds_kappa_on_crowns(m):
 
 def test_crown_cover_number_values():
     assert {m: crown_cover_number(m) for m in KAPPA} == KAPPA
+
+
+def test_crown_lower_bound_checks_the_embedding():
+    host = edm(EdmSpec.integers(5))
+    assert crown_lower_bound(host, [0, 2, 4], [0, 2, 4]) == KAPPA[3]
+    assert crown_lower_bound(host, range(5), range(5)) == KAPPA[5]
+    # a zero off the diagonal, a nonzero on it, a non-square restriction
+    for rows, cols in [([0, 1, 2], [1, 0, 2]), ([0, 1], [1, 2]), ([0, 1], [0, 1, 2])]:
+        with pytest.raises(ValidationError):
+            crown_lower_bound(host, rows, cols)
+    with pytest.raises(ValidationError):
+        crown_lower_bound(RatMatrix.from_rows([[0, 0], [1, 0]]), [0, 1], [0, 1])
 
 
 @st.composite

@@ -22,7 +22,6 @@ from mrw.constructions import (
     outcome_distribution,
     pack_index,
     spaced_block_column_indices,
-    spaced_distance_block,
     unpack_index,
 )
 from mrw.errors import CapacityError, ValidationError
@@ -115,28 +114,33 @@ def test_offset_matrices_worked_values():
 
 
 def test_spaced_block_is_distance_matrix_over_progression():
-    for n, d, k in [(2, 4, 1), (3, 4, 1), (2, 6, 2)]:
+    # levels j <= d/2: every row, the embedded columns
+    for n, d, k in [(2, 4, 1), (3, 4, 1), (2, 6, 2), (2, 4, 0)]:
         spec = FunctionFSpec(n, d)
-        m = n ** (d // 2 - k)
-        step = n**k
-        assert spaced_distance_block(spec, k) == edm(EdmSpec([i * step for i in range(m)]))
+        host = flattening(spec, d // 2 - k)
+        block = submatrix(host, range(host.rows), spaced_block_column_indices(spec, k))
+        assert block == edm(EdmSpec([i * n**k for i in range(n ** (d // 2 - k))]))
 
 
 def test_spaced_block_values_and_submatrix():
     spec = FunctionFSpec(2, 4)
-    assert spaced_distance_block(spec, 1) == RatMatrix.from_rows([[0, 4], [4, 0]])
-    assert spaced_distance_block(spec, 2).shape == (1, 1)
-    assert spaced_distance_block(spec, 2)[0, 0] == 0
+    assert spaced_block_column_indices(spec, 0) == [0, 1, 2, 3]
+    assert spaced_block_column_indices(spec, 1) == [0, 2]
+    assert spaced_block_column_indices(spec, 2) == [0]
     for n, d in [(2, 4), (3, 4), (2, 6)]:
         s = FunctionFSpec(n, d)
         for k in range(d // 2 + 1):
-            block = spaced_distance_block(s, k)
-            host = flattening(s, d // 2 - k)
-            cols = spaced_block_column_indices(s, k)
-            assert submatrix(host, list(range(host.rows)), cols) == block
+            block = edm(EdmSpec([i * n**k for i in range(n ** (d // 2 - k))]))
+            idx = spaced_block_column_indices(s, k)
+            low, high = flattening(s, d // 2 - k), flattening(s, d // 2 + k)
+            # level d/2 - k: the embedded columns against every row; level
+            # d/2 + k: the embedded rows against every column, where the
+            # block appears without the stride
+            assert submatrix(low, range(low.rows), idx) == block
+            assert submatrix(high, idx, range(high.cols)) == edm(EdmSpec(range(len(idx))))
             # exhaustive check: each block column really occurs among host columns
-            for bj, cj in enumerate(cols):
-                column = [host[i, cj] for i in range(host.rows)]
+            for bj, cj in enumerate(idx):
+                column = [low[i, cj] for i in range(low.rows)]
                 assert column == [block[i, bj] for i in range(block.rows)]
 
 

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrw.bounds import box_cover_exact, support_pattern
+from mrw.bounds import box_cover_exact, crown_cover_number, support_pattern
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
     EdmSpec,
+    FunctionFSpec,
     build_correlation,
     divisibility_tensor,
     edm,
+    flattening,
     outcome_distribution,
     quantum_distribution,
+    spaced_block_column_indices,
 )
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
@@ -37,7 +40,7 @@ from mrw.models import (
     hv_sample,
 )
 from mrw.numkit import NonnegFactorization, nmf_search
-from mrw.ratlinalg import RatMatrix, rank_exact
+from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +66,27 @@ def test_profile_rank_caps_small_sweep():
 
 
 def test_profile_level_bound_matches_block_cover():
-    p = abp_profile(3, 4)
-    from mrw.constructions import EdmSpec, edm
-
-    block = edm(EdmSpec([0, 3, 6]))  # level 1 block: stride n, size n
-    assert p.levels[1].mr_lower == box_cover_exact(support_pattern(block)).lower
+    # the exhaustive cover search on each level's embedded crown is the
+    # independent oracle for kappa; past 8 rows only kappa itself is pinned
+    for n, d in [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (4, 2), (4, 4), (5, 4), (2, 8)]:
+        spec = FunctionFSpec(n, d)
+        p = abp_profile(n, d)
+        assert all(lv.mr_lower_certified for lv in p.levels)
+        for lv in p.levels:
+            j = lv.level
+            idx = spaced_block_column_indices(spec, d // 2 - min(j, d - j))
+            if len(idx) > 8:
+                assert lv.mr_lower == crown_cover_number(len(idx))
+                continue
+            host = flattening(spec, j)
+            if j <= d // 2:
+                block = submatrix(host, range(host.rows), idx)
+            else:
+                block = submatrix(host, idx, range(host.cols))
+            assert lv.mr_lower == box_cover_exact(support_pattern(block)).lower, (n, d, j)
+    p = abp_profile(4, 6)
+    assert [lv.mr_lower for lv in p.levels] == [0, 4, 6, 8, 6, 4, 0]
+    assert all(lv.mr_lower_certified for lv in p.levels)
 
 
 def test_profile_rejects_odd_degree_and_overflow():
@@ -195,7 +214,7 @@ def test_hv_sample_statistics_and_determinism():
 def test_folding_witness_reconstructs_edm_exactly(values):
     spec = EdmSpec(values)
     fact = edm_folding_factorization(spec)
-    assert fact.reconstruct_exact() == edm(spec)
+    assert fact.reconstruct_exact().values == edm(spec).entries
     assert not fact.has_negative_entry()
     assert fact.r <= 2 * (spec.n - 1)
 
@@ -205,7 +224,7 @@ def test_folding_witness_on_integers_is_logarithmic():
         spec = EdmSpec.integers(n)
         fact = edm_folding_factorization(spec)
         assert fact.r == 2 * math.ceil(math.log2(n)), n
-        assert fact.reconstruct_exact() == edm(spec), n
+        assert fact.reconstruct_exact().values == edm(spec).entries, n
 
 
 @pytest.mark.parametrize("base", [2, 3, 4])
@@ -213,9 +232,7 @@ def test_folding_witness_on_integers_is_logarithmic():
 def test_divisibility_witness_reconstructs_tensor_exactly(base, order):
     spec = DivTensorSpec(base, order)
     witness = divisibility_rank_witness(spec)
-    rec = witness.reconstruct_exact()
-    flat = rec.entries if order == 2 else rec.values
-    assert list(flat) == list(divisibility_tensor(spec).values)
+    assert witness.reconstruct_exact() == divisibility_tensor(spec)
     assert witness.r == order * (base - 1) + 1 <= base * order
 
 

@@ -381,9 +381,7 @@ def test_reconstruct_exact_matches_outer_product_sum(fact):
     oracle = np.full(fact.dims, Fraction(0), dtype=object)
     for term in fact.terms:
         oracle = oracle + reduce(np.multiply.outer, [np.array(v, dtype=object) for v in term])
-    rec = fact.reconstruct_exact()
-    values = rec.entries if isinstance(rec, RatMatrix) else rec.values
-    assert list(values) == list(oracle.ravel())
+    assert list(fact.reconstruct_exact().values) == list(oracle.ravel())
 
 
 def test_cp_als_rank_one_exact():

@@ -13,8 +13,6 @@ ALLOWED_UNREFERENCED = {
     "cp_als",
     # an exact kernel the benchmark measures (exact-pipeline)
     "det_exact",
-    # the crown-embedding restriction the certified crown lower bound needs
-    "submatrix",
 }
 
 
@@ -31,12 +29,6 @@ def referenced_names() -> set[str]:
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
-
-
-# definitions no module of the package references, each kept on purpose: the
-# public names above, and the embedding of the crown into an ABP level
-# flattening that the crown lower bound on those flattenings needs
-ALLOWED_UNREFERENCED_DEFINITIONS = ALLOWED_UNREFERENCED | {"spaced_block_column_indices"}
 
 
 def definitions() -> set[str]:
@@ -60,9 +52,9 @@ def definitions() -> set[str]:
 
 def test_every_definition_and_method_is_referenced_in_the_package():
     unreferenced = definitions() - referenced_names()
-    dead = sorted(unreferenced - ALLOWED_UNREFERENCED_DEFINITIONS)
+    dead = sorted(unreferenced - ALLOWED_UNREFERENCED)
     assert not dead, f"definitions nothing in src/mrw uses: {dead}"
-    assert unreferenced == ALLOWED_UNREFERENCED_DEFINITIONS
+    assert unreferenced == ALLOWED_UNREFERENCED
 
 
 def test_every_public_name_is_referenced_in_the_package():
