@@ -10,6 +10,7 @@ communication complexity plus the multiparty separation report.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -310,29 +311,46 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
 # deterministic two-party communication
 # ---------------------------------------------------------------------------
 
+def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """The distinct columns, sorted, of the 0/1 matrix whose row i has entry
+    (i, j) as bit j of rows[i]; column j has it as bit i.  These are the
+    distinct rows of the transpose, encoded the same way."""
+    return tuple(sorted({sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)}))
+
+
+@functools.cache
+def _bipartitions(k: int) -> tuple[tuple[tuple[bool, ...], tuple[bool, ...]], ...]:
+    # (left, right) selectors over the last k - 1 of k items, one pair per
+    # bipartition with the first item pinned left, in the order of the masks
+    # 0 .. 2^(k-1) - 2 (bit i of the mask puts item i + 1 left)
+    return tuple(
+        (tuple(bool(mask >> i & 1) for i in range(k - 1)), tuple(not mask >> i & 1 for i in range(k - 1)))
+        for mask in range(2 ** (k - 1) - 1)
+    )
+
+
 @functools.cache
 def _dcc_solve(rows: tuple[int, ...], ncols: int) -> int:
     # Depth is invariant under duplicated rows or columns and under
     # transposition.  A state with unsorted or repeated rows, or repeated
     # columns, hands off to its transpose with sorted distinct columns; in at
     # most two hand-offs it has neither, and a constant matrix becomes 1x1.
-    cols = tuple(sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols))
-    distinct_cols = tuple(sorted(set(cols)))
-    if len(distinct_cols) < ncols or rows != tuple(sorted(set(rows))):
-        return _dcc_solve(distinct_cols, len(rows))
+    cols = distinct_columns(rows, ncols)
+    if len(cols) < ncols or rows != tuple(sorted(set(rows))):
+        return _dcc_solve(cols, len(rows))
     if len(rows) == 1 and ncols == 1:
         return 0
     best = math.inf
     # the row party's move on M, then the column party's as a row move on M^T:
     # bipartition the items, the first pinned left; skip the right half once
     # the left alone cannot beat the best move so far
-    for items, width in ((rows, ncols), (distinct_cols, len(rows))):
-        rest = items[1:]
-        for assign in range(2 ** len(rest) - 1):
-            left = _dcc_solve((items[0],) + tuple(x for i, x in enumerate(rest) if assign >> i & 1), width)
+    for items, width in ((rows, ncols), (cols, len(rows))):
+        first, rest = items[0], items[1:]
+        for left_sel, right_sel in _bipartitions(len(items)):
+            left = _dcc_solve((first, *itertools.compress(rest, left_sel)), width)
             if 1 + left >= best:
                 continue
-            right = _dcc_solve(tuple(x for i, x in enumerate(rest) if not assign >> i & 1), width)
+            right = _dcc_solve(tuple(itertools.compress(rest, right_sel)), width)
             best = min(best, 1 + max(left, right))
     return best
 
@@ -344,10 +362,12 @@ def dcc_exact_2party(m) -> int:
     input set; leaves must be constant submatrices; the value is the minimax
     depth.  Exhaustive over bipartitions of the rows and of the columns, with
     a process-wide memo over states reduced to distinct rows and distinct
-    columns (a column move is a row move on the transpose).  The 16x16 cap
-    bounds the shape, not the time or the memo: three random n x n inputs
-    take about 0.5 s at n = 7, 12 s at n = 8 and 68 s (147 MB peak) at n = 9
-    on one core of a 2-vCPU host.
+    columns (a column move is a row move on the transpose).  The cost follows
+    the number of distinct rows plus distinct columns, so that sum is capped
+    at 16 as well as the shape at 16x16.  At the cap the slowest of 35
+    probes, a random 8x8 input, took 4.9 s and 50 MB peak with a cold memo
+    on one core of a shared 2-vCPU host; past it, the 16 distinct 4-bit rows
+    (sum 20) took 33 s and 97 MB.
     """
     if isinstance(m, RatMatrix):
         grid = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
@@ -367,6 +387,11 @@ def dcc_exact_2party(m) -> int:
                 raise ValidationError("protocol search needs a 0/1 matrix")
             bits |= int(v) << j
         rows.append(bits)
+    distinct = len(set(rows)) + len(distinct_columns(tuple(rows), ncols))
+    if distinct > 16:
+        raise CapacityError(
+            f"exact protocol search is capped at 16 distinct rows plus distinct columns, got {distinct}"
+        )
     return _dcc_solve(tuple(rows), ncols)
 
 

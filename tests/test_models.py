@@ -353,6 +353,20 @@ def test_depth_input_validation():
         dcc_exact_2party([[0] * 17])
 
 
+def mask_grid(masks, ncols: int) -> list[list[int]]:
+    return [[(m >> j) & 1 for j in range(ncols)] for m in masks]
+
+
+def test_depth_capped_by_distinct_rows_plus_columns():
+    # every 4-bit row: 16 distinct rows and 4 distinct columns, over the cap
+    with pytest.raises(CapacityError, match="got 20"):
+        dcc_exact_2party(mask_grid(range(16), 4))
+    # 9 distinct rows and 4 distinct columns solve; so does a 16x16 input
+    # whose 2 distinct rows leave 2 distinct columns
+    assert dcc_exact_2party(mask_grid(range(9), 4)) == 3
+    assert dcc_exact_2party(mask_grid([0x00FF, 0xFF00] * 8, 16)) == 2
+
+
 # ---------------------------------------------------------------------------
 # separation reports
 # ---------------------------------------------------------------------------
