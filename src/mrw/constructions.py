@@ -62,10 +62,15 @@ def edm(spec: EdmSpec) -> RatMatrix:
     """Matrix of squared differences M[i][j] = (a_j - a_i)^2.
 
     Symmetric, zero diagonal, positive off-diagonal; rank is 3 for n >= 3
-    because every column lies in the span of (a_i^2), (a_i), (1).
+    because every column lies in the span of (a_i^2), (a_i), (1).  Each
+    square is computed once, above the diagonal, and mirrored.
     """
     a = spec.values
-    return RatMatrix(spec.n, spec.n, [(y - x) ** 2 for x in a for y in a])
+    rows = [[0] * spec.n for _ in a]
+    for i, x in enumerate(a):
+        for j in range(i + 1, spec.n):
+            rows[i][j] = rows[j][i] = (a[j] - x) ** 2
+    return RatMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +145,8 @@ def flattening(spec: FunctionFSpec, k: int) -> RatMatrix:
         raise ValidationError(f"split position k={k} outside [0..{spec.d}]")
     if spec.total_size > CAPACITY_LIMIT:
         raise CapacityError(f"n^d = {spec.total_size} exceeds the {CAPACITY_LIMIT} guard")
-    h = spec.half_size
-    entries = [Fraction((i // h - i % h) ** 2) for i in range(spec.total_size)]
+    h = range(spec.half_size)
+    entries = [(a - b) ** 2 for a in h for b in h]
     return RatMatrix(spec.n ** k, spec.n ** (spec.d - k), entries)
 
 
@@ -235,6 +240,7 @@ class CorrelationSpec:
 
     size: int
     values: tuple[Fraction, ...] = field(default=())
+    scale_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __init__(self, size: int, values: Sequence[RationalLike] | None = None):
         if size < 2 or size & (size - 1) != 0:
@@ -247,22 +253,14 @@ class CorrelationSpec:
             raise ValidationError(f"need exactly {size} generator values, got {len(vals)}")
         if len(set(vals)) != len(vals):
             raise ValidationError("generator values must be pairwise distinct")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "values", vals)
-
-    def pair_square_sum(self) -> Fraction:
-        vals = self.values
-        return sum(
-            ((vals[y] - vals[x]) ** 2 for x in range(self.size) for y in range(x + 1, self.size)),
+        pair_square_sum = sum(
+            ((vals[y] - vals[x]) ** 2 for x in range(size) for y in range(x + 1, size)),
             Fraction(0),
         )
-
-    @property
-    def scale_sq(self) -> Fraction:
-        total = self.pair_square_sum()
-        if total == 0:
-            raise ValidationError("degenerate generator values")
-        return Fraction(1, 2) / total
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "values", vals)
+        # positive: the values are pairwise distinct
+        object.__setattr__(self, "scale_sq", Fraction(1, 2) / pair_square_sum)
 
 
 @dataclass(frozen=True)
@@ -335,7 +333,11 @@ def difference_matrix(spec: CorrelationSpec) -> ScaledAntisymmetric:
 
 def outcome_distribution(spec: CorrelationSpec) -> RatMatrix:
     """P = C o C exactly: nonnegative, symmetric, zero diagonal, sums to 1."""
-    p = difference_matrix(spec).hadamard_square()
+    return _normalized_square(difference_matrix(spec))
+
+
+def _normalized_square(c: ScaledAntisymmetric) -> RatMatrix:
+    p = c.hadamard_square()
     if p.entry_sum() != 1:
         raise ValidationError("normalization violated: outcome matrix must sum to 1")
     return p
@@ -361,7 +363,7 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     from .numkit import antisym_spectral
 
     cmat = difference_matrix(spec)
-    p = outcome_distribution(spec)
+    p = _normalized_square(cmat)
     pair = antisym_spectral(cmat)
     u0, u1 = pair.u0, pair.u1
     v0 = np.conj(u0)

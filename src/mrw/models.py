@@ -113,9 +113,9 @@ class HiddenVariableModel:
     """Shared value Z with conditionally independent sides.
 
     weights[z] is Prob{Z = z}; cond_x[z] / cond_y[z] are the conditional
-    distributions of the two outputs.  Entries are exact Fractions or floats;
-    distribution constraints are checked exactly in the rational case and to
-    1e-12 otherwise.
+    distributions of the two outputs.  Entries are exact (int or Fraction) or
+    floats; distribution constraints are checked exactly in the rational case
+    and to 1e-12 otherwise.
     """
 
     weights: tuple
@@ -129,7 +129,7 @@ class HiddenVariableModel:
             if any(p < 0 for p in dist):
                 raise ValidationError("probabilities must be nonnegative")
             total = sum(dist)
-            if isinstance(total, Fraction):
+            if isinstance(total, (int, Fraction)):
                 if total != 1:
                     raise ValidationError("distribution must sum to 1 exactly")
             elif abs(total - 1.0) > 1e-12:
@@ -157,11 +157,13 @@ class HiddenVariableModel:
 def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
     """Three exact nonnegative factorizations of a rational matrix: row-based
     (one term per row), column-based, and singleton-support (one term per
-    nonzero cell).  Useful as hidden-variable witnesses and soundness probes."""
+    nonzero cell).  Useful as hidden-variable witnesses and soundness probes.
+    Every zero and one placed here is one of two shared (immutable) Fractions."""
     nr, nc = p.rows, p.cols
+    zero, one = Fraction(0), Fraction(1)
 
-    def unit(k: int, size: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if i == k else Fraction(0) for i in range(size))
+    def unit(k: int, size: int, value=one) -> tuple:
+        return (zero,) * k + (value,) + (zero,) * (size - k - 1)
 
     rows = NonnegFactorization(
         dims=(nr, nc), terms=tuple((unit(k, nr), tuple(p.row(k))) for k in range(nr))
@@ -173,7 +175,7 @@ def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
     singles = NonnegFactorization(
         dims=(nr, nc),
         terms=tuple(
-            (tuple(p[i, j] if x == i else Fraction(0) for x in range(nr)), unit(j, nc))
+            (unit(i, nr, p[i, j]), unit(j, nc))
             for i in range(nr)
             for j in range(nc)
             if p[i, j] != 0
@@ -192,13 +194,14 @@ def edm_folding_factorization(spec: EdmSpec) -> NonnegFactorization:
     value is left.  Each fold merges the two extremes, so r <= 2(n - 1); an
     arithmetic progression halves at every fold, giving r = 2 ceil(log2 n).
     """
-    xs = list(spec.values)
+    xs = list(spec.values)  # Fractions, so the centre below stays exact
+    zero = Fraction(0)
     terms = []
     while len(set(xs)) > 1:
         c = (min(xs) + max(xs)) / 2
         u = [abs(x - c) for x in xs]
-        below = tuple(ui if x < c else Fraction(0) for x, ui in zip(xs, u))
-        above = tuple(ui if x > c else Fraction(0) for x, ui in zip(xs, u))
+        below = tuple(ui if x < c else zero for x, ui in zip(xs, u))
+        above = tuple(ui if x > c else zero for x, ui in zip(xs, u))
         terms += [(tuple(4 * b for b in below), above), (tuple(4 * a for a in above), below)]
         xs = u
     return NonnegFactorization(dims=(spec.n, spec.n), terms=tuple(terms))
@@ -236,25 +239,30 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
     a hidden-variable model with one shared value per term.
 
     Verification is exact when both sides are rational, within 1e-9 otherwise.
-    Zero-mass terms are dropped with a warning; float weights are renormalized
-    by their total (at most ~1e-6 drift permitted).
+    A rational factorization gives exact (Fraction) conditionals and weights,
+    even when its entries are ints.  Zero-mass terms are dropped with a
+    warning; float weights are renormalized by their total (at most ~1e-6
+    drift permitted).
     """
     if fact.order != 2:
         raise DimensionError("hidden-variable models need a two-sided factorization")
-    tol = 0 if (isinstance(p, RatMatrix) and fact.is_rational()) else 1e-9
+    exact = fact.is_rational()
+    tol = 0 if (isinstance(p, RatMatrix) and exact) else 1e-9
     check = verify_nonneg_factorization(p, fact, tol)
     if not check.passed:
         raise ValidationError(
             f"factorization does not verify against the target ({check.reason}, "
             f"error {float(check.max_abs_error):.3g})"
         )
+    # a Fraction start keeps the sums, and every division by them, exact
+    start = Fraction(0) if exact else 0
     weights = []
     cond_x = []
     cond_y = []
     for term in fact.terms:
         u, v = term
-        su = sum(u)
-        sv = sum(v)
+        su = sum(u, start)
+        sv = sum(v, start)
         mass = su * sv
         if mass == 0:
             warnings.warn("dropping zero-mass factorization term")
@@ -262,8 +270,8 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
         weights.append(mass)
         cond_x.append(tuple(x / su for x in u))
         cond_y.append(tuple(y / sv for y in v))
-    total = sum(weights)
-    if isinstance(total, Fraction):
+    total = sum(weights, start)
+    if exact:
         if total != 1:
             raise ValidationError("term masses of an exact factorization must sum to 1")
     else:

@@ -1,18 +1,22 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Matrices are immutable value objects backed by ``fractions.Fraction``, so every
-operation here is a pure function whose output is reproducible bit for bit.
-The rank, determinant and characteristic-polynomial kernels clear
-denominators first and then run on Python ints, whose size is unbounded, so
-no step pays for a gcd: rank and determinant scale each row by the lcm of its
-denominators and run integer-preserving (Bareiss) elimination with a
-canonical pivot rule -- first nonzero entry in column order -- and the
-characteristic polynomial runs the Faddeev-LeVerrier recurrence on the
-integer matrix D*M, where every division is exact, and rescales each
-coefficient once at the end.  Nothing in this module touches floating point:
-separation claims elsewhere in the workbench rely on exact rank values, where
-float pivoting could silently misreport.  Dense matrices (and tensors) hold at
-most ``CAPACITY_LIMIT`` entries.
+Matrices are immutable value objects whose entries are exact rationals: a
+Python ``int`` stays an ``int`` and every other entry is a
+``fractions.Fraction``.  An int and the equal Fraction compare, hash and print
+alike, so equality, hashing and serialized output do not depend on which one
+an entry is; integer matrices just skip building Fractions.  Every operation
+here is a pure function whose output is reproducible bit for bit.  The rank,
+determinant and characteristic-polynomial kernels clear denominators first
+and then run on Python ints, whose size is unbounded, so no step pays for a
+gcd: rank and determinant scale each row by the lcm of its denominators and
+run integer-preserving (Bareiss) elimination with a canonical pivot rule --
+first nonzero entry in column order -- and the characteristic polynomial
+runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
+division is exact, and rescales each coefficient once at the end.  Nothing in
+this module touches floating point: separation claims elsewhere in the
+workbench rely on exact rank values, where float pivoting could silently
+misreport.  Dense matrices (and tensors) hold at most ``CAPACITY_LIMIT``
+entries.
 """
 
 from __future__ import annotations
@@ -20,12 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DimensionError, ValidationError
 
 RationalLike = Fraction | int | str
+Exact = int | Fraction
+_EXACT_TYPES = frozenset((int, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 # Largest entry count of a dense matrix or tensor, checked before any entry
 # is built: it keeps storage in memory and refuses, say, a 3000x3000 matrix
@@ -61,9 +69,13 @@ def is_exact(values: Iterable) -> bool:
 class RatMatrix:
     """Dense matrix of exact rationals, stored row-major and immutable.
 
-    Entries are always held in canonical form (positive denominator, reduced),
-    which ``Fraction`` guarantees.  Equality and hashing follow value
-    semantics.
+    An ``int`` entry (not ``bool``) is kept as it is and a ``Fraction`` as
+    it is; strings and other inputs are coerced by :func:`as_fraction`.  Each
+    entry is therefore an exact rational in canonical form (a Fraction is
+    reduced with positive denominator; an int has denominator 1), and the
+    kernels read it through ``numerator`` and ``denominator``, which both
+    types have.  Equality and hashing follow value semantics: an int entry
+    and the equal Fraction give the same matrix, hash and ``str``.
     """
 
     __slots__ = ("rows", "cols", "_entries")
@@ -72,7 +84,9 @@ class RatMatrix:
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
         check_capacity(rows * cols, "matrix")
-        data = tuple(as_fraction(e) for e in entries)
+        data = tuple(entries)
+        if not _EXACT_TYPES.issuperset(map(type, data)):
+            data = tuple(e if type(e) in _EXACT_TYPES else as_fraction(e) for e in data)
         if len(data) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(data)}"
@@ -102,21 +116,21 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> Exact:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols}")
         return self._entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Exact, ...]:
         return self._entries[i * self.cols : (i + 1) * self.cols]
 
-    def iter_rows(self) -> Iterable[tuple[Fraction, ...]]:
-        for i in range(self.rows):
-            yield self.row(i)
+    def iter_rows(self) -> Iterable[tuple[Exact, ...]]:
+        data, cols = self._entries, self.cols
+        return (data[i : i + cols] for i in range(0, len(data), cols))
 
     @property
-    def entries(self) -> tuple[Fraction, ...]:
+    def entries(self) -> tuple[Exact, ...]:
         return self._entries
 
     def transpose(self) -> "RatMatrix":
@@ -197,13 +211,16 @@ def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:
         raise DimensionError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
 
 
-def _scaled_row(row: Sequence[Fraction], scale: int) -> list[int]:
+def _scaled_row(row: Sequence[Exact], scale: int) -> list[int]:
     """``row`` times ``scale``, a common multiple of its denominators, as ints."""
+    if scale == 1:
+        return list(map(_numerator, row))
     return [e.numerator * (scale // e.denominator) for e in row]
 
 
-def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
-    """Integer-preserving elimination: (rank, row-swap sign, last pivot).
+def _bareiss(rows_in: Sequence[Sequence[Exact]]) -> tuple[int, int, Fraction]:
+    """Integer-preserving elimination of a matrix given by its rows: (rank,
+    row-swap sign, last pivot).
 
     Each row is first scaled by the lcm of its denominators, so the loop runs
     on Python ints and every Bareiss update divides exactly by the previous
@@ -215,9 +232,9 @@ def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
     The last pivot is returned divided by the product of the row scales: for a
     square matrix of full rank it is then the determinant up to the sign.
     """
-    scales = [lcm(*(e.denominator for e in row)) for row in m.iter_rows()]
-    work = [_scaled_row(row, s) for row, s in zip(m.iter_rows(), scales)]
-    rows, cols = m.rows, m.cols
+    scales = [lcm(*map(_denominator, row)) for row in rows_in]
+    work = [_scaled_row(row, s) for row, s in zip(rows_in, scales)]
+    rows, cols = len(work), len(work[0])
     pivot_row = 0
     sign = 1
     prev_pivot = 1
@@ -251,15 +268,20 @@ def _bareiss(m: RatMatrix) -> tuple[int, int, Fraction]:
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Exact rank over the rationals by integer-preserving elimination."""
-    return _bareiss(m)[0]
+    """Exact rank over the rationals by integer-preserving elimination.
+
+    Rank is invariant under transposition, so a tall matrix is eliminated by
+    columns: fewer, longer rows mean fewer row updates at Python level.
+    """
+    rows = m.iter_rows()
+    return _bareiss(list(zip(*rows)) if m.rows > m.cols else list(rows))[0]
 
 
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination with sign tracking."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.shape}")
-    rank, sign, last_pivot = _bareiss(m)
+    rank, sign, last_pivot = _bareiss(list(m.iter_rows()))
     return sign * last_pivot if rank == m.rows else Fraction(0)
 
 
@@ -277,7 +299,7 @@ def char_poly_exact(m: RatMatrix) -> CharPoly:
     if not m.is_square:
         raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.shape}")
     n = m.rows
-    den = lcm(*(e.denominator for e in m.entries))
+    den = lcm(*map(_denominator, m.entries))
     ak = [_scaled_row(row, den) for row in m.iter_rows()]
     a_cols = tuple(zip(*ak))  # A itself, by columns; ak's rows may now change
     coeffs = [0] * (n + 1)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON output, warnings, file handling."""
 
+import hashlib
 import json
 import math
 
@@ -277,3 +278,45 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
             main(["rank", "--matrix", str(path), "--csv"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Exact outputs pinned byte for byte, recorded while every matrix entry was
+# still a Fraction, so no change to how entries are stored can move a byte
+# unnoticed.  The abp JSON's only float is a ratio of two ints; the quantum
+# report's floats come from LAPACK and are left out.
+_ABP_4_6_JSON_SHA256 = "1dab7025b6246f5b2ce5d92f90282aeaa120dd776ea0d5f56bd312187fabc394"
+_ABP_4_6_CSV = "".join(
+    line + "\r\n"
+    for line in (
+        "level,rank,mrLower,mrLowerCertified",
+        "0,1,0,True",
+        "1,3,4,True",
+        "2,3,6,True",
+        "3,3,8,True",
+        "4,3,6,True",
+        "5,3,4,True",
+        "6,1,0,True",
+    )
+)
+_EDM_8_SHA256 = "8f1accc48fac91f8031fc9dc90d80295af88402190ba58e0eb868facfed3e2b9"
+_QUANTUM_8_EXACT_SHA256 = "625de7bb3bd382dbcaa6bc96aa9b5c3d3ca69b20e889ccafba575d1e987645aa"
+
+
+def test_exact_outputs_are_byte_identical(tmp_path, capsys):
+    code, out, _ = run(capsys, "abp", "--n", "4", "--d", "6")
+    assert code == 0 and _sha256(out) == _ABP_4_6_JSON_SHA256
+    code, out, _ = run(capsys, "abp", "--n", "4", "--d", "6", "--csv")
+    assert code == 0 and out == _ABP_4_6_CSV
+    edm_file = tmp_path / "edm8.json"
+    assert run(capsys, "gen", "edm", "--n", "8", "--out", str(edm_file))[0] == 0
+    assert _sha256(edm_file.read_text()) == _EDM_8_SHA256
+    code, out, _ = run(capsys, "rank", "--matrix", str(edm_file))
+    assert code == 0 and out == canonical_dumps({"rows": 8, "cols": 8, "rank": 3})
+    code, out, _ = run(capsys, "quantum", "--N", "8", "--rational")
+    obj = json.loads(out)
+    exact = canonical_dumps({key: obj[key] for key in ("P", "charPoly", "sumP")})
+    assert code == 0 and _sha256(exact) == _QUANTUM_8_EXACT_SHA256

@@ -72,6 +72,17 @@ def test_flattening_worked_matrices():
         flattening(spec, 5)
 
 
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 4), (4, 6)])
+def test_flattening_holds_ints_equal_to_the_fraction_matrix(n, d):
+    spec = FunctionFSpec(n, d)
+    h = spec.half_size
+    fractions = [Fraction((i // h - i % h) ** 2) for i in range(spec.total_size)]
+    for k in range(d + 1):
+        m = flattening(spec, k)
+        assert all(type(e) is int for e in m.entries)
+        assert m == RatMatrix(n**k, n ** (d - k), fractions)
+
+
 def test_flattening_middle_is_squared_difference():
     for n, d in [(2, 4), (3, 4), (2, 6)]:
         spec = FunctionFSpec(n, d)

@@ -127,6 +127,33 @@ def test_hv_model_from_two_term_factorization():
     assert joint_exact(model) == p
 
 
+def _all_fractions(model: HiddenVariableModel) -> bool:
+    dists = (model.weights, *model.cond_x, *model.cond_y)
+    return all(type(x) is Fraction for dist in dists for x in dist)
+
+
+def test_hv_model_from_int_factors_is_exact():
+    # int factor entries verify exactly at tol 0, so the conditionals they
+    # give must be exact too, not the floats of int / int
+    fact = NonnegFactorization(
+        dims=(2, 2),
+        terms=(((1, 0), (0, Fraction(1, 2))), ((0, 1), (Fraction(1, 2), 0))),
+    )
+    model = hv_model_from_factorization(_swap_half(), fact)
+    assert model.cond_x == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert model.is_rational() and _all_fractions(model)
+    assert joint_exact(model) == _swap_half()
+
+
+def test_hv_model_of_an_int_matrix_is_exact():
+    p = RatMatrix.from_rows([[0, 1], [0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the zero second row is a zero-mass term
+        model = hv_model_from_factorization(p, exact_unit_factorizations(p)[0])
+    assert model.cond_y == ((Fraction(0), Fraction(1)),)
+    assert model.is_rational() and _all_fractions(model)
+
+
 def test_hv_model_product_distribution_single_term():
     px = (Fraction(1, 4), Fraction(3, 4))
     py = (Fraction(2, 3), Fraction(1, 3))

@@ -21,6 +21,7 @@ from mrw.ratlinalg import (
     rank_exact,
     submatrix,
 )
+from mrw.serialize import canonical_dumps, matrix_to_obj
 
 
 def identity(n: int) -> RatMatrix:
@@ -132,15 +133,18 @@ def test_det_matches_cofactor_expansion():
 
 
 @st.composite
-def planted_deficient_matrices(draw, max_size=8, square=False):
-    """Rational matrices up to ``max_size`` a side, square or rectangular,
+def planted_deficient_rows(draw, max_size=8, square=False, entry=None):
+    """Rows of a matrix up to ``max_size`` a side, square or rectangular,
     with repeated or zero rows and columns planted to force rank deficiency,
     and zero entries planted to force row swaps and zero multipliers in the
-    elimination.  Denominators up to 12 give the rows different scales."""
+    elimination.  By default entries are Fractions with denominators up to
+    12, which give the rows different scales."""
+    if entry is None:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     rows = draw(st.integers(1, max_size))
     cols = rows if square or draw(st.booleans()) else draw(st.integers(1, max_size))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    zero = 0 * data[0][0]  # of the entries' type
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(
             st.sampled_from(["zero-entry", "repeat-row", "zero-row", "repeat-col", "zero-col"])
@@ -148,19 +152,23 @@ def planted_deficient_matrices(draw, max_size=8, square=False):
         i = draw(st.integers(0, rows - 1))
         j = draw(st.integers(0, cols - 1))
         if kind == "zero-entry":
-            data[i][j] = Fraction(0)
+            data[i][j] = zero
         elif kind == "repeat-row":
             data[i] = list(data[draw(st.integers(0, rows - 1))])
         elif kind == "zero-row":
-            data[i] = [Fraction(0)] * cols
+            data[i] = [zero] * cols
         elif kind == "repeat-col":
             src = draw(st.integers(0, cols - 1))
             for row in data:
                 row[j] = row[src]
         else:
             for row in data:
-                row[j] = Fraction(0)
-    return RatMatrix.from_rows(data)
+                row[j] = zero
+    return data
+
+
+def planted_deficient_matrices(max_size=8, square=False):
+    return planted_deficient_rows(max_size, square).map(RatMatrix.from_rows)
 
 
 def to_sympy(m: RatMatrix) -> sympy.Matrix:
@@ -186,6 +194,23 @@ def test_char_poly_matches_sympy(m):
     oracle = to_sympy(m)
     high_to_low = oracle.charpoly(sympy.Symbol("x")).all_coeffs()
     assert char_poly_exact(m).coeffs == tuple(to_fraction(c) for c in reversed(high_to_low))
+
+
+@given(planted_deficient_rows(entry=st.integers(-20, 20)))
+def test_int_storage_agrees_with_fraction_storage(rows):
+    # ints are stored as given; the same values as Fractions must give the
+    # same matrix, hash, canonical bytes and exact results
+    as_int = RatMatrix.from_rows(rows)
+    as_frac = RatMatrix.from_rows([[Fraction(v) for v in row] for row in rows])
+    assert all(type(e) is int for e in as_int.entries)
+    assert all(type(e) is Fraction for e in as_frac.entries)
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
+    assert canonical_dumps(matrix_to_obj(as_int)) == canonical_dumps(matrix_to_obj(as_frac))
+    oracle = to_sympy(as_int)
+    assert rank_exact(as_int) == rank_exact(as_frac) == oracle.rank()
+    if as_int.is_square:
+        assert det_exact(as_int) == det_exact(as_frac) == to_fraction(oracle.det())
+        assert char_poly_exact(as_int) == char_poly_exact(as_frac)
 
 
 def test_char_poly_worked_values():
