@@ -6,11 +6,15 @@ and the correlation-matrix pipeline (antisymmetric difference matrix C, the
 outcome distribution P = C o C, the spectral vectors feeding the quantum side
 and the quantum outcome distribution they give).  Exact rational output
 wherever the object is rational; floats appear only in the spectral vectors
-and what is computed from them.
+and what is computed from them.  Integral correlation generator values stay
+ints, so the difference matrix, its antisymmetry check, its rank and its
+float copy are int work, and its characteristic polynomial comes from a
+closed form once its rank is certified to be at most 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,11 +27,16 @@ from .errors import CapacityError, DimensionError, ValidationError
 from .ratlinalg import (
     CAPACITY_LIMIT,
     CharPoly,
+    Exact,
     RatMatrix,
     RationalLike,
+    as_exact,
     as_fraction,
     char_poly_exact,
+    check_capacity,
+    exact_sum,
     hadamard,
+    rank_exact,
 )
 
 
@@ -232,31 +241,30 @@ class CorrelationSpec:
     """Distinct generator values plus the exact squared scale that normalizes
     the outcome distribution.
 
-    The stored matrix is C = s * B with B[x][y] = b_y - b_x integeresque and
-    s^2 rational, chosen so that sum_{x<y} (s(b_y - b_x))^2 = 1/2 exactly.
-    s itself is irrational in general and never materialized; only s^2 enters
-    the rational objects (P and the characteristic polynomial).
+    The stored matrix is C = s * B with B[x][y] = b_y - b_x and s^2
+    rational, chosen so that sum_{x<y} (s(b_y - b_x))^2 = 1/2 exactly.
+    Integral values (the default 1..N among them) are kept as ints, so B is
+    an int matrix for them.  s itself is irrational in general and never
+    materialized; only s^2 enters the rational objects (P and the
+    characteristic polynomial).  The N x N capacity guard runs before any
+    work on the values.
     """
 
     size: int
-    values: tuple[Fraction, ...] = field(default=())
+    values: tuple[Exact, ...] = field(default=())
     scale_sq: Fraction = field(init=False, repr=False, compare=False)
 
     def __init__(self, size: int, values: Sequence[RationalLike] | None = None):
         if size < 2 or size & (size - 1) != 0:
             raise ValidationError(f"dimension must be a power of two >= 2, got {size}")
-        if values is None:
-            vals = tuple(Fraction(x) for x in range(1, size + 1))
-        else:
-            vals = tuple(as_fraction(v) for v in values)
+        check_capacity(size * size, "correlation matrix")
+        vals = tuple(range(1, size + 1)) if values is None else tuple(map(as_exact, values))
         if len(vals) != size:
             raise ValidationError(f"need exactly {size} generator values, got {len(vals)}")
         if len(set(vals)) != len(vals):
             raise ValidationError("generator values must be pairwise distinct")
-        pair_square_sum = sum(
-            ((vals[y] - vals[x]) ** 2 for x in range(size) for y in range(x + 1, size)),
-            Fraction(0),
-        )
+        # sum_{x<y} (b_y - b_x)^2 = N sum b^2 - (sum b)^2, in O(N)
+        pair_square_sum = size * exact_sum(v * v for v in vals) - exact_sum(vals) ** 2
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "values", vals)
         # positive: the values are pairwise distinct
@@ -280,10 +288,18 @@ class ScaledAntisymmetric:
     def size(self) -> int:
         return self.base.rows
 
+    @functools.cached_property
+    def base_rank(self) -> int:
+        """Exact rank of the base, computed once and shared by the spectral
+        split and :meth:`char_poly`."""
+        return rank_exact(self.base)
+
     def hadamard_square(self) -> RatMatrix:
-        """Exact entrywise square s^2 * (base o base)."""
-        sq = hadamard(self.base, self.base)
-        return RatMatrix(sq.rows, sq.cols, [self.scale_sq * e for e in sq.entries])
+        """Exact entrywise square s^2 * (base o base); each distinct square is
+        scaled once."""
+        sq = hadamard(self.base, self.base).entries
+        scaled = {e: self.scale_sq * e for e in set(sq)}
+        return RatMatrix(self.size, self.size, map(scaled.__getitem__, sq))
 
     def to_float(self) -> np.ndarray:
         s = math.sqrt(float(self.scale_sq))
@@ -292,12 +308,27 @@ class ScaledAntisymmetric:
     def char_poly(self) -> CharPoly:
         """Exact characteristic polynomial of the scaled matrix.
 
+        When the base has rank at most 2 (certified exactly by
+        :attr:`base_rank`; the difference matrix has rank 2) the polynomial is
+        x^N + s^2 (sum_{i<j} B_ij^2) x^(N-2), in O(N^2): the coefficient of
+        x^(N-k) is (-1)^k times the sum of the k x k principal minors, which
+        vanish for k above the rank; the trace of an antisymmetric matrix is
+        0; and the 2 x 2 principal minor on rows i, j is B_ij^2.
+
+        Any other base runs Faddeev-LeVerrier (:func:`char_poly_exact`).
         Scaling by s multiplies the coefficient of x^k by s^(N-k); the base is
         antisymmetric so only even co-degrees survive and every power of s
         reduces to a power of s^2, keeping the result rational.
         """
+        n = self.size
+        if self.base_rank <= 2:
+            coeffs = [Fraction(0)] * (n + 1)
+            coeffs[n] = Fraction(1)
+            if n >= 2:
+                # the entries hold each B_ij^2 with i < j twice (B_ji = -B_ij)
+                coeffs[n - 2] = self.scale_sq * exact_sum(e * e for e in self.base.entries) / 2
+            return CharPoly(tuple(coeffs))
         base_poly = char_poly_exact(self.base)
-        n = base_poly.degree
         coeffs = []
         for k, c in enumerate(base_poly.coeffs):
             if c == 0:

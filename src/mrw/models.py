@@ -30,7 +30,7 @@ from .constructions import (
 )
 from .errors import CapacityError, DimensionError, ValidationError
 from .numkit import DEFAULT_SEED, NonnegFactorization, verify_nonneg_factorization
-from .ratlinalg import CAPACITY_LIMIT, RatMatrix, is_exact, rank_exact
+from .ratlinalg import CAPACITY_LIMIT, RatMatrix, exact_sum, is_exact, rank_exact
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,8 @@ class HiddenVariableModel:
 
     weights[z] is Prob{Z = z}; cond_x[z] / cond_y[z] are the conditional
     distributions of the two outputs.  Entries are exact (int or Fraction) or
-    floats; distribution constraints are checked exactly in the rational case
-    and to 1e-12 otherwise.
+    floats; a distribution of exact entries must sum to 1 exactly (one
+    common-denominator sum, :func:`exact_sum`), any other to 1 within 1e-12.
     """
 
     weights: tuple
@@ -128,11 +128,10 @@ class HiddenVariableModel:
         for dist in (self.weights, *self.cond_x, *self.cond_y):
             if any(p < 0 for p in dist):
                 raise ValidationError("probabilities must be nonnegative")
-            total = sum(dist)
-            if isinstance(total, (int, Fraction)):
-                if total != 1:
+            if is_exact(dist):
+                if exact_sum(dist) != 1:
                     raise ValidationError("distribution must sum to 1 exactly")
-            elif abs(total - 1.0) > 1e-12:
+            elif abs(sum(dist) - 1.0) > 1e-12:
                 raise ValidationError("distribution must sum to 1 within 1e-12")
 
     @property
@@ -240,9 +239,9 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
 
     Verification is exact when both sides are rational, within 1e-9 otherwise.
     A rational factorization gives exact (Fraction) conditionals and weights,
-    even when its entries are ints.  Zero-mass terms are dropped with a
-    warning; float weights are renormalized by their total (at most ~1e-6
-    drift permitted).
+    even when its entries are ints: every sum is one :func:`exact_sum`.
+    Zero-mass terms are dropped with a warning; float weights are
+    renormalized by their total (at most ~1e-6 drift permitted).
     """
     if fact.order != 2:
         raise DimensionError("hidden-variable models need a two-sided factorization")
@@ -254,15 +253,15 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
             f"factorization does not verify against the target ({check.reason}, "
             f"error {float(check.max_abs_error):.3g})"
         )
-    # a Fraction start keeps the sums, and every division by them, exact
-    start = Fraction(0) if exact else 0
+    # exact_sum returns a Fraction, so every division by it stays exact
+    total_of = exact_sum if exact else sum
     weights = []
     cond_x = []
     cond_y = []
     for term in fact.terms:
         u, v = term
-        su = sum(u, start)
-        sv = sum(v, start)
+        su = total_of(u)
+        sv = total_of(v)
         mass = su * sv
         if mass == 0:
             warnings.warn("dropping zero-mass factorization term")
@@ -270,7 +269,7 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
         weights.append(mass)
         cond_x.append(tuple(x / su for x in u))
         cond_y.append(tuple(y / sv for y in v))
-    total = sum(weights, start)
+    total = total_of(weights)
     if exact:
         if total != 1:
             raise ValidationError("term masses of an exact factorization must sum to 1")

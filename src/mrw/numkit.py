@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from operator import mul
 
@@ -113,7 +113,7 @@ def antisym_spectral(c) -> SpectralPair:
             raise UnsupportedRankError("spectral split needs exact rank 2")
         cf = np.array(c.to_float_rows(), dtype=float)
     elif isinstance(c, ScaledAntisymmetric):
-        if rank_exact(c.base) != 2:
+        if c.base_rank != 2:
             raise UnsupportedRankError("spectral split needs exact rank 2")
         cf = c.to_float()
     else:
@@ -189,8 +189,13 @@ class NonnegFactorization:
     def r(self) -> int:
         return len(self.terms)
 
-    def is_rational(self) -> bool:
+    @cached_property
+    def _rational(self) -> bool:
         return is_exact(x for term in self.terms for vec in term for x in vec)
+
+    def is_rational(self) -> bool:
+        """True when every entry is an int or a Fraction; one pass per instance."""
+        return self._rational
 
     def has_negative_entry(self) -> bool:
         return any(x < 0 for term in self.terms for vec in term for x in vec)
@@ -422,10 +427,12 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> Facto
     )
     if exact_target and fact.is_rational():
         flat = target.entries if isinstance(target, RatMatrix) else target.values
-        rec = fact.reconstruct_exact()
-        err: float | Fraction = max(
-            (abs(a - b) for a, b in zip(rec.values, flat)), default=Fraction(0)
-        )
+        rec = fact.reconstruct_exact().values
+        err: float | Fraction
+        if tol == 0 and rec == flat:
+            err = Fraction(0)  # equality settles tol = 0; max |diff| only reports a miss
+        else:
+            err = max((abs(a - b) for a, b in zip(rec, flat)), default=Fraction(0))
         within = err <= tol
     else:
         rec_f = fact.reconstruct_float()

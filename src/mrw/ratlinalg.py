@@ -12,11 +12,13 @@ gcd: rank and determinant scale each row by the lcm of its denominators and
 run integer-preserving (Bareiss) elimination with a canonical pivot rule --
 first nonzero entry in column order -- and the characteristic polynomial
 runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
-division is exact, and rescales each coefficient once at the end.  Nothing in
-this module touches floating point: separation claims elsewhere in the
-workbench rely on exact rank values, where float pivoting could silently
-misreport.  Dense matrices (and tensors) hold at most ``CAPACITY_LIMIT``
-entries.
+division is exact, and rescales each coefficient once at the end.  Exact
+sums (:func:`exact_sum`) work the same way: each term is scaled to the lcm of
+the denominators and added as an int, and one Fraction is built at the end.
+Nothing in this module touches floating point: separation claims elsewhere
+in the workbench rely on exact rank values, where float pivoting could
+silently misreport.  Dense matrices (and tensors) hold at most
+``CAPACITY_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DimensionError, ValidationError
@@ -59,6 +61,25 @@ def as_fraction(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_exact(value: RationalLike) -> Exact:
+    """:func:`as_fraction`, except that an integral value comes back as an int."""
+    if type(value) is int:
+        return value
+    q = as_fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def exact_sum(values: Iterable[Exact]) -> Fraction:
+    """Exact sum of ints and Fractions, equal to ``sum(values, Fraction(0))``.
+
+    Every term is scaled to the lcm of the denominators and the numerators
+    are added as ints, so only the result is a Fraction (one gcd in all).
+    """
+    vals = tuple(values)
+    den = lcm(*map(_denominator, vals))
+    return Fraction(sum(_scaled_row(vals, den)), den)
 
 
 def is_exact(values: Iterable) -> bool:
@@ -141,16 +162,16 @@ class RatMatrix:
         )
 
     def entry_sum(self) -> Fraction:
-        return sum(self._entries, Fraction(0))
+        return exact_sum(self._entries)
 
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        n, data = self.cols, self._entries
+        return self.is_square and all(self.row(i) == data[i::n] for i in range(n))
 
     def is_antisymmetric(self) -> bool:
+        n, data = self.cols, self._entries
         return self.is_square and all(
-            self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols)
+            self.row(i) == tuple(map(neg, data[i::n])) for i in range(n)
         )
 
     def to_float_rows(self) -> list[list[float]]:

@@ -7,7 +7,8 @@ Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
 with decimal floats, or exact "p/q" strings on request; they are only
 emitted, inside `mr` reports, and no command reads them.  Canonical bytes are
 what `canonical_dumps` emits; parsing normalizes entries and reports
-non-canonical input as warnings rather than errors.
+non-canonical input as warnings rather than errors.  An integral entry parses
+to an int and any other exact entry to a Fraction, as `RatMatrix` stores them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .bounds import MrBoundReport
 from .dtensor import DenseTensor
 from .errors import ParseError
 from .numkit import NonnegFactorization
-from .ratlinalg import RatMatrix, check_capacity
+from .ratlinalg import Exact, RatMatrix, as_exact, check_capacity
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -80,7 +81,7 @@ def mr_report_to_obj(rep: MrBoundReport, rational: bool = False) -> dict:
     return obj
 
 
-def _parse_exact_entry(raw, where: str, warnings_out: list[str]):
+def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
     if isinstance(raw, str):
         try:
             value = Fraction(raw)
@@ -88,12 +89,12 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]):
             raise ParseError(f"{where}: bad rational literal {raw!r} ({exc})")
         if str(value) != raw:
             warnings_out.append(f"{where}: normalized non-canonical entry {raw!r} to {value}")
-        return value
+        return as_exact(value)
     if isinstance(raw, bool):
         raise ParseError(f"{where}: boolean is not a rational entry")
     if isinstance(raw, int):
         warnings_out.append(f"{where}: number literal {raw} (canonical form is a string)")
-        return Fraction(raw)
+        return raw
     raise ParseError(f"{where}: unsupported entry {raw!r}")
 
 

@@ -157,6 +157,16 @@ def test_oversized_matrix_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("quantum", "--N", "8192"), ("gen", "correlation", "--N", "8192")]
+)
+def test_oversized_correlation_exits_2(capsys, argv):
+    # the guard runs before any O(N^2) work, so this returns at once
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "67108864 entries exceeds the 1048576 guard" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--matrix", "/nonexistent/x.json")
     assert code == 2

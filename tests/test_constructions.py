@@ -2,16 +2,23 @@
 divisibility tensors and the correlation pipeline."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
+from mrw import constructions
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
     EdmSpec,
     FunctionFSpec,
+    ScaledAntisymmetric,
     build_correlation,
     difference_matrix,
     divisibility_tensor,
@@ -25,7 +32,7 @@ from mrw.constructions import (
     unpack_index,
 )
 from mrw.errors import CapacityError, ValidationError
-from mrw.ratlinalg import RatMatrix, hadamard, rank_exact, submatrix
+from mrw.ratlinalg import RatMatrix, char_poly_exact, hadamard, rank_exact, submatrix
 
 
 def test_edm_worked_values():
@@ -188,6 +195,84 @@ def test_correlation_spec_validation():
         CorrelationSpec(3)
     with pytest.raises(ValidationError):
         CorrelationSpec(4, [1, 1, 2, 3])
+
+
+def test_correlation_spec_keeps_integral_values_as_ints():
+    spec = CorrelationSpec(4, [Fraction(6, 2), "5", 1, Fraction(1, 2)])
+    assert [type(v) for v in spec.values] == [int, int, int, Fraction]
+    assert all(type(v) is int for v in CorrelationSpec(8).values)
+    assert all(type(e) is int for e in difference_matrix(CorrelationSpec(8)).base.entries)
+
+
+@given(
+    st.sampled_from([2, 4, 8]).flatmap(
+        lambda n: st.lists(st.fractions(max_denominator=9), min_size=n, max_size=n, unique=True)
+    )
+)
+def test_correlation_scale_matches_the_direct_pair_square_sum(values):
+    spec = CorrelationSpec(len(values), values)
+    direct = sum(
+        ((y - x) ** 2 for i, x in enumerate(values) for y in values[i + 1 :]), Fraction(0)
+    )
+    assert spec.scale_sq == Fraction(1, 2) / direct
+
+
+def _sympy_char_poly(m: RatMatrix) -> list[Fraction]:
+    """Oracle: sympy's characteristic polynomial of m, coefficients low to high."""
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in m.iter_rows()]
+    high_to_low = DomainMatrix(rows, m.shape, QQ).charpoly()
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(high_to_low)]
+
+
+def _scaled(coeffs, scale_sq: Fraction) -> list[Fraction]:
+    """det(xI - sB) from the coefficients of det(xI - B): coefficient k times
+    s^(N-k); an antisymmetric B has no odd co-degree."""
+    n = len(coeffs) - 1
+    assert all(c == 0 for k, c in enumerate(coeffs) if (n - k) % 2)
+    return [c * scale_sq ** ((n - k) // 2) for k, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kind", ["integer", "rational"])
+def test_rank_two_char_poly_matches_sympy_and_faddeev_leverrier(n, kind):
+    # (k^2 + 1)/(k + 2) is increasing, so distinct; integral at k = 3
+    values = None if kind == "integer" else [Fraction(k * k + 1, k + 2) for k in range(n)]
+    cm = difference_matrix(CorrelationSpec(n, values))
+    oracle = _sympy_char_poly(cm.base)
+    assert oracle == list(char_poly_exact(cm.base).coeffs)
+    for scale_sq in (cm.scale_sq, Fraction(3, 7)):
+        poly = ScaledAntisymmetric(cm.base, scale_sq).char_poly()
+        assert list(poly.coeffs) == _scaled(oracle, scale_sq)
+
+
+def test_rank_four_base_takes_faddeev_leverrier(monkeypatch):
+    rng = random.Random(5)
+    n = 6
+    u, v, w, z = (
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(4)
+    )
+    base = RatMatrix(
+        n,
+        n,
+        [u[i] * v[j] - v[i] * u[j] + w[i] * z[j] - z[i] * w[j] for i in range(n) for j in range(n)],
+    )
+    assert rank_exact(base) == 4
+    calls = []
+    monkeypatch.setattr(
+        constructions, "char_poly_exact", lambda m: calls.append(m) or char_poly_exact(m)
+    )
+    cm = ScaledAntisymmetric(base, Fraction(2, 3))
+    assert list(cm.char_poly().coeffs) == _scaled(_sympy_char_poly(base), Fraction(2, 3))
+    assert calls == [base]
+
+
+def test_correlation_char_poly_never_runs_faddeev_leverrier(monkeypatch):
+    def refuse(m):
+        raise AssertionError("Faddeev-LeVerrier ran on a rank-2 base")
+
+    monkeypatch.setattr(constructions, "char_poly_exact", refuse)
+    poly = build_correlation(CorrelationSpec(32)).c_matrix.char_poly()
+    assert str(poly) == "x^32 + 1/2*x^30"
 
 
 def test_correlation_char_poly_exact():

@@ -199,6 +199,25 @@ def test_empty_models_raise_validation_error():
         HiddenVariableModel((), (), ())
 
 
+@pytest.mark.parametrize("q", [2, 3, 1024])
+def test_hv_model_rejects_exact_mass_one_plus_one_over_q(q):
+    over = (Fraction(1, 2), Fraction(1, 2) + Fraction(1, q))
+    cond = ((1, 0), (0, 1))
+    with pytest.raises(ValidationError, match="exactly"):
+        HiddenVariableModel(over, cond, cond)
+    with pytest.raises(ValidationError, match="exactly"):
+        HiddenVariableModel((Fraction(1, 2), Fraction(1, 2)), (over, (0, 1)), cond)
+
+
+def test_hv_model_rejects_negative_and_float_drift():
+    cond = ((1, 0), (0, 1))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        HiddenVariableModel((Fraction(3, 2), Fraction(-1, 2)), cond, cond)
+    with pytest.raises(ValidationError, match="1e-12"):
+        HiddenVariableModel((0.5, 0.5 + 1e-9), cond, cond)
+    assert HiddenVariableModel((0.5, 0.5), cond, cond).support_size == 2
+
+
 def test_hv_round_trip_for_correlation_size_four():
     p = outcome_distribution(CorrelationSpec(4))
     for fact in exact_unit_factorizations(p):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mrw.errors import CapacityError, DimensionError, ValidationError
@@ -17,6 +17,7 @@ from mrw.ratlinalg import (
     RatMatrix,
     char_poly_exact,
     det_exact,
+    exact_sum,
     hadamard,
     rank_exact,
     submatrix,
@@ -332,3 +333,10 @@ def test_entries_are_canonical_fractions():
 def test_unparsable_string_entry_is_a_validation_error(text):
     with pytest.raises(ValidationError):
         RatMatrix(1, 1, [text])
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))))
+@example([])
+def test_exact_sum_equals_the_fraction_sum(values):
+    got = exact_sum(values)
+    assert type(got) is Fraction and got == sum(values, Fraction(0))

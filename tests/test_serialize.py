@@ -70,6 +70,16 @@ def test_matrix_entry_validation():
     assert m[0, 0] == 3 and warns
 
 
+def test_integral_entries_parse_to_ints():
+    m, warns = parse_matrix({"rows": 1, "cols": 4, "entries": ["3", "6/2", 5, "-1/2"]})
+    assert [type(e) for e in m.entries] == [int, int, int, Fraction]
+    assert m.entries == (3, 3, 5, Fraction(-1, 2))
+    assert len(warns) == 2 and "6/2" in warns[0] and "number literal 5" in warns[1]
+    t, warns = parse_tensor({"dims": [2, 2], "entries": ["1", 0, "1/3", 0.5]})
+    assert [type(v) for v in t.values] == [int, int, Fraction, float]
+    assert len(warns) == 2
+
+
 def test_factorization_round_trip_float_and_rational():
     fact = NonnegFactorization(
         dims=(2, 2),
