@@ -16,8 +16,9 @@ boxes, the least k with C(k, floor(k/2)) >= m (de Caen, Gregory and Pullman
 never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
-factorization, or a searched numeric factorization, each labeled with its
-provenance.
+factorization, or a factorization from `nmf_search` (exact when r columns
+or rows of the matrix generate a cone holding the rest, numeric otherwise),
+each labeled with its provenance.
 """
 
 from __future__ import annotations
@@ -590,8 +591,10 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     lower = max(exact rank, certified box-cover lower bound), whose witness
     is "crown" when the cover's lower bound is its crown's; upper is the
     best of the dimension bound, the singleton-support factorization, and (for
-    matrices with a gap) a small seeded numeric search.  `budget_factor`
-    scales both the cover search's node budget and the numeric search.
+    matrices with a gap) `nmf_search` at r = lower.  Its witness is `exact`
+    when it is rational and reproduces m exactly (the separable stage at
+    r = rank), `heuristic-certified` otherwise.  `budget_factor` scales both
+    the cover search's node budget and the numeric search.
     """
     _validate_nonneg_exact(m)
     pattern = support_pattern(m)
@@ -612,12 +615,13 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
 
     factorization = None
     if isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:
-        from .numkit import SearchBudget, nmf_search
+        from .numkit import SearchBudget, nmf_search, verify_nonneg_factorization
 
         budget = SearchBudget(restarts=2, iterations=400).scaled(budget_factor)
         found = nmf_search(m, lower, budget=budget, tol=1e-6)
         if found is not None:
-            upper, status = lower, "heuristic-certified"
+            exact = found.is_rational() and verify_nonneg_factorization(m, found, tol=0).passed
+            upper, status = lower, "exact" if exact else "heuristic-certified"
             factorization = found
     return MrBoundReport(
         lower=lower,

@@ -42,9 +42,9 @@ from .models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
-    exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
+    row_unit_factorization,
 )
 from .numkit import DEFAULT_SEED
 from .ratlinalg import rank_exact
@@ -183,7 +183,7 @@ def cmd_quantum(args) -> int:
         "charPoly": [str(c) for c in corr.c_matrix.char_poly().coeffs],
     }
     if args.simulate:
-        model = hv_model_from_factorization(corr.p_matrix, exact_unit_factorizations(corr.p_matrix)[0])
+        model = hv_model_from_factorization(corr.p_matrix, row_unit_factorization(corr.p_matrix))
         rep = hv_sample(model, args.simulate, seed=args.seed)
         obj["simulation"] = {
             "trials": args.simulate,

@@ -153,34 +153,52 @@ class HiddenVariableModel:
         return out
 
 
-def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
-    """Three exact nonnegative factorizations of a rational matrix: row-based
-    (one term per row), column-based, and singleton-support (one term per
-    nonzero cell).  Useful as hidden-variable witnesses and soundness probes.
-    Every zero and one placed here is one of two shared (immutable) Fractions."""
-    nr, nc = p.rows, p.cols
-    zero, one = Fraction(0), Fraction(1)
+# every zero and one the unit factorizations place is one of these two shared
+# (immutable) Fractions
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
-    def unit(k: int, size: int, value=one) -> tuple:
-        return (zero,) * k + (value,) + (zero,) * (size - k - 1)
 
-    rows = NonnegFactorization(
-        dims=(nr, nc), terms=tuple((unit(k, nr), tuple(p.row(k))) for k in range(nr))
+def _unit(k: int, size: int, value=_ONE) -> tuple:
+    return (_ZERO,) * k + (value,) + (_ZERO,) * (size - k - 1)
+
+
+def row_unit_factorization(p: RatMatrix) -> NonnegFactorization:
+    """Exact nonnegative factorization of a rational matrix with one term per
+    row: the k-th unit vector times row k."""
+    nr = p.rows
+    return NonnegFactorization(
+        dims=p.shape, terms=tuple((_unit(k, nr), tuple(p.row(k))) for k in range(nr))
     )
-    pt = p.transpose()
-    cols = NonnegFactorization(
-        dims=(nr, nc), terms=tuple((tuple(pt.row(k)), unit(k, nc)) for k in range(nc))
+
+
+def column_unit_factorization(p: RatMatrix) -> NonnegFactorization:
+    """Exact nonnegative factorization with one term per column: column k
+    times the k-th unit vector."""
+    pt, nc = p.transpose(), p.cols
+    return NonnegFactorization(
+        dims=p.shape, terms=tuple((tuple(pt.row(k)), _unit(k, nc)) for k in range(nc))
     )
-    singles = NonnegFactorization(
-        dims=(nr, nc),
+
+
+def singleton_factorization(p: RatMatrix) -> NonnegFactorization:
+    """Exact nonnegative factorization with one term per nonzero cell."""
+    nr, nc = p.shape
+    return NonnegFactorization(
+        dims=p.shape,
         terms=tuple(
-            (unit(i, nr, p[i, j]), unit(j, nc))
+            (_unit(i, nr, p[i, j]), _unit(j, nc))
             for i in range(nr)
             for j in range(nc)
             if p[i, j] != 0
         ),
     )
-    return [rows, cols, singles]
+
+
+def exact_unit_factorizations(p: RatMatrix) -> list[NonnegFactorization]:
+    """Three exact nonnegative factorizations of a rational matrix: row-based
+    (one term per row), column-based, and singleton-support (one term per
+    nonzero cell).  Useful as hidden-variable witnesses and soundness probes."""
+    return [row_unit_factorization(p), column_unit_factorization(p), singleton_factorization(p)]
 
 
 def edm_folding_factorization(spec: EdmSpec) -> NonnegFactorization:

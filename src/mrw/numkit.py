@@ -3,11 +3,12 @@
 Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
 search driven by HALS sweeps and linear-program polishing with random
-restarts, and an alternating-least-squares tensor fitter.  Searches are
-deterministic given (input, seed, budget): restarts are ranked by (residual,
-restart index) so the outcome never depends on execution order.  A successful
-search is a witness, never a proof of optimality; failure after budget
-exhaustion proves nothing.
+restarts (after an exact stage for separable rational inputs), and an
+alternating-least-squares tensor fitter.  Searches are deterministic given
+(input, seed, budget): restarts are ranked by (residual, restart index) so
+the outcome never depends on execution order.  A successful search is a
+witness, never a proof of optimality; failure after budget exhaustion
+proves nothing.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import product
+from itertools import combinations, islice, product
 from operator import mul
 
 import numpy as np
 
 from .dtensor import DenseTensor
 from .errors import DimensionError, UnsupportedRankError, ValidationError
-from .ratlinalg import RatMatrix, is_exact, rank_exact
+from .ratlinalg import RatMatrix, column_basis, is_exact, rank_exact
 
 DEFAULT_SEED = 1729
 
@@ -32,6 +33,14 @@ _FLOOR = 1e-12
 # nmf_search runs a round's HALS sweeps in chunks of this many and checks the
 # error against tol after each; the sweeps themselves are the same
 _SWEEP_CHUNK = 25
+
+# nmf_search's exact stage tries the r-subsets of one side's distinct column
+# directions only when there are at most this many; past it that side is
+# left to the float search without listing a subset
+SEPARABLE_SUBSET_CAP = 4096
+# subsets screened per batched float solve: it bounds the arrays and lets
+# the scan stop at the first confirmed subset
+_SCREEN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -310,6 +319,78 @@ def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray, vmax: float) -> fl
     return float(np.max(np.abs(v - w @ h))) / vmax
 
 
+def _cone_basis(coords: tuple[tuple, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]] | None:
+    """r columns of a matrix m whose cone holds every column, and the exact
+    nonnegative coordinates of every column in them, or None.
+
+    ``coords`` is ``column_basis(m)[1]``, r x cols: column j of m is the pivot
+    columns times column j of coords, so a set S of r columns generates
+    every column with coefficients coords[:, S]^-1 @ coords.  One column per
+    direction is a candidate (zero columns and positive multiples of an
+    earlier column are skipped).  The candidate r-subsets, in lexicographic
+    order, are screened by batched float solves; each subset that passes is
+    confirmed by one exact elimination with its columns scanned first.  None
+    when no subset passes or there are more than SEPARABLE_SUBSET_CAP.
+    """
+    r = len(coords)
+    directions: dict[tuple, int] = {}
+    for j, col in enumerate(zip(*coords)):
+        lead = next((abs(x) for x in col if x), None)
+        if lead is not None:
+            directions.setdefault(tuple(Fraction(x) / lead for x in col), j)
+    candidates = sorted(directions.values())
+    if math.comb(len(candidates), r) > SEPARABLE_SUBSET_CAP:
+        return None
+    basis = RatMatrix(r, len(coords[0]), [x for row in coords for x in row])
+    # positive row and column scales change neither which subsets are
+    # singular nor any coefficient's sign; equilibrating keeps the float
+    # determinants of well-separated subsets away from the singular cut
+    cf = np.array([[float(x) for x in row] for row in coords])
+    cf /= np.max(np.abs(cf), axis=1, keepdims=True)
+    cf /= np.maximum(np.max(np.abs(cf), axis=0), _FLOOR)
+    subsets = combinations(candidates, r)
+    while batch := list(islice(subsets, _SCREEN_BATCH)):
+        idx = np.array(batch)
+        blocks = cf[:, idx].transpose(1, 0, 2)  # blocks[s] = cf[:, batch[s]]
+        scale = np.prod(np.linalg.norm(blocks, axis=1), axis=1)
+        live = np.flatnonzero(np.abs(np.linalg.det(blocks)) > 1e-12 * scale)
+        if live.size == 0:
+            continue
+        sol = np.linalg.solve(blocks[live], np.broadcast_to(cf, (live.size, *cf.shape)))
+        slack = 1e-6 * np.max(np.abs(sol), axis=(1, 2))
+        for s in live[np.min(sol, axis=(1, 2)) >= -slack]:
+            chosen = batch[s]
+            pivots, h = column_basis(basis, first=chosen)
+            if pivots == chosen and all(x >= 0 for row in h for x in row):
+                return chosen, h
+    return None
+
+
+def _separable_factorization(m: RatMatrix, r: int) -> NonnegFactorization | None:
+    """An exact r-term nonnegative factorization of ``m`` read off r of its
+    columns, or else r of its rows, whose cone holds all the others; None
+    when rank(m) != r or neither side has such r lines.
+
+    With S the columns and H their coordinates, m = m[:, S] @ H; on the row
+    side, m = H^T @ m[S, :].  At rank <= 2 the two extreme columns always
+    qualify (Cohen and Rothblum 1993); in general these are the separable
+    matrices of Arora, Ge, Kannan and Moitra (2012).
+    """
+    mt = m.transpose()
+    for side, lines, transposed in ((m, mt, False), (mt, m, True)):
+        pivots, coords = column_basis(side)
+        if len(pivots) != r:
+            return None
+        found = _cone_basis(coords)
+        if found is not None:
+            chosen, h = found
+            terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
+            if transposed:
+                terms = [(w, line) for line, w in terms]
+            return NonnegFactorization(dims=m.shape, terms=tuple(terms))
+    return None
+
+
 def nmf_search(
     m,
     r: int,
@@ -319,19 +400,28 @@ def nmf_search(
 ) -> NonnegFactorization | None:
     """Search for an r-term nonnegative factorization of a nonnegative matrix.
 
-    Each restart runs floor-clipped HALS sweeps (at most `budget.iterations`
-    per round) and then polishes with alternating Chebyshev linear-program
-    refits, which directly attack the success metric: relative max-norm error
-    max|M - WH| / max|M| <= tol.  Three perturb-and-retry rounds run per
-    restart.  The search stops as soon as the error reaches tol: the sweeps
-    are checked every 25, the polish is skipped when the sweeps already reach
-    tol, and it ends at the first refit that does.  A search that never
-    reaches tol does all `budget.restarts * 3` rounds of sweeps.  The result
-    is the factorization of the lowest-index restart that reaches tol
-    (deterministic and independent of any parallel completion order); if none
-    succeeds the search returns None, which is *not* evidence that no such
-    factorization exists.  Non-finite entries and a tol that is negative or
-    not finite raise `ValidationError`.
+    An exact (`RatMatrix`) input at r = rank first goes through an exact
+    stage: when r of its columns, or else r of its rows, generate a cone
+    holding all the others (such lines always exist at rank <= 2), the
+    result is that rational factorization, M = M[:, S] @ H (or
+    H^T @ M[S, :]) with H >= 0, and no float search runs.  The stage lists
+    at most `SEPARABLE_SUBSET_CAP` r-subsets per side and draws no random
+    numbers, so every other input gets the float search below, unchanged.
+
+    Each restart of the float search runs floor-clipped HALS sweeps (at most
+    `budget.iterations` per round) and then polishes with alternating
+    Chebyshev linear-program refits, which directly attack the success
+    metric: relative max-norm error max|M - WH| / max|M| <= tol.  Three
+    perturb-and-retry rounds run per restart.  The search stops as soon as
+    the error reaches tol: the sweeps are checked every 25, the polish is
+    skipped when the sweeps already reach tol, and it ends at the first
+    refit that does.  A search that never reaches tol does all
+    `budget.restarts * 3` rounds of sweeps.  The result is the factorization
+    of the lowest-index restart that reaches tol (deterministic and
+    independent of any parallel completion order); if none succeeds the
+    search returns None, which is *not* evidence that no such factorization
+    exists.  Non-finite entries and a tol that is negative or not finite
+    raise `ValidationError`.
     """
     if isinstance(m, RatMatrix):
         if any(e < 0 for e in m.entries):
@@ -351,6 +441,10 @@ def nmf_search(
     vmax = float(np.max(v))
     if vmax == 0.0:
         return NonnegFactorization(dims=v.shape, terms=())
+    if isinstance(m, RatMatrix):
+        exact = _separable_factorization(m, r)
+        if exact is not None:
+            return exact
     rng = np.random.default_rng(seed)
     nrow, ncol = v.shape
     init_scale = math.sqrt(float(np.mean(v)) / r)

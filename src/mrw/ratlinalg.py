@@ -12,7 +12,9 @@ gcd: rank and determinant scale each row by the lcm of its denominators and
 run integer-preserving (Bareiss) elimination with a canonical pivot rule --
 first nonzero entry in column order -- and the characteristic polynomial
 runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
-division is exact, and rescales each coefficient once at the end.  Exact
+division is exact, and rescales each coefficient once at the end.  Basis
+columns and exact coordinates (:func:`column_basis`) come from the
+fraction-free Gauss-Jordan form of the same row-scaled elimination.  Exact
 sums (:func:`exact_sum`) work the same way: each term is scaled to the lcm of
 the denominators and added as an int, and one Fraction is built at the end.
 Nothing in this module touches floating point: separation claims elsewhere
@@ -239,6 +241,12 @@ def _scaled_row(row: Sequence[Exact], scale: int) -> list[int]:
     return [e.numerator * (scale // e.denominator) for e in row]
 
 
+def _integer_rows(rows_in: Sequence[Sequence[Exact]]) -> tuple[list[int], list[list[int]]]:
+    """Each row's scale (the lcm of its denominators) and the row times it, as ints."""
+    scales = [lcm(*map(_denominator, row)) for row in rows_in]
+    return scales, [_scaled_row(row, s) for row, s in zip(rows_in, scales)]
+
+
 def _bareiss(rows_in: Sequence[Sequence[Exact]]) -> tuple[int, int, Fraction]:
     """Integer-preserving elimination of a matrix given by its rows: (rank,
     row-swap sign, last pivot).
@@ -253,8 +261,7 @@ def _bareiss(rows_in: Sequence[Sequence[Exact]]) -> tuple[int, int, Fraction]:
     The last pivot is returned divided by the product of the row scales: for a
     square matrix of full rank it is then the determinant up to the sign.
     """
-    scales = [lcm(*map(_denominator, row)) for row in rows_in]
-    work = [_scaled_row(row, s) for row, s in zip(rows_in, scales)]
+    scales, work = _integer_rows(rows_in)
     rows, cols = len(work), len(work[0])
     pivot_row = 0
     sign = 1
@@ -296,6 +303,55 @@ def rank_exact(m: RatMatrix) -> int:
     """
     rows = m.iter_rows()
     return _bareiss(list(zip(*rows)) if m.rows > m.cols else list(rows))[0]
+
+
+def column_basis(
+    m: RatMatrix, first: Sequence[int] = ()
+) -> tuple[tuple[int, ...], tuple[tuple[Exact, ...], ...]]:
+    """Basis columns of ``m`` and the exact coordinates of every column in them.
+
+    Columns are scanned in the order ``first``, then the rest left to right,
+    and a column is a pivot when it is independent of the pivots before it.
+    Returns ``(pivots, coords)``: ``coords`` has one row per pivot and one
+    column per column of ``m``, ``m = m[:, pivots] @ coords``, and
+    ``coords[:, pivots]`` is the identity (the reduced row echelon form of
+    ``m`` in the scan order, less its zero rows).
+
+    Fraction-free Gauss-Jordan elimination on the rows scaled to ints as in
+    :func:`_bareiss`: each pivot step replaces every other row by
+    (pivot * row - factor * pivot row) / previous pivot.  Every entry is
+    then a minor of the scaled matrix, so each division is exact, and at the
+    end each pivot row is the last pivot times its reduced row.
+    """
+    seen = set(first)
+    scan = list(first) + [j for j in range(m.cols) if j not in seen]
+    _, work = _integer_rows(list(m.iter_rows()))
+    pivots: list[int] = []
+    prev_pivot = 1
+    for col in scan:
+        k = len(pivots)
+        if k == m.rows:
+            break
+        pivot = next((r for r in range(k, m.rows) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[k], work[pivot] = work[pivot], work[k]
+        row_p = work[k]
+        piv = row_p[col]
+        for r, row_r in enumerate(work):
+            if r == k:
+                continue
+            factor = row_r[col]
+            if factor == 0:
+                work[r] = [piv * x // prev_pivot for x in row_r]
+            else:
+                work[r] = [(piv * x - factor * y) // prev_pivot for x, y in zip(row_r, row_p)]
+        prev_pivot = piv
+        pivots.append(col)
+    coords = tuple(
+        tuple(as_exact(Fraction(x, prev_pivot)) for x in row) for row in work[: len(pivots)]
+    )
+    return tuple(pivots), coords
 
 
 def det_exact(m: RatMatrix) -> Fraction:

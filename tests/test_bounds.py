@@ -336,13 +336,35 @@ def test_div_tensor_mr_exact_values():
     assert div_tensor_mr_exact(DivTensorSpec(3, 2)) == 3
 
 
-def test_mr_bounds_heuristic_upper_closes_gap():
-    # rank 2, cover 2, dimension bound 3: the searched witness should close it
+def test_mr_bounds_exact_upper_closes_gap():
+    # rank 2, cover 2, dimension bound 3: two columns generate the rest, so
+    # the witness is exact
     m = RatMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     rep = mr_bounds(m)
     assert rep.lower == 2
-    assert rep.upper == 2 and rep.upper_status == "heuristic-certified"
+    assert rep.upper == 2 and rep.upper_status == "exact"
     assert rep.factorization is not None and rep.factorization.r == 2
+    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
+
+
+def test_mr_bounds_heuristic_upper_on_a_non_separable_matrix():
+    # rank 3 (a seeded product of 5x3 and 3x8 integer factors), but no 3
+    # columns and no 3 rows generate a cone holding the others, so the
+    # witness is the float search's
+    m = RatMatrix.from_rows(
+        [
+            [8, 23, 16, 18, 32, 11, 20, 15],
+            [8, 24, 16, 16, 32, 12, 20, 16],
+            [3, 6, 0, 12, 12, 0, 6, 6],
+            [8, 25, 24, 14, 32, 15, 22, 13],
+            [6, 22, 24, 4, 24, 16, 18, 10],
+        ]
+    )
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.lower_witness) == (3, "rank")
+    assert rep.upper == 3 and rep.upper_status == "heuristic-certified"
+    assert not rep.factorization.is_rational()
+    assert verify_nonneg_factorization(m, rep.factorization, tol=1e-6 * 32).passed
 
 
 def near_crown_7() -> SupportPattern:

@@ -6,7 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrw import numkit
@@ -248,6 +249,138 @@ def test_nmf_stop_at_tol_loses_no_success():
         elif full_budget_nmf_search(v, r, budget):
             pytest.fail(f"seed {seed}: the full-budget search succeeds, the search that stops at tol fails")
     assert found >= 6
+
+
+# ---------------------------------------------------------------------------
+# the exact stage of nmf_search: separable inputs at r = rank
+# ---------------------------------------------------------------------------
+
+SMALL_BUDGET = SearchBudget(restarts=1, iterations=50)
+nonneg_rationals = st.fractions(min_value=0, max_value=6, max_denominator=4)
+
+
+def sympy_rank(m: RatMatrix) -> int:
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.iter_rows()]
+    ).rank()
+
+
+def product_matrix(w, h) -> RatMatrix:
+    return RatMatrix.from_rows(
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*h)] for row in w]
+    )
+
+
+@st.composite
+def low_rank_products(draw, max_inner=2):
+    """W @ H with nonnegative rational W (n x k) and H (k x m), k <= max_inner."""
+    n, k, m = draw(st.integers(1, 7)), draw(st.integers(1, max_inner)), draw(st.integers(1, 7))
+    w = [[draw(nonneg_rationals) for _ in range(k)] for _ in range(n)]
+    h = [[draw(nonneg_rationals) for _ in range(m)] for _ in range(k)]
+    return product_matrix(w, h)
+
+
+@st.composite
+def planted_separable_products(draw):
+    """W @ H where H holds a shuffled r x r identity block, so r columns of
+    the product are W's columns and generate the rest."""
+    r = draw(st.integers(1, 4))
+    n, extra = draw(st.integers(r, 7)), draw(st.integers(0, 4))
+    w = [[draw(nonneg_rationals) for _ in range(r)] for _ in range(n)]
+    cols = [[int(i == t) for i in range(r)] for t in range(r)]
+    cols += [[draw(nonneg_rationals) for _ in range(r)] for _ in range(extra)]
+    cols = draw(st.permutations(cols))
+    return product_matrix(w, list(zip(*cols))), r
+
+
+def assert_exact_witness(m: RatMatrix, r: int, fact) -> None:
+    assert fact is not None and fact.r == r and fact.is_rational()
+    assert not fact.has_negative_entry()
+    assert verify_nonneg_factorization(m, fact, tol=0).passed
+
+
+@given(low_rank_products())
+def test_every_nonnegative_matrix_of_rank_at_most_two_gets_an_exact_witness(m):
+    r = sympy_rank(m)
+    assume(r > 0)
+    assert_exact_witness(m, r, nmf_search(m, r, budget=SMALL_BUDGET))
+
+
+@given(planted_separable_products())
+def test_planted_separable_products_get_an_exact_witness(case):
+    m, r = case
+    assume(sympy_rank(m) == r)
+    assert_exact_witness(m, r, nmf_search(m, r, budget=SMALL_BUDGET))
+
+
+def test_exact_check_rejects_a_subset_the_float_screen_passes():
+    # column 2 is 10^8 + 1 times column 0 less column 1: just outside the
+    # cone of columns 0 and 1, and after equilibration (column 3 = 10^8 times
+    # column 1 sets the second row's scale) its -1 coefficient is within the
+    # float screen's slack; the cone is that of columns 1 and 2
+    m = RatMatrix.from_rows([[1, 1, 10**8, 10**8], [1, 2, 10**8 - 1, 2 * 10**8]])
+    fact = nmf_search(m, 2)
+    assert_exact_witness(m, 2, fact)
+    assert [w for w, _ in fact.terms] == [(1, 2), (10**8, 10**8 - 1)]
+
+
+@settings(max_examples=25)
+@given(low_rank_products(max_inner=3), st.sampled_from([-1, 1]))
+def test_target_other_than_rank_gets_the_float_search(m, shift):
+    r = sympy_rank(m) + shift
+    assume(r >= 1)
+    exact = nmf_search(m, r, budget=SMALL_BUDGET)
+    floats = nmf_search(np.array(m.to_float_rows()), r, budget=SMALL_BUDGET)
+    assert (exact is None) == (floats is None)
+    if exact is not None:
+        assert exact.terms == floats.terms and not exact.is_rational()
+
+
+def test_float_and_non_separable_inputs_skip_the_exact_stage(monkeypatch):
+    # rank 3 with no 3 columns and no 3 rows generating the others: the
+    # exact stage finds nothing and the float search runs as for floats
+    m = RatMatrix.from_rows(
+        [
+            [8, 23, 16, 18, 32, 11, 20, 15],
+            [8, 24, 16, 16, 32, 12, 20, 16],
+            [3, 6, 0, 12, 12, 0, 6, 6],
+            [8, 25, 24, 14, 32, 15, 22, 13],
+            [6, 22, 24, 4, 24, 16, 18, 10],
+        ]
+    )
+    assert numkit._separable_factorization(m, 3) is None
+    budget = SearchBudget(restarts=2, iterations=400)
+    exact = nmf_search(m, 3, budget=budget)
+
+    def no_stage(*args):
+        raise AssertionError("a float input reached the exact stage")
+
+    monkeypatch.setattr(numkit, "_separable_factorization", no_stage)
+    floats = nmf_search(np.array(m.to_float_rows()), 3, budget=budget)
+    assert exact is not None and exact.terms == floats.terms
+
+
+def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
+    # 16 x 16 of rank 8 with 16 distinct column and row directions:
+    # C(16, 8) = 12870 subsets per side exceed the cap
+    rng = np.random.default_rng(7)
+    w, h = rng.integers(0, 5, size=(16, 8)), rng.integers(0, 5, size=(8, 16))
+    m = RatMatrix.from_rows((w @ h).tolist())
+    assert sympy_rank(m) == 8
+    for side in (m, m.transpose()):
+        directions = {tuple(Fraction(x) / max(col) for x in col) for col in zip(*side.iter_rows())}
+        assert len(directions) == 16 and math.comb(16, 8) > numkit.SEPARABLE_SUBSET_CAP
+
+    def no_subsets(*args):
+        raise AssertionError("listed subsets past the cap")
+
+    monkeypatch.setattr(numkit, "combinations", no_subsets)
+    budget = SearchBudget(restarts=1, iterations=10)
+    exact = nmf_search(m, 8, budget=budget)
+    floats = nmf_search(np.array(m.to_float_rows()), 8, budget=budget)
+    assert (exact is None) == (floats is None)
+    if exact is not None:
+        assert exact.terms == floats.terms
 
 
 def sparse_block_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray:

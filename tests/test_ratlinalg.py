@@ -16,6 +16,7 @@ from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.ratlinalg import (
     RatMatrix,
     char_poly_exact,
+    column_basis,
     det_exact,
     exact_sum,
     hadamard,
@@ -188,6 +189,19 @@ def test_rank_and_det_match_sympy(m):
     assert rank_exact(m) == oracle.rank()
     if m.is_square:
         assert det_exact(m) == to_fraction(oracle.det())
+
+
+@given(planted_deficient_matrices(), st.data())
+def test_column_basis_matches_sympy_rref(m, data):
+    first = data.draw(st.lists(st.integers(0, m.cols - 1), unique=True))
+    order = first + [j for j in range(m.cols) if j not in first]
+    pivots, coords = column_basis(m, first)
+    reduced, oracle_pivots = to_sympy(submatrix(m, range(m.rows), order)).rref()
+    assert pivots == tuple(order[p] for p in oracle_pivots)
+    assert len(coords) == len(pivots) == rank_exact(m)
+    for i, row in enumerate(coords):
+        assert all(type(x) is int or x.denominator > 1 for x in row)
+        assert [row[j] for j in order] == [to_fraction(x) for x in reduced.row(i)]
 
 
 @given(planted_deficient_matrices(max_size=6, square=True))
