@@ -74,19 +74,15 @@ class SupportPattern:
         return len(self.cells)
 
 
-def support_pattern(m) -> SupportPattern:
-    """Exact nonzero pattern of a RatMatrix, DenseTensor or float array."""
+def support_pattern(m: RatMatrix | DenseTensor) -> SupportPattern:
+    """Exact nonzero pattern of a RatMatrix or a DenseTensor."""
     if isinstance(m, RatMatrix):
         cells = frozenset(
             (i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] != 0
         )
         return SupportPattern(dims=(m.rows, m.cols), cells=cells)
-    if isinstance(m, DenseTensor):
-        cells = frozenset(idx for idx in m.iter_indices() if m[idx] != 0)
-        return SupportPattern(dims=m.dims, cells=cells)
-    arr = np.asarray(m)
-    cells = frozenset(tuple(int(i) for i in idx) for idx in zip(*np.nonzero(arr)))
-    return SupportPattern(dims=tuple(arr.shape), cells=cells)
+    cells = frozenset(idx for idx in m.iter_indices() if m[idx] != 0)
+    return SupportPattern(dims=m.dims, cells=cells)
 
 
 @dataclass(frozen=True)

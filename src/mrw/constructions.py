@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dtensor import DenseTensor
-from .errors import CapacityError, DimensionError, ValidationError
+from .errors import CapacityError, DimensionError, UnsupportedRankError, ValidationError
 from .ratlinalg import (
     CAPACITY_LIMIT,
     CharPoly,
@@ -32,7 +32,6 @@ from .ratlinalg import (
     RationalLike,
     as_exact,
     as_fraction,
-    char_poly_exact,
     check_capacity,
     exact_sum,
     hadamard,
@@ -306,37 +305,24 @@ class ScaledAntisymmetric:
         return s * np.array(self.base.to_float_rows(), dtype=float)
 
     def char_poly(self) -> CharPoly:
-        """Exact characteristic polynomial of the scaled matrix.
+        """Exact characteristic polynomial of the scaled matrix, for a base of
+        rank at most 2 (certified exactly by :attr:`base_rank`; the difference
+        matrix has rank 2); a higher rank raises `UnsupportedRankError`.
 
-        When the base has rank at most 2 (certified exactly by
-        :attr:`base_rank`; the difference matrix has rank 2) the polynomial is
-        x^N + s^2 (sum_{i<j} B_ij^2) x^(N-2), in O(N^2): the coefficient of
-        x^(N-k) is (-1)^k times the sum of the k x k principal minors, which
-        vanish for k above the rank; the trace of an antisymmetric matrix is
-        0; and the 2 x 2 principal minor on rows i, j is B_ij^2.
-
-        Any other base runs Faddeev-LeVerrier (:func:`char_poly_exact`).
-        Scaling by s multiplies the coefficient of x^k by s^(N-k); the base is
-        antisymmetric so only even co-degrees survive and every power of s
-        reduces to a power of s^2, keeping the result rational.
+        The polynomial is x^N + s^2 (sum_{i<j} B_ij^2) x^(N-2), in O(N^2): the
+        coefficient of x^(N-k) is (-1)^k times the sum of the k x k principal
+        minors, which vanish for k above the rank; the trace of an
+        antisymmetric matrix is 0; and the 2 x 2 principal minor on rows i, j
+        is B_ij^2.
         """
+        if self.base_rank > 2:
+            raise UnsupportedRankError("closed-form polynomial needs base rank at most 2")
         n = self.size
-        if self.base_rank <= 2:
-            coeffs = [Fraction(0)] * (n + 1)
-            coeffs[n] = Fraction(1)
-            if n >= 2:
-                # the entries hold each B_ij^2 with i < j twice (B_ji = -B_ij)
-                coeffs[n - 2] = self.scale_sq * exact_sum(e * e for e in self.base.entries) / 2
-            return CharPoly(tuple(coeffs))
-        base_poly = char_poly_exact(self.base)
-        coeffs = []
-        for k, c in enumerate(base_poly.coeffs):
-            if c == 0:
-                coeffs.append(Fraction(0))
-                continue
-            if (n - k) % 2 != 0:
-                raise ValidationError("antisymmetric base produced an odd-power coefficient")
-            coeffs.append(c * self.scale_sq ** ((n - k) // 2))
+        coeffs = [Fraction(0)] * (n + 1)
+        coeffs[n] = Fraction(1)
+        if n >= 2:
+            # the entries hold each B_ij^2 with i < j twice (B_ji = -B_ij)
+            coeffs[n - 2] = self.scale_sq * exact_sum(e * e for e in self.base.entries) / 2
         return CharPoly(tuple(coeffs))
 
 

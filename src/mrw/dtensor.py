@@ -1,9 +1,9 @@
-"""Dense order-d tensors with exact or float entries.
+"""Dense order-d tensors with exact entries.
 
-Storage is a flat row-major tuple (last index varies fastest).  Entries may be
-Fractions/ints (exact path, used by the 0/1 divisibility family) or floats
-(used by the numeric fitting code).  A hard capacity guard keeps everything
-comfortably in memory.
+Storage is a flat row-major tuple (last index varies fastest).  Entries are
+ints and Fractions (the 0/1 divisibility family, tensor files, exact
+reconstructions); `to_numpy` gives the float copy the numeric fitting code
+works on.  A hard capacity guard keeps everything comfortably in memory.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class DenseTensor:
     @property
     def order(self) -> int:
         return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        return len(self._values)
 
     @property
     def values(self) -> tuple:

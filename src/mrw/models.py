@@ -113,9 +113,10 @@ class HiddenVariableModel:
     """Shared value Z with conditionally independent sides.
 
     weights[z] is Prob{Z = z}; cond_x[z] / cond_y[z] are the conditional
-    distributions of the two outputs.  Entries are exact (int or Fraction) or
-    floats; a distribution of exact entries must sum to 1 exactly (one
-    common-denominator sum, :func:`exact_sum`), any other to 1 within 1e-12.
+    distributions of the two outputs.  Entries are exact (int or Fraction),
+    nonnegative, and each distribution sums to 1 exactly (one
+    common-denominator sum, :func:`exact_sum`); anything else raises
+    `ValidationError`.
     """
 
     weights: tuple
@@ -128,11 +129,8 @@ class HiddenVariableModel:
         for dist in (self.weights, *self.cond_x, *self.cond_y):
             if any(p < 0 for p in dist):
                 raise ValidationError("probabilities must be nonnegative")
-            if is_exact(dist):
-                if exact_sum(dist) != 1:
-                    raise ValidationError("distribution must sum to 1 exactly")
-            elif abs(sum(dist) - 1.0) > 1e-12:
-                raise ValidationError("distribution must sum to 1 within 1e-12")
+            if not is_exact(dist) or exact_sum(dist) != 1:
+                raise ValidationError("distribution must be exact and sum to 1 exactly")
 
     @property
     def support_size(self) -> int:
@@ -141,9 +139,6 @@ class HiddenVariableModel:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.cond_x[0]), len(self.cond_y[0])) if self.weights else (0, 0)
-
-    def is_rational(self) -> bool:
-        return is_exact(p for dist in (self.weights, *self.cond_x, *self.cond_y) for p in dist)
 
     def joint_float(self) -> np.ndarray:
         nx, ny = self.shape
@@ -251,35 +246,32 @@ def divisibility_rank_witness(spec: DivTensorSpec) -> NonnegFactorization:
     return NonnegFactorization(dims=(base,) * order, terms=tuple(terms))
 
 
-def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableModel:
-    """Turn a verified nonnegative factorization of a joint distribution into
-    a hidden-variable model with one shared value per term.
+def hv_model_from_factorization(p: RatMatrix, fact: NonnegFactorization) -> HiddenVariableModel:
+    """Turn a nonnegative factorization of a joint distribution into a
+    hidden-variable model with one shared value per term.
 
-    Verification is exact when both sides are rational, within 1e-9 otherwise.
-    A rational factorization gives exact (Fraction) conditionals and weights,
-    even when its entries are ints: every sum is one :func:`exact_sum`.
-    Zero-mass terms are dropped with a warning; float weights are
-    renormalized by their total (at most ~1e-6 drift permitted).
+    The factorization must be rational (a float one raises `ValidationError`)
+    and reproduce p exactly.  Weights and conditionals are Fractions, even
+    when its entries are ints: every sum is one :func:`exact_sum`.  Zero-mass
+    terms are dropped with a warning.
     """
     if fact.order != 2:
         raise DimensionError("hidden-variable models need a two-sided factorization")
-    exact = fact.is_rational()
-    tol = 0 if (isinstance(p, RatMatrix) and exact) else 1e-9
-    check = verify_nonneg_factorization(p, fact, tol)
+    if not fact.is_rational():
+        raise ValidationError("hidden-variable models need a rational factorization")
+    check = verify_nonneg_factorization(p, fact, 0)
     if not check.passed:
         raise ValidationError(
             f"factorization does not verify against the target ({check.reason}, "
             f"error {float(check.max_abs_error):.3g})"
         )
-    # exact_sum returns a Fraction, so every division by it stays exact
-    total_of = exact_sum if exact else sum
     weights = []
     cond_x = []
     cond_y = []
-    for term in fact.terms:
-        u, v = term
-        su = total_of(u)
-        sv = total_of(v)
+    for u, v in fact.terms:
+        # exact_sum returns a Fraction, so every division by it stays exact
+        su = exact_sum(u)
+        sv = exact_sum(v)
         mass = su * sv
         if mass == 0:
             warnings.warn("dropping zero-mass factorization term")
@@ -287,14 +279,7 @@ def hv_model_from_factorization(p, fact: NonnegFactorization) -> HiddenVariableM
         weights.append(mass)
         cond_x.append(tuple(x / su for x in u))
         cond_y.append(tuple(y / sv for y in v))
-    total = total_of(weights)
-    if exact:
-        if total != 1:
-            raise ValidationError("term masses of an exact factorization must sum to 1")
-    else:
-        if abs(total - 1.0) > 1e-6:
-            raise ValidationError("term masses drift too far from 1")
-        weights = [w / total for w in weights]
+    # the masses sum to the entry sum of p; the model checks that it is 1
     return HiddenVariableModel(
         weights=tuple(weights), cond_x=tuple(cond_x), cond_y=tuple(cond_y)
     )
@@ -380,8 +365,9 @@ def _dcc_solve(rows: tuple[int, ...], ncols: int) -> int:
     return best
 
 
-def dcc_exact_2party(m) -> int:
-    """Minimum depth of a leaf-monochromatic deterministic protocol tree.
+def dcc_exact_2party(m: RatMatrix) -> int:
+    """Minimum depth of a leaf-monochromatic deterministic protocol tree for
+    a 0/1 matrix.
 
     At every node one party announces one bit by bipartitioning its current
     input set; leaves must be constant submatrices; the value is the minimax
@@ -394,30 +380,22 @@ def dcc_exact_2party(m) -> int:
     on one core of a shared 2-vCPU host; past it, the 16 distinct 4-bit rows
     (sum 20) took 33 s and 97 MB.
     """
-    if isinstance(m, RatMatrix):
-        grid = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
-    else:
-        grid = [list(row) for row in np.asarray(m).tolist()]
-    nrows = len(grid)
-    ncols = len(grid[0]) if nrows else 0
-    if nrows < 1 or ncols < 1:
-        raise DimensionError("matrix must be nonempty")
-    if nrows > 16 or ncols > 16:
+    if m.rows > 16 or m.cols > 16:
         raise CapacityError("exact protocol search is capped at 16x16")
     rows = []
-    for row in grid:
+    for row in m.iter_rows():
         bits = 0
         for j, v in enumerate(row):
             if v not in (0, 1):
                 raise ValidationError("protocol search needs a 0/1 matrix")
             bits |= int(v) << j
         rows.append(bits)
-    distinct = len(set(rows)) + len(distinct_columns(tuple(rows), ncols))
+    distinct = len(set(rows)) + len(distinct_columns(tuple(rows), m.cols))
     if distinct > 16:
         raise CapacityError(
             f"exact protocol search is capped at 16 distinct rows plus distinct columns, got {distinct}"
         )
-    return _dcc_solve(tuple(rows), ncols)
+    return _dcc_solve(tuple(rows), m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +424,15 @@ def comm_report(nbits: int, d: int, cross_check: bool | None = None) -> CommBoun
 
     log of the exact monotone rank is (d-1)*nbits; log of the rank upper
     bound is log2(d) + nbits; a trivial protocol costs (d-1)*nbits + 1 bits.
-    For small instances the monotone rank and a mode-flattening rank lower
-    bound are recomputed from the dense tensor as a cross-check.
+    For small instances (base^d = 2^(nbits*d) within the capacity guard) the
+    monotone rank and a mode-flattening rank lower bound are recomputed from
+    the dense tensor as a cross-check; the base is built only for it, so a
+    huge nbits costs nothing without one.
     """
     if nbits < 1:
         raise ValidationError("need nbits >= 1")
     if d < 2:
         raise ValidationError("need at least two parties")
-    n_big = 1 << nbits
     log_mr = (d - 1) * nbits
     log_rk = math.log2(d) + nbits
     report = dict(
@@ -464,12 +443,15 @@ def comm_report(nbits: int, d: int, cross_check: bool | None = None) -> CommBoun
         trivial_protocol_cost=log_mr + 1,
         separation_ratio=log_mr / log_rk,
     )
-    small = n_big ** d <= CAPACITY_LIMIT
+    # base^d = 2^(nbits*d) is within CAPACITY_LIMIT = 2^20 exactly when
+    # nbits*d <= 20; the base itself is built only for the cross-check
+    small = nbits * d <= CAPACITY_LIMIT.bit_length() - 1
     if cross_check is None:
         cross_check = small
     if cross_check:
         if not small:
             raise CapacityError("cross-check needs base^order within capacity")
+        n_big = 1 << nbits
         spec = DivTensorSpec(n_big, d)
         tensor = divisibility_tensor(spec)
         report["mr_cross_check"] = div_tensor_mr_exact(spec)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dtensor import DenseTensor
 from .errors import DimensionError, UnsupportedRankError, ValidationError
-from .ratlinalg import RatMatrix, column_basis, is_exact, rank_exact
+from .ratlinalg import RatMatrix, column_basis, is_exact
 
 DEFAULT_SEED = 1729
 
@@ -106,35 +106,17 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def antisym_spectral(c) -> SpectralPair:
-    """Spectral split of an antisymmetric rank-2 matrix.
+    """Spectral split of a `ScaledAntisymmetric` whose base has rank 2.
 
-    Accepts an exact `RatMatrix`, a `ScaledAntisymmetric`, or a float array.
-    Exact inputs are validated exactly (antisymmetry and rank 2); float input
-    is validated numerically.  Diagonalizes the Hermitian matrix iC with
-    LAPACK (`np.linalg.eigh`).
+    The rank is the exact :attr:`ScaledAntisymmetric.base_rank`, and any
+    other rank raises `UnsupportedRankError`.  Diagonalizes the Hermitian
+    matrix iC with LAPACK (`np.linalg.eigh`) and checks that exactly two
+    eigenvalues are significant.
     """
-    from .constructions import ScaledAntisymmetric
-
-    if isinstance(c, RatMatrix):
-        if not c.is_antisymmetric():
-            raise ValidationError("matrix is not antisymmetric")
-        if rank_exact(c) != 2:
-            raise UnsupportedRankError("spectral split needs exact rank 2")
-        cf = np.array(c.to_float_rows(), dtype=float)
-    elif isinstance(c, ScaledAntisymmetric):
-        if c.base_rank != 2:
-            raise UnsupportedRankError("spectral split needs exact rank 2")
-        cf = c.to_float()
-    else:
-        cf = np.asarray(c, dtype=float)
-        if cf.ndim != 2 or cf.shape[0] != cf.shape[1]:
-            raise DimensionError("expected a square matrix")
-        scale = max(1.0, float(np.max(np.abs(cf))))
-        if float(np.max(np.abs(cf + cf.T))) > 1e-9 * scale:
-            raise ValidationError("matrix is not antisymmetric")
-
+    if c.base_rank != 2:
+        raise UnsupportedRankError("spectral split needs exact rank 2")
     # eigh returns the eigenvalues of iC in ascending order
-    eigvals, vecs = np.linalg.eigh(1j * cf)
+    eigvals, vecs = np.linalg.eigh(1j * c.to_float())
     lam = 0.5 * (eigvals[-1] - eigvals[0])
     if lam <= 0.0:
         raise UnsupportedRankError("matrix has no nonzero spectrum")

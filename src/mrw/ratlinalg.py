@@ -127,10 +127,6 @@ class RatMatrix:
             raise DimensionError("ragged rows")
         return cls(len(rows), ncols, [v for r in rows for v in r])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)

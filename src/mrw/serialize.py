@@ -1,8 +1,10 @@
 """Shared JSON formats and canonical serialization.
 
 Matrices: {"rows": R, "cols": C, "entries": ["p/q", ...]} row-major, integers
-may omit the denominator.  Tensors: {"dims": [...], "entries": [...]}.  Both
-are parsed (`parse_matrix`, `parse_tensor`) and emitted (`*_to_obj`).
+may omit the denominator.  Tensors: {"dims": [...], "entries": [...]} with
+entries of the same form.  Both are parsed (`parse_matrix`, `parse_tensor`)
+and emitted (`*_to_obj`); an entry that is neither an exact string nor an
+integer (a float literal, say) is a `ParseError`.
 Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
 with decimal floats, or exact "p/q" strings on request; they are only
 emitted, inside `mr` reports, and no command reads them.  Canonical bytes are
@@ -40,7 +42,7 @@ def matrix_to_obj(m: RatMatrix) -> dict:
 def tensor_to_obj(t: DenseTensor) -> dict:
     return {
         "dims": list(t.dims),
-        "entries": [str(Fraction(v)) if not isinstance(v, float) else v for v in t.values],
+        "entries": [str(v) for v in t.values],
     }
 
 
@@ -133,13 +135,9 @@ def parse_tensor(obj: dict) -> tuple[DenseTensor, list[str]]:
         raise ParseError("entries must be a list")
     if len(entries) != prod(dims):
         raise ParseError(f"dims product {prod(dims)} does not match {len(entries)} entries")
-    values = []
-    for i, raw in enumerate(entries):
-        if isinstance(raw, float):
-            warnings_out.append(f"entry {i}: float literal (exact string is canonical)")
-            values.append(raw)
-        else:
-            values.append(_parse_exact_entry(raw, f"entry {i}", warnings_out))
+    values = [
+        _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
+    ]
     return DenseTensor(dims, values), warnings_out
 
 

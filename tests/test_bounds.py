@@ -93,7 +93,7 @@ def test_support_pattern_examples():
         (0, 1),
         (1, 0),
     ]
-    assert support_pattern(RatMatrix.zeros(2, 2)).size == 0
+    assert support_pattern(RatMatrix(2, 2, [0] * 4)).size == 0
     assert support_pattern(edm(EdmSpec.integers(3))).size == 6
 
 

@@ -119,6 +119,12 @@ def test_comm_csv_ladder(capsys):
     assert lines[1].startswith("2,")
 
 
+def test_comm_with_a_huge_nbits_exits_0(capsys):
+    code, out, _ = run(capsys, "comm", "--nbits", str(2**63), "--d", "2")
+    assert code == 0
+    assert json.loads(out)["logMrExact"] == 2**63
+
+
 def test_abp_json(capsys):
     code, out, _ = run(capsys, "abp", "--n", "2", "--d", "4")
     assert code == 0
@@ -141,6 +147,7 @@ def test_bad_file_exits_2(tmp_path, capsys):
         ("dcc", "--matrix", '{"rows": true, "cols": 1, "entries": ["1"]}'),
         ("mr", "--tensor", '{"dims": 5, "entries": [1]}'),
         ("mr", "--tensor", '{"dims": [2, true], "entries": ["1", "0"]}'),
+        ("mr", "--tensor", '{"dims": [1, 2], "entries": ["1", 0.5]}'),
     ],
 )
 def test_malformed_shape_exits_2(tmp_path, capsys, command, flag, text):

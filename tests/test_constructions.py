@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from mrw import constructions
+from mrw import constructions, ratlinalg
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
@@ -31,7 +31,7 @@ from mrw.constructions import (
     spaced_block_column_indices,
     unpack_index,
 )
-from mrw.errors import CapacityError, ValidationError
+from mrw.errors import CapacityError, UnsupportedRankError, ValidationError
 from mrw.ratlinalg import RatMatrix, char_poly_exact, hadamard, rank_exact, submatrix
 
 
@@ -245,7 +245,7 @@ def test_rank_two_char_poly_matches_sympy_and_faddeev_leverrier(n, kind):
         assert list(poly.coeffs) == _scaled(oracle, scale_sq)
 
 
-def test_rank_four_base_takes_faddeev_leverrier(monkeypatch):
+def test_rank_four_base_has_no_closed_form_polynomial():
     rng = random.Random(5)
     n = 6
     u, v, w, z = (
@@ -257,22 +257,11 @@ def test_rank_four_base_takes_faddeev_leverrier(monkeypatch):
         [u[i] * v[j] - v[i] * u[j] + w[i] * z[j] - z[i] * w[j] for i in range(n) for j in range(n)],
     )
     assert rank_exact(base) == 4
-    calls = []
-    monkeypatch.setattr(
-        constructions, "char_poly_exact", lambda m: calls.append(m) or char_poly_exact(m)
-    )
-    cm = ScaledAntisymmetric(base, Fraction(2, 3))
-    assert list(cm.char_poly().coeffs) == _scaled(_sympy_char_poly(base), Fraction(2, 3))
-    assert calls == [base]
-
-
-def test_correlation_char_poly_never_runs_faddeev_leverrier(monkeypatch):
-    def refuse(m):
-        raise AssertionError("Faddeev-LeVerrier ran on a rank-2 base")
-
-    monkeypatch.setattr(constructions, "char_poly_exact", refuse)
-    poly = build_correlation(CorrelationSpec(32)).c_matrix.char_poly()
-    assert str(poly) == "x^32 + 1/2*x^30"
+    # the closed form holds up to rank 2; Faddeev-LeVerrier still agrees with
+    # sympy on this base, but the scaled matrix refuses it
+    assert list(char_poly_exact(base).coeffs) == _sympy_char_poly(base)
+    with pytest.raises(UnsupportedRankError):
+        ScaledAntisymmetric(base, Fraction(2, 3)).char_poly()
 
 
 def test_correlation_char_poly_exact():
@@ -283,6 +272,17 @@ def test_correlation_char_poly_exact():
         expected[n] = Fraction(1)
         expected[n - 2] = Fraction(1, 2)
         assert list(poly.coeffs) == expected
+
+
+def test_correlation_char_poly_never_runs_faddeev_leverrier(monkeypatch):
+    def refuse(m):
+        raise AssertionError("Faddeev-LeVerrier ran on a rank-2 base")
+
+    # constructions reaches Faddeev-LeVerrier only through ratlinalg
+    assert not hasattr(constructions, "char_poly_exact")
+    monkeypatch.setattr(ratlinalg, "char_poly_exact", refuse)
+    poly = build_correlation(CorrelationSpec(32)).c_matrix.char_poly()
+    assert str(poly) == "x^32 + 1/2*x^30"
 
 
 def test_correlation_reconstruction_accuracy():

@@ -141,7 +141,7 @@ def test_hv_model_from_int_factors_is_exact():
     )
     model = hv_model_from_factorization(_swap_half(), fact)
     assert model.cond_x == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    assert model.is_rational() and _all_fractions(model)
+    assert _all_fractions(model)
     assert joint_exact(model) == _swap_half()
 
 
@@ -151,7 +151,7 @@ def test_hv_model_of_an_int_matrix_is_exact():
         warnings.simplefilter("ignore")  # the zero second row is a zero-mass term
         model = hv_model_from_factorization(p, exact_unit_factorizations(p)[0])
     assert model.cond_y == ((Fraction(0), Fraction(1)),)
-    assert model.is_rational() and _all_fractions(model)
+    assert _all_fractions(model)
 
 
 def test_hv_model_product_distribution_single_term():
@@ -171,6 +171,10 @@ def test_hv_model_rejects_bad_factorization():
     )
     with pytest.raises(ValidationError):
         hv_model_from_factorization(p, wrong)
+    # the float copy of a factorization that verifies exactly
+    floats = NonnegFactorization(dims=(2, 2), terms=(((1.0, 0.0), (0.0, 0.5)), ((0.0, 1.0), (0.5, 0.0))))
+    with pytest.raises(ValidationError, match="rational"):
+        hv_model_from_factorization(p, floats)
 
 
 def test_hv_model_drops_zero_mass_terms():
@@ -191,7 +195,7 @@ def test_hv_model_drops_zero_mass_terms():
 
 
 def test_empty_models_raise_validation_error():
-    zero = RatMatrix.zeros(2, 2)
+    zero = RatMatrix(2, 2, [0] * 4)
     # nmf_search returns the zero-term factorization for an all-zero matrix
     with pytest.raises(ValidationError):
         hv_model_from_factorization(zero, nmf_search(zero, 1))
@@ -213,9 +217,12 @@ def test_hv_model_rejects_negative_and_float_drift():
     cond = ((1, 0), (0, 1))
     with pytest.raises(ValidationError, match="nonnegative"):
         HiddenVariableModel((Fraction(3, 2), Fraction(-1, 2)), cond, cond)
-    with pytest.raises(ValidationError, match="1e-12"):
+    # float entries are refused, whether or not they sum to 1
+    with pytest.raises(ValidationError, match="exact"):
         HiddenVariableModel((0.5, 0.5 + 1e-9), cond, cond)
-    assert HiddenVariableModel((0.5, 0.5), cond, cond).support_size == 2
+    with pytest.raises(ValidationError, match="exact"):
+        HiddenVariableModel((0.5, 0.5), cond, cond)
+    assert HiddenVariableModel((Fraction(1, 2), Fraction(1, 2)), cond, cond).support_size == 2
 
 
 def test_hv_round_trip_for_correlation_size_four():
@@ -346,10 +353,14 @@ def brute_force_depth(grid: list[list[int]], depth_cap: int = 6) -> int:
     return solve(tuple(range(len(grid))), tuple(range(len(grid[0]))), depth_cap)
 
 
+def grid_depth(grid) -> int:
+    return dcc_exact_2party(RatMatrix.from_rows(grid))
+
+
 def test_depth_worked_values():
-    assert dcc_exact_2party([[1, 1], [1, 1]]) == 0
-    assert dcc_exact_2party([[0, 1]]) == 1
-    assert dcc_exact_2party([[1, 0], [0, 1]]) == 2
+    assert grid_depth([[1, 1], [1, 1]]) == 0
+    assert grid_depth([[0, 1]]) == 1
+    assert grid_depth([[1, 0], [0, 1]]) == 2
 
 
 def test_depth_matches_brute_force():
@@ -370,12 +381,12 @@ def test_depth_matches_brute_force():
     cold = []
     for grid in grids:
         _dcc_solve.cache_clear()
-        cold.append(dcc_exact_2party(grid))
+        cold.append(grid_depth(grid))
         assert cold[-1] == brute_force_depth(grid), grid
     # warm: the memo keeps the states of every grid and transpose solved so far
-    for grid, depth in zip(grids, cold):
-        assert dcc_exact_2party([list(col) for col in zip(*grid)]) == depth, grid
-        assert dcc_exact_2party(grid) == depth, grid
+    for grid, want in zip(grids, cold):
+        assert grid_depth([list(col) for col in zip(*grid)]) == want, grid
+        assert grid_depth(grid) == want, grid
 
 
 def test_depth_dominates_log_rank_and_cover():
@@ -394,9 +405,11 @@ def test_depth_dominates_log_rank_and_cover():
 
 def test_depth_input_validation():
     with pytest.raises(ValidationError):
-        dcc_exact_2party([[0, 2]])
+        grid_depth([[0, 2]])
+    with pytest.raises(ValidationError):
+        grid_depth([[0, Fraction(1, 2)]])
     with pytest.raises(CapacityError):
-        dcc_exact_2party([[0] * 17])
+        grid_depth([[0] * 17])
 
 
 def mask_grid(masks, ncols: int) -> list[list[int]]:
@@ -406,11 +419,11 @@ def mask_grid(masks, ncols: int) -> list[list[int]]:
 def test_depth_capped_by_distinct_rows_plus_columns():
     # every 4-bit row: 16 distinct rows and 4 distinct columns, over the cap
     with pytest.raises(CapacityError, match="got 20"):
-        dcc_exact_2party(mask_grid(range(16), 4))
+        grid_depth(mask_grid(range(16), 4))
     # 9 distinct rows and 4 distinct columns solve; so does a 16x16 input
     # whose 2 distinct rows leave 2 distinct columns
-    assert dcc_exact_2party(mask_grid(range(9), 4)) == 3
-    assert dcc_exact_2party(mask_grid([0x00FF, 0xFF00] * 8, 16)) == 2
+    assert grid_depth(mask_grid(range(9), 4)) == 3
+    assert grid_depth(mask_grid([0x00FF, 0xFF00] * 8, 16)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +450,18 @@ def test_comm_report_validation():
         comm_report(2, 1)
     with pytest.raises(CapacityError):
         comm_report(4, 10, cross_check=True)
+    # base^d = 2^21 is past the 2^20 guard, so no cross-check by default
+    with pytest.raises(CapacityError):
+        comm_report(7, 3, cross_check=True)
+    assert comm_report(7, 3).mr_cross_check is None
+
+
+def test_comm_report_of_a_huge_nbits_builds_no_base():
+    # without a cross-check the base 2^nbits is never built, so nbits = 2^63
+    # gives its closed-form report at once instead of a MemoryError
+    rep = comm_report(2**63, 2)
+    assert rep.log_mr_exact == 2**63 and rep.trivial_protocol_cost == 2**63 + 1
+    assert rep.mr_cross_check is None and rep.rank_upper_dn is None
 
 
 def test_comm_ladder_monotone():

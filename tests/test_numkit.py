@@ -11,7 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrw import numkit
-from mrw.constructions import CorrelationSpec, DivTensorSpec, difference_matrix, divisibility_tensor, EdmSpec, edm
+from mrw.constructions import (
+    CorrelationSpec,
+    DivTensorSpec,
+    EdmSpec,
+    ScaledAntisymmetric,
+    difference_matrix,
+    divisibility_tensor,
+    edm,
+)
 from mrw.errors import DimensionError, UnsupportedRankError, ValidationError
 from mrw.numkit import (
     NonnegFactorization,
@@ -27,23 +35,28 @@ from mrw.numkit import (
 from mrw.ratlinalg import RatMatrix, char_poly_exact
 
 
+def _differences(values) -> RatMatrix:
+    return RatMatrix.from_rows([[y - x for y in values] for x in values])
+
+
 def test_spectral_split_worked_values():
-    s = math.sqrt(0.5)
-    pair = antisym_spectral(np.array([[0.0, s], [-s, 0.0]]))
-    assert abs(pair.lambda_magnitude - s) < 1e-12
-    pair = antisym_spectral(RatMatrix.from_rows([[0, 1], [-1, 0]]))
+    swap = RatMatrix.from_rows([[0, 1], [-1, 0]])
+    pair = antisym_spectral(ScaledAntisymmetric(swap, Fraction(1, 2)))
+    assert abs(pair.lambda_magnitude - math.sqrt(0.5)) < 1e-12
+    pair = antisym_spectral(ScaledAntisymmetric(swap, Fraction(1)))
     assert abs(pair.lambda_magnitude - 1.0) < 1e-12
-    c4 = RatMatrix.from_rows([[y - x for y in (1, 2, 3, 4)] for x in (1, 2, 3, 4)])
+    c4 = ScaledAntisymmetric(_differences((1, 2, 3, 4)), Fraction(1))
     pair = antisym_spectral(c4)
     assert abs(pair.lambda_magnitude - math.sqrt(20)) < 1e-9
-    assert pair.reconstruction_error(np.array(c4.to_float_rows())) <= 1e-9
+    assert pair.reconstruction_error(c4.to_float()) <= 1e-9
 
 
 def test_spectral_lambda_squared_matches_char_poly():
     # lambda^2 equals the x^(N-2) coefficient of the characteristic polynomial
-    c4 = RatMatrix.from_rows([[y - x for y in (1, 3, 4, 9)] for x in (1, 3, 4, 9)])
-    pair = antisym_spectral(c4)
-    coeff = char_poly_exact(c4).coeffs[2]
+    # (Faddeev-LeVerrier on the base, an oracle independent of the closed form)
+    base = _differences((1, 3, 4, 9))
+    pair = antisym_spectral(ScaledAntisymmetric(base, Fraction(1)))
+    coeff = char_poly_exact(base).coeffs[2]
     assert abs(pair.lambda_magnitude**2 - float(coeff)) < 1e-9 * float(coeff)
 
 
@@ -56,13 +69,16 @@ def test_spectral_split_scaled_input():
 
 
 def test_spectral_split_rejects_bad_input():
+    # a symmetric base is refused when the scaled matrix is built
     with pytest.raises(ValidationError):
-        antisym_spectral(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ScaledAntisymmetric(RatMatrix.from_rows([[0, 1], [1, 0]]), Fraction(1))
     rank4 = RatMatrix.from_rows(
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
     )
     with pytest.raises(UnsupportedRankError):
-        antisym_spectral(rank4)
+        antisym_spectral(ScaledAntisymmetric(rank4, Fraction(1)))
+    with pytest.raises(UnsupportedRankError):
+        antisym_spectral(ScaledAntisymmetric(RatMatrix(2, 2, [0] * 4), Fraction(1)))
 
 
 def test_nmf_trivial_cases():
@@ -465,7 +481,7 @@ def test_verify_flags_negativity():
 def test_verify_shape_mismatch():
     fact = NonnegFactorization(dims=(2, 2), terms=())
     with pytest.raises(DimensionError):
-        verify_nonneg_factorization(RatMatrix.zeros(2, 3), fact, tol=0)
+        verify_nonneg_factorization(RatMatrix(2, 3, [0] * 6), fact, tol=0)
 
 
 def test_verify_exact_tensor_reconstruction():

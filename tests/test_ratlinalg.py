@@ -79,7 +79,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int, span: int = 6) -> Ra
 def test_rank_worked_values():
     assert rank_exact(RatMatrix.from_rows([[0, 1, 4], [1, 0, 1], [4, 1, 0]])) == 3
     assert rank_exact(identity(3)) == 3
-    assert rank_exact(RatMatrix.zeros(4, 4)) == 0
+    assert rank_exact(RatMatrix(4, 4, [0] * 16)) == 0
 
 
 def test_rank_matches_naive_elimination():
@@ -285,7 +285,7 @@ def test_hadamard_worked_values():
     a = RatMatrix.from_rows([[1, 2], [3, 4]])
     b = RatMatrix.from_rows([[5, 6], [7, 8]])
     assert hadamard(a, b) == RatMatrix.from_rows([[5, 12], [21, 32]])
-    zeros = RatMatrix.zeros(2, 2)
+    zeros = RatMatrix(2, 2, [0] * 4)
     assert hadamard(a, zeros) == zeros
     s1 = RatMatrix.from_rows([[1], [3]])
     assert hadamard(s1, s1) == RatMatrix.from_rows([[1], [9]])

@@ -75,9 +75,13 @@ def test_integral_entries_parse_to_ints():
     assert [type(e) for e in m.entries] == [int, int, int, Fraction]
     assert m.entries == (3, 3, 5, Fraction(-1, 2))
     assert len(warns) == 2 and "6/2" in warns[0] and "number literal 5" in warns[1]
-    t, warns = parse_tensor({"dims": [2, 2], "entries": ["1", 0, "1/3", 0.5]})
-    assert [type(v) for v in t.values] == [int, int, Fraction, float]
-    assert len(warns) == 2
+    t, warns = parse_tensor({"dims": [2, 2], "entries": ["1", 0, "1/3", "6/2"]})
+    assert [type(v) for v in t.values] == [int, int, Fraction, int]
+    assert t.values == (1, 0, Fraction(1, 3), 3)
+    assert len(warns) == 2 and "number literal 0" in warns[0] and "6/2" in warns[1]
+    # a float literal is refused, as in a matrix
+    with pytest.raises(ParseError, match="unsupported entry 0.5"):
+        parse_tensor({"dims": [1, 2], "entries": ["1", 0.5]})
 
 
 def test_factorization_round_trip_float_and_rational():
