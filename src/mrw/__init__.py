@@ -41,9 +41,7 @@ from .constructions import (
     offset_matrix,
     offset_square_matrix,
     outcome_distribution,
-    pack_index,
     quantum_distribution,
-    unpack_index,
 )
 from .numkit import (
     CpDecomposition,

@@ -5,7 +5,7 @@ formats, `rank`/`mr`/`dcc` analyze files, `abp`/`quantum`/`comm` print
 reports, and `verify` replays the desk-scale reproduction suite.  Exit codes:
 0 success, 1 verification/check failure, 2 input or I/O error.  Every command
 takes --out; `quantum --simulate` and `verify` read --seed (default 1729);
-MRW_BUDGET or --budget (`mr` only) scales the default search budgets;
+--budget (`mr` only) scales the default search budgets;
 `mr` and `quantum` take --rational, `abp` and `comm` take --csv.  A command
 given a flag it does not read exits 2.
 """
@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 
 from . import __version__
@@ -86,14 +85,10 @@ _BUDGET_CEILING = 10.0
 
 
 def _budget_factor(args) -> float:
-    raw = args.budget if args.budget is not None else os.environ.get("MRW_BUDGET", 1.0)
-    try:
-        factor = float(raw)
-    except ValueError:
-        factor = math.nan
+    factor = args.budget
     if not (math.isfinite(factor) and 0 < factor <= _BUDGET_CEILING):
         raise ValidationError(
-            f"budget must be a number > 0 and <= {_BUDGET_CEILING:g}, got {raw!r}"
+            f"budget must be a number > 0 and <= {_BUDGET_CEILING:g}, got {factor!r}"
         )
     return factor
 
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mr_p = sub.add_parser("mr", parents=[out, rational],
                           help="monotone-rank bracket of a matrix/tensor file")
-    mr_p.add_argument("--budget", type=float, default=None, help="budget multiplier (overrides MRW_BUDGET)")
+    mr_p.add_argument("--budget", type=float, default=1.0, help="search budget multiplier")
     src = mr_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--matrix")
     src.add_argument("--tensor")

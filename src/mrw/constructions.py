@@ -6,10 +6,15 @@ and the correlation-matrix pipeline (antisymmetric difference matrix C, the
 outcome distribution P = C o C, the spectral vectors feeding the quantum side
 and the quantum outcome distribution they give).  Exact rational output
 wherever the object is rational; floats appear only in the spectral vectors
-and what is computed from them.  Integral correlation generator values stay
-ints, so the difference matrix, its antisymmetry check, its rank and its
-float copy are int work, and its characteristic polynomial comes from a
-closed form once its rank is certified to be at most 2.
+and what is computed from them.
+
+:func:`edm` is the only code that squares differences: every flattening is
+edm(0..n^(d/2)-1) read in another shape, its crown sits at the multiples of
+n^k, and P = s^2 * edm(b) for the correlation values b.  Integral generator
+values stay ints, so these matrices, the difference matrix, its antisymmetry
+check, its rank and its float copy are int work, and the characteristic
+polynomial of C comes from a closed form once its rank is certified to be at
+most 2.  Each size guard runs before the first entry is built.
 """
 
 from __future__ import annotations
@@ -18,20 +23,19 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .dtensor import DenseTensor
-from .errors import CapacityError, DimensionError, UnsupportedRankError, ValidationError
+from .errors import DimensionError, UnsupportedRankError, ValidationError
 from .ratlinalg import (
-    CAPACITY_LIMIT,
     CharPoly,
     Exact,
     RatMatrix,
     RationalLike,
     as_exact,
-    as_fraction,
     check_capacity,
     exact_sum,
     hadamard,
@@ -45,12 +49,13 @@ from .ratlinalg import (
 
 @dataclass(frozen=True)
 class EdmSpec:
-    """n pairwise-distinct rational generator values a_1..a_n."""
+    """n pairwise-distinct rational generator values a_1..a_n; integral
+    values are kept as ints, as :class:`RatMatrix` keeps its entries."""
 
-    values: tuple[Fraction, ...]
+    values: tuple[Exact, ...]
 
     def __init__(self, values: Sequence[RationalLike]):
-        vals = tuple(as_fraction(v) for v in values)
+        vals = tuple(map(as_exact, values))
         if len(vals) < 1:
             raise ValidationError("need at least one generator value")
         if len(set(vals)) != len(vals):
@@ -59,6 +64,10 @@ class EdmSpec:
 
     @classmethod
     def integers(cls, n: int) -> "EdmSpec":
+        """The values 1..n, refused before any is built when their distance
+        matrix would pass the capacity guard."""
+        if n > 0:  # n <= 0 gives no values, which the constructor refuses
+            check_capacity((n, n), "distance matrix")
         return cls(range(1, n + 1))
 
     @property
@@ -71,8 +80,10 @@ def edm(spec: EdmSpec) -> RatMatrix:
 
     Symmetric, zero diagonal, positive off-diagonal; rank is 3 for n >= 3
     because every column lies in the span of (a_i^2), (a_i), (1).  Each
-    square is computed once, above the diagonal, and mirrored.
+    square is computed once, above the diagonal, and mirrored, after the
+    capacity guard.
     """
+    check_capacity((spec.n, spec.n), "distance matrix")
     a = spec.values
     rows = [[0] * spec.n for _ in a]
     for i, x in enumerate(a):
@@ -89,7 +100,7 @@ def edm(spec: EdmSpec) -> RatMatrix:
 class FunctionFSpec:
     """Parameters of the degree-d coefficient family on n variables.
 
-    d must be even: coefficients compare the packed ranks of the two halves
+    d must be even: coefficients compare the lex ranks of the two halves
     of each length-d index tuple.
     """
 
@@ -110,51 +121,19 @@ class FunctionFSpec:
     def half_size(self) -> int:
         return self.n ** self.half
 
-    @property
-    def total_size(self) -> int:
-        return self.n ** self.d
-
-
-def pack_index(digits: Sequence[int], n: int) -> int:
-    """1-based mixed-radix rank of a tuple of digits in [1..n].
-
-    This is the bijection from [n]^m onto [n^m]: the first tuple (1,..,1)
-    maps to 1 and the last (n,..,n) to n^m.
-    """
-    value = 0
-    for digit in digits:
-        if not (1 <= digit <= n):
-            raise ValidationError(f"digit {digit} outside [1..{n}]")
-        value = value * n + (digit - 1)
-    return value + 1
-
-
-def unpack_index(value: int, n: int, length: int) -> tuple[int, ...]:
-    """Inverse of :func:`pack_index` for tuples of the given length."""
-    if not (1 <= value <= n ** length):
-        raise ValidationError(f"rank {value} outside [1..{n ** length}]")
-    rest = value - 1
-    digits = []
-    for _ in range(length):
-        rest, r = divmod(rest, n)
-        digits.append(r + 1)
-    return tuple(reversed(digits))
-
 
 def flattening(spec: FunctionFSpec, k: int) -> RatMatrix:
     """n^k x n^(d-k) matrix of coefficients, split after the first k indices.
 
-    Rows and columns are ordered by the packed rank of their index tuples,
-    which is exactly lexicographic order; consequently all flattenings share
-    one row-major coefficient array and only the shape changes with k.  The
-    middle flattening satisfies entry(i, j) = (j - i)^2.
+    Rows and columns are ordered by the lexicographic rank of their index
+    tuples, so all flattenings share one row-major coefficient array and
+    only the shape changes with k.  That array is the middle flattening,
+    edm(0, 1, .., n^(d/2) - 1): entry (i, j) = (j - i)^2.
     """
     if not (0 <= k <= spec.d):
         raise ValidationError(f"split position k={k} outside [0..{spec.d}]")
-    if spec.total_size > CAPACITY_LIMIT:
-        raise CapacityError(f"n^d = {spec.total_size} exceeds the {CAPACITY_LIMIT} guard")
-    h = range(spec.half_size)
-    entries = [(a - b) ** 2 for a in h for b in h]
+    check_capacity(repeat(spec.n, spec.d), "flattening")
+    entries = edm(EdmSpec(range(spec.half_size))).entries
     return RatMatrix(spec.n ** k, spec.n ** (spec.d - k), entries)
 
 
@@ -167,6 +146,7 @@ def offset_matrix(spec: FunctionFSpec) -> RatMatrix:
     """
     if spec.d < 4:
         raise ValidationError("offset matrices need degree >= 4")
+    check_capacity(chain(repeat(spec.n, spec.half - 1), (spec.n - 1,)), "offset matrix")
     rows = spec.n ** (spec.half - 1)
     return RatMatrix(
         rows, spec.n - 1, [b * spec.n + j for b in range(rows) for j in range(1, spec.n)]
@@ -182,20 +162,16 @@ def offset_square_matrix(spec: FunctionFSpec) -> RatMatrix:
 def spaced_block_column_indices(spec: FunctionFSpec, k: int) -> list[int]:
     """Indices of the crown inside the level-(d/2 -+ k) flattenings.
 
-    The p-th (d/2-k)-tuple padded as (1,)*k + tuple + (1,)*k, as 0-based lex
-    ranks.  As columns of flattening(spec, d/2-k), against every row, they
-    give the squared-difference matrix over 0, n^k, 2n^k, ...; as rows of
+    The multiples p * n^k for p < n^(d/2-k): the lex ranks of the index
+    tuples whose first and last k indices are the first symbol.  As columns
+    of flattening(spec, d/2-k), against every row, they give the
+    squared-difference matrix over 0, n^k, 2n^k, ...; as rows of
     flattening(spec, d/2+k), against every column, the one over 0, 1, 2, ...
     """
     if not (0 <= k <= spec.half):
         raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")
-    m = spec.n ** (spec.half - k)
-    ones = (1,) * k
-    cols = []
-    for p in range(1, m + 1):
-        tup = ones + unpack_index(p, spec.n, spec.half - k) + ones
-        cols.append(pack_index(tup, spec.n) - 1)
-    return cols
+    stride = spec.n ** k
+    return [p * stride for p in range(spec.n ** (spec.half - k))]
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +191,7 @@ class DivTensorSpec:
             raise ValidationError(f"base must be >= 2, got {self.base}")
         if self.order < 2:
             raise ValidationError(f"order must be >= 2, got {self.order}")
-        if self.base ** self.order > CAPACITY_LIMIT:
-            raise CapacityError(
-                f"base^order = {self.base ** self.order} exceeds the {CAPACITY_LIMIT} guard"
-            )
+        check_capacity(repeat(self.base, self.order), "divisibility tensor")
 
 
 def divisibility_tensor(spec: DivTensorSpec) -> DenseTensor:
@@ -246,7 +219,7 @@ class CorrelationSpec:
     an int matrix for them.  s itself is irrational in general and never
     materialized; only s^2 enters the rational objects (P and the
     characteristic polynomial).  The N x N capacity guard runs before any
-    work on the values.
+    work on the values; :class:`EdmSpec` checks that they are distinct.
     """
 
     size: int
@@ -256,12 +229,10 @@ class CorrelationSpec:
     def __init__(self, size: int, values: Sequence[RationalLike] | None = None):
         if size < 2 or size & (size - 1) != 0:
             raise ValidationError(f"dimension must be a power of two >= 2, got {size}")
-        check_capacity(size * size, "correlation matrix")
-        vals = tuple(range(1, size + 1)) if values is None else tuple(map(as_exact, values))
-        if len(vals) != size:
-            raise ValidationError(f"need exactly {size} generator values, got {len(vals)}")
-        if len(set(vals)) != len(vals):
-            raise ValidationError("generator values must be pairwise distinct")
+        check_capacity((size, size), "correlation matrix")
+        if values is not None and len(values) != size:
+            raise ValidationError(f"need exactly {size} generator values, got {len(values)}")
+        vals = EdmSpec(range(1, size + 1) if values is None else values).values
         # sum_{x<y} (b_y - b_x)^2 = N sum b^2 - (sum b)^2, in O(N)
         pair_square_sum = size * exact_sum(v * v for v in vals) - exact_sum(vals) ** 2
         object.__setattr__(self, "size", size)
@@ -292,13 +263,6 @@ class ScaledAntisymmetric:
         """Exact rank of the base, computed once and shared by the spectral
         split and :meth:`char_poly`."""
         return rank_exact(self.base)
-
-    def hadamard_square(self) -> RatMatrix:
-        """Exact entrywise square s^2 * (base o base); each distinct square is
-        scaled once."""
-        sq = hadamard(self.base, self.base).entries
-        scaled = {e: self.scale_sq * e for e in set(sq)}
-        return RatMatrix(self.size, self.size, map(scaled.__getitem__, sq))
 
     def to_float(self) -> np.ndarray:
         s = math.sqrt(float(self.scale_sq))
@@ -349,12 +313,11 @@ def difference_matrix(spec: CorrelationSpec) -> ScaledAntisymmetric:
 
 
 def outcome_distribution(spec: CorrelationSpec) -> RatMatrix:
-    """P = C o C exactly: nonnegative, symmetric, zero diagonal, sums to 1."""
-    return _normalized_square(difference_matrix(spec))
-
-
-def _normalized_square(c: ScaledAntisymmetric) -> RatMatrix:
-    p = c.hadamard_square()
+    """P = C o C = s^2 * edm(b) exactly: nonnegative, symmetric, zero
+    diagonal, sums to 1.  Each distinct square is scaled once."""
+    sq = edm(EdmSpec(spec.values)).entries
+    scaled = {e: spec.scale_sq * e for e in set(sq)}
+    p = RatMatrix(spec.size, spec.size, map(scaled.__getitem__, sq))
     if p.entry_sum() != 1:
         raise ValidationError("normalization violated: outcome matrix must sum to 1")
     return p
@@ -380,7 +343,7 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     from .numkit import antisym_spectral
 
     cmat = difference_matrix(spec)
-    p = _normalized_square(cmat)
+    p = outcome_distribution(spec)
     pair = antisym_spectral(cmat)
     u0, u1 = pair.u0, pair.u1
     v0 = np.conj(u0)

@@ -23,8 +23,7 @@ class DenseTensor:
         dims = tuple(int(d) for d in dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionError(f"tensor dims {dims} must be an order >= 2 shape of positives")
-        size = prod(dims)
-        check_capacity(size, "tensor")
+        size = check_capacity(dims, "tensor")
         vals = tuple(values)
         if len(vals) != size:
             raise DimensionError(f"expected {size} entries for dims {dims}, got {len(vals)}")

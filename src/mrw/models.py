@@ -72,8 +72,6 @@ def abp_profile(n: int, d: int) -> AbpProfile:
     time.
     """
     spec = FunctionFSpec(n, d)
-    if spec.total_size > CAPACITY_LIMIT:
-        raise CapacityError(f"n^d = {spec.total_size} exceeds capacity")
     levels = []
     for j in range(d + 1):
         flat = flattening(spec, j)
@@ -206,11 +204,11 @@ def edm_folding_factorization(spec: EdmSpec) -> NonnegFactorization:
     value is left.  Each fold merges the two extremes, so r <= 2(n - 1); an
     arithmetic progression halves at every fold, giving r = 2 ceil(log2 n).
     """
-    xs = list(spec.values)  # Fractions, so the centre below stays exact
+    xs = list(spec.values)
     zero = Fraction(0)
     terms = []
     while len(set(xs)) > 1:
-        c = (min(xs) + max(xs)) / 2
+        c = Fraction(min(xs) + max(xs), 2)  # exact on int values too
         u = [abs(x - c) for x in xs]
         below = tuple(ui if x < c else zero for x, ui in zip(xs, u))
         above = tuple(ui if x > c else zero for x, ui in zip(xs, u))
@@ -419,15 +417,15 @@ class CommBoundReport:
             raise ValidationError("rank upper bound must be positive")
 
 
-def comm_report(nbits: int, d: int, cross_check: bool | None = None) -> CommBoundReport:
+def comm_report(nbits: int, d: int, cross_check: bool = True) -> CommBoundReport:
     """Bounds for the d-party divisibility function on nbits-bit inputs.
 
     log of the exact monotone rank is (d-1)*nbits; log of the rank upper
     bound is log2(d) + nbits; a trivial protocol costs (d-1)*nbits + 1 bits.
-    For small instances (base^d = 2^(nbits*d) within the capacity guard) the
-    monotone rank and a mode-flattening rank lower bound are recomputed from
-    the dense tensor as a cross-check; the base is built only for it, so a
-    huge nbits costs nothing without one.
+    With `cross_check`, small instances (base^d = 2^(nbits*d) within the
+    capacity guard) recompute the monotone rank and a mode-flattening rank
+    lower bound from the dense tensor; the base is built only for that, so a
+    huge nbits costs nothing.
     """
     if nbits < 1:
         raise ValidationError("need nbits >= 1")
@@ -445,12 +443,7 @@ def comm_report(nbits: int, d: int, cross_check: bool | None = None) -> CommBoun
     )
     # base^d = 2^(nbits*d) is within CAPACITY_LIMIT = 2^20 exactly when
     # nbits*d <= 20; the base itself is built only for the cross-check
-    small = nbits * d <= CAPACITY_LIMIT.bit_length() - 1
-    if cross_check is None:
-        cross_check = small
-    if cross_check:
-        if not small:
-            raise CapacityError("cross-check needs base^order within capacity")
+    if cross_check and nbits * d <= CAPACITY_LIMIT.bit_length() - 1:
         n_big = 1 << nbits
         spec = DivTensorSpec(n_big, d)
         tensor = divisibility_tensor(spec)

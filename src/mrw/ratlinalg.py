@@ -45,10 +45,26 @@ _denominator = attrgetter("denominator")
 CAPACITY_LIMIT = 1 << 20
 
 
-def check_capacity(entries: int, what: str) -> None:
-    """Raise CapacityError when a dense ``what`` would hold too many entries."""
+def check_capacity(shape: Iterable[int], what: str) -> int:
+    """Entry count of a dense ``what`` of the given shape (positive sizes);
+    CapacityError when it passes ``CAPACITY_LIMIT``.
+
+    The shape is read lazily and the product stops growing once it passes
+    ``CAPACITY_LIMIT ** 2``, so a huge shape costs a few multiplications and
+    the message never formats an unbounded number: a count up to that bound
+    is printed exactly, a larger one as "more than" the bound.
+    """
+    printable = CAPACITY_LIMIT * CAPACITY_LIMIT
+    entries = 1
+    for size in shape:
+        entries *= size
+        if entries > printable:
+            raise CapacityError(
+                f"{what} with more than {printable} entries exceeds the {CAPACITY_LIMIT} guard"
+            )
     if entries > CAPACITY_LIMIT:
         raise CapacityError(f"{what} with {entries} entries exceeds the {CAPACITY_LIMIT} guard")
+    return entries
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -106,7 +122,7 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
-        check_capacity(rows * cols, "matrix")
+        check_capacity((rows, cols), "matrix")
         data = tuple(entries)
         if not _EXACT_TYPES.issuperset(map(type, data)):
             data = tuple(e if type(e) in _EXACT_TYPES else as_fraction(e) for e in data)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import prod
 from typing import Any
 
 from .bounds import MrBoundReport
@@ -101,7 +100,7 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
 
 
 def _is_size(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
@@ -111,12 +110,12 @@ def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
     except (KeyError, TypeError):
         raise ParseError("matrix object needs rows, cols and entries")
     if not _is_size(rows) or not _is_size(cols):
-        raise ParseError("rows and cols must be integers")
+        raise ParseError("rows and cols must be positive integers")
     if not isinstance(entries, list):
         raise ParseError("entries must be a list")
-    check_capacity(rows * cols, "matrix")
-    if len(entries) != rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, got {len(entries)}")
+    size = check_capacity((rows, cols), "matrix")
+    if len(entries) != size:
+        raise ParseError(f"expected {size} entries, got {len(entries)}")
     parsed = [
         _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
     ]
@@ -129,12 +128,13 @@ def parse_tensor(obj: dict) -> tuple[DenseTensor, list[str]]:
         dims, entries = obj["dims"], obj["entries"]
     except (KeyError, TypeError):
         raise ParseError("tensor object needs dims and entries")
-    if not isinstance(dims, list) or not dims or not all(_is_size(d) and d >= 1 for d in dims):
+    if not isinstance(dims, list) or not dims or not all(map(_is_size, dims)):
         raise ParseError("dims must be a list of positive integers")
     if not isinstance(entries, list):
         raise ParseError("entries must be a list")
-    if len(entries) != prod(dims):
-        raise ParseError(f"dims product {prod(dims)} does not match {len(entries)} entries")
+    size = check_capacity(dims, "tensor")
+    if len(entries) != size:
+        raise ParseError(f"dims product {size} does not match {len(entries)} entries")
     values = [
         _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
     ]

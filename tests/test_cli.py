@@ -174,6 +174,29 @@ def test_oversized_correlation_exits_2(capsys, argv):
     assert err.startswith("error:") and "67108864 entries exceeds the 1048576 guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (("abp", "--n", "2", "--d", "20000"), None),
+        (("gen", "flatten", "--n", "2", "--d", "20000", "--k", "1"), None),
+        (("gen", "divtensor", "--base", "2", "--order", "20000"), None),
+        (("quantum", "--N", str(2**14000)), None),
+        (("mr", "--tensor"), {"dims": [2] * 15000, "entries": []}),
+        (("rank", "--matrix"), {"rows": 10**2200, "cols": 10**2200, "entries": []}),
+    ],
+)
+def test_astronomical_sizes_exit_2_with_one_line(tmp_path, capsys, argv, obj):
+    # the refused count has thousands of digits; the message must not print it
+    if obj is not None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        argv = (*argv, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "entries exceeds the 1048576 guard" in err and len(err) < 120
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--matrix", "/nonexistent/x.json")
     assert code == 2
@@ -202,34 +225,26 @@ def test_verify_small_scale(capsys):
 def test_budget_resolution_order(monkeypatch):
     from argparse import Namespace
 
-    from mrw.cli import _budget_factor
+    from mrw.cli import _budget_factor, build_parser
 
-    monkeypatch.delenv("MRW_BUDGET", raising=False)
-    assert _budget_factor(Namespace(budget=None)) == 1.0
+    # --budget is the only source: the environment is not read
     monkeypatch.setenv("MRW_BUDGET", "2.5")
-    assert _budget_factor(Namespace(budget=None)) == 2.5
-    assert _budget_factor(Namespace(budget=0.5)) == 0.5  # flag beats env
+    default = build_parser().parse_args(["mr", "--matrix", "m.json"])
+    assert _budget_factor(default) == 1.0
+    assert _budget_factor(Namespace(budget=0.5)) == 0.5
     assert _budget_factor(Namespace(budget=10.0)) == 10.0  # the ceiling itself
     for bad in (math.nan, math.inf, 0.0, -1.0, 10.5, 1e300):
         with pytest.raises(ValidationError):
             _budget_factor(Namespace(budget=bad))
-    for bad in ("abc", "nan", "inf", "0", "-1"):
-        monkeypatch.setenv("MRW_BUDGET", bad)
-        with pytest.raises(ValidationError):
-            _budget_factor(Namespace(budget=None))
 
 
-def test_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
+def test_bad_budget_exits_2(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rows": 1, "cols": 2, "entries": ["0", "1"]}))
-    monkeypatch.delenv("MRW_BUDGET", raising=False)
     for flag in ("nan", "inf", "0", "-1", "1e300", "10.5"):
         code, out, err = run(capsys, "mr", "--matrix", str(path), "--budget", flag)
         assert code == 2 and out == "" and err.startswith("error: budget"), flag
         assert err.count("\n") == 1, flag
-    monkeypatch.setenv("MRW_BUDGET", "abc")
-    code, out, err = run(capsys, "mr", "--matrix", str(path))
-    assert code == 2 and out == "" and err.startswith("error: budget")
 
 
 def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
@@ -271,7 +286,6 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
         return cover(pattern, node_budget=node_budget)
 
     monkeypatch.setattr(mrw.bounds, "box_cover_exact", spy_cover)
-    monkeypatch.delenv("MRW_BUDGET", raising=False)
     path = tmp_path / "m.json"
     path.write_text(canonical_dumps({"rows": 2, "cols": 2, "entries": ["1", "1", "0", "1"]}))
     calls = [

@@ -1,8 +1,9 @@
-"""Generators: worked matrices, the packing bijection, block extraction,
-divisibility tensors and the correlation pipeline."""
+"""Generators: worked matrices, block extraction, divisibility tensors and
+the correlation pipeline."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +28,7 @@ from mrw.constructions import (
     offset_matrix,
     offset_square_matrix,
     outcome_distribution,
-    pack_index,
     spaced_block_column_indices,
-    unpack_index,
 )
 from mrw.errors import CapacityError, UnsupportedRankError, ValidationError
 from mrw.ratlinalg import RatMatrix, char_poly_exact, hadamard, rank_exact, submatrix
@@ -44,24 +43,35 @@ def test_edm_worked_values():
 def test_edm_rejects_duplicates():
     with pytest.raises(ValidationError):
         EdmSpec([1, 2, 2])
+    with pytest.raises(ValidationError, match="at least one"):
+        EdmSpec.integers(-2000)
 
 
-def test_pack_index_examples():
-    assert pack_index((1,) * 3, 2) == 1
-    assert pack_index((2,) * 3, 2) == 8
-    assert pack_index((1, 2), 2) == 2
-    with pytest.raises(ValidationError):
-        pack_index((0, 1), 2)
+def test_edm_spec_keeps_integral_values_as_ints():
+    spec = EdmSpec([Fraction(6, 2), "5", 1, Fraction(1, 2)])
+    assert [type(v) for v in spec.values] == [int, int, int, Fraction]
+    assert all(type(e) is int for e in edm(EdmSpec.integers(6)).entries)
 
 
-def test_pack_unpack_bijection_full_domain():
-    for n, half in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        seen = set()
-        for digits in itertools.product(range(1, n + 1), repeat=half):
-            v = pack_index(digits, n)
-            assert unpack_index(v, n, half) == digits
-            seen.add(v)
-        assert seen == set(range(1, n**half + 1))
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: edm(EdmSpec.integers(1100)), id="edm-integers"),
+        pytest.param(lambda: edm(EdmSpec([Fraction(1, k) for k in range(1, 1100)])), id="edm-values"),
+        pytest.param(lambda: offset_matrix(FunctionFSpec(2, 44)), id="offset"),
+        pytest.param(lambda: offset_square_matrix(FunctionFSpec(2, 20000)), id="offset-square"),
+        pytest.param(lambda: flattening(FunctionFSpec(2, 20000), 1), id="flattening"),
+    ],
+)
+def test_size_guards_refuse_before_building_any_entry(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_flattening_worked_matrices():
@@ -83,11 +93,20 @@ def test_flattening_worked_matrices():
 def test_flattening_holds_ints_equal_to_the_fraction_matrix(n, d):
     spec = FunctionFSpec(n, d)
     h = spec.half_size
-    fractions = [Fraction((i // h - i % h) ** 2) for i in range(spec.total_size)]
+    fractions = [Fraction((i // h - i % h) ** 2) for i in range(n**d)]
     for k in range(d + 1):
         m = flattening(spec, k)
         assert all(type(e) is int for e in m.entries)
         assert m == RatMatrix(n**k, n ** (d - k), fractions)
+
+
+@given(st.sampled_from([(2, 2), (2, 4), (3, 4), (4, 4), (2, 6), (3, 6), (2, 8)]), st.data())
+def test_every_flattening_holds_the_entries_of_edm(nd, data):
+    n, d = nd
+    k = data.draw(st.integers(0, d))
+    m = flattening(FunctionFSpec(n, d), k)
+    assert m.shape == (n**k, n ** (d - k))
+    assert m.entries == edm(EdmSpec(range(n ** (d // 2)))).entries
 
 
 def test_flattening_middle_is_squared_difference():
@@ -107,13 +126,11 @@ def test_flattening_block_law():
         spec = FunctionFSpec(n, d)
         mid = flattening(spec, d // 2)
         left = flattening(spec, d // 2 - 1)
-        for prefix in itertools.product(range(1, n + 1), repeat=d // 2 - 1):
-            for i in range(1, n + 1):
+        for row_l in range(n ** (d // 2 - 1)):
+            for i in range(n):
                 for suffix_rank in range(n ** (d // 2)):
-                    row_l = pack_index(prefix, n) - 1 if prefix else 0
-                    col_l = (i - 1) * n ** (d // 2) + suffix_rank
-                    row_m = pack_index(prefix + (i,), n) - 1
-                    assert left[row_l, col_l] == mid[row_m, suffix_rank]
+                    col_l = i * n ** (d // 2) + suffix_rank
+                    assert left[row_l, col_l] == mid[row_l * n + i, suffix_rank]
 
 
 def test_all_coefficients_nonnegative():
@@ -138,6 +155,26 @@ def test_spaced_block_is_distance_matrix_over_progression():
         host = flattening(spec, d // 2 - k)
         block = submatrix(host, range(host.rows), spaced_block_column_indices(spec, k))
         assert block == edm(EdmSpec([i * n**k for i in range(n ** (d // 2 - k))]))
+
+
+def _padded_tuple_ranks(n: int, d: int, k: int) -> list[int]:
+    """Oracle: the 0-based lex rank of each (d/2-k)-tuple over 1..n, padded
+    with k ones on both sides, in lex order of the unpadded tuple."""
+    half = d // 2
+    ranks = []
+    for middle in itertools.product(range(1, n + 1), repeat=half - k):
+        rank = 0
+        for digit in (1,) * k + middle + (1,) * k:
+            rank = rank * n + digit - 1
+        ranks.append(rank)
+    return ranks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_spaced_block_indices_match_the_padded_tuple_ranks(n, d):
+    for k in range(d // 2 + 1):
+        assert spaced_block_column_indices(FunctionFSpec(n, d), k) == _padded_tuple_ranks(n, d, k)
 
 
 def test_spaced_block_values_and_submatrix():
@@ -215,6 +252,26 @@ def test_correlation_scale_matches_the_direct_pair_square_sum(values):
         ((y - x) ** 2 for i, x in enumerate(values) for y in values[i + 1 :]), Fraction(0)
     )
     assert spec.scale_sq == Fraction(1, 2) / direct
+
+
+_distinct_values = st.sampled_from([2, 4, 8]).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=9)),
+        min_size=n,
+        max_size=n,
+        unique=True,
+    )
+)
+
+
+@given(_distinct_values)
+def test_outcome_distribution_is_the_scaled_distance_matrix(values):
+    spec = CorrelationSpec(len(values), values)
+    p, sq = outcome_distribution(spec), edm(EdmSpec(values))
+    assert p.shape == sq.shape
+    assert all(pe == spec.scale_sq * e for pe, e in zip(p.entries, sq.entries))
+    assert p.entry_sum() == 1
+    assert build_correlation(spec).p_matrix == p
 
 
 def _sympy_char_poly(m: RatMatrix) -> list[Fraction]:

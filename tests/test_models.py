@@ -39,7 +39,7 @@ from mrw.models import (
     hv_model_from_factorization,
     hv_sample,
 )
-from mrw.numkit import NonnegFactorization, nmf_search
+from mrw.numkit import NonnegFactorization, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
 
 
@@ -272,6 +272,16 @@ def test_folding_witness_reconstructs_edm_exactly(values):
     assert fact.r <= 2 * (spec.n - 1)
 
 
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True))
+def test_folding_witness_of_int_values_is_exact(values):
+    spec = EdmSpec(values)
+    assert all(type(v) is int for v in spec.values)
+    fact = edm_folding_factorization(spec)
+    assert verify_nonneg_factorization(edm(spec), fact, tol=0).passed
+    twin = edm_folding_factorization(EdmSpec([Fraction(v) for v in values]))
+    assert (fact.dims, fact.terms) == (twin.dims, twin.terms)
+
+
 def test_folding_witness_on_integers_is_logarithmic():
     for n in range(1, 65):
         spec = EdmSpec.integers(n)
@@ -448,11 +458,7 @@ def test_comm_report_validation():
         comm_report(0, 3)
     with pytest.raises(ValidationError):
         comm_report(2, 1)
-    with pytest.raises(CapacityError):
-        comm_report(4, 10, cross_check=True)
-    # base^d = 2^21 is past the 2^20 guard, so no cross-check by default
-    with pytest.raises(CapacityError):
-        comm_report(7, 3, cross_check=True)
+    # base^d = 2^21 is past the 2^20 guard, so no cross-check
     assert comm_report(7, 3).mr_cross_check is None
 
 

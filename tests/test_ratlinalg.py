@@ -16,6 +16,7 @@ from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.ratlinalg import (
     RatMatrix,
     char_poly_exact,
+    check_capacity,
     column_basis,
     det_exact,
     exact_sum,
@@ -334,6 +335,20 @@ def test_submatrix_rejects_bad_indices():
 def test_capacity_guard_rejects_oversized_matrix():
     with pytest.raises(CapacityError):
         RatMatrix(1025, 1024, [])
+
+
+def test_check_capacity_counts_lazily_and_prints_bounded_numbers():
+    assert check_capacity((1024, 1024), "matrix") == 1 << 20
+    assert check_capacity(itertools.repeat(2, 20), "tensor") == 1 << 20
+    with pytest.raises(CapacityError, match="^matrix with 1049600 entries exceeds the 1048576 guard$"):
+        check_capacity((1025, 1024), "matrix")
+    # past 2^40 the product stops growing: a shape of 10^18 factors, or one
+    # size with thousands of digits, is refused at once with a short message
+    too_many = "^tensor with more than 1099511627776 entries exceeds the 1048576 guard$"
+    with pytest.raises(CapacityError, match=too_many):
+        check_capacity(itertools.repeat(2, 10**18), "tensor")
+    with pytest.raises(CapacityError, match=too_many):
+        check_capacity((10**2200, 10**2200), "tensor")
 
 
 def test_entries_are_canonical_fractions():
