@@ -4,9 +4,11 @@ Lower bounds come from two sound sources: the exact linear rank, and the
 box-cover number of the support (every nonnegative rank-1 term has
 box-shaped support and terms cannot cancel, so any r-term nonnegative
 decomposition yields r support-contained boxes covering the support).  The
-cover number itself is solved exactly when the support is small: a box
-system (the maximal boxes as bitmasks over the cells, with per-cell covering
-lists and a fixed pivot order) is built once per pattern, and one
+cover number itself is solved exactly when the support is small.  One
+closure enumeration finds the maximal boxes of matrices and tensors alike
+(for a matrix they are the formal concepts of its support).  A box system
+(those boxes as bitmasks over the cells, with per-cell covering lists and a
+fixed pivot order) is built once per pattern, and one
 iterative-deepening search over it runs from the best certified bound up to
 the greedy cover.  The certified bounds are the counting bound
 ceil(|support| / max-box-size) and, for matrices, the crown bound: an
@@ -27,13 +29,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from .constructions import divisibility_tensor
 from .dtensor import DenseTensor
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .ratlinalg import RatMatrix, rank_exact, submatrix
 
 DEFAULT_NODE_BUDGET = 50_000
@@ -44,8 +46,6 @@ assert EXACT_CELL_CAP <= 64
 # per-call overhead costs more than the scalar scans it saves
 _BATCH_MIN_CHILDREN = 8
 _CLOSURE_SIDE_CAP = 16
-_BFS_BOX_CAP = 20_000
-_BFS_WORK_CAP = 500_000
 
 Box = tuple[tuple[int, ...], ...]
 Crown = tuple[tuple[int, int], ...]
@@ -106,135 +106,91 @@ class BoxCoverResult:
     crown: Crown | None = None
 
 
-def _line_groups(pattern: SupportPattern) -> tuple[bool, dict[int, list[int]]] | None:
-    """Group the lines of a matrix pattern by their bitmask of nonzero cells.
+def _closures(lines: Iterable[int]) -> set[int]:
+    """Every nonzero intersection of some of the bitmasks `lines`, built in
+    one pass: each line joins the family alone and ANDed with every member."""
+    found: set[int] = set()
+    for line in set(lines):
+        found |= {line & c for c in found}
+        found.add(line)
+    found.discard(0)
+    return found
 
-    Uses the rows, or the columns (``transposed``) when the rows have more
-    than _CLOSURE_SIDE_CAP distinct masks; gives up (None) when both sides
-    do.  Returns ``(transposed, {mask: lines with that mask})``.
+
+def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
+    """All maximal boxes inside a nonempty set of cells of one order.
+
+    Leading modes with one value are peeled off; the next mode splits the
+    cells into slices, each a bitmask over the distinct rests.  A maximal box
+    R x B has B maximal inside the closure of the slices in R, and R is every
+    slice holding B, so recursing into each closure finds every maximal box
+    (some more than once) and nothing else.  Each level consumes a mode with
+    two or more values, so the recursion is no deeper than there are such
+    modes (at most 20 under the 2^20 entry guard).
+    """
+    first = next(iter(cells))
+    if len(first) == 1:
+        return {(tuple(sorted(c[0] for c in cells)),)}
+    lead = next((m for m in range(len(first)) if any(c[m] != first[m] for c in cells)), None)
+    if lead is None:
+        return {tuple((v,) for v in first)}
+    prefix = tuple((v,) for v in first[:lead])
+    rests = sorted({c[lead + 1 :] for c in cells})
+    bit = {r: 1 << k for k, r in enumerate(rests)}
+    slices: dict[int, int] = {}
+    for c in cells:
+        slices[c[lead]] = slices.get(c[lead], 0) | bit[c[lead + 1 :]]
+    boxes: set[Box] = set()
+    for closure in _closures(slices.values()):
+        for rest_box in _maximal_boxes([r for r in rests if closure & bit[r]]):
+            mask = sum(bit[r] for r in product(*rest_box))
+            rows = tuple(sorted(i for i, s in slices.items() if s & mask == mask))
+            boxes.add(prefix + (rows,) + rest_box)
+    return boxes
+
+
+def enumerate_maximal_boxes(pattern: SupportPattern) -> list[Box]:
+    """The sorted maximal support boxes of a pattern of at most
+    EXACT_CELL_CAP cells."""
+    if pattern.size > EXACT_CELL_CAP:
+        raise CapacityError(f"support of {pattern.size} cells exceeds exact-search cap {EXACT_CELL_CAP}")
+    return sorted(_maximal_boxes(pattern.cells)) if pattern.cells else []
+
+
+def _max_box_size_2d(pattern: SupportPattern) -> int | None:
+    """Exact maximum cell count of any support box of a matrix pattern.
+
+    Groups the rows by their bitmask of nonzero cells (the columns when the
+    rows have more than _CLOSURE_SIDE_CAP distinct masks; None when both
+    sides do) and runs over the subsets S of the distinct masks, each
+    extending S without its lowest bit: (all lines whose mask is in S,
+    intersection of S) is a support box, and the largest box arises from the
+    subset of its lines' masks, so max over S of lines(S) * |inter(S)| is
+    exact.
     """
     for transposed in (False, True):
         masks: dict[int, int] = {}
         for cell in pattern.cells:
             line, other = (cell[1], cell[0]) if transposed else cell
             masks[line] = masks.get(line, 0) | (1 << other)
-        groups: dict[int, list[int]] = {}
-        for line, mask in masks.items():
-            groups.setdefault(mask, []).append(line)
+        groups: dict[int, int] = {}
+        for mask in masks.values():
+            groups[mask] = groups.get(mask, 0) + 1
         if len(groups) <= _CLOSURE_SIDE_CAP:
-            return transposed, groups
-    return None
-
-
-def _subset_dp(groups: dict[int, list[int]]) -> tuple[list[int], list[int]]:
-    """Intersection and line count of every subset of the distinct masks.
-
-    Subsets are bitsets over the masks in sorted order, and each extends the
-    subset without its lowest bit, so both arrays fill in one pass.  Index 0
-    is the empty subset: its intersection is the all-ones sentinel -1.
-    """
+            break
+    else:
+        return None
     patterns = sorted(groups)
-    mults = [len(groups[p]) for p in patterns]
-    s = len(patterns)
-    inter = [0] * (1 << s)
-    msum = [0] * (1 << s)
-    inter[0] = -1
-    for subset in range(1, 1 << s):
+    counts = [groups[p] for p in patterns]
+    # index 0 is the empty subset: the all-ones sentinel -1 and no lines
+    inter = [-1] + [0] * ((1 << len(patterns)) - 1)
+    lines = [0] * (1 << len(patterns))
+    for subset in range(1, 1 << len(patterns)):
         low = (subset & -subset).bit_length() - 1
         rest = subset & (subset - 1)
         inter[subset] = inter[rest] & patterns[low]
-        msum[subset] = msum[rest] + mults[low]
-    return inter, msum
-
-
-def _maximal_boxes_2d(pattern: SupportPattern) -> list[Box] | None:
-    """All maximal support boxes of a matrix pattern via closure enumeration.
-
-    Enumerates subsets of the distinct line masks of one side (see
-    _line_groups); the closure of a line set R is the pair
-    (lines(masks(R)), masks(R)), and every maximal box arises this way.
-    """
-    grouped = _line_groups(pattern)
-    if grouped is None:
-        return None
-    transposed, groups = grouped
-    inter, _ = _subset_dp(groups)
-    line_masks = sorted((line, mask) for mask, lines in groups.items() for line in lines)
-    boxes: list[Box] = []
-    for colmask in {mask for mask in inter[1:] if mask}:
-        rows = tuple(line for line, mask in line_masks if mask & colmask == colmask)
-        cols = tuple(i for i in range(colmask.bit_length()) if colmask >> i & 1)
-        boxes.append((cols, rows) if transposed else (rows, cols))
-    # distinct closures differ in their column set, so the boxes are distinct
-    return sorted(boxes)
-
-
-def _maximal_boxes_bfs(pattern: SupportPattern) -> list[Box] | None:
-    """Generic maximal-box enumeration by breadth-first single-value growth.
-
-    Every support box is reachable from a singleton by adding one index value
-    at a time, so visiting all grown boxes and keeping the inextensible ones
-    yields exactly the maximal boxes.  Bails out (None) past the work caps.
-    """
-    cells = pattern.cells
-    mode_values = [sorted({c[m] for c in cells}) for m in range(pattern.order)]
-    seen: set[Box] = set()
-    frontier: list[Box] = sorted({tuple((v,) for v in cell) for cell in cells})
-    maximal: set[Box] = set()
-    work = 0
-    while frontier:
-        box = frontier.pop()
-        if box in seen:
-            continue
-        seen.add(box)
-        if len(seen) > _BFS_BOX_CAP:
-            return None
-        grew = False
-        for m in range(pattern.order):
-            have = set(box[m])
-            for v in mode_values[m]:
-                if v in have:
-                    continue
-                new_cells = [
-                    cell[:m] + (v,) + cell[m + 1 :] for cell in product(*box)
-                ]
-                work += len(new_cells)
-                if work > _BFS_WORK_CAP:
-                    return None
-                if all(c in cells for c in new_cells):
-                    grew = True
-                    grown = box[:m] + (tuple(sorted(box[m] + (v,))),) + box[m + 1 :]
-                    if grown not in seen:
-                        frontier.append(grown)
-        if not grew:
-            maximal.add(box)
-    return sorted(maximal)
-
-
-def enumerate_maximal_boxes(pattern: SupportPattern) -> list[Box] | None:
-    if not pattern.cells:
-        return []
-    if pattern.order == 2:
-        boxes = _maximal_boxes_2d(pattern)
-        if boxes is not None:
-            return boxes
-    return _maximal_boxes_bfs(pattern)
-
-
-def _max_box_size_2d(pattern: SupportPattern) -> int | None:
-    """Exact maximum cell count of any support box of a matrix pattern.
-
-    Runs over subsets of distinct line masks (see _line_groups): for a subset
-    S, (all lines whose mask is in S, intersection of S) is a valid support
-    box, and the largest box arises from the subset of its lines' masks, so
-    max over S of multiplicity(S) * |inter(S)| is exact.
-    """
-    grouped = _line_groups(pattern)
-    if grouped is None:
-        return None
-    inter, msum = _subset_dp(grouped[1])
-    # the empty subset has msum 0, so its sentinel intersection adds nothing
-    best = max(mask.bit_count() * count for mask, count in zip(inter, msum))
+        lines[subset] = lines[rest] + counts[low]
+    best = max(mask.bit_count() * n for mask, n in zip(inter, lines))
     return best if best > 0 else None
 
 
@@ -481,9 +437,8 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
     upper bound.  When the counting bound falls short of it, a greedy induced
     crown may raise the lower bound; the search runs from the higher of the
     two up to the greedy size, and `node_budget` caps the nodes it expands.
-    Patterns beyond EXACT_CELL_CAP cells, or whose maximal boxes cannot be
-    enumerated, fall back to the certified counting or crown lower bound (or
-    1) and the singleton upper bound.
+    Patterns beyond EXACT_CELL_CAP cells fall back to the certified counting
+    or crown lower bound (or 1) and the singleton upper bound.
     """
     n = pattern.size
     if n == 0:
@@ -501,17 +456,7 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         else:
             note = f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; counting lower bound"
         return BoxCoverResult(lower=lower, upper=n, exact=lower == n, boxes=None, note=note, crown=crown)
-    cells = sorted(pattern.cells)
-    boxes = enumerate_maximal_boxes(pattern)
-    if boxes is None:
-        return BoxCoverResult(
-            lower=1,
-            upper=n,
-            exact=n == 1,
-            boxes=tuple(tuple((v,) for v in cell) for cell in cells),
-            note="maximal boxes not enumerable; singleton cover upper bound",
-        )
-    system = _BoxSystem(boxes, cells)
+    system = _BoxSystem(enumerate_maximal_boxes(pattern), sorted(pattern.cells))
     greedy = system.greedy_cover()
     # the crown is only worth finding when a search would run
     crown = _crown_above(pattern, system.counting) if system.counting < len(greedy) else None
@@ -603,7 +548,7 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
         lower, witness = rank_lb, "rank"
 
     dims = pattern.dims
-    trivial = min(prod(dims) // d for d in dims)
+    trivial = prod(dims) // max(dims)
     candidates: list[tuple[int, str]] = [(trivial, "trivial"), (pattern.size, "exact")]
     if pattern.size == 0:
         candidates = [(0, "exact")]

@@ -69,13 +69,15 @@ class DenseTensor:
             raise DimensionError(f"mode {mode} out of range for order {self.order}")
         if not self.is_exact():
             raise DimensionError("mode flattening requires exact (int/Fraction) entries")
-        other = [range(d) for m, d in enumerate(self.dims) if m != mode]
-        entries = [
-            self[rest[:mode] + (i,) + rest[mode:]]
-            for i in range(self.dims[mode])
-            for rest in product(*other)
-        ]
-        return RatMatrix(self.dims[mode], prod(map(len, other)), entries)
+        # entry (..., i, ...) sits at (outer * size + i) * inner + k, where
+        # outer indexes the modes before `mode` and k those after it
+        size, outer, inner = self.dims[mode], prod(self.dims[:mode]), prod(self.dims[mode + 1 :])
+        entries = []
+        for i in range(size):
+            for o in range(outer):
+                start = (o * size + i) * inner
+                entries.extend(self._values[start : start + inner])
+        return RatMatrix(size, outer * inner, entries)
 
     def to_numpy(self):
         import numpy as np

@@ -301,6 +301,10 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
+    if trials > np.iinfo(np.int64).max:
+        raise ValidationError(f"trials must be at most {np.iinfo(np.int64).max}: the counts are int64")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     nx, ny = model.shape
     weights = np.array([float(w) for w in model.weights])

@@ -30,6 +30,7 @@ from .constructions import (
     flattening,
     offset_square_matrix,
 )
+from .errors import ValidationError
 from .models import (
     abp_profile,
     comm_ladder,
@@ -348,6 +349,8 @@ def run_verify_suite(scale: str = "small", seed: int = DEFAULT_SEED) -> VerifyRe
     """Run every check at the given scale; deterministic given the seed."""
     if scale not in ("small", "full"):
         raise ValueError("scale must be 'small' or 'full'")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     results = []
     suite_start = time.perf_counter()
     for cid, claim, fn in _CHECKS:

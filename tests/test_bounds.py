@@ -15,8 +15,6 @@ import mrw.bounds
 from mrw.bounds import (
     BoxCoverResult,
     _max_box_size_2d,
-    _maximal_boxes_2d,
-    _maximal_boxes_bfs,
     _crown_above,
     _induced_crown,
     _row_zeros,
@@ -31,19 +29,15 @@ from mrw.bounds import (
     SupportPattern,
 )
 from mrw.constructions import DivTensorSpec, EdmSpec, divisibility_tensor, edm
-from mrw.errors import ValidationError
+from mrw.errors import CapacityError, ValidationError
 from mrw.numkit import NonnegFactorization, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
-def brute_force_cover(pattern: SupportPattern, limit: int = 6) -> int:
-    """Oracle: smallest support-contained box cover, by trying all
-    combinations of the support boxes that no added index value keeps inside
-    the support (any cover grows into one of these boxes of the same size)."""
-    cells = sorted(pattern.cells)
-    if not cells:
-        return 0
-    mode_values = [sorted({c[m] for c in cells}) for m in range(pattern.order)]
+def brute_force_maximal_boxes(pattern: SupportPattern) -> list[tuple[tuple[int, ...], ...]]:
+    """Oracle: every support box, as sorted index tuples per mode, that no
+    added index value keeps inside the support; sorted."""
+    mode_values = [sorted({c[m] for c in pattern.cells}) for m in range(pattern.order)]
 
     def inside(parts) -> bool:
         return all(c in pattern.cells for c in itertools.product(*parts))
@@ -65,7 +59,17 @@ def brute_force_cover(pattern: SupportPattern, limit: int = 6) -> int:
             for v in vals
             if v not in parts[m]
         ):
-            boxes.append(set(itertools.product(*parts)))
+            boxes.append(parts)
+    return sorted(boxes)
+
+
+def brute_force_cover(pattern: SupportPattern, limit: int = 6) -> int:
+    """Oracle: smallest support-contained box cover, by trying all
+    combinations of the maximal boxes (any cover grows into one of these
+    boxes of the same size)."""
+    if not pattern.cells:
+        return 0
+    boxes = [set(itertools.product(*parts)) for parts in brute_force_maximal_boxes(pattern)]
     for k in range(1, limit + 1):
         for combo in itertools.combinations(boxes, k):
             union = set().union(*combo)
@@ -251,7 +255,7 @@ def small_patterns(draw):
 @st.composite
 def tall_patterns(draw):
     """More than 16 distinct row masks, at most 6 distinct column masks, so the
-    closure enumeration has to run on the columns."""
+    max-box-size subset DP has to run on the columns."""
     cols = 6
     sparse_masks = [m for m in range(1, 1 << cols) if m.bit_count() <= 2]
     masks = draw(st.lists(st.sampled_from(sparse_masks), min_size=17, max_size=21, unique=True))
@@ -259,12 +263,66 @@ def tall_patterns(draw):
     return SupportPattern(dims=(len(masks), cols), cells=frozenset(cells))
 
 
+def closure_oracle_boxes(pattern: SupportPattern) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Oracle: a nonempty column set is the column side of a maximal box
+    exactly when it equals the columns shared by the rows that hold it."""
+    nrows, ncols = pattern.dims
+    boxes = []
+    for r in range(1, ncols + 1):
+        for cols in itertools.combinations(range(ncols), r):
+            rows = tuple(i for i in range(nrows) if all((i, j) in pattern.cells for j in cols))
+            shared = tuple(j for j in range(ncols) if all((i, j) in pattern.cells for i in rows))
+            if rows and shared == cols:
+                boxes.append((rows, cols))
+    return sorted(boxes)
+
+
 @given(st.one_of(small_patterns(), tall_patterns()))
-def test_support_mask_kernels_match_bfs(pattern):
-    boxes = _maximal_boxes_bfs(pattern)
-    assert _maximal_boxes_2d(pattern) == boxes
+def test_support_mask_kernels_match_closure_oracle(pattern):
+    boxes = closure_oracle_boxes(pattern)
+    assert enumerate_maximal_boxes(pattern) == boxes
     sizes = [len(rows) * len(cols) for rows, cols in boxes]
     assert _max_box_size_2d(pattern) == (max(sizes) if sizes else None)
+
+
+@st.composite
+def tensor_oracle_patterns(draw):
+    """Tensor patterns up to 3x3x3 and 2x2x2x2."""
+    dims = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+            st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+        )
+    )
+    grid = list(itertools.product(*map(range, dims)))
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    return SupportPattern(dims=dims, cells=frozenset(c for c, k in zip(grid, keep) if k))
+
+
+@given(tensor_oracle_patterns())
+def test_tensor_maximal_boxes_match_brute_force(pattern):
+    assert enumerate_maximal_boxes(pattern) == brute_force_maximal_boxes(pattern)
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 8), (2, 2, 16)])
+def test_full_tensor_is_one_box(dims):
+    pattern = SupportPattern(dims, frozenset(itertools.product(*map(range, dims))))
+    assert enumerate_maximal_boxes(pattern) == [tuple(tuple(range(d)) for d in dims)]
+    res = box_cover_exact(pattern)
+    assert res.exact and res.upper == 1
+
+
+def test_maximal_boxes_of_a_deep_single_cell():
+    # one recursion level per mode would pass the interpreter's default
+    # recursion limit here
+    pattern = SupportPattern((1,) * 2000, frozenset({(0,) * 2000}))
+    assert enumerate_maximal_boxes(pattern) == [((0,),) * 2000]
+
+
+def test_maximal_boxes_refuse_past_the_cell_cap():
+    pattern = SupportPattern((65, 1), frozenset((i, 0) for i in range(65)))
+    with pytest.raises(CapacityError):
+        enumerate_maximal_boxes(pattern)
 
 
 def random_exact_factorization(rng: random.Random, rows: int, cols: int, r: int):

@@ -197,6 +197,20 @@ def test_astronomical_sizes_exit_2_with_one_line(tmp_path, capsys, argv, obj):
     assert "entries exceeds the 1048576 guard" in err and len(err) < 120
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantum", "--N", "4", "--simulate", "10", "--seed", "-1"),
+        ("quantum", "--N", "4", "--simulate", str(10**20)),
+        ("verify", "--scale", "small", "--seed", "-100"),
+    ],
+)
+def test_bad_seed_or_trial_count_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--matrix", "/nonexistent/x.json")
     assert code == 2
