@@ -19,8 +19,9 @@ never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
 factorization, or a factorization from `nmf_search` (exact when r columns
-or rows of the matrix generate a cone holding the rest, numeric otherwise),
-each labeled with its provenance.
+or rows of the matrix generate a cone holding the rest, or when r = rank = 3
+and a triangle nests between the columns and the nonnegative orthant;
+numeric otherwise), each labeled with its provenance.
 """
 
 from __future__ import annotations
@@ -520,10 +521,13 @@ def _validate_nonneg_exact(m) -> None:
 def rank_lower_bound(m) -> int:
     """Exact-rank component of the mr lower bound (max mode-flattening rank
     for tensors: any rank-r nonnegative decomposition flattens to a rank-<=r
-    matrix decomposition)."""
+    matrix decomposition).  A mode of size 1 flattens to one row, of rank
+    at most that of any other mode's flattening, so it is skipped when
+    another mode exists."""
     if isinstance(m, RatMatrix):
         return rank_exact(m)
-    return max(rank_exact(m.mode_flattening(mode)) for mode in range(m.order))
+    modes = [mode for mode, size in enumerate(m.dims) if size > 1] or [0]
+    return max(rank_exact(m.mode_flattening(mode)) for mode in modes)
 
 
 def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
@@ -534,7 +538,8 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     best of the dimension bound, the singleton-support factorization, and (for
     matrices with a gap) `nmf_search` at r = lower.  Its witness is `exact`
     when it is rational and reproduces m exactly (the separable stage at
-    r = rank), `heuristic-certified` otherwise.  `budget_factor` scales both
+    r = rank, or the nested-triangle stage at r = rank = 3),
+    `heuristic-certified` otherwise.  `budget_factor` scales both
     the cover search's node budget and the numeric search.
     """
     _validate_nonneg_exact(m)

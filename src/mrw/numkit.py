@@ -3,12 +3,12 @@
 Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
 search driven by HALS sweeps and linear-program polishing with random
-restarts (after an exact stage for separable rational inputs), and an
-alternating-least-squares tensor fitter.  Searches are deterministic given
-(input, seed, budget): restarts are ranked by (residual, restart index) so
-the outcome never depends on execution order.  A successful search is a
-witness, never a proof of optimality; failure after budget exhaustion
-proves nothing.
+restarts (after exact stages for rational inputs at r = rank: separable
+cones, and nested triangles at rank 3), and an alternating-least-squares
+tensor fitter.  Searches are deterministic given (input, seed, budget):
+restarts are ranked by (residual, restart index) so the outcome never
+depends on execution order.  A successful search is a witness, never a
+proof of optimality; failure after budget exhaustion proves nothing.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from itertools import combinations, islice, product
-from operator import mul
+from functools import cached_property
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
@@ -195,22 +194,32 @@ class NonnegFactorization:
         return _rank1_sum(self.dims, self.terms)
 
     def reconstruct_exact(self):
-        """Exact reconstruction as a DenseTensor of Fractions, for every order."""
+        """Exact reconstruction as a DenseTensor of Fractions, for every order.
+
+        Each factor vector is scaled to ints by the lcm of its denominators,
+        so a term is an integer outer product over the product of its
+        scales; the terms are added as ints over the lcm of those products
+        and each cell becomes one Fraction at the end (as in `exact_sum`).
+        """
         if not self.is_rational():
             raise ValidationError("exact reconstruction needs rational factors")
         strides = [math.prod(self.dims[m + 1 :]) for m in range(self.order)]
-        flat = [Fraction(0)] * math.prod(self.dims)
-        for term in self.terms:
+        scales = [[math.lcm(*(x.denominator for x in vec)) for vec in term] for term in self.terms]
+        den = math.lcm(*map(math.prod, scales))
+        flat = [0] * math.prod(self.dims)
+        for term, sc in zip(self.terms, scales):
+            # the first vector also carries the lift from this term's scales to den
+            sc[0] *= den // math.prod(sc)
             # zero entries add nothing, so walk only the support: unit and
             # singleton factorizations then cost one product per nonzero cell
             support = [
-                [(i * stride, Fraction(x)) for i, x in enumerate(vec) if x]
-                for vec, stride in zip(term, strides)
+                [(i * stride, x.numerator * (k // x.denominator)) for i, x in enumerate(vec) if x]
+                for vec, k, stride in zip(term, sc, strides)
             ]
             for cell in product(*support):
                 offsets, factors = zip(*cell)
-                flat[sum(offsets)] += reduce(mul, factors)
-        return DenseTensor(self.dims, flat)
+                flat[sum(offsets)] += math.prod(factors)
+        return DenseTensor(self.dims, [Fraction(x, den) for x in flat])
 
 
 def from_matrix_factors(w: np.ndarray, h: np.ndarray) -> NonnegFactorization:
@@ -373,6 +382,105 @@ def _separable_factorization(m: RatMatrix, r: int) -> NonnegFactorization | None
     return None
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _det3(a, b, c):
+    """det[a b c]: for points on a plane s.y = 1 with s > 0 it is positive
+    exactly when a, b, c turn left (counterclockwise)."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def _wrap(x, points):
+    """The point v != x of ``points`` with none of them right of x -> v (the
+    farthest such on ties); x must be a vertex of their hull or outside it."""
+
+    def reach(p):
+        return _dot(p, p) - 2 * _dot(p, x)  # |p - x|^2 less |x|^2
+
+    v = None
+    for c in points:
+        if c == x:
+            continue
+        if v is None or (turn := _det3(x, v, c)) < 0 or turn == 0 and reach(c) > reach(v):
+            v = c
+    return v
+
+
+def _triangle_factorization(m: RatMatrix) -> NonnegFactorization | None:
+    """An exact 3-term nonnegative factorization of a rank-3 ``m`` from a
+    triangle nested between its columns and the nonnegative orthant, or None.
+
+    With B the basis columns m[:, pivots] and s = 1^T B, column j of m is
+    B c_j and becomes the point c_j / (s.c_j) of the plane s.y = 1.  A
+    3-term factorization of m is a triangle T with P <= T <= Q, where P is
+    the hull of those points and Q = {y : s.y = 1, B y >= 0} (Gillis and
+    Glineur 2012), and then W = B T and H = T^-1 @ coords.  A walk from a
+    point of Q's boundary runs along the tangent to P that keeps P on its
+    left, to where it leaves Q, and does so once more (Aggarwal, Booth,
+    O'Rourke, Suri and Yap 1989); its three points are such a triangle when
+    P also lies left of the closing side.  The walks start where the line of
+    an edge of P leaves Q behind the edge, and then at the corners of Q,
+    which catch triangles pinned by columns on Q's boundary.  None when the
+    rank is not 3 or no walk closes, which proves nothing about mr(m).
+    """
+    pivots, coords = column_basis(m)
+    if len(pivots) != 3:
+        return None
+    basis = [tuple(row[j] for j in pivots) for row in m.iter_rows()]
+    s = [sum(col) for col in zip(*basis)]
+    sides = [row for row in dict.fromkeys(basis) if any(row)]  # Q's edge lines
+    cols = list(zip(*coords))
+    points = {tuple(Fraction(x) / w for x in col) for col in cols if (w := _dot(s, col))}
+    # gift wrapping from the least point, a vertex of P since s > 0
+    hull = [min(points)]
+    while (v := _wrap(hull[-1], points)) != hull[0]:
+        hull.append(v)
+
+    def leave(p, q):
+        """The point where the ray from p through q leaves Q."""
+        d = [y - x for x, y in zip(p, q)]
+        t = min(_dot(row, p) / -rd for row in sides if (rd := _dot(row, d)) < 0)
+        return tuple(x + t * y for x, y in zip(p, d))
+
+    def walk(t0):
+        t1 = leave(t0, _wrap(t0, hull))
+        t2 = leave(t1, _wrap(t1, hull))
+        return (t0, t1, t2) if all(_det3(t2, t0, p) >= 0 for p in hull) else None
+
+    def corners():
+        for r1, r2 in combinations(sides, 2):
+            # r1 x r2 spans the line where both sides are 0; the corner is c / w
+            c = (
+                r1[1] * r2[2] - r1[2] * r2[1],
+                r1[2] * r2[0] - r1[0] * r2[2],
+                r1[0] * r2[1] - r1[1] * r2[0],
+            )
+            w = _dot(s, c)
+            if w and all(_dot(row, c) * w >= 0 for row in sides):
+                yield tuple(Fraction(x) / w for x in c)
+
+    flush = (leave(b, a) for a, b in zip(hull, hull[1:] + hull[:1]))
+    tri = next(filter(None, map(walk, chain(flush, corners()))), None)
+    if tri is None:
+        return None
+    t0, t1, t2 = tri
+    det = _det3(t0, t1, t2)
+    # Cramer's rule: column j of H solves T h = c_j
+    h = (
+        tuple(_det3(c, t1, t2) / det for c in cols),
+        tuple(_det3(t0, c, t2) / det for c in cols),
+        tuple(_det3(t0, t1, c) / det for c in cols),
+    )
+    terms = tuple((tuple(_dot(row, t) for row in basis), hk) for t, hk in zip(tri, h))
+    return NonnegFactorization(dims=m.shape, terms=terms)
+
+
 def nmf_search(
     m,
     r: int,
@@ -382,13 +490,18 @@ def nmf_search(
 ) -> NonnegFactorization | None:
     """Search for an r-term nonnegative factorization of a nonnegative matrix.
 
-    An exact (`RatMatrix`) input at r = rank first goes through an exact
-    stage: when r of its columns, or else r of its rows, generate a cone
+    An exact (`RatMatrix`) input at r = rank first goes through exact
+    stages: when r of its columns, or else r of its rows, generate a cone
     holding all the others (such lines always exist at rank <= 2), the
     result is that rational factorization, M = M[:, S] @ H (or
     H^T @ M[S, :]) with H >= 0, and no float search runs.  The stage lists
-    at most `SEPARABLE_SUBSET_CAP` r-subsets per side and draws no random
-    numbers, so every other input gets the float search below, unchanged.
+    at most `SEPARABLE_SUBSET_CAP` r-subsets per side.  At r = rank = 3 with
+    no such lines, a greedy walk looks for a triangle nested between the
+    normalized columns and the nonnegative orthant (`_triangle_factorization`)
+    and lifts it to a rational 3-term factorization.  Neither stage draws
+    random numbers, so every input they do not settle (rank >= 4, r != rank,
+    a float input, or a walk that does not close) gets the float search
+    below, unchanged.
 
     Each restart of the float search runs floor-clipped HALS sweeps (at most
     `budget.iterations` per round) and then polishes with alternating
@@ -425,6 +538,8 @@ def nmf_search(
         return NonnegFactorization(dims=v.shape, terms=())
     if isinstance(m, RatMatrix):
         exact = _separable_factorization(m, r)
+        if exact is None and r == 3:
+            exact = _triangle_factorization(m)
         if exact is not None:
             return exact
     rng = np.random.default_rng(seed)

@@ -5,13 +5,14 @@ predicates."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import mrw.bounds
+import mrw.numkit
 from mrw.bounds import (
     BoxCoverResult,
     _max_box_size_2d,
@@ -24,11 +25,13 @@ from mrw.bounds import (
     div_tensor_mr_exact,
     enumerate_maximal_boxes,
     mr_bounds,
+    rank_lower_bound,
     singleton_box_predicate,
     support_pattern,
     SupportPattern,
 )
 from mrw.constructions import DivTensorSpec, EdmSpec, divisibility_tensor, edm
+from mrw.dtensor import DenseTensor
 from mrw.errors import CapacityError, ValidationError
 from mrw.numkit import NonnegFactorization, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact
@@ -374,6 +377,23 @@ def test_mr_bounds_tensor_path():
     assert rep.rank_lower == 2
 
 
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=5), st.randoms(use_true_random=False))
+def test_rank_lower_bound_skips_size_one_modes(dims, rnd):
+    t = DenseTensor(dims, [rnd.choice((0, 0, 1, 2)) for _ in range(prod(dims))])
+    every_mode = max(rank_exact(t.mode_flattening(k)) for k in range(t.order))
+    flattened = []
+    flatten = DenseTensor.mode_flattening
+
+    def spy(self, mode):
+        flattened.append(mode)
+        return flatten(self, mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DenseTensor, "mode_flattening", spy)
+        assert rank_lower_bound(t) == every_mode
+    assert flattened == ([k for k, d in enumerate(dims) if d > 1] or [0])
+
+
 def test_singleton_predicate_exhaustive_small_bases():
     for base in (2, 3, 4):
         for order in (2, 3, 4):
@@ -405,10 +425,10 @@ def test_mr_bounds_exact_upper_closes_gap():
     assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
 
 
-def test_mr_bounds_heuristic_upper_on_a_non_separable_matrix():
+def test_mr_bounds_exact_upper_on_a_non_separable_rank_3_matrix():
     # rank 3 (a seeded product of 5x3 and 3x8 integer factors), but no 3
-    # columns and no 3 rows generate a cone holding the others, so the
-    # witness is the float search's
+    # columns and no 3 rows generate a cone holding the others: the witness
+    # is the nested triangle's
     m = RatMatrix.from_rows(
         [
             [8, 23, 16, 18, 32, 11, 20, 15],
@@ -420,9 +440,32 @@ def test_mr_bounds_heuristic_upper_on_a_non_separable_matrix():
     )
     rep = mr_bounds(m)
     assert (rep.lower, rep.lower_witness) == (3, "rank")
-    assert rep.upper == 3 and rep.upper_status == "heuristic-certified"
-    assert not rep.factorization.is_rational()
-    assert verify_nonneg_factorization(m, rep.factorization, tol=1e-6 * 32).passed
+    assert rep.upper == 3 and rep.upper_status == "exact"
+    assert rep.factorization.r == 3 and rep.factorization.is_rational()
+    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
+
+
+def test_mr_bounds_closes_a_search_batch_rank_3_bracket_without_the_float_search(monkeypatch):
+    # lowrank-int-5 of the seed-1729 search-batch inputs, which used to
+    # report [3, 5] trivial
+    m = RatMatrix.from_rows(
+        [
+            [4, 8, 3, 5, 1, 6],
+            [6, 8, 2, 4, 0, 8],
+            [18, 34, 12, 28, 4, 28],
+            [18, 31, 10, 29, 3, 28],
+            [12, 26, 10, 24, 4, 20],
+        ]
+    )
+
+    def no_float_search(*args):
+        raise AssertionError("the float search ran")
+
+    monkeypatch.setattr(mrw.numkit, "_hals_sweeps", no_float_search)
+    monkeypatch.setattr(mrw.numkit, "_chebyshev_refit", no_float_search)
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
+    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
 
 
 def near_crown_7() -> SupportPattern:

@@ -1,5 +1,6 @@
 """Float numerics: spectral split, factorization search, tensor fitting."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -352,28 +353,81 @@ def test_target_other_than_rank_gets_the_float_search(m, shift):
         assert exact.terms == floats.terms and not exact.is_rational()
 
 
+SLACK_SQUARE = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
+
+
 def test_float_and_non_separable_inputs_skip_the_exact_stage(monkeypatch):
-    # rank 3 with no 3 columns and no 3 rows generating the others: the
-    # exact stage finds nothing and the float search runs as for floats
-    m = RatMatrix.from_rows(
-        [
-            [8, 23, 16, 18, 32, 11, 20, 15],
-            [8, 24, 16, 16, 32, 12, 20, 16],
-            [3, 6, 0, 12, 12, 0, 6, 6],
-            [8, 25, 24, 14, 32, 15, 22, 13],
-            [6, 22, 24, 4, 24, 16, 18, 10],
-        ]
-    )
+    # the slack matrix of a square: rank 3 and monotone rank 4, so neither
+    # exact stage finds a witness and the float search runs as for floats
+    # (its loose tol lets the float search return one)
+    m = RatMatrix.from_rows(SLACK_SQUARE)
     assert numkit._separable_factorization(m, 3) is None
+    assert numkit._triangle_factorization(m) is None
     budget = SearchBudget(restarts=2, iterations=400)
-    exact = nmf_search(m, 3, budget=budget)
+    exact = nmf_search(m, 3, budget=budget, tol=0.4)
 
     def no_stage(*args):
         raise AssertionError("a float input reached the exact stage")
 
     monkeypatch.setattr(numkit, "_separable_factorization", no_stage)
-    floats = nmf_search(np.array(m.to_float_rows()), 3, budget=budget)
+    monkeypatch.setattr(numkit, "_triangle_factorization", no_stage)
+    floats = nmf_search(np.array(m.to_float_rows()), 3, budget=budget, tol=0.4)
     assert exact is not None and exact.terms == floats.terms
+
+
+# ---------------------------------------------------------------------------
+# the exact stage of nmf_search: nested triangles at r = rank = 3
+# ---------------------------------------------------------------------------
+
+@st.composite
+def three_term_products(draw):
+    """W @ H with nonnegative integer W (n x 3) and H (3 x m)."""
+    n, m = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    entries = st.integers(0, draw(st.sampled_from([1, 2, 4, 9])))
+    w = [[draw(entries) for _ in range(3)] for _ in range(n)]
+    h = [[draw(entries) for _ in range(m)] for _ in range(3)]
+    return product_matrix(w, h)
+
+
+@given(three_term_products())
+def test_a_triangle_witness_has_three_terms_and_reproduces_the_matrix(m):
+    assume(sympy_rank(m) == 3)
+    fact = numkit._triangle_factorization(m)
+    if fact is not None:
+        assert_exact_witness(m, 3, fact)
+
+
+def test_columns_that_span_a_triangle_close_on_its_own_sides():
+    # P is the triangle of the first three columns and equals Q, so each
+    # walk closes on a side that holds two vertices of P
+    m = RatMatrix.from_rows([[1, 0, 0, 1, 2], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
+    assert_exact_witness(m, 3, numkit._triangle_factorization(m))
+
+
+def test_columns_on_the_boundary_get_a_triangle_from_a_corner_start():
+    # three of the four vertices of the columns' hull P lie on the boundary
+    # of the nonnegative polygon Q, and no walk from the line of an edge of
+    # P closes; the walk from a corner of Q does
+    m = RatMatrix.from_rows(
+        [
+            [3, 6, 4, 4, 4, 5, 4],
+            [12, 12, 8, 16, 0, 4, 16],
+            [12, 15, 9, 8, 13, 12, 20],
+            [6, 6, 3, 0, 9, 6, 12],
+            [9, 9, 6, 12, 0, 3, 12],
+            [15, 15, 9, 12, 9, 9, 24],
+            [16, 22, 15, 24, 5, 12, 20],
+        ]
+    )
+    assert numkit._separable_factorization(m, 3) is None
+    assert_exact_witness(m, 3, numkit._triangle_factorization(m))
+
+
+def test_the_slack_square_gets_no_triangle_under_any_permutation():
+    for rows in itertools.permutations(SLACK_SQUARE):
+        for cols in itertools.permutations(range(4)):
+            m = RatMatrix.from_rows([[row[j] for j in cols] for row in rows])
+            assert numkit._triangle_factorization(m) is None
 
 
 def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
