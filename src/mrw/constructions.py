@@ -133,8 +133,7 @@ def flattening(spec: FunctionFSpec, k: int) -> RatMatrix:
     if not (0 <= k <= spec.d):
         raise ValidationError(f"split position k={k} outside [0..{spec.d}]")
     check_capacity(repeat(spec.n, spec.d), "flattening")
-    entries = edm(EdmSpec(range(spec.half_size))).entries
-    return RatMatrix(spec.n ** k, spec.n ** (spec.d - k), entries)
+    return edm(EdmSpec(range(spec.half_size))).reshape(spec.n ** k, spec.n ** (spec.d - k))
 
 
 def offset_matrix(spec: FunctionFSpec) -> RatMatrix:

@@ -168,6 +168,16 @@ class RatMatrix:
     def entries(self) -> tuple[Exact, ...]:
         return self._entries
 
+    def reshape(self, rows: int, cols: int) -> "RatMatrix":
+        """The same row-major entries read as a rows x cols matrix.  They
+        were checked when this matrix was built, so they are not scanned
+        again."""
+        if rows < 1 or cols < 1 or rows * cols != len(self._entries):
+            raise DimensionError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        out = object.__new__(RatMatrix)
+        out.rows, out.cols, out._entries = rows, cols, self._entries
+        return out
+
     def transpose(self) -> "RatMatrix":
         return RatMatrix(
             self.cols,

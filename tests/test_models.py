@@ -1,6 +1,8 @@
 """Application calculators: level profiles, hidden-variable models, exact
-protocol depth (with a brute-force oracle), and separation reports."""
+protocol depth (with brute-force and bipartition-recursion oracles), and
+separation reports."""
 
+import functools
 import math
 import random
 import warnings
@@ -28,11 +30,11 @@ from mrw.constructions import (
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
     HiddenVariableModel,
-    _dcc_solve,
     abp_profile,
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    distinct_columns,
     divisibility_rank_witness,
     edm_folding_factorization,
     exact_unit_factorizations,
@@ -388,15 +390,63 @@ def test_depth_matches_brute_force():
         rng.shuffle(rows)
         rng.shuffle(cols)
         grids.append([[base[i][j] for j in cols] for i in rows])
-    cold = []
     for grid in grids:
-        _dcc_solve.cache_clear()
-        cold.append(grid_depth(grid))
-        assert cold[-1] == brute_force_depth(grid), grid
-    # warm: the memo keeps the states of every grid and transpose solved so far
-    for grid, want in zip(grids, cold):
-        assert grid_depth([list(col) for col in zip(*grid)]) == want, grid
+        want = brute_force_depth(grid)
         assert grid_depth(grid) == want, grid
+        assert grid_depth([list(col) for col in zip(*grid)]) == want, grid
+
+
+@functools.cache
+def bipartition_depth(rows: tuple[int, ...], ncols: int) -> int:
+    """Oracle: memoized top-down recursion over the bipartitions of the rows
+    and of the columns (a column move is a row move on the transpose), the
+    first item pinned left.  A state with unsorted or repeated rows, or
+    repeated columns, hands off to its transpose with sorted distinct
+    columns, so a constant state becomes 1x1."""
+    cols = distinct_columns(rows, ncols)
+    if len(cols) < ncols or rows != tuple(sorted(set(rows))):
+        return bipartition_depth(cols, len(rows))
+    if len(rows) == 1 and ncols == 1:
+        return 0
+    best = math.inf
+    for items, width in ((rows, ncols), (cols, len(rows))):
+        first, rest = items[0], items[1:]
+        for mask in range(2 ** (len(items) - 1) - 1):
+            left = bipartition_depth((first, *(r for i, r in enumerate(rest) if mask >> i & 1)), width)
+            if 1 + left >= best:
+                continue
+            right = bipartition_depth(tuple(r for i, r in enumerate(rest) if not mask >> i & 1), width)
+            best = min(best, 1 + max(left, right))
+    return best
+
+
+def test_depth_matches_bipartition_recursion():
+    rng = random.Random(22)
+    grids = []
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        grids.append([[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)])
+    # duplicated rows and columns: small grids blown up to 6x6 or less by
+    # repeating shuffled indices
+    for _ in range(120):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        base = [[rng.randint(0, 1) for _ in range(nc)] for _ in range(nr)]
+        rows = list(range(nr)) + [rng.randrange(nr) for _ in range(rng.randint(0, 6 - nr))]
+        cols = list(range(nc)) + [rng.randrange(nc) for _ in range(rng.randint(0, 6 - nc))]
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        grids.append([[base[i][j] for j in cols] for i in rows])
+    # at the cap: rows 0..11 of 4 bits, 12 distinct rows and 4 distinct columns
+    grids.append(mask_grid(range(12), 4))
+    for grid in grids:
+        masks = tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
+        assert grid_depth(grid) == bipartition_depth(masks, len(grid[0])), grid
+
+
+def test_depth_of_identity_is_log_plus_one():
+    # D(I_n) = ceil(log2 n) + 1; n = 8 has 16 distinct lines, at the cap
+    for n in range(2, 9):
+        assert grid_depth(mask_grid([1 << i for i in range(n)], n)) == math.ceil(math.log2(n)) + 1, n
 
 
 def test_depth_dominates_log_rank_and_cover():

@@ -332,6 +332,15 @@ def test_submatrix_rejects_bad_indices():
         submatrix(m, [], [0])
 
 
+def test_reshape_keeps_the_entries_and_checks_the_shape():
+    m = RatMatrix(2, 3, [0, Fraction(1, 2), 2, 3, 4, 5])
+    r = m.reshape(3, 2)
+    assert r == RatMatrix(3, 2, m.entries) and r.entries is m.entries
+    for rows, cols in ((4, 2), (0, 6), (-2, -3)):
+        with pytest.raises(DimensionError):
+            m.reshape(rows, cols)
+
+
 def test_capacity_guard_rejects_oversized_matrix():
     with pytest.raises(CapacityError):
         RatMatrix(1025, 1024, [])
