@@ -96,7 +96,7 @@ def _budget_factor(args) -> float:
 def cmd_gen(args) -> int:
     kind = args.object
     if kind == "edm":
-        spec = EdmSpec(_parse_values(args.values)) if args.values else EdmSpec.integers(args.n)
+        spec = EdmSpec(_parse_values(args.values)) if args.values is not None else EdmSpec.integers(args.n)
         _emit(args, canonical_dumps(matrix_to_obj(edm(spec))))
     elif kind == "flatten":
         _emit(args, canonical_dumps(matrix_to_obj(flattening(FunctionFSpec(args.n, args.d), args.k))))

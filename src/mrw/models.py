@@ -471,12 +471,11 @@ def comm_report(nbits: int, d: int, cross_check: bool = True) -> CommBoundReport
 
 
 def comm_ladder(nbits: int, d_max: int) -> list[CommBoundReport]:
-    """Reports for a geometric ladder of party counts up to d_max."""
-    ds = []
-    d = 2
-    while d <= d_max:
-        ds.append(d)
-        d = max(d + 1, int(d * 2))
-    if ds and ds[-1] != d_max:
-        ds.append(d_max)
+    """Reports for the party counts 2, 4, 8, ... below d_max, then d_max;
+    nbits < 1 or d_max < 2 raises `ValidationError`, as in `comm_report`."""
+    if d_max < 2:
+        raise ValidationError("need at least two parties")
+    ds = [2]
+    while ds[-1] < d_max:
+        ds.append(min(2 * ds[-1], d_max))
     return [comm_report(nbits, d, cross_check=False) for d in ds]

@@ -3,8 +3,9 @@
 Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
 search driven by HALS sweeps and linear-program polishing with random
-restarts (after exact stages for rational inputs at r = rank: separable
-cones, and nested triangles at rank 3), and an alternating-least-squares
+restarts (after exact stages for rational inputs at r = rank, which share
+one normalisation of the columns: separable cones picked by successive
+projection, and nested triangles at rank 3), and an alternating-least-squares
 tensor fitter.  Searches are deterministic given (input, seed, budget):
 restarts are ranked by (residual, restart index) so the outcome never
 depends on execution order.  A successful search is a witness, never a
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -32,14 +33,6 @@ _FLOOR = 1e-12
 # nmf_search runs a round's HALS sweeps in chunks of this many and checks the
 # error against tol after each; the sweeps themselves are the same
 _SWEEP_CHUNK = 25
-
-# nmf_search's exact stage tries the r-subsets of one side's distinct column
-# directions only when there are at most this many; past it that side is
-# left to the float search without listing a subset
-SEPARABLE_SUBSET_CAP = 4096
-# subsets screened per batched float solve: it bounds the arrays and lets
-# the scan stop at the first confirmed subset
-_SCREEN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -310,54 +303,49 @@ def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray, vmax: float) -> fl
     return float(np.max(np.abs(v - w @ h))) / vmax
 
 
-def _cone_basis(coords: tuple[tuple, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]] | None:
-    """r columns of a matrix m whose cone holds every column, and the exact
-    nonnegative coordinates of every column in them, or None.
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
-    ``coords`` is ``column_basis(m)[1]``, r x cols: column j of m is the pivot
-    columns times column j of coords, so a set S of r columns generates
-    every column with coefficients coords[:, S]^-1 @ coords.  One column per
-    direction is a candidate (zero columns and positive multiples of an
-    earlier column are skipped).  The candidate r-subsets, in lexicographic
-    order, are screened by batched float solves; each subset that passes is
-    confirmed by one exact elimination with its columns scanned first.  None
-    when no subset passes or there are more than SEPARABLE_SUBSET_CAP.
+
+def _column_points(m: RatMatrix):
+    """The columns of ``m`` as points of one plane, read by both exact stages.
+
+    With ``pivots, coords = column_basis(m)``, B = m[:, pivots] and
+    s = 1^T B, column j of m is B c_j, and when it is nonzero it becomes the
+    point c_j / (s.c_j) of the plane s.y = 1 (s.c_j is the sum of column j).
+    Returns ``(coords, rows of B, s, points)``, where ``points`` maps each
+    point to the first column on it, in column order.
     """
-    r = len(coords)
-    directions: dict[tuple, int] = {}
+    pivots, coords = column_basis(m)
+    basis = [tuple(row[j] for j in pivots) for row in m.iter_rows()]
+    s = [sum(col) for col in zip(*basis)]
+    points: dict[tuple, int] = {}
     for j, col in enumerate(zip(*coords)):
-        lead = next((abs(x) for x in col if x), None)
-        if lead is not None:
-            directions.setdefault(tuple(Fraction(x) / lead for x in col), j)
-    candidates = sorted(directions.values())
-    if math.comb(len(candidates), r) > SEPARABLE_SUBSET_CAP:
-        return None
-    basis = RatMatrix(r, len(coords[0]), [x for row in coords for x in row])
-    # positive row and column scales change neither which subsets are
-    # singular nor any coefficient's sign; equilibrating keeps the float
-    # determinants of well-separated subsets away from the singular cut
-    cf = np.array([[float(x) for x in row] for row in coords])
-    cf /= np.max(np.abs(cf), axis=1, keepdims=True)
-    cf /= np.maximum(np.max(np.abs(cf), axis=0), _FLOOR)
-    subsets = combinations(candidates, r)
-    while batch := list(islice(subsets, _SCREEN_BATCH)):
-        idx = np.array(batch)
-        blocks = cf[:, idx].transpose(1, 0, 2)  # blocks[s] = cf[:, batch[s]]
-        scale = np.prod(np.linalg.norm(blocks, axis=1), axis=1)
-        live = np.flatnonzero(np.abs(np.linalg.det(blocks)) > 1e-12 * scale)
-        if live.size == 0:
-            continue
-        sol = np.linalg.solve(blocks[live], np.broadcast_to(cf, (live.size, *cf.shape)))
-        slack = 1e-6 * np.max(np.abs(sol), axis=(1, 2))
-        for s in live[np.min(sol, axis=(1, 2)) >= -slack]:
-            chosen = batch[s]
-            pivots, h = column_basis(basis, first=chosen)
-            if pivots == chosen and all(x >= 0 for row in h for x in row):
-                return chosen, h
-    return None
+        if w := _dot(s, col):
+            points.setdefault(tuple(Fraction(x) / w for x in col), j)
+    return coords, basis, s, points
 
 
-def _separable_factorization(m: RatMatrix, r: int) -> NonnegFactorization | None:
+def _successive_projection(points: dict[tuple, int], r: int) -> tuple[int, ...]:
+    """The sorted columns of r of ``points`` (from ``_column_points``),
+    picked in floats by successive projection (Gillis and Vavasis 2014): r
+    times, the point of largest norm (the first on ties), which is then
+    projected out of all of them.  When r of the points span a simplex that
+    holds every point, each pick is one of its vertices."""
+    pts = np.array([[float(x) for x in p] for p in points])
+    cols = list(points.values())
+    picked = []
+    for _ in range(r):
+        norms = np.einsum("ij,ij->i", pts, pts)
+        k = int(np.argmax(norms))
+        if not norms[k]:
+            break
+        picked.append(cols[k])
+        pts -= np.outer(pts @ pts[k], pts[k] / norms[k])
+    return tuple(sorted(picked))
+
+
+def _separable_factorization(m: RatMatrix, r: int, columns=None) -> NonnegFactorization | None:
     """An exact r-term nonnegative factorization of ``m`` read off r of its
     columns, or else r of its rows, whose cone holds all the others; None
     when rank(m) != r or neither side has such r lines.
@@ -365,25 +353,24 @@ def _separable_factorization(m: RatMatrix, r: int) -> NonnegFactorization | None
     With S the columns and H their coordinates, m = m[:, S] @ H; on the row
     side, m = H^T @ m[S, :].  At rank <= 2 the two extreme columns always
     qualify (Cohen and Rothblum 1993); in general these are the separable
-    matrices of Arora, Ge, Kannan and Moitra (2012).
+    matrices of Arora, Ge, Kannan and Moitra (2012).  At r = rank their cone
+    is simplicial, so S is unique; a side's successive-projection pick is
+    confirmed by one exact elimination that scans it first.  ``columns`` is
+    ``_column_points(m)`` when the caller already has it.
     """
     mt = m.transpose()
-    for side, lines, transposed in ((m, mt, False), (mt, m, True)):
-        pivots, coords = column_basis(side)
-        if len(pivots) != r:
+    for side, lines, transposed, known in ((m, mt, False, columns), (mt, m, True, None)):
+        coords, _, _, points = known or _column_points(side)
+        if len(coords) != r:
             return None
-        found = _cone_basis(coords)
-        if found is not None:
-            chosen, h = found
+        chosen = _successive_projection(points, r)
+        pivots, h = column_basis(side, first=chosen)
+        if pivots == chosen and all(x >= 0 for row in h for x in row):
             terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
             if transposed:
                 terms = [(w, line) for line, w in terms]
             return NonnegFactorization(dims=m.shape, terms=tuple(terms))
     return None
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _det3(a, b, c):
@@ -412,12 +399,13 @@ def _wrap(x, points):
     return v
 
 
-def _triangle_factorization(m: RatMatrix) -> NonnegFactorization | None:
+def _triangle_factorization(m: RatMatrix, columns=None) -> NonnegFactorization | None:
     """An exact 3-term nonnegative factorization of a rank-3 ``m`` from a
     triangle nested between its columns and the nonnegative orthant, or None.
 
     With B the basis columns m[:, pivots] and s = 1^T B, column j of m is
-    B c_j and becomes the point c_j / (s.c_j) of the plane s.y = 1.  A
+    B c_j and becomes the point c_j / (s.c_j) of the plane s.y = 1
+    (``_column_points``; ``columns`` is its result when the caller has it).  A
     3-term factorization of m is a triangle T with P <= T <= Q, where P is
     the hull of those points and Q = {y : s.y = 1, B y >= 0} (Gillis and
     Glineur 2012), and then W = B T and H = T^-1 @ coords.  A walk from a
@@ -429,14 +417,11 @@ def _triangle_factorization(m: RatMatrix) -> NonnegFactorization | None:
     which catch triangles pinned by columns on Q's boundary.  None when the
     rank is not 3 or no walk closes, which proves nothing about mr(m).
     """
-    pivots, coords = column_basis(m)
-    if len(pivots) != 3:
+    coords, basis, s, points = columns or _column_points(m)
+    if len(coords) != 3:
         return None
-    basis = [tuple(row[j] for j in pivots) for row in m.iter_rows()]
-    s = [sum(col) for col in zip(*basis)]
     sides = [row for row in dict.fromkeys(basis) if any(row)]  # Q's edge lines
     cols = list(zip(*coords))
-    points = {tuple(Fraction(x) / w for x in col) for col in cols if (w := _dot(s, col))}
     # gift wrapping from the least point, a vertex of P since s > 0
     hull = [min(points)]
     while (v := _wrap(hull[-1], points)) != hull[0]:
@@ -494,14 +479,14 @@ def nmf_search(
     stages: when r of its columns, or else r of its rows, generate a cone
     holding all the others (such lines always exist at rank <= 2), the
     result is that rational factorization, M = M[:, S] @ H (or
-    H^T @ M[S, :]) with H >= 0, and no float search runs.  The stage lists
-    at most `SEPARABLE_SUBSET_CAP` r-subsets per side.  At r = rank = 3 with
-    no such lines, a greedy walk looks for a triangle nested between the
-    normalized columns and the nonnegative orthant (`_triangle_factorization`)
-    and lifts it to a rational 3-term factorization.  Neither stage draws
-    random numbers, so every input they do not settle (rank >= 4, r != rank,
-    a float input, or a walk that does not close) gets the float search
-    below, unchanged.
+    H^T @ M[S, :]) with H >= 0, and no float search runs.  S is picked by
+    successive projection in floats, with no cap, and confirmed by one exact
+    elimination per side.  At r = rank = 3 with no such lines, a greedy walk
+    looks for a triangle nested between the same normalized columns and the
+    nonnegative orthant (`_triangle_factorization`) and lifts it to a
+    rational 3-term factorization.  Neither stage draws random numbers, so
+    every input they do not settle (rank >= 4, r != rank, a float input, or
+    a walk that does not close) gets the float search below, unchanged.
 
     Each restart of the float search runs floor-clipped HALS sweeps (at most
     `budget.iterations` per round) and then polishes with alternating
@@ -537,9 +522,10 @@ def nmf_search(
     if vmax == 0.0:
         return NonnegFactorization(dims=v.shape, terms=())
     if isinstance(m, RatMatrix):
-        exact = _separable_factorization(m, r)
+        columns = _column_points(m)
+        exact = _separable_factorization(m, r, columns)
         if exact is None and r == 3:
-            exact = _triangle_factorization(m)
+            exact = _triangle_factorization(m, columns)
         if exact is not None:
             return exact
     rng = np.random.default_rng(seed)

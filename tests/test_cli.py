@@ -49,7 +49,7 @@ def test_gen_correlation_base_is_the_difference_matrix(capsys, n):
     assert out == canonical_dumps(matrix_to_obj(difference_matrix(CorrelationSpec(n)).base))
 
 
-@pytest.mark.parametrize("values", ["abc", "1/0"])
+@pytest.mark.parametrize("values", ["abc", "1/0", "", " , "])
 def test_gen_bad_values_exit_2(capsys, values):
     code, out, err = run(capsys, "gen", "edm", "--values", values)
     assert code == 2 and out == ""
@@ -117,6 +117,13 @@ def test_comm_csv_ladder(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "d,logMrExact,logRkUpper,separationRatio"
     assert lines[1].startswith("2,")
+
+
+@pytest.mark.parametrize("nbits, d", [("2", "1"), ("0", "1"), ("0", "2")])
+def test_comm_ladder_bad_input_exits_2(capsys, nbits, d):
+    code, out, err = run(capsys, "comm", "--nbits", nbits, "--d", d, "--ladder")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_comm_with_a_huge_nbits_exits_0(capsys):

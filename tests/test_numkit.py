@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -33,7 +34,7 @@ from mrw.numkit import (
     nmf_search,
     verify_nonneg_factorization,
 )
-from mrw.ratlinalg import RatMatrix, char_poly_exact
+from mrw.ratlinalg import RatMatrix, char_poly_exact, column_basis
 
 
 def _differences(values) -> RatMatrix:
@@ -330,15 +331,52 @@ def test_planted_separable_products_get_an_exact_witness(case):
     assert_exact_witness(m, r, nmf_search(m, r, budget=SMALL_BUDGET))
 
 
-def test_exact_check_rejects_a_subset_the_float_screen_passes():
+def test_a_cone_with_a_nearly_extreme_column_gets_its_own_generators():
     # column 2 is 10^8 + 1 times column 0 less column 1: just outside the
-    # cone of columns 0 and 1, and after equilibration (column 3 = 10^8 times
-    # column 1 sets the second row's scale) its -1 coefficient is within the
-    # float screen's slack; the cone is that of columns 1 and 2
+    # cone of columns 0 and 1, so the cone is that of columns 1 and 2, and
+    # column 3 repeats column 1's direction.  The points of columns 0 and 2
+    # have squared norms 1/4 and 1/4 + 7.5e-9, so the pick's first argmax is
+    # a near-tie
     m = RatMatrix.from_rows([[1, 1, 10**8, 10**8], [1, 2, 10**8 - 1, 2 * 10**8]])
     fact = nmf_search(m, 2)
     assert_exact_witness(m, 2, fact)
     assert [w for w, _ in fact.terms] == [(1, 2), (10**8, 10**8 - 1)]
+
+
+def enumerated_separable(m: RatMatrix, r: int):
+    """Oracle for `_separable_factorization`: on the column side, then the
+    row side, every r-subset of the first column of each direction, in
+    lexicographic order, each confirmed by `column_basis` alone."""
+    mt = m.transpose()
+    for side, lines, transposed in ((m, mt, False), (mt, m, True)):
+        pivots, coords = column_basis(side)
+        if len(pivots) != r:
+            return None
+        directions = {}
+        for j, col in enumerate(zip(*coords)):
+            if any(col):
+                lead = next(abs(x) for x in col if x)
+                directions.setdefault(tuple(Fraction(x) / lead for x in col), j)
+        basis = RatMatrix.from_rows(coords)
+        for chosen in itertools.combinations(sorted(directions.values()), r):
+            found, h = column_basis(basis, first=chosen)
+            if found == chosen and all(x >= 0 for row in h for x in row):
+                terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
+                return [(w, line) for line, w in terms] if transposed else terms
+    return None
+
+
+@given(
+    st.one_of(planted_separable_products().map(lambda case: case[0]), low_rank_products(max_inner=3))
+)
+def test_the_successive_projection_pick_matches_every_subset_enumerated(m):
+    r = sympy_rank(m)
+    assume(r > 0)
+    fact = numkit._separable_factorization(m, r)
+    want = enumerated_separable(m, r)
+    assert (fact is None) == (want is None)
+    if fact is not None:
+        assert list(fact.terms) == want
 
 
 @settings(max_examples=25)
@@ -431,26 +469,51 @@ def test_the_slack_square_gets_no_triangle_under_any_permutation():
 
 
 def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
-    # 16 x 16 of rank 8 with 16 distinct column and row directions:
-    # C(16, 8) = 12870 subsets per side exceed the cap
-    rng = np.random.default_rng(7)
-    w, h = rng.integers(0, 5, size=(16, 8)), rng.integers(0, 5, size=(8, 16))
-    m = RatMatrix.from_rows((w @ h).tolist())
-    assert sympy_rank(m) == 8
-    for side in (m, m.transpose()):
-        directions = {tuple(Fraction(x) / max(col) for x in col) for col in zip(*side.iter_rows())}
-        assert len(directions) == 16 and math.comb(16, 8) > numkit.SEPARABLE_SUBSET_CAP
+    # 16 x 16 of rank 8 with 16 distinct column directions, C(16, 8) = 12870
+    # r-subsets: a planted separable product gets its exact 8-term witness,
+    # and a random product that is not separable gets the float search
+    rng = random.Random(16)
+    w = [[rng.randint(0, 4) for _ in range(8)] for _ in range(16)]
+    cols = [[int(i == t) for i in range(8)] for t in range(8)]
+    cols += [[rng.randint(0, 4) for _ in range(8)] for _ in range(8)]
+    rng.shuffle(cols)
+    planted = product_matrix(w, list(zip(*cols)))
+    gen = np.random.default_rng(7)
+    w, h = gen.integers(0, 5, size=(16, 8)), gen.integers(0, 5, size=(8, 16))
+    mixed = RatMatrix.from_rows((w @ h).tolist())
+    for m in (planted, mixed):
+        assert sympy_rank(m) == 8
+        directions = {tuple(Fraction(x) / max(col) for x in col) for col in zip(*m.iter_rows())}
+        assert len(directions) == 16
 
     def no_subsets(*args):
-        raise AssertionError("listed subsets past the cap")
+        raise AssertionError("listed r-subsets")
 
     monkeypatch.setattr(numkit, "combinations", no_subsets)
     budget = SearchBudget(restarts=1, iterations=10)
-    exact = nmf_search(m, 8, budget=budget)
-    floats = nmf_search(np.array(m.to_float_rows()), 8, budget=budget)
+    assert_exact_witness(planted, 8, nmf_search(planted, 8, budget=budget))
+    assert numkit._separable_factorization(mixed, 8) is None
+    exact = nmf_search(mixed, 8, budget=budget)
+    floats = nmf_search(np.array(mixed.to_float_rows()), 8, budget=budget)
     assert (exact is None) == (floats is None)
     if exact is not None:
         assert exact.terms == floats.terms
+
+
+def test_a_separable_rank_3_input_with_32_directions_gets_its_column_witness():
+    # C(32, 3) = 4960 column 3-subsets; the separable stage still runs before
+    # the nested-triangle stage, and its terms are columns of m
+    rng = random.Random(3)
+    w = [[rng.randint(0, 4) for _ in range(3)] for _ in range(6)]
+    cols = [[int(i == t) for i in range(3)] for t in range(3)]
+    cols += [[rng.randint(1, 9) for _ in range(3)] for _ in range(29)]
+    rng.shuffle(cols)
+    m = product_matrix(w, list(zip(*cols)))
+    assert sympy_rank(m) == 3
+    assert len({tuple(Fraction(x) / max(col) for x in col) for col in zip(*m.iter_rows())}) == 32
+    fact = nmf_search(m, 3, budget=SMALL_BUDGET)
+    assert_exact_witness(m, 3, fact)
+    assert {w for w, _ in fact.terms} <= set(zip(*m.iter_rows()))
 
 
 def sparse_block_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
