@@ -326,13 +326,21 @@ def _column_points(m: RatMatrix):
     return coords, basis, s, points
 
 
-def _successive_projection(points: dict[tuple, int], r: int) -> tuple[int, ...]:
-    """The sorted columns of r of ``points`` (from ``_column_points``),
-    picked in floats by successive projection (Gillis and Vavasis 2014): r
-    times, the point of largest norm (the first on ties), which is then
-    projected out of all of them.  When r of the points span a simplex that
-    holds every point, each pick is one of its vertices."""
-    pts = np.array([[float(x) for x in p] for p in points])
+def _pick_generators(points: dict[tuple, int], r: int) -> tuple[int, ...]:
+    """The sorted columns of r of ``points`` (from ``_column_points``) that
+    span a simplex holding every point, when r such points exist.
+
+    At r <= 2 the points lie on one line, and the pick is its two ends (one
+    point at r = 1), read exactly.  Past that it is successive projection in
+    floats (Gillis and Vavasis 2014): each coordinate is first divided by its
+    largest magnitude, in Fractions, a linear map that keeps the simplex's
+    vertices its vertices and keeps the norms from underflowing; then r
+    times, the point of largest norm (the first on ties) is picked and
+    projected out of all of them, so each pick is a vertex."""
+    if r <= 2:
+        return tuple(sorted({points[min(points)], points[max(points)]}))
+    scale = [max(map(abs, axis)) for axis in zip(*points)]
+    pts = np.array([[float(x / a) for x, a in zip(p, scale)] for p in points])
     cols = list(points.values())
     picked = []
     for _ in range(r):
@@ -345,7 +353,7 @@ def _successive_projection(points: dict[tuple, int], r: int) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def _separable_factorization(m: RatMatrix, r: int, columns=None) -> NonnegFactorization | None:
+def _separable_factorization(m: RatMatrix, r: int, columns) -> NonnegFactorization | None:
     """An exact r-term nonnegative factorization of ``m`` read off r of its
     columns, or else r of its rows, whose cone holds all the others; None
     when rank(m) != r or neither side has such r lines.
@@ -354,16 +362,18 @@ def _separable_factorization(m: RatMatrix, r: int, columns=None) -> NonnegFactor
     side, m = H^T @ m[S, :].  At rank <= 2 the two extreme columns always
     qualify (Cohen and Rothblum 1993); in general these are the separable
     matrices of Arora, Ge, Kannan and Moitra (2012).  At r = rank their cone
-    is simplicial, so S is unique; a side's successive-projection pick is
-    confirmed by one exact elimination that scans it first.  ``columns`` is
-    ``_column_points(m)`` when the caller already has it.
+    is simplicial, so S is unique; a side's pick (`_pick_generators`) is
+    confirmed by one exact elimination of that side that scans the pick
+    first (on the side itself, not on its r-row coordinate matrix, whose
+    long fractions eliminate more slowly).  ``columns`` is
+    ``_column_points(m)``.
     """
     mt = m.transpose()
-    for side, lines, transposed, known in ((m, mt, False, columns), (mt, m, True, None)):
-        coords, _, _, points = known or _column_points(side)
+    for side, lines, transposed in ((m, mt, False), (mt, m, True)):
+        coords, _, _, points = _column_points(side) if transposed else columns
         if len(coords) != r:
             return None
-        chosen = _successive_projection(points, r)
+        chosen = _pick_generators(points, r)
         pivots, h = column_basis(side, first=chosen)
         if pivots == chosen and all(x >= 0 for row in h for x in row):
             terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
@@ -399,25 +409,25 @@ def _wrap(x, points):
     return v
 
 
-def _triangle_factorization(m: RatMatrix, columns=None) -> NonnegFactorization | None:
+def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None:
     """An exact 3-term nonnegative factorization of a rank-3 ``m`` from a
     triangle nested between its columns and the nonnegative orthant, or None.
 
     With B the basis columns m[:, pivots] and s = 1^T B, column j of m is
     B c_j and becomes the point c_j / (s.c_j) of the plane s.y = 1
-    (``_column_points``; ``columns`` is its result when the caller has it).  A
-    3-term factorization of m is a triangle T with P <= T <= Q, where P is
-    the hull of those points and Q = {y : s.y = 1, B y >= 0} (Gillis and
-    Glineur 2012), and then W = B T and H = T^-1 @ coords.  A walk from a
-    point of Q's boundary runs along the tangent to P that keeps P on its
-    left, to where it leaves Q, and does so once more (Aggarwal, Booth,
-    O'Rourke, Suri and Yap 1989); its three points are such a triangle when
-    P also lies left of the closing side.  The walks start where the line of
-    an edge of P leaves Q behind the edge, and then at the corners of Q,
-    which catch triangles pinned by columns on Q's boundary.  None when the
-    rank is not 3 or no walk closes, which proves nothing about mr(m).
+    (``columns`` is ``_column_points(m)``).  A 3-term factorization of m is
+    a triangle T with P <= T <= Q, where P is the hull of those points and
+    Q = {y : s.y = 1, B y >= 0} (Gillis and Glineur 2012), and then W = B T
+    and H = T^-1 @ coords.  A walk from a point of Q's boundary runs along
+    the tangent to P that keeps P on its left, to where it leaves Q, and
+    does so once more (Aggarwal, Booth, O'Rourke, Suri and Yap 1989); its
+    three points are such a triangle when P also lies left of the closing
+    side.  The walks start where the line of an edge of P leaves Q behind
+    the edge, and then at the corners of Q, which catch triangles pinned by
+    columns on Q's boundary.  None when the rank is not 3 or no walk
+    closes, which proves nothing about mr(m).
     """
-    coords, basis, s, points = columns or _column_points(m)
+    coords, basis, s, points = columns
     if len(coords) != 3:
         return None
     sides = [row for row in dict.fromkeys(basis) if any(row)]  # Q's edge lines
@@ -479,9 +489,10 @@ def nmf_search(
     stages: when r of its columns, or else r of its rows, generate a cone
     holding all the others (such lines always exist at rank <= 2), the
     result is that rational factorization, M = M[:, S] @ H (or
-    H^T @ M[S, :]) with H >= 0, and no float search runs.  S is picked by
-    successive projection in floats, with no cap, and confirmed by one exact
-    elimination per side.  At r = rank = 3 with no such lines, a greedy walk
+    H^T @ M[S, :]) with H >= 0, and no float search runs.  S is the two
+    extreme columns at rank <= 2 and is otherwise picked by successive
+    projection in floats, with no cap; each side's pick is confirmed by one
+    exact elimination.  At r = rank = 3 with no such lines, a greedy walk
     looks for a triangle nested between the same normalized columns and the
     nonnegative orthant (`_triangle_factorization`) and lifts it to a
     rational 3-term factorization.  Neither stage draws random numbers, so

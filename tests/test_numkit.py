@@ -9,7 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrw import numkit
@@ -317,6 +317,9 @@ def assert_exact_witness(m: RatMatrix, r: int, fact) -> None:
     assert verify_nonneg_factorization(m, fact, tol=0).passed
 
 
+# column sums 2 * 10^200, 2 and 2 * 10^200 + 2: a float pick from the
+# points c_j / (s.c_j) would underflow to zero norms after its first step
+@example(RatMatrix.from_rows([[10**200, 0, 10**200], [0, 1, 1], [10**200, 1, 10**200 + 1]]))
 @given(low_rank_products())
 def test_every_nonnegative_matrix_of_rank_at_most_two_gets_an_exact_witness(m):
     r = sympy_rank(m)
@@ -332,15 +335,16 @@ def test_planted_separable_products_get_an_exact_witness(case):
 
 
 def test_a_cone_with_a_nearly_extreme_column_gets_its_own_generators():
-    # column 2 is 10^8 + 1 times column 0 less column 1: just outside the
-    # cone of columns 0 and 1, so the cone is that of columns 1 and 2, and
-    # column 3 repeats column 1's direction.  The points of columns 0 and 2
-    # have squared norms 1/4 and 1/4 + 7.5e-9, so the pick's first argmax is
-    # a near-tie
-    m = RatMatrix.from_rows([[1, 1, 10**8, 10**8], [1, 2, 10**8 - 1, 2 * 10**8]])
-    fact = nmf_search(m, 2)
-    assert_exact_witness(m, 2, fact)
-    assert [w for w, _ in fact.terms] == [(1, 2), (10**8, 10**8 - 1)]
+    # column 2 is n + 1 times column 0 less column 1: just outside the cone
+    # of columns 0 and 1, so the cone is that of columns 1 and 2, and column
+    # 3 repeats column 1's direction.  Column 0's point lies just inside the
+    # segment of the points of columns 1 and 2, so the pick must tell the two
+    # apart exactly; at n = 10^30 their float points are equal
+    for n in (10**8, 10**30):
+        m = RatMatrix.from_rows([[1, 1, n, n], [1, 2, n - 1, 2 * n]])
+        fact = nmf_search(m, 2)
+        assert_exact_witness(m, 2, fact)
+        assert [w for w, _ in fact.terms] == [(1, 2), (n, n - 1)]
 
 
 def enumerated_separable(m: RatMatrix, r: int):
@@ -372,7 +376,7 @@ def enumerated_separable(m: RatMatrix, r: int):
 def test_the_successive_projection_pick_matches_every_subset_enumerated(m):
     r = sympy_rank(m)
     assume(r > 0)
-    fact = numkit._separable_factorization(m, r)
+    fact = numkit._separable_factorization(m, r, numkit._column_points(m))
     want = enumerated_separable(m, r)
     assert (fact is None) == (want is None)
     if fact is not None:
@@ -399,8 +403,8 @@ def test_float_and_non_separable_inputs_skip_the_exact_stage(monkeypatch):
     # exact stage finds a witness and the float search runs as for floats
     # (its loose tol lets the float search return one)
     m = RatMatrix.from_rows(SLACK_SQUARE)
-    assert numkit._separable_factorization(m, 3) is None
-    assert numkit._triangle_factorization(m) is None
+    assert numkit._separable_factorization(m, 3, numkit._column_points(m)) is None
+    assert numkit._triangle_factorization(m, numkit._column_points(m)) is None
     budget = SearchBudget(restarts=2, iterations=400)
     exact = nmf_search(m, 3, budget=budget, tol=0.4)
 
@@ -430,7 +434,7 @@ def three_term_products(draw):
 @given(three_term_products())
 def test_a_triangle_witness_has_three_terms_and_reproduces_the_matrix(m):
     assume(sympy_rank(m) == 3)
-    fact = numkit._triangle_factorization(m)
+    fact = numkit._triangle_factorization(m, numkit._column_points(m))
     if fact is not None:
         assert_exact_witness(m, 3, fact)
 
@@ -439,7 +443,7 @@ def test_columns_that_span_a_triangle_close_on_its_own_sides():
     # P is the triangle of the first three columns and equals Q, so each
     # walk closes on a side that holds two vertices of P
     m = RatMatrix.from_rows([[1, 0, 0, 1, 2], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
-    assert_exact_witness(m, 3, numkit._triangle_factorization(m))
+    assert_exact_witness(m, 3, numkit._triangle_factorization(m, numkit._column_points(m)))
 
 
 def test_columns_on_the_boundary_get_a_triangle_from_a_corner_start():
@@ -457,15 +461,15 @@ def test_columns_on_the_boundary_get_a_triangle_from_a_corner_start():
             [16, 22, 15, 24, 5, 12, 20],
         ]
     )
-    assert numkit._separable_factorization(m, 3) is None
-    assert_exact_witness(m, 3, numkit._triangle_factorization(m))
+    assert numkit._separable_factorization(m, 3, numkit._column_points(m)) is None
+    assert_exact_witness(m, 3, numkit._triangle_factorization(m, numkit._column_points(m)))
 
 
 def test_the_slack_square_gets_no_triangle_under_any_permutation():
     for rows in itertools.permutations(SLACK_SQUARE):
         for cols in itertools.permutations(range(4)):
             m = RatMatrix.from_rows([[row[j] for j in cols] for row in rows])
-            assert numkit._triangle_factorization(m) is None
+            assert numkit._triangle_factorization(m, numkit._column_points(m)) is None
 
 
 def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
@@ -492,7 +496,7 @@ def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
     monkeypatch.setattr(numkit, "combinations", no_subsets)
     budget = SearchBudget(restarts=1, iterations=10)
     assert_exact_witness(planted, 8, nmf_search(planted, 8, budget=budget))
-    assert numkit._separable_factorization(mixed, 8) is None
+    assert numkit._separable_factorization(mixed, 8, numkit._column_points(mixed)) is None
     exact = nmf_search(mixed, 8, budget=budget)
     floats = nmf_search(np.array(mixed.to_float_rows()), 8, budget=budget)
     assert (exact is None) == (floats is None)
