@@ -78,11 +78,10 @@ class SupportPattern:
 def support_pattern(m: RatMatrix | DenseTensor) -> SupportPattern:
     """Exact nonzero pattern of a RatMatrix or a DenseTensor."""
     if isinstance(m, RatMatrix):
-        cells = frozenset(
-            (i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] != 0
-        )
+        cols = m.cols
+        cells = frozenset(divmod(k, cols) for k, e in enumerate(m.entries) if e != 0)
         return SupportPattern(dims=(m.rows, m.cols), cells=cells)
-    cells = frozenset(idx for idx in m.iter_indices() if m[idx] != 0)
+    cells = frozenset(idx for idx, v in zip(m.iter_indices(), m.values) if v != 0)
     return SupportPattern(dims=m.dims, cells=cells)
 
 
@@ -125,13 +124,13 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     cells into slices, each a bitmask over the distinct rests.  A maximal box
     R x B has B maximal inside the closure of the slices in R, and R is every
     slice holding B, so recursing into each closure finds every maximal box
-    (some more than once) and nothing else.  Each level consumes a mode with
-    two or more values, so the recursion is no deeper than there are such
-    modes (at most 20 under the 2^20 entry guard).
+    (some more than once) and nothing else.  When the rests have at most one
+    mode left, the closure is itself a box, so B is the closure (its rests'
+    values) and no recursion runs.  Each level consumes a mode with two or
+    more values, so the recursion is no deeper than there are such modes (at
+    most 20 under the 2^20 entry guard).
     """
     first = next(iter(cells))
-    if len(first) == 1:
-        return {(tuple(sorted(c[0] for c in cells)),)}
     lead = next((m for m in range(len(first)) if any(c[m] != first[m] for c in cells)), None)
     if lead is None:
         return {tuple((v,) for v in first)}
@@ -141,11 +140,17 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     slices: dict[int, int] = {}
     for c in cells:
         slices[c[lead]] = slices.get(c[lead], 0) | bit[c[lead + 1 :]]
+    ordered = sorted(slices.items())
+    last = len(first) - lead <= 2
     boxes: set[Box] = set()
     for closure in _closures(slices.values()):
-        for rest_box in _maximal_boxes([r for r in rests if closure & bit[r]]):
-            mask = sum(bit[r] for r in product(*rest_box))
-            rows = tuple(sorted(i for i, s in slices.items() if s & mask == mask))
+        inside = [r for r in rests if closure & bit[r]]
+        if last:
+            found = [(tuple(zip(*inside)), closure)]
+        else:
+            found = [(b, sum(bit[r] for r in product(*b))) for b in _maximal_boxes(inside)]
+        for rest_box, mask in found:
+            rows = tuple(i for i, s in ordered if s & mask == mask)
             boxes.add(prefix + (rows,) + rest_box)
     return boxes
 

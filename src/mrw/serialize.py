@@ -82,12 +82,32 @@ def mr_report_to_obj(rep: MrBoundReport, rational: bool = False) -> dict:
     return obj
 
 
+def _clip(text: str, width: int) -> str:
+    """`text`, cut to `width` characters with an ellipsis when longer, so an
+    echoed input keeps an error message on one short line."""
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
+    """One matrix or tensor entry as an int or a Fraction.
+
+    A canonical integer literal (one that `int` reads and `str` writes back
+    unchanged) is read by `int`; any other string goes through `Fraction`,
+    with a warning when it is not in canonical form.  A JSON number literal
+    is taken with a warning; anything else is a `ParseError`.
+    """
     if isinstance(raw, str):
+        try:
+            value = int(raw)
+        except ValueError:
+            pass
+        else:
+            if str(value) == raw:
+                return value
         try:
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational literal {raw!r} ({exc})")
+            raise ParseError(f"{where}: bad rational literal {_clip(repr(raw), 20)} ({_clip(str(exc), 50)})")
         if str(value) != raw:
             warnings_out.append(f"{where}: normalized non-canonical entry {raw!r} to {value}")
         return as_exact(value)
@@ -151,3 +171,7 @@ def load_json_file(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except (ValueError, RecursionError) as exc:
+        # a number literal past Python's limit on the digits of an int, or
+        # arrays nested deeper than the interpreter's recursion limit
+        raise ParseError(f"{path}: {_clip(str(exc), 50)}")

@@ -322,6 +322,21 @@ def test_maximal_boxes_of_a_deep_single_cell():
     assert enumerate_maximal_boxes(pattern) == [((0,),) * 2000]
 
 
+def test_maximal_boxes_match_the_oracles_at_benchmark_shapes():
+    # the strategies above stop at 3x3x3, 2x2x2x2 and 5x5; the search-batch
+    # workload covers 4x4x4 tensors and 7x7 and 8x8 near-crowns
+    rng = random.Random(24)
+    for density in (0.5, 0.7, 0.8, 0.9):
+        cells = frozenset(c for c in itertools.product(range(4), repeat=3) if rng.random() < density)
+        pattern = SupportPattern((4, 4, 4), cells)
+        assert enumerate_maximal_boxes(pattern) == brute_force_maximal_boxes(pattern)
+    for n in (7, 8):
+        crown = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for cell in rng.sample(crown, 4):
+            pattern = SupportPattern((n, n), frozenset(crown) - {cell})
+            assert enumerate_maximal_boxes(pattern) == closure_oracle_boxes(pattern)
+
+
 def test_maximal_boxes_refuse_past_the_cell_cap():
     pattern = SupportPattern((65, 1), frozenset((i, 0) for i in range(65)))
     with pytest.raises(CapacityError):

@@ -205,6 +205,24 @@ def test_astronomical_sizes_exit_2_with_one_line(tmp_path, capsys, argv, obj):
 
 
 @pytest.mark.parametrize(
+    "entry",
+    ["1" * 5000, '"' + "1" * 5000 + '"', "[" * 100_000 + "]" * 100_000],
+    ids=["number", "string", "nested"],
+)
+def test_overlong_literal_exits_2_with_one_line(tmp_path, capsys, entry):
+    # past Python's 4,300-digit limit on reading an int: as a JSON number
+    # json.loads refuses it, as a string the entry parser does; neither
+    # echoes the digits.  Arrays nested past the recursion limit are refused
+    # the same way.
+    path = tmp_path / "long.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [' + entry + "]}")
+    code, out, err = run(capsys, "rank", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "1" * 30 not in err and len(err.replace(str(path), "")) < 120
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("quantum", "--N", "4", "--simulate", "10", "--seed", "-1"),

@@ -6,11 +6,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mrw.constructions import DivTensorSpec, EdmSpec, divisibility_tensor, edm
 from mrw.errors import ParseError
 from mrw.numkit import NonnegFactorization
+from mrw.ratlinalg import as_exact
 from mrw.serialize import (
+    _clip,
+    _parse_exact_entry,
     canonical_dumps,
     factorization_to_obj,
     load_json_file,
@@ -82,6 +87,39 @@ def test_integral_entries_parse_to_ints():
     # a float literal is refused, as in a matrix
     with pytest.raises(ParseError, match="unsupported entry 0.5"):
         parse_tensor({"dims": [1, 2], "entries": ["1", 0.5]})
+
+
+def fraction_entry_reader(raw: str, where: str, warnings_out: list[str]):
+    """Oracle: the string path of the entry reader without its int
+    shortcut, so every literal goes through Fraction."""
+    try:
+        value = Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: bad rational literal {_clip(repr(raw), 20)} ({_clip(str(exc), 50)})")
+    if str(value) != raw:
+        warnings_out.append(f"{where}: normalized non-canonical entry {raw!r} to {value}")
+    return as_exact(value)
+
+
+def read_entry(reader, raw: str):
+    warns: list[str] = []
+    try:
+        value = reader(raw, "entry 0", warns)
+    except ParseError as exc:
+        return "error", str(exc), warns
+    return type(value), value, warns
+
+
+@given(st.text(alphabet="0123456789+-/_. \u0663", max_size=12))
+@example("-0")
+@example("007")
+@example("+3")
+@example("1_0")
+@example("3/1")
+@example("1" * 4301)
+def test_int_shortcut_reads_every_string_as_fraction_does(raw):
+    # value, type, warnings and error message all agree
+    assert read_entry(_parse_exact_entry, raw) == read_entry(fraction_entry_reader, raw)
 
 
 def test_factorization_round_trip_float_and_rational():
