@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from math import comb, prod
 from typing import Collection, Iterable, Sequence
 
@@ -76,12 +76,9 @@ class SupportPattern:
 
 
 def support_pattern(m: RatMatrix | DenseTensor) -> SupportPattern:
-    """Exact nonzero pattern of a RatMatrix or a DenseTensor."""
-    if isinstance(m, RatMatrix):
-        cols = m.cols
-        cells = frozenset(divmod(k, cols) for k, e in enumerate(m.entries) if e != 0)
-        return SupportPattern(dims=(m.rows, m.cols), cells=cells)
-    cells = frozenset(idx for idx, v in zip(m.iter_indices(), m.values) if v != 0)
+    """Exact nonzero pattern of a RatMatrix or a DenseTensor: the row-major
+    indices of its nonzero entries."""
+    cells = frozenset(compress(product(*map(range, m.dims)), m.entries))
     return SupportPattern(dims=m.dims, cells=cells)
 
 
@@ -511,16 +508,10 @@ class MrBoundReport:
 
 
 def _validate_nonneg_exact(m) -> None:
-    if isinstance(m, RatMatrix):
-        if any(e < 0 for e in m.entries):
-            raise ValidationError("entries must be nonnegative")
-    elif isinstance(m, DenseTensor):
-        if not m.is_exact():
-            raise ValidationError("mr bounds need exact (int/Fraction) entries")
-        if any(v < 0 for v in m.values):
-            raise ValidationError("entries must be nonnegative")
-    else:
+    if not isinstance(m, (RatMatrix, DenseTensor)):
         raise ValidationError("mr_bounds expects a RatMatrix or DenseTensor")
+    if any(e < 0 for e in m.entries):
+        raise ValidationError("entries must be nonnegative")
 
 
 def rank_lower_bound(m) -> int:

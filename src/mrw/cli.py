@@ -71,11 +71,21 @@ def _parse_values(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _load_matrix(path: str):
-    matrix, warns = parse_matrix(load_json_file(path))
+def _emit_csv(args, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(args, buf.getvalue())
+
+
+def _load(path: str, parse):
+    """The array `parse` reads from the JSON file at `path`, with one
+    stderr line per warning."""
+    array, warns = parse(load_json_file(path))
     for w in warns:
         print(f"warning: {w}", file=sys.stderr)
-    return matrix
+    return array
 
 
 # mr's search work grows as factor * 50k cover nodes and factor^2 * 2,400
@@ -117,18 +127,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load(args.matrix, parse_matrix)
     _emit(args, canonical_dumps({"rows": m.rows, "cols": m.cols, "rank": rank_exact(m)}))
     return 0
 
 
 def cmd_mr(args) -> int:
-    if args.matrix:
-        target = _load_matrix(args.matrix)
-    else:
-        target, warns = parse_tensor(load_json_file(args.tensor))
-        for w in warns:
-            print(f"warning: {w}", file=sys.stderr)
+    target = _load(args.matrix, parse_matrix) if args.matrix else _load(args.tensor, parse_tensor)
     rep = mr_bounds(target, budget_factor=_budget_factor(args))
     _emit(args, canonical_dumps(mr_report_to_obj(rep, rational=args.rational)))
     return 0
@@ -137,12 +142,11 @@ def cmd_mr(args) -> int:
 def cmd_abp(args) -> int:
     profile = abp_profile(args.n, args.d)
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["level", "rank", "mrLower", "mrLowerCertified"])
-        for lv in profile.levels:
-            writer.writerow([lv.level, lv.rank, lv.mr_lower, lv.mr_lower_certified])
-        _emit(args, buf.getvalue())
+        _emit_csv(
+            args,
+            ["level", "rank", "mrLower", "mrLowerCertified"],
+            ([lv.level, lv.rank, lv.mr_lower, lv.mr_lower_certified] for lv in profile.levels),
+        )
         return 0
     obj = {
         "n": profile.n,
@@ -213,12 +217,11 @@ def cmd_comm(args) -> int:
     if args.ladder:
         reports = comm_ladder(args.nbits, args.d)
         if args.csv:
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["d", "logMrExact", "logRkUpper", "separationRatio"])
-            for rep in reports:
-                writer.writerow([rep.d, rep.log_mr_exact, rep.log_rk_upper, rep.separation_ratio])
-            _emit(args, buf.getvalue())
+            _emit_csv(
+                args,
+                ["d", "logMrExact", "logRkUpper", "separationRatio"],
+                ([r.d, r.log_mr_exact, r.log_rk_upper, r.separation_ratio] for r in reports),
+            )
         else:
             _emit(args, canonical_dumps([_comm_obj(r) for r in reports]))
         return 0
@@ -227,7 +230,7 @@ def cmd_comm(args) -> int:
 
 
 def cmd_dcc(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = _load(args.matrix, parse_matrix)
     _emit(args, canonical_dumps({"rows": m.rows, "cols": m.cols, "depth": dcc_exact_2party(m)}))
     return 0
 

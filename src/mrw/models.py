@@ -159,7 +159,7 @@ def row_unit_factorization(p: RatMatrix) -> NonnegFactorization:
     row: the k-th unit vector times row k."""
     nr = p.rows
     return NonnegFactorization(
-        dims=p.shape, terms=tuple((_unit(k, nr), tuple(p.row(k))) for k in range(nr))
+        dims=p.dims, terms=tuple((_unit(k, nr), tuple(p.row(k))) for k in range(nr))
     )
 
 
@@ -168,15 +168,15 @@ def column_unit_factorization(p: RatMatrix) -> NonnegFactorization:
     times the k-th unit vector."""
     pt, nc = p.transpose(), p.cols
     return NonnegFactorization(
-        dims=p.shape, terms=tuple((tuple(pt.row(k)), _unit(k, nc)) for k in range(nc))
+        dims=p.dims, terms=tuple((tuple(pt.row(k)), _unit(k, nc)) for k in range(nc))
     )
 
 
 def singleton_factorization(p: RatMatrix) -> NonnegFactorization:
     """Exact nonnegative factorization with one term per nonzero cell."""
-    nr, nc = p.shape
+    nr, nc = p.dims
     return NonnegFactorization(
-        dims=p.shape,
+        dims=p.dims,
         terms=tuple(
             (_unit(i, nr, p[i, j]), _unit(j, nc))
             for i in range(nr)

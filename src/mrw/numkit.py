@@ -125,10 +125,10 @@ def antisym_spectral(c) -> SpectralPair:
 # ---------------------------------------------------------------------------
 
 def _as_float_array(m) -> np.ndarray:
-    if isinstance(m, RatMatrix):
-        return np.array(m.to_float_rows(), dtype=float)
-    if isinstance(m, DenseTensor):
-        return m.to_numpy()
+    """Float copy of an exact array (its `entries` shaped by its `dims`) or
+    of any other array-like."""
+    if isinstance(m, (RatMatrix, DenseTensor)):
+        return np.array(list(map(float, m.entries))).reshape(m.dims)
     return np.asarray(m, dtype=float)
 
 
@@ -379,7 +379,7 @@ def _separable_factorization(m: RatMatrix, r: int, columns) -> NonnegFactorizati
             terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
             if transposed:
                 terms = [(w, line) for line, w in terms]
-            return NonnegFactorization(dims=m.shape, terms=tuple(terms))
+            return NonnegFactorization(dims=m.dims, terms=tuple(terms))
     return None
 
 
@@ -473,7 +473,7 @@ def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None
         tuple(_det3(t0, t1, c) / det for c in cols),
     )
     terms = tuple((tuple(_dot(row, t) for row in basis), hk) for t, hk in zip(tri, h))
-    return NonnegFactorization(dims=m.shape, terms=terms)
+    return NonnegFactorization(dims=m.dims, terms=terms)
 
 
 def nmf_search(
@@ -601,21 +601,14 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> Facto
     sides are rational, float otherwise.  Any negative factor entry fails the
     check with reason "negativity" regardless of the error.
     """
-    if isinstance(target, RatMatrix):
-        tdims: tuple[int, ...] = (target.rows, target.cols)
-    elif isinstance(target, DenseTensor):
-        tdims = target.dims
-    else:
-        tdims = tuple(np.asarray(target).shape)
+    exact_target = isinstance(target, (RatMatrix, DenseTensor))
+    tdims = target.dims if exact_target else tuple(np.asarray(target).shape)
     if tdims != fact.dims:
         raise DimensionError(f"target dims {tdims} do not match factorization dims {fact.dims}")
 
-    exact_target = isinstance(target, RatMatrix) or (
-        isinstance(target, DenseTensor) and target.is_exact()
-    )
     if exact_target and fact.is_rational():
-        flat = target.entries if isinstance(target, RatMatrix) else target.values
-        rec = fact.reconstruct_exact().values
+        flat = target.entries
+        rec = fact.reconstruct_exact().entries
         err: float | Fraction
         if tol == 0 and rec == flat:
             err = Fraction(0)  # equality settles tol = 0; max |diff| only reports a miss

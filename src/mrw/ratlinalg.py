@@ -2,7 +2,10 @@
 
 Matrices are immutable value objects whose entries are exact rationals: a
 Python ``int`` stays an ``int`` and every other entry is a
-``fractions.Fraction``.  An int and the equal Fraction compare, hash and print
+``fractions.Fraction``.  :func:`exact_entries` is that rule, and tensors
+(``dtensor.DenseTensor``) are built by it too, so both arrays are exact once
+built and give their shape as ``dims`` and their row-major entries as
+``entries``.  An int and the equal Fraction compare, hash and print
 alike, so equality, hashing and serialized output do not depend on which one
 an entry is; integer matrices just skip building Fractions.  Every operation
 here is a pure function whose output is reproducible bit for bit.  The rank,
@@ -100,6 +103,16 @@ def exact_sum(values: Iterable[Exact]) -> Fraction:
     return Fraction(sum(_scaled_row(vals, den)), den)
 
 
+def exact_entries(values: Iterable[RationalLike]) -> tuple[Exact, ...]:
+    """``values`` as a tuple of exact rationals: an ``int`` (not ``bool``) or
+    a ``Fraction`` is kept as it is, anything else is coerced by
+    :func:`as_fraction`, which refuses what is not exact."""
+    data = tuple(values)
+    if not _EXACT_TYPES.issuperset(map(type, data)):
+        data = tuple(e if type(e) in _EXACT_TYPES else as_fraction(e) for e in data)
+    return data
+
+
 def is_exact(values: Iterable) -> bool:
     """True when every value is an int or a Fraction (booleans are not)."""
     return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
@@ -108,8 +121,7 @@ def is_exact(values: Iterable) -> bool:
 class RatMatrix:
     """Dense matrix of exact rationals, stored row-major and immutable.
 
-    An ``int`` entry (not ``bool``) is kept as it is and a ``Fraction`` as
-    it is; strings and other inputs are coerced by :func:`as_fraction`.  Each
+    Entries go through :func:`exact_entries`, as a tensor's do.  Each
     entry is therefore an exact rational in canonical form (a Fraction is
     reduced with positive denominator; an int has denominator 1), and the
     kernels read it through ``numerator`` and ``denominator``, which both
@@ -123,9 +135,7 @@ class RatMatrix:
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
         check_capacity((rows, cols), "matrix")
-        data = tuple(entries)
-        if not _EXACT_TYPES.issuperset(map(type, data)):
-            data = tuple(e if type(e) in _EXACT_TYPES else as_fraction(e) for e in data)
+        data = exact_entries(entries)
         if len(data) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(data)}"
@@ -144,7 +154,7 @@ class RatMatrix:
         return cls(len(rows), ncols, [v for r in rows for v in r])
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def dims(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     @property
@@ -204,7 +214,7 @@ class RatMatrix:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMatrix)
-            and self.shape == other.shape
+            and self.dims == other.dims
             and self._entries == other._entries
         )
 
@@ -233,9 +243,6 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
     def __str__(self) -> str:
         parts = []
         for k in range(self.degree, -1, -1):
@@ -252,8 +259,8 @@ class CharPoly:
 
 
 def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
+    if a.dims != b.dims:
+        raise DimensionError(f"{op} needs matching shapes, got {a.dims} and {b.dims}")
 
 
 def _scaled_row(row: Sequence[Exact], scale: int) -> list[int]:
@@ -379,7 +386,7 @@ def column_basis(
 def det_exact(m: RatMatrix) -> Fraction:
     """Exact determinant via Bareiss elimination with sign tracking."""
     if not m.is_square:
-        raise DimensionError(f"determinant needs a square matrix, got {m.shape}")
+        raise DimensionError(f"determinant needs a square matrix, got {m.dims}")
     rank, sign, last_pivot = _bareiss(list(m.iter_rows()))
     return sign * last_pivot if rank == m.rows else Fraction(0)
 
@@ -396,7 +403,7 @@ def char_poly_exact(m: RatMatrix) -> CharPoly:
     no root finding is involved.
     """
     if not m.is_square:
-        raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.shape}")
+        raise DimensionError(f"characteristic polynomial needs a square matrix, got {m.dims}")
     n = m.rows
     den = lcm(*map(_denominator, m.entries))
     ak = [_scaled_row(row, den) for row in m.iter_rows()]

@@ -2,15 +2,18 @@
 
 Matrices: {"rows": R, "cols": C, "entries": ["p/q", ...]} row-major, integers
 may omit the denominator.  Tensors: {"dims": [...], "entries": [...]} with
-entries of the same form.  Both are parsed (`parse_matrix`, `parse_tensor`)
-and emitted (`*_to_obj`); an entry that is neither an exact string nor an
-integer (a float literal, say) is a `ParseError`.
+entries of the same form.  Both are parsed (`parse_matrix`, `parse_tensor`,
+which share one reader of the entry list) and emitted (`*_to_obj`); an entry
+that is neither an exact string nor an integer (a float literal, say) is a
+`ParseError`, and an entry count other than the shape's is refused alike.
 Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
 with decimal floats, or exact "p/q" strings on request; they are only
 emitted, inside `mr` reports, and no command reads them.  Canonical bytes are
 what `canonical_dumps` emits; parsing normalizes entries and reports
-non-canonical input as warnings rather than errors.  An integral entry parses
-to an int and any other exact entry to a Fraction, as `RatMatrix` stores them.
+non-canonical input as warnings rather than errors; an echoed literal is
+clipped, so each warning or error stays one short line.  An integral entry
+parses to an int and any other exact entry to a Fraction, as `RatMatrix` and
+`DenseTensor` store them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def matrix_to_obj(m: RatMatrix) -> dict:
 def tensor_to_obj(t: DenseTensor) -> dict:
     return {
         "dims": list(t.dims),
-        "entries": [str(v) for v in t.values],
+        "entries": [str(e) for e in t.entries],
     }
 
 
@@ -109,12 +112,14 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational literal {_clip(repr(raw), 20)} ({_clip(str(exc), 50)})")
         if str(value) != raw:
-            warnings_out.append(f"{where}: normalized non-canonical entry {raw!r} to {value}")
+            warnings_out.append(
+                f"{where}: normalized non-canonical entry {_clip(repr(raw), 20)} to {_clip(str(value), 50)}"
+            )
         return as_exact(value)
     if isinstance(raw, bool):
         raise ParseError(f"{where}: boolean is not a rational entry")
     if isinstance(raw, int):
-        warnings_out.append(f"{where}: number literal {raw} (canonical form is a string)")
+        warnings_out.append(f"{where}: number literal {_clip(str(raw), 50)} (canonical form is a string)")
         return raw
     raise ParseError(f"{where}: unsupported entry {raw!r}")
 
@@ -123,42 +128,40 @@ def _is_size(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
+def _parse_entries(entries, size: int) -> tuple[list[Exact], list[str]]:
+    """The `size` entries of a matrix or tensor object, and the warnings
+    their reading gave."""
+    if not isinstance(entries, list):
+        raise ParseError("entries must be a list")
+    if len(entries) != size:
+        raise ParseError(f"expected {size} entries, got {len(entries)}")
     warnings_out: list[str] = []
+    parsed = [
+        _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
+    ]
+    return parsed, warnings_out
+
+
+def parse_matrix(obj: dict) -> tuple[RatMatrix, list[str]]:
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError):
         raise ParseError("matrix object needs rows, cols and entries")
     if not _is_size(rows) or not _is_size(cols):
         raise ParseError("rows and cols must be positive integers")
-    if not isinstance(entries, list):
-        raise ParseError("entries must be a list")
-    size = check_capacity((rows, cols), "matrix")
-    if len(entries) != size:
-        raise ParseError(f"expected {size} entries, got {len(entries)}")
-    parsed = [
-        _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
-    ]
+    parsed, warnings_out = _parse_entries(entries, check_capacity((rows, cols), "matrix"))
     return RatMatrix(rows, cols, parsed), warnings_out
 
 
 def parse_tensor(obj: dict) -> tuple[DenseTensor, list[str]]:
-    warnings_out: list[str] = []
     try:
         dims, entries = obj["dims"], obj["entries"]
     except (KeyError, TypeError):
         raise ParseError("tensor object needs dims and entries")
     if not isinstance(dims, list) or not dims or not all(map(_is_size, dims)):
         raise ParseError("dims must be a list of positive integers")
-    if not isinstance(entries, list):
-        raise ParseError("entries must be a list")
-    size = check_capacity(dims, "tensor")
-    if len(entries) != size:
-        raise ParseError(f"dims product {size} does not match {len(entries)} entries")
-    values = [
-        _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)
-    ]
-    return DenseTensor(dims, values), warnings_out
+    parsed, warnings_out = _parse_entries(entries, check_capacity(dims, "tensor"))
+    return DenseTensor(dims, parsed), warnings_out
 
 
 def load_json_file(path: str) -> Any:

@@ -358,7 +358,7 @@ def test_lower_bound_soundness_against_random_factorizations():
         rows, cols = rng.randint(2, 4), rng.randint(2, 4)
         r = rng.randint(1, 4)
         fact = random_exact_factorization(rng, rows, cols, r)
-        m = RatMatrix(*fact.dims, fact.reconstruct_exact().values)
+        m = RatMatrix(*fact.dims, fact.reconstruct_exact().entries)
         assert verify_nonneg_factorization(m, fact, tol=0).passed
         res = box_cover_exact(support_pattern(m))
         assert r >= res.lower

@@ -83,7 +83,7 @@ def test_flattening_worked_matrices():
         [[0, 1, 4, 9, 1, 0, 1, 4], [4, 1, 0, 1, 9, 4, 1, 0]]
     )
     m0 = flattening(spec, 0)
-    assert m0.shape == (1, 16)
+    assert m0.dims == (1, 16)
     assert rank_exact(m0) == 1
     with pytest.raises(ValidationError):
         flattening(spec, 5)
@@ -105,7 +105,7 @@ def test_every_flattening_holds_the_entries_of_edm(nd, data):
     n, d = nd
     k = data.draw(st.integers(0, d))
     m = flattening(FunctionFSpec(n, d), k)
-    assert m.shape == (n**k, n ** (d - k))
+    assert m.dims == (n**k, n ** (d - k))
     assert m.entries == edm(EdmSpec(range(n ** (d // 2)))).entries
 
 
@@ -201,7 +201,7 @@ def test_spaced_block_values_and_submatrix():
 
 def test_divisibility_tensor_support():
     t = divisibility_tensor(DivTensorSpec(2, 3))
-    ones = {idx for idx in t.iter_indices() if t[idx] == 1}
+    ones = {idx for idx in np.ndindex(*t.dims) if t[idx] == 1}
     assert ones == {(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)}
     assert len(ones) == 2 ** (3 - 1)
     perm = divisibility_tensor(DivTensorSpec(3, 2))
@@ -268,7 +268,7 @@ _distinct_values = st.sampled_from([2, 4, 8]).flatmap(
 def test_outcome_distribution_is_the_scaled_distance_matrix(values):
     spec = CorrelationSpec(len(values), values)
     p, sq = outcome_distribution(spec), edm(EdmSpec(values))
-    assert p.shape == sq.shape
+    assert p.dims == sq.dims
     assert all(pe == spec.scale_sq * e for pe, e in zip(p.entries, sq.entries))
     assert p.entry_sum() == 1
     assert build_correlation(spec).p_matrix == p
@@ -277,7 +277,7 @@ def test_outcome_distribution_is_the_scaled_distance_matrix(values):
 def _sympy_char_poly(m: RatMatrix) -> list[Fraction]:
     """Oracle: sympy's characteristic polynomial of m, coefficients low to high."""
     rows = [[QQ(x.numerator, x.denominator) for x in row] for row in m.iter_rows()]
-    high_to_low = DomainMatrix(rows, m.shape, QQ).charpoly()
+    high_to_low = DomainMatrix(rows, m.dims, QQ).charpoly()
     return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(high_to_low)]
 
 

@@ -1,13 +1,20 @@
-"""Dense tensors: mode flattenings and the exactness test, against numpy."""
+"""Dense tensors: mode flattenings against numpy, exactness at construction,
+and the contract a tensor shares with a matrix (`dims` and `entries`)."""
 
 from fractions import Fraction
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mrw.bounds import mr_bounds, support_pattern
 from mrw.dtensor import DenseTensor
+from mrw.errors import ValidationError
+from mrw.models import row_unit_factorization
+from mrw.numkit import _as_float_array, verify_nonneg_factorization
+from mrw.ratlinalg import RatMatrix
 
 entries = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7), 4])
 
@@ -22,19 +29,50 @@ def exact_tensors(draw):
 
 @given(exact_tensors())
 def test_mode_flattening_matches_numpy_moveaxis(t):
-    arr = np.array(t.values, dtype=object).reshape(t.dims)
+    arr = np.array(t.entries, dtype=object).reshape(t.dims)
     for m in range(t.order):
         oracle = np.moveaxis(arr, m, 0).reshape(t.dims[m], -1)
         flat = t.mode_flattening(m)
-        assert flat.shape == oracle.shape
+        assert flat.dims == oracle.shape
         assert list(flat.entries) == [Fraction(x) for x in oracle.ravel()]
 
 
 @given(exact_tensors())
-def test_iter_indices_is_numpy_row_major_order(t):
-    assert list(t.iter_indices()) == list(np.ndindex(*t.dims))
+def test_entries_are_numpy_row_major_order(t):
+    assert [t[idx] for idx in np.ndindex(*t.dims)] == list(t.entries)
 
 
-def test_bool_entries_are_not_exact():
-    assert not DenseTensor((2, 2), [True, 0, 0, 1]).is_exact()
-    assert DenseTensor((2, 2), [Fraction(1), 0, 0, 1]).is_exact()
+def test_inexact_entries_are_refused_when_built():
+    for bad in (True, 0.5, None):
+        with pytest.raises(ValidationError):
+            DenseTensor((2, 2), [bad, 0, 0, 1])
+        with pytest.raises(ValidationError):
+            RatMatrix(2, 2, [bad, 0, 0, 1])
+    t = DenseTensor((2, 2), ["1/2", "4/2", 0, Fraction(1)])
+    assert t.entries == RatMatrix(2, 2, ["1/2", "4/2", 0, Fraction(1)]).entries
+    assert t.entries == (Fraction(1, 2), 2, 0, 1)
+
+
+nonneg_entries = st.sampled_from([0, 0, 1, 2, Fraction(1, 3), Fraction(5, 2)])
+
+
+@st.composite
+def matrix_entries(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return rows, cols, draw(st.lists(nonneg_entries, min_size=rows * cols, max_size=rows * cols))
+
+
+@given(matrix_entries())
+def test_a_matrix_and_its_order_2_tensor_agree(drawn):
+    rows, cols, values = drawn
+    m, t = RatMatrix(rows, cols, values), DenseTensor((rows, cols), values)
+    assert m.dims == t.dims and m.entries == t.entries
+    assert support_pattern(m) == support_pattern(t)
+    assert np.array_equal(_as_float_array(t), np.array(m.to_float_rows()))
+    assert np.array_equal(_as_float_array(m), _as_float_array(t))
+    fact = row_unit_factorization(m)
+    assert verify_nonneg_factorization(m, fact, tol=0) == verify_nonneg_factorization(t, fact, tol=0)
+    assert verify_nonneg_factorization(t, fact, tol=0).passed
+    rep_m, rep_t = mr_bounds(m), mr_bounds(t)
+    assert rep_m.cover == rep_t.cover
+    assert rep_m.lower == rep_t.lower

@@ -75,14 +75,30 @@ def test_matrix_entry_validation():
     assert m[0, 0] == 3 and warns
 
 
+def test_long_non_canonical_entry_warns_on_one_short_line():
+    digits = "1" * 4000
+    m, warns = parse_matrix({"rows": 1, "cols": 1, "entries": ["+" + digits]})
+    assert m.entries == (int(digits),)
+    assert len(warns) == 1 and len(warns[0]) <= 150 and "..." in warns[0]
+    m, warns = parse_matrix({"rows": 1, "cols": 1, "entries": [int(digits)]})
+    assert len(warns) == 1 and len(warns[0]) <= 150
+
+
+def test_entry_count_is_checked_alike_for_matrices_and_tensors():
+    with pytest.raises(ParseError, match="expected 4 entries, got 3"):
+        parse_matrix({"rows": 2, "cols": 2, "entries": ["1", "0", "1"]})
+    with pytest.raises(ParseError, match="expected 4 entries, got 3"):
+        parse_tensor({"dims": [2, 2], "entries": ["1", "0", "1"]})
+
+
 def test_integral_entries_parse_to_ints():
     m, warns = parse_matrix({"rows": 1, "cols": 4, "entries": ["3", "6/2", 5, "-1/2"]})
     assert [type(e) for e in m.entries] == [int, int, int, Fraction]
     assert m.entries == (3, 3, 5, Fraction(-1, 2))
     assert len(warns) == 2 and "6/2" in warns[0] and "number literal 5" in warns[1]
     t, warns = parse_tensor({"dims": [2, 2], "entries": ["1", 0, "1/3", "6/2"]})
-    assert [type(v) for v in t.values] == [int, int, Fraction, int]
-    assert t.values == (1, 0, Fraction(1, 3), 3)
+    assert [type(e) for e in t.entries] == [int, int, Fraction, int]
+    assert t.entries == (1, 0, Fraction(1, 3), 3)
     assert len(warns) == 2 and "number literal 0" in warns[0] and "6/2" in warns[1]
     # a float literal is refused, as in a matrix
     with pytest.raises(ParseError, match="unsupported entry 0.5"):
@@ -97,7 +113,9 @@ def fraction_entry_reader(raw: str, where: str, warnings_out: list[str]):
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: bad rational literal {_clip(repr(raw), 20)} ({_clip(str(exc), 50)})")
     if str(value) != raw:
-        warnings_out.append(f"{where}: normalized non-canonical entry {raw!r} to {value}")
+        warnings_out.append(
+            f"{where}: normalized non-canonical entry {_clip(repr(raw), 20)} to {_clip(str(value), 50)}"
+        )
     return as_exact(value)
 
 
