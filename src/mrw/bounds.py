@@ -78,8 +78,13 @@ class SupportPattern:
 def support_pattern(m: RatMatrix | DenseTensor) -> SupportPattern:
     """Exact nonzero pattern of a RatMatrix or a DenseTensor: the row-major
     indices of its nonzero entries."""
-    cells = frozenset(compress(product(*map(range, m.dims)), m.entries))
-    return SupportPattern(dims=m.dims, cells=cells)
+    # the cells come from the array's own index ranges, so the range check
+    # of __post_init__ is skipped: the pattern is built as the frozen
+    # dataclass's own __init__ would build it, less that call
+    pattern = object.__new__(SupportPattern)
+    object.__setattr__(pattern, "dims", m.dims)
+    object.__setattr__(pattern, "cells", frozenset(compress(product(*map(range, m.dims)), m.entries)))
+    return pattern
 
 
 @dataclass(frozen=True)
@@ -165,11 +170,13 @@ def _max_box_size_2d(pattern: SupportPattern) -> int | None:
 
     Groups the rows by their bitmask of nonzero cells (the columns when the
     rows have more than _CLOSURE_SIDE_CAP distinct masks; None when both
-    sides do) and runs over the subsets S of the distinct masks, each
-    extending S without its lowest bit: (all lines whose mask is in S,
-    intersection of S) is a support box, and the largest box arises from the
-    subset of its lines' masks, so max over S of lines(S) * |inter(S)| is
-    exact.
+    sides do).  For a set S of the g distinct masks, (all lines whose mask is
+    in S, intersection of S) is a support box, and the largest box arises
+    from the set of its lines' masks, so max over S of lines(S) * |inter(S)|
+    is exact.  Each cross line (a column when the lines are rows) gets the
+    bitmask of the groups holding it; counting those masks into a 2^g table
+    and summing it over supersets, one pass per group, gives |inter(S)| for
+    every S at once, and lines(S) is built by doubling.
     """
     for transposed in (False, True):
         masks: dict[int, int] = {}
@@ -183,17 +190,20 @@ def _max_box_size_2d(pattern: SupportPattern) -> int | None:
             break
     else:
         return None
-    patterns = sorted(groups)
-    counts = [groups[p] for p in patterns]
-    # index 0 is the empty subset: the all-ones sentinel -1 and no lines
-    inter = [-1] + [0] * ((1 << len(patterns)) - 1)
-    lines = [0] * (1 << len(patterns))
-    for subset in range(1, 1 << len(patterns)):
-        low = (subset & -subset).bit_length() - 1
-        rest = subset & (subset - 1)
-        inter[subset] = inter[rest] & patterns[low]
-        lines[subset] = lines[rest] + counts[low]
-    best = max(mask.bit_count() * n for mask, n in zip(inter, lines))
+    holders = [0] * pattern.dims[0 if transposed else 1]
+    lines = np.zeros(1, dtype=np.int64)
+    for g, (mask, count) in enumerate(groups.items()):
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << g
+            mask ^= low
+        lines = np.concatenate((lines, lines + count))
+    inter = np.bincount(holders, minlength=len(lines))
+    for g in range(len(groups)):
+        # fold the sets holding group g onto the sets without it
+        halves = inter.reshape(-1, 2, 1 << g)
+        halves[:, 0] += halves[:, 1]
+    best = int((inter * lines).max())
     return best if best > 0 else None
 
 

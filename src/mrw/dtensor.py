@@ -15,14 +15,14 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError
-from .ratlinalg import RatMatrix, RationalLike, check_capacity, exact_entries
+from .ratlinalg import RatMatrix, RationalLike, as_size, check_capacity, exact_entries
 
 
 class DenseTensor:
     __slots__ = ("dims", "_entries")
 
     def __init__(self, dims: Sequence[int], entries: Iterable[RationalLike]):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(map(as_size, dims))
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionError(f"tensor dims {dims} must be an order >= 2 shape of positives")
         size = check_capacity(dims, "tensor")

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -326,29 +327,94 @@ def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """The distinct columns, sorted, of the 0/1 matrix whose row i has entry
     (i, j) as bit j of rows[i]; column j has it as bit i.  These are the
     distinct rows of the transpose, encoded the same way."""
-    return tuple(sorted({sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)}))
+    cols = [0] * ncols
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return tuple(sorted(set(cols)))
 
 
 @functools.cache
-def _splits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (part, rest, starts) over the nonempty subsets R = 1 .. 2^n - 1 of n
-    # items, as bitmasks: one entry per split of R into a part S that holds
-    # R's lowest item and the rest R \ S (S = R included), the splits of R
-    # contiguous from starts[R - 1].  Built by doubling: adding item n - 1 to
-    # a set puts it either in the part or in the rest of each of its splits.
-    if n == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, empty
-    part, rest, starts = _splits(n - 1)
-    hi = 1 << (n - 1)
-    out = (
-        np.concatenate((part, [hi], np.stack((part | hi, part), axis=1).ravel())),
-        np.concatenate((rest, [0], np.stack((rest, rest | hi), axis=1).ravel())),
-        np.concatenate((starts, [len(part)], len(part) + 1 + 2 * starts)),
-    )
+def _splits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # (part, rest, starts, sets) over the subsets R of n items with two or
+    # more items, as bitmasks ascending in `sets`: one entry per split of R
+    # into a part S that holds R's lowest item and a nonempty rest R \ S,
+    # the splits of each R contiguous from its entry in `starts`.  Built by
+    # doubling with S = R kept at the head of every run (adding item i to a
+    # set puts it either in the part or in the rest of each split), then
+    # those heads, which add nothing to a level, are dropped: each run moves
+    # down one place per set before it.
+    part = rest = starts = np.zeros(0, dtype=np.intp)
+    for i in range(n):
+        hi = 1 << i
+        part, rest, starts = (
+            np.concatenate((part, [hi], np.stack((part | hi, part), axis=1).ravel())),
+            np.concatenate((rest, [0], np.stack((rest, rest | hi), axis=1).ravel())),
+            np.concatenate((starts, [len(part)], len(part) + 1 + 2 * starts)),
+        )
+    proper = rest != 0
+    sets = np.arange(1, 1 << n)
+    wide = np.bitwise_count(sets) >= 2
+    out = (part[proper], rest[proper], (starts - np.arange(len(starts)))[wide], sets[wide])
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def reduced_depths(keys: Sequence[tuple[int, ...]], ncols: int) -> list[int]:
+    """Protocol depth of each of a batch of reduced 0/1 matrices of one
+    shape: keys[b] holds the row bitmasks of instance b, all with the same
+    number r of distinct rows over the same ncols = c distinct columns.
+
+    One boolean table per instance, over every row subset R and column
+    subset C, holds "R x C has depth at most k"; the tables are stacked as
+    (B, 2^r, 2^c), so one numpy pass advances every instance a level.  Level
+    0 marks the constant sub-rectangles (an empty side counts as constant),
+    and level k + 1 adds each R x C that some row split or column split (the
+    lowest item pinned to one half, `_splits` shared by the batch) cuts into
+    two halves of depth at most k.  An instance's depth is the first level
+    that holds its full rectangle; it then leaves the batch.  A level touches
+    about (3^r 2^c + 2^r 3^c) / 2 cells per instance.
+    """
+    count = len(keys)
+    nrows = len(keys[0]) if count else 0
+    # level 0: R x C is constant when C lies inside the meet (AND) of R's
+    # rows or outside their join (OR); both built by doubling over the rows
+    meet = np.empty((count, 1 << nrows), dtype=np.int64)
+    join = np.empty_like(meet)
+    meet[:, 0], join[:, 0] = (1 << ncols) - 1, 0
+    row_bits = np.array(keys, dtype=np.int64).reshape(count, nrows)
+    for i in range(nrows):
+        meet[:, 1 << i:2 << i] = meet[:, :1 << i] & row_bits[:, i, None]
+        join[:, 1 << i:2 << i] = join[:, :1 << i] | row_bits[:, i, None]
+    masks = np.arange(1 << ncols)
+    le = (masks & meet[:, :, None] == masks) | (masks & join[:, :, None] == 0)
+    splits = (_splits(nrows), _splits(ncols))
+    depths = [0] * count
+    alive = np.arange(count)
+    depth = 0
+    while True:
+        done = le[:, -1, -1]
+        if done.any():
+            for b in alive[done].tolist():
+                depths[b] = depth
+            alive, le = alive[~done], le[~done]
+        if not alive.size:
+            return depths
+        # the row sweep runs on the table, the column sweep on its transpose
+        # (a view, so numpy gathers along the middle axis either way); both
+        # read level k, so both are taken before either is written: a split
+        # whose halves first reach depth k + 1 must not count at level k + 1
+        sides = (le, le.transpose(0, 2, 1))
+        hits = [
+            np.logical_or.reduceat(np.take(side, part, axis=1) & np.take(side, rest, axis=1), starts, axis=1)
+            for side, (part, rest, starts, _) in zip(sides, splits)
+        ]
+        for side, (_, _, _, sets), hit in zip(sides, splits, hits):
+            side[:, sets] |= hit
+        depth += 1
 
 
 def dcc_exact_2party(m: RatMatrix) -> int:
@@ -358,19 +424,14 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     At every node one party announces one bit by bipartitioning its current
     input set; leaves must be constant submatrices; the value is the minimax
     depth.  Depth does not change under duplicated rows or columns, so the
-    input is cut to its r distinct rows and c distinct columns.  One boolean
-    table over every row subset R and column subset C holds "R x C has depth
-    at most k": level 0 marks the constant sub-rectangles (an empty side
-    counts as constant), and level k + 1 adds each R x C that some row split
-    or column split (the lowest item pinned to one half) cuts into two halves
-    of depth at most k.  The depth is the first level that holds the full
-    rectangle; nothing is kept once the call returns.  A level touches about
-    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16 as well as the
-    shape at 16x16.  At the cap, in a fresh process on one core of a shared
-    2-vCPU host: the 8x8 identity took 0.03-0.04 s, a random 8x8 input
-    0.04 s, the 12 distinct rows of 4 bits 0.05-0.08 s, and the slowest of
-    60 random probes 0.06-0.08 s at 51 MB peak.  Past it, the 16 distinct
-    rows of 4 bits would need 21.5 M row splits of 16 cells per level.
+    input is cut to its r distinct rows and c distinct columns and handed to
+    `reduced_depths` as a batch of one; nothing is kept once the call
+    returns.  A level touches about (3^r 2^c + 2^r 3^c) / 2 cells, so r + c
+    is capped at 16 as well as the shape at 16x16.  At the cap, in a fresh
+    process on one core of a shared 2-vCPU host: the 8x8 identity took
+    0.014-0.018 s, a random 8x8 input 0.016-0.021 s and the 12 distinct rows
+    of 4 bits 0.035-0.050 s at 45 MB peak.  Past it, the 16 distinct rows of
+    4 bits would need 21.5 M row splits of 16 cells per level.
     """
     if m.rows > 16 or m.cols > 16:
         raise CapacityError("exact protocol search is capped at 16x16")
@@ -389,28 +450,7 @@ def dcc_exact_2party(m: RatMatrix) -> int:
             "exact protocol search is capped at 16 distinct rows plus distinct columns, "
             f"got {len(rows) + len(cols)}"
         )
-    # level 0 by doubling over the rows: ones[R, C] (zeros[R, C]) says every
-    # row of R is 1 (0) on every column of C
-    shape = (1 << len(rows), 1 << len(cols))
-    masks = np.arange(shape[1])
-    ones, zeros = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    ones[0] = zeros[0] = True
-    for i, row in enumerate(rows):
-        ones[1 << i:2 << i] = ones[:1 << i] & (masks & row == masks)
-        zeros[1 << i:2 << i] = zeros[:1 << i] & (masks & row == 0)
-    le = ones | zeros
-    row_part, row_rest, row_starts = _splits(len(rows))
-    col_part, col_rest, col_starts = _splits(len(cols))
-    depth = 0
-    while not le[-1, -1]:
-        # both sweeps read level k only: a split whose halves first reach
-        # depth k + 1 must not count at level k + 1
-        step = le.copy()
-        step[1:] |= np.logical_or.reduceat(le[row_part] & le[row_rest], row_starts, axis=0)
-        step[:, 1:] |= np.logical_or.reduceat(le[:, col_part] & le[:, col_rest], col_starts, axis=1)
-        le = step
-        depth += 1
-    return depth
+    return reduced_depths([rows], len(cols))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import attrgetter, mul, neg
+from operator import attrgetter, index, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DimensionError, ValidationError
@@ -68,6 +68,18 @@ def check_capacity(shape: Iterable[int], what: str) -> int:
     if entries > CAPACITY_LIMIT:
         raise CapacityError(f"{what} with {entries} entries exceeds the {CAPACITY_LIMIT} guard")
     return entries
+
+
+def as_size(value) -> int:
+    """``value`` as an int size, read by ``operator.index``: a bool, a float
+    or anything else that is not an integer raises `DimensionError`.  The
+    sign is left to the caller."""
+    if isinstance(value, bool):
+        raise DimensionError(f"size {value!r} is a bool, not an integer")
+    try:
+        return index(value)
+    except TypeError:
+        raise DimensionError(f"size {value!r} is not an integer") from None
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -132,6 +144,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
+        rows, cols = as_size(rows), as_size(cols)
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
         check_capacity((rows, cols), "matrix")

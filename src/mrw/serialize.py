@@ -24,9 +24,9 @@ from typing import Any
 
 from .bounds import MrBoundReport
 from .dtensor import DenseTensor
-from .errors import ParseError
+from .errors import DimensionError, ParseError
 from .numkit import NonnegFactorization
-from .ratlinalg import Exact, RatMatrix, as_exact, check_capacity
+from .ratlinalg import Exact, RatMatrix, as_exact, as_size, check_capacity
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -125,7 +125,10 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
 
 
 def _is_size(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    try:
+        return as_size(value) >= 1
+    except DimensionError:
+        return False
 
 
 def _parse_entries(entries, size: int) -> tuple[list[Exact], list[str]]:

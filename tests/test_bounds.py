@@ -288,6 +288,72 @@ def test_support_mask_kernels_match_closure_oracle(pattern):
     assert _max_box_size_2d(pattern) == (max(sizes) if sizes else None)
 
 
+def brute_force_max_box(pattern: SupportPattern) -> int:
+    """Oracle: the largest R x C(R) over every nonempty row set R, C(R) the
+    columns shared by all of R (on the transpose when rows outnumber
+    columns)."""
+    nrows, ncols = pattern.dims
+    cells = pattern.cells
+    if nrows > ncols:
+        cells = {(j, i) for i, j in cells}
+        nrows, ncols = ncols, nrows
+    best = 0
+    for r in range(1, nrows + 1):
+        for rows in itertools.combinations(range(nrows), r):
+            shared = sum(all((i, j) in cells for i in rows) for j in range(ncols))
+            best = max(best, r * shared)
+    return best
+
+
+def random_pattern(rng: random.Random, nrows: int, ncols: int, density: float) -> SupportPattern:
+    return SupportPattern(
+        (nrows, ncols),
+        frozenset((i, j) for i in range(nrows) for j in range(ncols) if rng.random() < density),
+    )
+
+
+def distinct_lines(pattern: SupportPattern, axis: int) -> int:
+    """The number of distinct nonzero lines along `axis` (0: rows)."""
+    lines: dict[int, int] = {}
+    for cell in pattern.cells:
+        lines[cell[axis]] = lines.get(cell[axis], 0) | 1 << cell[1 - axis]
+    return len(set(lines.values()))
+
+
+def test_max_box_size_matches_brute_force_past_64_columns_and_transposed():
+    rng = random.Random(26)
+    for _ in range(6):
+        # at most 8 distinct rows over more than 64 columns: the row branch
+        wide = random_pattern(rng, rng.randint(2, 8), rng.randint(65, 100), rng.choice((0.3, 0.6, 0.9)))
+        assert distinct_lines(wide, 0) <= 16
+        assert _max_box_size_2d(wide) == brute_force_max_box(wide)
+        # more than 16 distinct rows over at most 7 columns: the column branch
+        tall = random_pattern(rng, rng.randint(65, 90), rng.randint(5, 7), 0.5)
+        assert distinct_lines(tall, 0) > 16 >= distinct_lines(tall, 1)
+        assert _max_box_size_2d(tall) == brute_force_max_box(tall)
+        assert _max_box_size_2d(SupportPattern(tall.dims[::-1], frozenset(c[::-1] for c in tall.cells))) == (
+            brute_force_max_box(tall)
+        )
+
+
+def test_max_box_size_is_none_past_16_distinct_lines_on_both_sides():
+    rng = random.Random(27)
+    for n in (18, 24):
+        pattern = random_pattern(rng, n, n, 0.5)
+        assert min(distinct_lines(pattern, 0), distinct_lines(pattern, 1)) > 16
+        assert _max_box_size_2d(pattern) is None
+
+
+def test_support_pattern_checks_cells_built_outside_the_package():
+    for cells in ({(2, 0)}, {(0, -1)}, {(0,)}, {(0, 0, 1)}):
+        with pytest.raises(ValidationError):
+            SupportPattern((2, 2), frozenset(cells))
+    built = support_pattern(RatMatrix.from_rows([[0, 1], [2, 0]]))
+    given_cells = SupportPattern((2, 2), frozenset({(0, 1), (1, 0)}))
+    assert built == given_cells and hash(built) == hash(given_cells)
+    assert (built.dims, built.cells, built.order, built.size) == ((2, 2), given_cells.cells, 2, 2)
+
+
 @st.composite
 def tensor_oracle_patterns(draw):
     """Tensor patterns up to 3x3x3 and 2x2x2x2."""

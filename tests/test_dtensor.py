@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from mrw.bounds import mr_bounds, support_pattern
 from mrw.dtensor import DenseTensor
-from mrw.errors import ValidationError
+from mrw.errors import DimensionError, ParseError, ValidationError
 from mrw.models import row_unit_factorization
 from mrw.numkit import _as_float_array, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix
+from mrw.serialize import parse_matrix, parse_tensor
 
 entries = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 7), 4])
 
@@ -51,6 +52,30 @@ def test_inexact_entries_are_refused_when_built():
     t = DenseTensor((2, 2), ["1/2", "4/2", 0, Fraction(1)])
     assert t.entries == RatMatrix(2, 2, ["1/2", "4/2", 0, Fraction(1)]).entries
     assert t.entries == (Fraction(1, 2), 2, 0, 1)
+
+
+def test_sizes_must_be_integers_in_both_constructors_and_the_parsers():
+    for bad in (2.0, 2.9, True, "2", Fraction(2), None):
+        with pytest.raises(DimensionError):
+            RatMatrix(bad, 2, [1, 0, 0, 1])
+        with pytest.raises(DimensionError):
+            RatMatrix(2, bad, [1, 0, 0, 1])
+        with pytest.raises(DimensionError):
+            DenseTensor((bad, 2), [0, 1, 2, 3])
+        with pytest.raises(ParseError):
+            parse_matrix({"rows": bad, "cols": 2, "entries": ["1", "0", "0", "1"]})
+        with pytest.raises(ParseError):
+            parse_tensor({"dims": [2, bad], "entries": ["0", "1", "2", "3"]})
+    # whatever operator.index reads is a size, and is kept as an int
+    m = RatMatrix(np.int64(2), np.uint8(2), [1, 0, 0, 1])
+    t = DenseTensor((np.int32(2), 2), [1, 0, 0, 1])
+    assert m.dims == t.dims == (2, 2) and all(type(d) is int for d in m.dims + t.dims)
+    assert m.transpose() == m
+    for bad in (0, -1):
+        with pytest.raises(DimensionError):
+            RatMatrix(bad, 2, [])
+        with pytest.raises(DimensionError):
+            DenseTensor((2, bad), [])
 
 
 nonneg_entries = st.sampled_from([0, 0, 1, 2, Fraction(1, 3), Fraction(5, 2)])

@@ -40,6 +40,7 @@ from mrw.models import (
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
+    reduced_depths,
 )
 from mrw.numkit import NonnegFactorization, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
@@ -441,6 +442,58 @@ def test_depth_matches_bipartition_recursion():
     for grid in grids:
         masks = tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
         assert grid_depth(grid) == bipartition_depth(masks, len(grid[0])), grid
+
+
+def row_masks(grid) -> tuple[int, ...]:
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
+
+
+def assert_batched_depths_match(grids, oracle):
+    """Cut each grid to its reduced key, sweep the keys of each shape as one
+    batch, and hold every batched depth to the one-instance path and to the
+    oracle."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for grid in grids:
+        cols = distinct_columns(row_masks(grid), len(grid[0]))
+        rows = distinct_columns(cols, len(grid))
+        by_shape.setdefault((len(rows), len(cols)), []).append((rows, grid))
+    for (_, ncols), group in by_shape.items():
+        depths = reduced_depths([rows for rows, _ in group], ncols)
+        assert len(depths) == len(group)
+        for (_, grid), depth in zip(group, depths):
+            assert depth == grid_depth(grid) == oracle(grid), grid
+
+
+def test_batched_depths_on_every_matrix_up_to_3x3():
+    grids = [
+        mask_grid([code >> (i * nc) & ((1 << nc) - 1) for i in range(nr)], nc)
+        for nr in range(1, 4)
+        for nc in range(1, 4)
+        for code in range(1 << (nr * nc))
+    ]
+    assert len(grids) == 682
+    # a 3x3 has depth at most 3: two bits name the row, one gives the value
+    assert_batched_depths_match(grids, functools.partial(brute_force_depth, depth_cap=3))
+
+
+def test_batched_depths_on_seeded_5x5_and_6x6():
+    rng = random.Random(26)
+    grids = [[[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for n in (5, 6) for _ in range(40)]
+    assert_batched_depths_match(grids, lambda grid: bipartition_depth(row_masks(grid), len(grid[0])))
+
+
+def test_batched_depths_retire_each_instance_at_its_own_level():
+    # two reduced 5x5 keys of depths 4 and 3, interleaved and reordered, so
+    # instances leave the batch at different levels
+    deep, shallow = (1, 11, 16, 29, 30), (17, 18, 25, 29, 30)
+    batch = [deep, shallow, deep[::-1], shallow[::-1], deep]
+    want = [bipartition_depth(tuple(sorted(rows)), 5) for rows in batch]
+    assert want == [4, 3, 4, 3, 4]
+    assert reduced_depths(batch, 5) == want
+
+
+def test_batched_depths_of_an_empty_batch():
+    assert reduced_depths([], 3) == []
 
 
 def test_depth_of_identity_is_log_plus_one():

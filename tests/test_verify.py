@@ -2,6 +2,7 @@
 forced-failure mode (a broken kernel must turn its check red), and the
 reduction the log-rank chain memoizes on."""
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,9 +30,43 @@ def test_sabotaged_rank_fails_its_check(monkeypatch):
 
 
 def test_sabotaged_depth_fails_the_log_rank_chain(monkeypatch):
-    monkeypatch.setattr(verify, "dcc_exact_2party", lambda m: 0)
+    monkeypatch.setattr(verify, "reduced_depths", lambda keys, ncols: [0] * len(keys))
     ok, observed, _ = verify.check_log_rank_chain("small", 1)
     assert not ok and "chain violated" in observed
+
+
+def sabotage_one_key(monkeypatch, target: tuple[tuple[int, ...], int]):
+    """Give the key `target` depth 0 and every other key its true depth."""
+    real = verify.reduced_depths
+
+    def depths(keys, ncols):
+        return [0 if (rows, ncols) == target else d for rows, d in zip(keys, real(keys, ncols))]
+
+    monkeypatch.setattr(verify, "reduced_depths", depths)
+
+
+def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
+    # the 2x2 identity's key (rank 2, so depth 0 breaks the chain) is held by
+    # several states; the first in enumeration order is the one reported
+    target = verify._chain_key((1, 2), 2)
+    holders = [(nc, rows) for nc, rows in verify._chain_states(3) if verify._chain_key(rows, nc) == target]
+    assert len(holders) > 1
+    sabotage_one_key(monkeypatch, target)
+    ok, observed, _ = verify.check_log_rank_chain("small", 1)
+    assert not ok and observed == f"chain violated at {holders[0]}"
+
+
+def test_a_sabotaged_random_key_is_reported_as_random(monkeypatch):
+    # the key of the first random 5x5 at seed 1 is held by no state up to
+    # 3x3, so the first state holding it is a random one
+    keys = {verify._chain_key(rows, nc) for nc, rows in verify._chain_states(3)}
+    rng = np.random.default_rng(1 + 23)
+    grid = rng.integers(0, 2, size=(5, 5))
+    first = verify._chain_key(tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in grid), 5)
+    assert first not in keys
+    sabotage_one_key(monkeypatch, first)
+    ok, observed, _ = verify.check_log_rank_chain("small", 1)
+    assert not ok and observed == "chain violated on random 5x5"
 
 
 def test_log_rank_chain_counts_every_state():
