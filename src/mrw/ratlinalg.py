@@ -10,12 +10,15 @@ alike, so equality, hashing and serialized output do not depend on which one
 an entry is; integer matrices just skip building Fractions.  Every operation
 here is a pure function whose output is reproducible bit for bit.  The rank,
 determinant and characteristic-polynomial kernels clear denominators first
-and then run on Python ints, whose size is unbounded, so no step pays for a
-gcd: rank and determinant scale each row by the lcm of its denominators and
-run integer-preserving (Bareiss) elimination with a canonical pivot rule --
-first nonzero entry in column order -- and the characteristic polynomial
-runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
-division is exact, and rescales each coefficient once at the end.  Basis
+and then run on ints, so no step pays for a gcd: rank and determinant scale
+each row by the lcm of its denominators and run integer-preserving (Bareiss)
+elimination on Python ints, whose size is unbounded, with a canonical pivot
+rule -- first nonzero entry in column order -- and the characteristic
+polynomial runs the Faddeev-LeVerrier recurrence on the integer matrix D*M,
+where every division is exact, and rescales each coefficient once at the
+end.  From ``_MODULAR_MIN_ENTRIES`` entries on, :func:`rank_exact` first
+proves the rank by int64 arithmetic modulo primes, where no product
+overflows, and Bareiss decides only what that does not settle.  Basis
 columns and exact coordinates (:func:`column_basis`) come from the
 fraction-free Gauss-Jordan form of the same row-scaled elimination.  Exact
 sums (:func:`exact_sum`) work the same way: each term is scaled to the lcm of
@@ -28,17 +31,22 @@ silently misreport.  Dense matrices (and tensors) hold at most
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
 from operator import attrgetter, index, mul, neg
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, DimensionError, ValidationError
 
 RationalLike = Fraction | int | str
 Exact = int | Fraction
 _EXACT_TYPES = frozenset((int, Fraction))
+_INT_ONLY = frozenset((int,))
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -46,6 +54,25 @@ _denominator = attrgetter("denominator")
 # is built: it keeps storage in memory and refuses, say, a 3000x3000 matrix
 # file whose elimination would run for hours.
 CAPACITY_LIMIT = 1 << 20
+
+# Modular rank (see rank_exact).  Below this many entries Bareiss is cheaper
+# than building the int64 arrays.
+_MODULAR_MIN_ENTRIES = 256
+# The elimination prime, 2^31 - 1: residues are below 2^31, so the product of
+# two fits int64.
+_ELIM_PRIME = 2147483647
+# The check primes, the 48 largest below 2^26 (their product is about 2^1248).
+# A residue product is below 2^52, and a sum of r of them stays below 2^62
+# because r <= 1024: r is at most the shorter side of a matrix within
+# CAPACITY_LIMIT.  So one int64 matrix product per prime is exact.
+_CHECK_PRIMES = (
+    67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753, 67108747,
+    67108739, 67108729, 67108721, 67108709, 67108693, 67108669, 67108667, 67108661,
+    67108649, 67108633, 67108597, 67108579, 67108529, 67108511, 67108507, 67108493,
+    67108471, 67108463, 67108453, 67108439, 67108387, 67108373, 67108369, 67108351,
+    67108331, 67108313, 67108303, 67108289, 67108271, 67108219, 67108207, 67108201,
+    67108199, 67108187, 67108183, 67108177, 67108127, 67108109, 67108081, 67108049,
+)
 
 
 def check_capacity(shape: Iterable[int], what: str) -> int:
@@ -82,18 +109,41 @@ def as_size(value) -> int:
         raise DimensionError(f"size {value!r} is not an integer") from None
 
 
+# Most digits a decimal literal may expand to: Python's default limit on
+# converting between an int and its decimal string.  A larger value could not
+# be printed back, and "1e100000000" would build 10^(10^8) before anything
+# looked at it.
+_LITERAL_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def fraction_from_text(text: str) -> Fraction:
+    """``Fraction(text)``, except that a literal whose decimal exponent would
+    expand it past ``_LITERAL_DIGITS`` digits is refused (ValueError) before
+    the power of ten is built."""
+    exp = _EXPONENT.search(text)
+    # the length test first keeps int() off an exponent of unbounded length
+    if exp and (
+        len(text) > _LITERAL_DIGITS or len(text) + abs(int(exp[1])) > _LITERAL_DIGITS
+    ):
+        raise ValueError(f"its exponent expands it past {_LITERAL_DIGITS} digits")
+    return Fraction(text)
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, ``"p/q"`` strings and Fractions to canonical Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ValidationError("boolean is not a rational entry")
-    if isinstance(value, (int, str)):
-        try:
+    try:
+        if isinstance(value, int):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValidationError(f"cannot interpret {value!r} as an exact rational")
+        if isinstance(value, str):
+            return fraction_from_text(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot interpret {value!r:.40} as an exact rational ({exc})") from None
+    raise ValidationError(f"cannot interpret {value!r:.40} as an exact rational")
 
 
 def as_exact(value: RationalLike) -> Exact:
@@ -338,43 +388,161 @@ def _bareiss(rows_in: Sequence[Sequence[Exact]]) -> tuple[int, int, Fraction]:
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Exact rank over the rationals by integer-preserving elimination.
+    """Exact rank over the rationals: a certified modular rank, with
+    integer-preserving (Bareiss) elimination as the fallback.
 
-    Rank is invariant under transposition, so a tall matrix is eliminated by
-    columns: fewer, longer rows mean fewer row updates at Python level.
+    Rank is invariant under transposition and under scaling a row by a
+    positive int, so the rows are scaled to ints and a tall matrix is read
+    by columns; below, W is that int matrix and it has m <= n rows.  From
+    ``_MODULAR_MIN_ENTRIES`` entries on, when every entry of W fits int64:
+
+    1. *Lower bound.*  Elimination modulo the prime ``_ELIM_PRIME`` gives r
+       pivot rows R and pivot columns C.  The minor W[R, C] is nonzero mod p,
+       so it is nonzero over Z, and rank W >= r.  At r = m that is the rank.
+    2. *Upper bound.*  With A = W[R, C], fraction-free Gauss-Jordan
+       elimination of [A^T | W[:, C]^T] gives a nonzero multiple d of det A
+       and Y = d * W[:, C] * A^-1 in ints.  rank W <= r exactly when
+       d * W = Y * W[R, :], and only the rows outside R and the columns
+       outside C can differ.  Every entry of the difference is an int of
+       magnitude at most H = |d| max|W| + r max|Y| max|W|, so it is zero when
+       it vanishes modulo primes whose product exceeds H: each prime of
+       ``_CHECK_PRIMES`` it needs is one int64 matrix product.
+
+    No step rests on chance.  Bareiss runs instead when the matrix is smaller
+    than the cut, an entry does not fit int64, the upper bound would cost
+    more than elimination (``_certificate_pays``, which reads only the shape
+    and r), H outgrows the primes, or a residue is nonzero: then p divides a
+    minor and r is below the rank.
     """
-    rows = m.iter_rows()
-    return _bareiss(list(zip(*rows)) if m.rows > m.cols else list(rows))[0]
+    w = _int64_rows(m) if len(m.entries) >= _MODULAR_MIN_ENTRIES else None
+    if w is None:
+        rows = m.iter_rows()
+        return _bareiss(list(zip(*rows)) if m.rows > m.cols else list(rows))[0]
+    if m.rows > m.cols:
+        w = w.T
+    rank = _certified_rank(w)
+    return _bareiss(w.tolist())[0] if rank is None else rank
 
 
-def column_basis(
-    m: RatMatrix, first: Sequence[int] = ()
-) -> tuple[tuple[int, ...], tuple[tuple[Exact, ...], ...]]:
-    """Basis columns of ``m`` and the exact coordinates of every column in them.
+def _int64_rows(m: RatMatrix) -> np.ndarray | None:
+    """``m`` with each row scaled to ints (by the lcm of its denominators) as
+    an int64 array, or None when an entry does not fit int64."""
+    try:
+        if _INT_ONLY.issuperset(map(type, m.entries)):
+            flat = np.fromiter(m.entries, dtype=np.int64, count=len(m.entries))
+            return flat.reshape(m.dims)
+        return np.array(_integer_rows(list(m.iter_rows()))[1], dtype=np.int64)
+    except OverflowError:
+        return None
 
-    Columns are scanned in the order ``first``, then the rest left to right,
-    and a column is a pivot when it is independent of the pivots before it.
-    Returns ``(pivots, coords)``: ``coords`` has one row per pivot and one
-    column per column of ``m``, ``m = m[:, pivots] @ coords``, and
-    ``coords[:, pivots]`` is the identity (the reduced row echelon form of
-    ``m`` in the scan order, less its zero rows).
 
-    Fraction-free Gauss-Jordan elimination on the rows scaled to ints as in
-    :func:`_bareiss`: each pivot step replaces every other row by
-    (pivot * row - factor * pivot row) / previous pivot.  Every entry is
-    then a minor of the scaled matrix, so each division is exact, and at the
-    end each pivot row is the last pivot times its reduced row.
+def _mod_p_pivots(w: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pivot rows (as rows of ``w``) and pivot columns of the elimination of
+    ``w`` modulo ``_ELIM_PRIME``, with the canonical pivot rule of
+    :func:`_bareiss`.  Residues stay below 2^31, so every product fits int64."""
+    p = _ELIM_PRIME
+    a = w % p
+    m, n = a.shape
+    order = list(range(m))
+    rows: list[int] = []
+    cols: list[int] = []
+    k = col = 0
+    while k < m and col < n:
+        found = np.flatnonzero(a[k:, col])
+        if not found.size:  # skip to the next column with a nonzero residue
+            live = np.flatnonzero(a[k:, col:].any(axis=0))
+            if not live.size:
+                break
+            col += int(live[0])
+            found = np.flatnonzero(a[k:, col])
+        pivot = k + int(found[0])
+        if pivot != k:
+            a[[k, pivot], col:] = a[[pivot, k], col:]
+            order[k], order[pivot] = order[pivot], order[k]
+        factors = a[k + 1 :, col] * pow(int(a[k, col]), -1, p) % p
+        below = a[k + 1 :, col:]
+        below -= np.outer(factors, a[k, col:])
+        below %= p
+        rows.append(order[k])
+        cols.append(col)
+        k += 1
+        col += 1
+    return rows, cols
+
+
+def _certified_rank(w: np.ndarray) -> int | None:
+    """The rank of the int64 matrix ``w`` (m <= n), certified as in
+    :func:`rank_exact`, or None when Bareiss must decide it."""
+    m, n = w.shape
+    rows, cols = _mod_p_pivots(w)
+    r = len(rows)
+    if r == m or (_certificate_pays(m, n, r) and _rows_span(w, rows, cols)):
+        return r
+    return None
+
+
+def _rows_span(w: np.ndarray, rows: list[int], cols: list[int]) -> bool:
+    """Whether the rows ``rows`` of the int64 matrix ``w`` span all of its
+    rows, given that the minor on ``rows`` x ``cols`` is nonzero: the upper
+    bound of :func:`rank_exact`.  False also when the entry bound H outgrows
+    the product of ``_CHECK_PRIMES``."""
+    m, n = w.shape
+    r = len(rows)
+    in_rows, in_cols = set(rows), set(cols)
+    rest_rows = [i for i in range(m) if i not in in_rows]
+    rest_cols = [j for j in range(n) if j not in in_cols]
+    # [A^T | W[rest_rows, C]^T]; Gauss-Jordan leaves d*I | Y[rest_rows]^T
+    work = w[np.ix_(rows + rest_rows, cols)].T.tolist()
+    _, d = _gauss_jordan(work, range(r))
+    y_t = np.array([row[r:] for row in work], dtype=object).reshape(r, m - r)
+    top = max(int(w.max()), -int(w.min()))
+    bound = abs(d) * top + r * max(map(abs, y_t.flat), default=0) * top
+    need = next((i for i, c in enumerate(accumulate(_CHECK_PRIMES, mul)) if c > bound), None)
+    if need is None:
+        return False
+    lhs = w[np.ix_(rest_rows, rest_cols)]
+    rhs = w[np.ix_(rows, rest_cols)]
+    for q in _CHECK_PRIMES[: need + 1]:
+        diff = (d % q) * (lhs % q) - (y_t % q).astype(np.int64).T @ (rhs % q)
+        if (diff % q).any():
+            return False
+    return True
+
+
+def _certificate_pays(m: int, n: int, r: int) -> bool:
+    """Whether certifying rank <= r for an m x n matrix (m <= n) costs less
+    than Bareiss elimination, from the shape and r alone.
+
+    Both costs count int operations weighted by the order of the minors
+    they hold: Bareiss step k updates (m-1-k)(n-1-k) entries, minors of order
+    k+1; the certificate's Gauss-Jordan step j updates (r-1)m entries, minors
+    of order j+1.  The certificate's operations measured about a fifth
+    cheaper, hence the 5:4 weighing.
     """
-    seen = set(first)
-    scan = list(first) + [j for j in range(m.cols) if j not in seen]
-    _, work = _integer_rows(list(m.iter_rows()))
+    bareiss = sum((m - 1 - k) * (n - 1 - k) * (k + 1) for k in range(r))
+    certificate = (r - 1) * m * r * (r + 1) // 2
+    return 4 * certificate <= 5 * bareiss
+
+
+def _gauss_jordan(work: list[list[int]], scan: Iterable[int]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the int rows ``work``, in
+    place, over the columns in ``scan`` order: (pivot columns, last pivot).
+
+    A column is a pivot when some row not yet used has a nonzero entry in it.
+    Each pivot step swaps the first such row up to position k and replaces
+    every other row by (pivot * row - factor * pivot row) / previous pivot.
+    Every entry is then a minor of the input, so each division is exact, and
+    at the end each of the first k rows is the last pivot times its reduced
+    row (the reduced row echelon form in the scan order).
+    """
+    rows = len(work)
     pivots: list[int] = []
     prev_pivot = 1
     for col in scan:
         k = len(pivots)
-        if k == m.rows:
+        if k == rows:
             break
-        pivot = next((r for r in range(k, m.rows) if work[r][col] != 0), None)
+        pivot = next((r for r in range(k, rows) if work[r][col] != 0), None)
         if pivot is None:
             continue
         work[k], work[pivot] = work[pivot], work[k]
@@ -390,8 +558,28 @@ def column_basis(
                 work[r] = [(piv * x - factor * y) // prev_pivot for x, y in zip(row_r, row_p)]
         prev_pivot = piv
         pivots.append(col)
+    return pivots, prev_pivot
+
+
+def column_basis(
+    m: RatMatrix, first: Sequence[int] = ()
+) -> tuple[tuple[int, ...], tuple[tuple[Exact, ...], ...]]:
+    """Basis columns of ``m`` and the exact coordinates of every column in them.
+
+    Columns are scanned in the order ``first``, then the rest left to right,
+    and a column is a pivot when it is independent of the pivots before it.
+    Returns ``(pivots, coords)``: ``coords`` has one row per pivot and one
+    column per column of ``m``, ``m = m[:, pivots] @ coords``, and
+    ``coords[:, pivots]`` is the identity (the reduced row echelon form of
+    ``m`` in the scan order, less its zero rows).  The elimination is
+    :func:`_gauss_jordan` on the rows scaled to ints as in :func:`_bareiss`.
+    """
+    seen = set(first)
+    scan = list(first) + [j for j in range(m.cols) if j not in seen]
+    _, work = _integer_rows(list(m.iter_rows()))
+    pivots, last_pivot = _gauss_jordan(work, scan)
     coords = tuple(
-        tuple(as_exact(Fraction(x, prev_pivot)) for x in row) for row in work[: len(pivots)]
+        tuple(as_exact(Fraction(x, last_pivot)) for x in row) for row in work[: len(pivots)]
     )
     return tuple(pivots), coords
 

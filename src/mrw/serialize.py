@@ -26,7 +26,7 @@ from .bounds import MrBoundReport
 from .dtensor import DenseTensor
 from .errors import DimensionError, ParseError
 from .numkit import NonnegFactorization
-from .ratlinalg import Exact, RatMatrix, as_exact, as_size, check_capacity
+from .ratlinalg import Exact, RatMatrix, as_exact, as_size, check_capacity, fraction_from_text
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -108,7 +108,7 @@ def _parse_exact_entry(raw, where: str, warnings_out: list[str]) -> Exact:
             if str(value) == raw:
                 return value
         try:
-            value = Fraction(raw)
+            value = fraction_from_text(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: bad rational literal {_clip(repr(raw), 20)} ({_clip(str(exc), 50)})")
         if str(value) != raw:

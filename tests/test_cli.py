@@ -49,7 +49,9 @@ def test_gen_correlation_base_is_the_difference_matrix(capsys, n):
     assert out == canonical_dumps(matrix_to_obj(difference_matrix(CorrelationSpec(n)).base))
 
 
-@pytest.mark.parametrize("values", ["abc", "1/0", "", " , "])
+@pytest.mark.parametrize(
+    "values", ["abc", "1/0", "", " , ", "1e5000,2", "1e-5000,2", "1e100000000,2"]
+)
 def test_gen_bad_values_exit_2(capsys, values):
     code, out, err = run(capsys, "gen", "edm", "--values", values)
     assert code == 2 and out == ""
@@ -206,14 +208,22 @@ def test_astronomical_sizes_exit_2_with_one_line(tmp_path, capsys, argv, obj):
 
 @pytest.mark.parametrize(
     "entry",
-    ["1" * 5000, '"' + "1" * 5000 + '"', "[" * 100_000 + "]" * 100_000],
-    ids=["number", "string", "nested"],
+    [
+        "1" * 5000,
+        '"' + "1" * 5000 + '"',
+        "[" * 100_000 + "]" * 100_000,
+        '"1e5000"',
+        '"1e-5000"',
+        '"1e100000000"',
+    ],
+    ids=["number", "string", "nested", "exponent", "negative-exponent", "huge-exponent"],
 )
 def test_overlong_literal_exits_2_with_one_line(tmp_path, capsys, entry):
     # past Python's 4,300-digit limit on reading an int: as a JSON number
     # json.loads refuses it, as a string the entry parser does; neither
     # echoes the digits.  Arrays nested past the recursion limit are refused
-    # the same way.
+    # the same way, and so is a short literal whose exponent would expand it
+    # past the limit (before the power of ten is built).
     path = tmp_path / "long.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [' + entry + "]}")
     code, out, err = run(capsys, "rank", "--matrix", str(path))

@@ -3,6 +3,7 @@ independent oracles (plain fraction Gaussian elimination, cofactor expansion,
 principal-minor sums, sympy)."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -11,15 +12,26 @@ import pytest
 import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.ratlinalg import (
+    _CHECK_PRIMES,
+    _ELIM_PRIME,
+    _MODULAR_MIN_ENTRIES,
     RatMatrix,
+    _certificate_pays,
+    _certified_rank,
+    _mod_p_pivots,
+    _rows_span,
+    as_fraction,
     char_poly_exact,
     check_capacity,
     column_basis,
     det_exact,
     exact_sum,
+    fraction_from_text,
     hadamard,
     rank_exact,
     submatrix,
@@ -378,3 +390,130 @@ def test_unparsable_string_entry_is_a_validation_error(text):
 def test_exact_sum_equals_the_fraction_sum(values):
     got = exact_sum(values)
     assert type(got) is Fraction and got == sum(values, Fraction(0))
+
+
+# --- the certified modular rank (matrices of _MODULAR_MIN_ENTRIES or more) ---
+
+
+def domain_rank(m: RatMatrix) -> int:
+    """Oracle: sympy's DomainMatrix rank over QQ."""
+    rows = [[QQ(e.numerator, e.denominator) for e in row] for row in m.iter_rows()]
+    return DomainMatrix(rows, m.dims, QQ).rank()
+
+
+def planted_product(x: list[list], y: list[list]) -> RatMatrix:
+    """x @ y, of rank at most len(y) >= 1."""
+    return RatMatrix.from_rows([[sum(map(operator.mul, xi, col)) for col in zip(*y)] for xi in x])
+
+
+def _small_int(rng: random.Random) -> int:
+    return rng.randint(-9, 9)
+
+
+def _small_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _past_int64(rng: random.Random) -> int:
+    return rng.choice([rng.randint(-9, 9), rng.randint(2**63, 2**70), -rng.randint(2**63, 2**70)])
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """A product of a rows x k and a k x cols factor with at least
+    _MODULAR_MIN_ENTRIES entries, so that it takes the modular path: square,
+    tall or wide, one row or one column, any k from 0 (the zero matrix) to
+    min(rows, cols), with int entries, Fraction entries, or int entries
+    past 2^63.  k and the factors' entries come from a seeded
+    `random.Random`, which keeps the hundreds of entries cheap to draw and
+    k spread over its range."""
+    short = draw(st.integers(1, 20))
+    least = max(short, -(-_MODULAR_MIN_ENTRIES // short))
+    long = draw(st.integers(least, least + 8))
+    rows, cols = (short, long) if draw(st.booleans()) else (long, short)
+    entry = draw(st.sampled_from([_small_int, _small_fraction, _past_int64]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = rng.randint(0, short)
+    x = [[entry(rng) for _ in range(k)] for _ in range(rows)]
+    y = [[entry(rng) for _ in range(cols)] for _ in range(k)]
+    return planted_product(x, y) if k else RatMatrix(rows, cols, [0] * (rows * cols))
+
+
+@given(planted_rank_matrices())
+@example(RatMatrix(1, 300, [0] * 299 + [7]))
+@example(RatMatrix(300, 1, [Fraction(1, 3)] + [0] * 299))
+@example(RatMatrix(16, 16, [0] * 256))
+@example(RatMatrix(16, 20, [2**64 * (i == j) for i in range(16) for j in range(20)]))
+def test_modular_rank_matches_sympy(m):
+    assert len(m.entries) >= _MODULAR_MIN_ENTRIES
+    assert rank_exact(m) == domain_rank(m)
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 20), (20, 16), (24, 24)])
+def test_modular_rank_matches_sympy_at_every_rank(rows, cols):
+    rng = random.Random(rows * cols)
+    for k in range(min(rows, cols) + 1):
+        x = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rows)]
+        y = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(cols)] for _ in range(k)]
+        m = planted_product(x, y) if k else RatMatrix(rows, cols, [0] * (rows * cols))
+        assert rank_exact(m) == domain_rank(m) == k
+
+
+def test_certificate_settles_low_rank_inputs():
+    # rank 3 of 24 rows: the mod-p rank is proved an upper bound, no Bareiss
+    rng = random.Random(3)
+    x = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(24)]
+    y = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(3)]
+    w = np.array([list(row) for row in planted_product(x, y).iter_rows()], dtype=np.int64)
+    assert _certificate_pays(24, 30, 3)
+    assert _certified_rank(w) == 3
+
+
+def test_prime_dividing_a_minor_falls_back_to_bareiss():
+    # diag(p, 1, ..., 1): modulo p the first pivot vanishes, so elimination
+    # finds 15 pivots, and the 15 pivot rows do not span the first row
+    p, n = _ELIM_PRIME, 16
+    m = RatMatrix(n, n, [(p if i == 0 else 1) * (i == j) for i in range(n) for j in range(n)])
+    w = np.array(m.entries, dtype=np.int64).reshape(n, n)
+    rows, cols = _mod_p_pivots(w)
+    assert len(rows) == n - 1
+    assert not _rows_span(w, rows, cols)
+    assert _certified_rank(w) is None
+    assert rank_exact(m) == n
+
+
+def test_rank_deficient_product_whose_mod_p_rank_drops():
+    # x @ diag(p, 1, 1) @ y has rank 3 over Q and rank 2 modulo p; the
+    # certificate for rank <= 2 must fail, and Bareiss finds 3
+    p = _ELIM_PRIME
+    rng = random.Random(5)
+    x = [[rng.randint(1, 9) * (p if t == 0 else 1) for t in range(3)] for _ in range(24)]
+    y = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(3)]
+    m = planted_product(x, y)
+    w = np.array(m.entries, dtype=np.int64).reshape(24, 24)
+    rows, cols = _mod_p_pivots(w)
+    assert len(rows) == 2 and _certificate_pays(24, 24, 2)
+    assert not _rows_span(w, rows, cols)
+    assert rank_exact(m) == domain_rank(m) == 3
+
+
+def test_the_primes_are_prime_and_keep_int64_exact():
+    assert sympy.isprime(_ELIM_PRIME) and _ELIM_PRIME < 2**31
+    assert len(set(_CHECK_PRIMES)) == len(_CHECK_PRIMES)
+    assert all(sympy.isprime(q) and q < 2**26 for q in _CHECK_PRIMES)
+    # a check sums r <= 1024 residue products and one more: no int64 overflow
+    assert 1025 * (max(_CHECK_PRIMES) - 1) ** 2 < 2**63
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "-2.5E+4299", "1e100000000", "1e" + "9" * 5000])
+def test_exponent_past_the_digit_limit_is_refused(text):
+    with pytest.raises(ValueError, match="exponent"):
+        fraction_from_text(text)
+    with pytest.raises(ValidationError, match="exponent"):
+        as_fraction(text)
+
+
+def test_exponent_within_the_digit_limit_is_read():
+    assert fraction_from_text("1e4290") == 10**4290
+    assert fraction_from_text("2.5e-3") == Fraction(1, 400)
+    assert fraction_from_text(" -3E2 ") == -300
