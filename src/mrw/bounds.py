@@ -545,8 +545,9 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     matrices with a gap) `nmf_search` at r = lower.  Its witness is `exact`
     when it is rational and reproduces m exactly (the separable stage at
     r = rank, or the nested-triangle stage at r = rank = 3),
-    `heuristic-certified` otherwise.  `budget_factor` scales both
-    the cover search's node budget and the numeric search.
+    `heuristic-certified` otherwise; a matrix with an entry past float range
+    gets no float search.  `budget_factor` scales both the cover search's
+    node budget and the numeric search.
     """
     _validate_nonneg_exact(m)
     pattern = support_pattern(m)
@@ -570,7 +571,7 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
         from .numkit import SearchBudget, nmf_search, verify_nonneg_factorization
 
         budget = SearchBudget(restarts=2, iterations=400).scaled(budget_factor)
-        found = nmf_search(m, lower, budget=budget, tol=1e-6)
+        found = nmf_search(m, lower, budget)
         if found is not None:
             exact = found.is_rational() and verify_nonneg_factorization(m, found, tol=0).passed
             upper, status = lower, "exact" if exact else "heuristic-certified"

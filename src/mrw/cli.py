@@ -49,6 +49,7 @@ from .numkit import DEFAULT_SEED
 from .ratlinalg import rank_exact
 from .serialize import (
     canonical_dumps,
+    exact_text,
     load_json_file,
     matrix_to_obj,
     mr_report_to_obj,
@@ -178,8 +179,8 @@ def cmd_quantum(args) -> int:
         "lambdaMagnitude": corr.lambda_magnitude,
         "spectralReconstructionError": corr.spectral_error,
         "distributionError": corr.reconstruction_error,
-        "sumP": str(corr.p_matrix.entry_sum()),
-        "charPoly": [str(c) for c in corr.c_matrix.char_poly().coeffs],
+        "sumP": exact_text(corr.p_matrix.entry_sum()),
+        "charPoly": [exact_text(c) for c in corr.c_matrix.char_poly().coeffs],
     }
     if args.simulate:
         model = hv_model_from_factorization(corr.p_matrix, row_unit_factorization(corr.p_matrix))

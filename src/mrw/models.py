@@ -336,6 +336,14 @@ def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     return tuple(sorted(set(cols)))
 
 
+def reduced_key(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], int]:
+    """The 0/1 matrix with row bitmasks `rows` over `ncols` columns, cut to
+    its distinct columns and then to its distinct rows, as (rows, ncols):
+    rows sorted, no line repeated."""
+    cols = distinct_columns(rows, ncols)
+    return distinct_columns(cols, len(rows)), len(cols)
+
+
 @functools.cache
 def _splits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # (part, rest, starts, sets) over the subsets R of n items with two or
@@ -443,14 +451,13 @@ def dcc_exact_2party(m: RatMatrix) -> int:
                 raise ValidationError("protocol search needs a 0/1 matrix")
             mask |= int(v) << j
         bits.append(mask)
-    cols = distinct_columns(tuple(bits), m.cols)
-    rows = distinct_columns(cols, m.rows)
-    if len(rows) + len(cols) > 16:
+    rows, ncols = reduced_key(tuple(bits), m.cols)
+    if len(rows) + ncols > 16:
         raise CapacityError(
             "exact protocol search is capped at 16 distinct rows plus distinct columns, "
-            f"got {len(rows) + len(cols)}"
+            f"got {len(rows) + ncols}"
         )
-    return reduced_depths([rows], len(cols))[0]
+    return reduced_depths([rows], ncols)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
-search driven by HALS sweeps and linear-program polishing with random
-restarts (after exact stages for rational inputs at r = rank, which share
-one normalisation of the columns: separable cones picked by successive
-projection, and nested triangles at rank 3), and an alternating-least-squares
-tensor fitter.  Searches are deterministic given (input, seed, budget):
-restarts are ranked by (residual, restart index) so the outcome never
-depends on execution order.  A successful search is a witness, never a
-proof of optimality; failure after budget exhaustion proves nothing.
+search of an exact matrix (exact stages at r = rank, which share one
+normalisation of the columns: separable cones picked by successive
+projection, and nested triangles at rank 3; then HALS sweeps and
+linear-program polishing with random restarts on a float copy), and an
+alternating-least-squares tensor fitter; both searches read exact arrays
+only.  Searches are deterministic given (input, seed, budget): restarts are
+ranked by (residual, restart index) so the outcome never depends on
+execution order.  A successful search is a witness, never a proof of
+optimality; failure after budget exhaustion proves nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .ratlinalg import RatMatrix, column_basis, is_exact
 DEFAULT_SEED = 1729
 
 _FLOOR = 1e-12
+
+# nmf_search's float search: the seed of its restarts, and the relative
+# max-norm error max|M - WH| / max|M| it must reach
+_NMF_SEED = DEFAULT_SEED
+_NMF_TOL = 1e-6
 
 # nmf_search runs a round's HALS sweeps in chunks of this many and checks the
 # error against tol after each; the sweeps themselves are the same
@@ -54,10 +60,6 @@ class SearchBudget:
             restarts=max(1, int(round(self.restarts * factor))),
             iterations=max(1, int(round(self.iterations * factor))),
         )
-
-
-DEFAULT_NMF_BUDGET = SearchBudget(restarts=16, iterations=3000)
-DEFAULT_CP_BUDGET = SearchBudget(restarts=8, iterations=400)
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +127,9 @@ def antisym_spectral(c) -> SpectralPair:
 # ---------------------------------------------------------------------------
 
 def _as_float_array(m) -> np.ndarray:
-    """Float copy of an exact array (its `entries` shaped by its `dims`) or
-    of any other array-like."""
-    if isinstance(m, (RatMatrix, DenseTensor)):
-        return np.array(list(map(float, m.entries))).reshape(m.dims)
-    return np.asarray(m, dtype=float)
-
-
-def _rank1_sum(dims: tuple[int, ...], terms) -> np.ndarray:
-    """Float sum of the outer products of each term's per-mode vectors."""
-    out = np.zeros(dims, dtype=float)
-    for term in terms:
-        block = np.array([float(x) for x in term[0]], dtype=float)
-        for vec in term[1:]:
-            block = np.multiply.outer(block, np.array([float(x) for x in vec]))
-        out += block
-    return out
+    """Float copy of an exact array: its `entries` shaped by its `dims`.  An
+    entry past float range raises `OverflowError`."""
+    return np.array(list(map(float, m.entries))).reshape(m.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +173,14 @@ class NonnegFactorization:
         return any(x < 0 for term in self.terms for vec in term for x in vec)
 
     def reconstruct_float(self) -> np.ndarray:
-        return _rank1_sum(self.dims, self.terms)
+        """Float sum of the outer products of each term's per-mode vectors."""
+        out = np.zeros(self.dims, dtype=float)
+        for term in self.terms:
+            block = np.array([float(x) for x in term[0]], dtype=float)
+            for vec in term[1:]:
+                block = np.multiply.outer(block, np.array([float(x) for x in vec]))
+            out += block
+        return out
 
     def reconstruct_exact(self):
         """Exact reconstruction as a DenseTensor of Fractions, for every order.
@@ -213,14 +209,6 @@ class NonnegFactorization:
                 offsets, factors = zip(*cell)
                 flat[sum(offsets)] += math.prod(factors)
         return DenseTensor(self.dims, [Fraction(x, den) for x in flat])
-
-
-def from_matrix_factors(w: np.ndarray, h: np.ndarray) -> NonnegFactorization:
-    terms = tuple(
-        (tuple(float(x) for x in w[:, i]), tuple(float(x) for x in h[i, :]))
-        for i in range(w.shape[1])
-    )
-    return NonnegFactorization(dims=(w.shape[0], h.shape[1]), terms=terms)
 
 
 def _hals_sweeps(v: np.ndarray, w: np.ndarray, h: np.ndarray, sweeps: int) -> None:
@@ -476,78 +464,70 @@ def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None
     return NonnegFactorization(dims=m.dims, terms=terms)
 
 
-def nmf_search(
-    m,
-    r: int,
-    budget: SearchBudget | None = None,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-6,
-) -> NonnegFactorization | None:
-    """Search for an r-term nonnegative factorization of a nonnegative matrix.
+# a float search on entries near float range overflows to NaN and then fails
+@np.errstate(over="ignore", invalid="ignore")
+def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorization | None:
+    """Search for an r-term nonnegative factorization of a nonnegative
+    `RatMatrix`; any other input raises `ValidationError`.
 
-    An exact (`RatMatrix`) input at r = rank first goes through exact
-    stages: when r of its columns, or else r of its rows, generate a cone
-    holding all the others (such lines always exist at rank <= 2), the
-    result is that rational factorization, M = M[:, S] @ H (or
-    H^T @ M[S, :]) with H >= 0, and no float search runs.  S is the two
-    extreme columns at rank <= 2 and is otherwise picked by successive
-    projection in floats, with no cap; each side's pick is confirmed by one
-    exact elimination.  At r = rank = 3 with no such lines, a greedy walk
-    looks for a triangle nested between the same normalized columns and the
+    At r = rank, exact stages run first: when r of its columns, or else r
+    of its rows, generate a cone holding all the others (such lines always
+    exist at rank <= 2), the result is that rational factorization,
+    M = M[:, S] @ H (or H^T @ M[S, :]) with H >= 0.  S is the two extreme
+    columns at rank <= 2 and is otherwise picked by successive projection
+    in floats, with no cap; each side's pick is confirmed by one exact
+    elimination.  At r = rank = 3 with no such lines, a greedy walk looks
+    for a triangle nested between the same normalized columns and the
     nonnegative orthant (`_triangle_factorization`) and lifts it to a
-    rational 3-term factorization.  Neither stage draws random numbers, so
-    every input they do not settle (rank >= 4, r != rank, a float input, or
-    a walk that does not close) gets the float search below, unchanged.
+    rational 3-term factorization.  Neither stage draws random numbers.
+    Every input they do not settle (rank >= 4, r != rank, or a walk that
+    does not close) gets the float search below on a float copy of M, built
+    only then; with an entry past float range, or every entry underflowing
+    to 0, there is none, and the result is None.
 
     Each restart of the float search runs floor-clipped HALS sweeps (at most
     `budget.iterations` per round) and then polishes with alternating
     Chebyshev linear-program refits, which directly attack the success
-    metric: relative max-norm error max|M - WH| / max|M| <= tol.  Three
-    perturb-and-retry rounds run per restart.  The search stops as soon as
-    the error reaches tol: the sweeps are checked every 25, the polish is
-    skipped when the sweeps already reach tol, and it ends at the first
-    refit that does.  A search that never reaches tol does all
-    `budget.restarts * 3` rounds of sweeps.  The result is the factorization
-    of the lowest-index restart that reaches tol (deterministic and
-    independent of any parallel completion order); if none succeeds the
-    search returns None, which is *not* evidence that no such factorization
-    exists.  Non-finite entries and a tol that is negative or not finite
-    raise `ValidationError`.
+    metric: relative max-norm error max|M - WH| / max|M| <= `_NMF_TOL`.
+    Three perturb-and-retry rounds, seeded by `_NMF_SEED`, run per restart.
+    The search stops as soon as the error reaches the tol: the sweeps are
+    checked every 25, the polish is skipped when the sweeps already reach
+    it, and it ends at the first refit that does.  A search that never
+    reaches it (an error that overflows to NaN never does) does all
+    `budget.restarts * 3` rounds of sweeps and returns None, which is *not*
+    evidence that no such factorization exists; otherwise the result is the
+    factorization of the lowest-index restart that reaches it.
     """
-    if isinstance(m, RatMatrix):
-        if any(e < 0 for e in m.entries):
-            raise ValidationError("matrix must be nonnegative")
-    v = _as_float_array(m)
-    if v.ndim != 2:
-        raise DimensionError("nmf_search expects a matrix")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("matrix entries must be finite")
-    if np.any(v < 0):
+    if not isinstance(m, RatMatrix):
+        raise ValidationError(f"nmf_search takes a RatMatrix, got {type(m).__name__}")
+    if any(e < 0 for e in m.entries):
         raise ValidationError("matrix must be nonnegative")
     if r < 1:
         raise ValidationError("rank target must be >= 1")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
-    budget = budget or DEFAULT_NMF_BUDGET
+    if not any(m.entries):
+        return NonnegFactorization(dims=m.dims, terms=())
+    columns = _column_points(m)
+    exact = _separable_factorization(m, r, columns)
+    if exact is None and r == 3:
+        exact = _triangle_factorization(m, columns)
+    if exact is not None:
+        return exact
+    try:
+        v = _as_float_array(m)
+    except OverflowError:
+        return None  # an entry past float range
     vmax = float(np.max(v))
-    if vmax == 0.0:
-        return NonnegFactorization(dims=v.shape, terms=())
-    if isinstance(m, RatMatrix):
-        columns = _column_points(m)
-        exact = _separable_factorization(m, r, columns)
-        if exact is None and r == 3:
-            exact = _triangle_factorization(m, columns)
-        if exact is not None:
-            return exact
-    rng = np.random.default_rng(seed)
+    if not vmax:
+        return None  # every entry underflowed to 0
+    tol = _NMF_TOL
+    rng = np.random.default_rng(_NMF_SEED)
     nrow, ncol = v.shape
     init_scale = math.sqrt(float(np.mean(v)) / r)
-    rounds = 3
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for restart in range(budget.restarts):
         w = rng.uniform(0.1, 1.0, size=(nrow, r)) * init_scale
         h = rng.uniform(0.1, 1.0, size=(r, ncol)) * init_scale
-        for _ in range(rounds):
+        for _ in range(3):  # perturb-and-retry rounds
             # the round's sweeps in chunks, checked against tol after each
             left = budget.iterations
             while True:
@@ -582,9 +562,10 @@ def nmf_search(
             h *= rng.uniform(0.7, 1.3, size=h.shape)
         if best[0] <= tol:
             break
-    if best[0] > tol:
+    if not best[0] <= tol:
         return None
-    return from_matrix_factors(best[2], best[3])
+    terms = tuple(zip(map(tuple, best[2].T.tolist()), map(tuple, best[3].tolist())))
+    return NonnegFactorization(dims=m.dims, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -597,16 +578,15 @@ class FactorizationCheck:
 def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> FactorizationCheck:
     """Reconstruct `fact` and compare against `target`.
 
-    The comparison is exact (Fraction arithmetic, including tol = 0) when both
-    sides are rational, float otherwise.  Any negative factor entry fails the
-    check with reason "negativity" regardless of the error.
+    `target` is an exact array (a `RatMatrix` or a `DenseTensor`).  The
+    comparison is exact (Fraction arithmetic, including tol = 0) when the
+    factors are rational, float otherwise.  Any negative factor entry fails
+    the check with reason "negativity" regardless of the error.
     """
-    exact_target = isinstance(target, (RatMatrix, DenseTensor))
-    tdims = target.dims if exact_target else tuple(np.asarray(target).shape)
-    if tdims != fact.dims:
-        raise DimensionError(f"target dims {tdims} do not match factorization dims {fact.dims}")
+    if target.dims != fact.dims:
+        raise DimensionError(f"target dims {target.dims} do not match factorization dims {fact.dims}")
 
-    if exact_target and fact.is_rational():
+    if fact.is_rational():
         flat = target.entries
         rec = fact.reconstruct_exact().entries
         err: float | Fraction
@@ -614,11 +594,10 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> Facto
             err = Fraction(0)  # equality settles tol = 0; max |diff| only reports a miss
         else:
             err = max((abs(a - b) for a, b in zip(rec, flat)), default=Fraction(0))
-        within = err <= tol
     else:
         rec_f = fact.reconstruct_float()
         err = float(np.max(np.abs(rec_f - _as_float_array(target)))) if rec_f.size else 0.0
-        within = err <= tol
+    within = err <= tol
     if fact.has_negative_entry():
         return FactorizationCheck(max_abs_error=err, passed=False, reason="negativity")
     return FactorizationCheck(max_abs_error=err, passed=within, reason=None if within else "error")
@@ -638,10 +617,6 @@ class CpDecomposition:
     def r(self) -> int:
         return len(self.terms)
 
-    def reconstruct(self) -> np.ndarray:
-        return _rank1_sum(self.dims, self.terms)
-
-
 def _khatri_rao(factors: list[np.ndarray]) -> np.ndarray:
     out = factors[0]
     for a in factors[1:]:
@@ -652,9 +627,9 @@ def _khatri_rao(factors: list[np.ndarray]) -> np.ndarray:
 def cp_als(
     t,
     r: int,
-    iters: int | None = None,
+    iters: int = 400,
     seed: int = DEFAULT_SEED,
-    restarts: int | None = None,
+    restarts: int = 8,
 ) -> CpDecomposition:
     """Alternating-least-squares fit of an order>=3 tensor by r rank-1 terms.
 
@@ -669,8 +644,6 @@ def cp_als(
         raise ValidationError("cp_als supports mode sizes up to 16")
     if r < 1:
         raise ValidationError("rank target must be >= 1")
-    iters = iters if iters is not None else DEFAULT_CP_BUDGET.iterations
-    restarts = restarts if restarts is not None else DEFAULT_CP_BUDGET.restarts
     dims = arr.shape
     order = arr.ndim
     unfolds = [np.moveaxis(arr, m, 0).reshape(dims[m], -1) for m in range(order)]

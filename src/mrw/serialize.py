@@ -7,24 +7,25 @@ which share one reader of the entry list) and emitted (`*_to_obj`); an entry
 that is neither an exact string nor an integer (a float literal, say) is a
 `ParseError`, and an entry count other than the shape's is refused alike.
 Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
-with decimal floats, or exact "p/q" strings on request; they are only
-emitted, inside `mr` reports, and no command reads them.  Canonical bytes are
-what `canonical_dumps` emits; parsing normalizes entries and reports
-non-canonical input as warnings rather than errors; an echoed literal is
-clipped, so each warning or error stays one short line.  An integral entry
-parses to an int and any other exact entry to a Fraction, as `RatMatrix` and
-`DenseTensor` store them.
+with decimal floats, or exact "p/q" strings on request or when a float
+cannot hold an entry; only `mr` reports emit them, and no command reads
+them.  `exact_text` writes every exact entry and refuses one too long.
+Canonical bytes are what `canonical_dumps` emits; parsing normalizes
+entries and reports non-canonical input as warnings rather than errors; an
+echoed literal is clipped, so each warning or error stays one short line.
+An integral entry parses to an int and any other exact entry to a
+Fraction, as `RatMatrix` and `DenseTensor` store them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 from typing import Any
 
 from .bounds import MrBoundReport
 from .dtensor import DenseTensor
-from .errors import DimensionError, ParseError
+from .errors import CapacityError, DimensionError, ParseError
 from .numkit import NonnegFactorization
 from .ratlinalg import Exact, RatMatrix, as_exact, as_size, check_capacity, fraction_from_text
 
@@ -33,26 +34,48 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def exact_text(x: Exact) -> str:
+    """An exact entry in its canonical "p/q" form; `CapacityError` when it has
+    more digits than Python converts to a string."""
+    try:
+        return str(x)
+    except ValueError:
+        raise CapacityError(f"an entry has more than {sys.get_int_max_str_digits()} digits, too many to print")
+
+
 def matrix_to_obj(m: RatMatrix) -> dict:
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [str(e) for e in m.entries],
+        "entries": [exact_text(e) for e in m.entries],
     }
 
 
 def tensor_to_obj(t: DenseTensor) -> dict:
     return {
         "dims": list(t.dims),
-        "entries": [str(e) for e in t.entries],
+        "entries": [exact_text(e) for e in t.entries],
     }
 
 
+def _float_holds(x) -> bool:
+    """True when float(x) is finite and is 0 only for x = 0."""
+    try:
+        return bool(float(x)) or not x
+    except OverflowError:
+        return False
+
+
 def factorization_to_obj(f: NonnegFactorization, rational: bool = False) -> dict:
+    """Floats, or exact "p/q" strings when `rational` or when `f` is rational
+    and no float holds one of its entries."""
     if rational and not f.is_rational():
         raise ParseError("factorization has non-rational factors; cannot emit exact form")
+    if not rational and f.is_rational():
+        rational = not all(_float_holds(x) for term in f.terms for vec in term for x in vec)
+
     def enc(x):
-        return str(Fraction(x)) if rational else float(x)
+        return exact_text(x) if rational else float(x)
 
     return {
         "order": f.order,

@@ -35,13 +35,13 @@ from .models import (
     abp_profile,
     comm_ladder,
     comm_report,
-    distinct_columns,
     divisibility_rank_witness,
     edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
+    reduced_key,
 )
 from .numkit import DEFAULT_SEED, verify_nonneg_factorization
 from .ratlinalg import RatMatrix, rank_exact
@@ -248,13 +248,6 @@ def _chain_states(side: int):
                 yield nc, rows
 
 
-def _chain_key(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], int]:
-    """The matrix cut to its distinct columns and then to its distinct rows,
-    as (rows, ncols): rows sorted, no line repeated."""
-    cols = distinct_columns(rows, ncols)
-    return distinct_columns(cols, len(rows)), len(cols)
-
-
 def check_log_rank_chain(scale: str, seed: int):
     """Protocol depth >= log2 rank and >= log2 cover number on every 0/1
     matrix up to side x side, plus seeded random big x big matrices.
@@ -277,7 +270,7 @@ def check_log_rank_chain(scale: str, seed: int):
     for _ in range(count):
         grid = rng.integers(0, 2, size=(big, big))
         states.append((tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in grid), big))
-    keys = [_chain_key(rows, nc) for rows, nc in states]
+    keys = [reduced_key(rows, nc) for rows, nc in states]
     by_shape: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for rows, nc in dict.fromkeys(keys):
         by_shape.setdefault((len(rows), nc), []).append(rows)

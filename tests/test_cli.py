@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mrw.cli import main
 from mrw.errors import ValidationError
@@ -308,7 +311,7 @@ def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
         seen["nodes"] = node_budget
         return cover(pattern, node_budget=node_budget)
 
-    def spy_nmf(m, r, budget, tol):
+    def spy_nmf(m, r, budget):
         seen["nmf"] = budget
         return None
 
@@ -320,6 +323,95 @@ def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "mr", "--matrix", str(path), "--budget", "0.5")
     assert code == 0
     assert seen == {"nodes": 25_000, "nmf": SearchBudget(restarts=1, iterations=200)}
+
+
+def write_matrix(path, rows):
+    path.write_text(json.dumps({"rows": len(rows), "cols": len(rows[0]), "entries": [str(x) for row in rows for x in row]}))
+    return str(path)
+
+
+def test_a_401_digit_entry_gets_its_exact_bracket_and_witness(tmp_path, capsys):
+    # the separable stage settles it before any float is built, and no float
+    # holds 10^400, so the witness is exact with or without --rational
+    big = 10**400
+    rows = [[big, big, 0], [1, 1, 1], [0, 0, 1]]
+    path = write_matrix(tmp_path / "m.json", rows)
+    for flags in ((), ("--rational",)):
+        code, out, err = run(capsys, "mr", "--matrix", path, *flags)
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (2, 2, "exact")
+        terms = [[[Fraction(x) for x in vec] for vec in term] for term in rep["factorization"]["terms"]]
+        assert [[sum(w[i] * h[j] for w, h in terms) for j in range(3)] for i in range(3)] == rows
+
+
+# a product of nonnegative 8x4 and 4x7 integer matrices: rank 4, and neither
+# exact stage (they run at rank 3 and on separable inputs) finds a witness
+RANK4_PRODUCT = [
+    [24, 18, 18, 6, 28, 18, 2],
+    [3, 4, 2, 2, 4, 2, 3],
+    [22, 20, 18, 6, 27, 16, 4],
+    [14, 20, 12, 8, 20, 10, 12],
+    [14, 18, 12, 4, 17, 6, 6],
+    [15, 7, 5, 5, 13, 8, 3],
+    [31, 29, 21, 9, 34, 16, 9],
+    [5, 2, 2, 2, 5, 4, 1],
+]
+
+
+def test_a_rank_4_product_past_float_range_keeps_the_trivial_bound(tmp_path, capsys):
+    path = write_matrix(tmp_path / "m.json", [[x * 10**400 for x in row] for row in RANK4_PRODUCT])
+    code, out, err = run(capsys, "mr", "--matrix", path)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 7, "trivial")
+    assert "factorization" not in rep
+
+
+@st.composite
+def mixed_products(draw):
+    """W @ H, n x k times k x m, mostly with k < n, m so that the bracket
+    has a gap and `mr` searches.  A factor entry is c * 10^e, 0 <= c <= 9
+    and |e| <= 200, e within a drawn spread of a drawn shift: the products' entries
+    sit near 10^-400, 1, 10^250 or 10^400, or mix 10^-400 .. 10^400."""
+    shift, spread = draw(st.sampled_from([-200, 0, 125, 200])), draw(st.sampled_from([0, 1, 200]))
+    exponents = st.integers(max(-200, shift - spread), min(200, shift + spread))
+    factor = st.builds(lambda c, e: c * Fraction(10) ** e, st.integers(0, 9), exponents)
+    n, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    w = [[draw(factor) for _ in range(k)] for _ in range(n)]
+    h = [[draw(factor) for _ in range(m)] for _ in range(k)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*h)] for row in w]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mixed_products())
+@example(RANK4_PRODUCT)
+@example([[x * 10**250 for x in row] for row in RANK4_PRODUCT])
+@example([[x * 10**400 for x in row] for row in RANK4_PRODUCT])
+@example([[Fraction(x, 10**400) for x in row] for row in RANK4_PRODUCT])
+def test_mr_on_entries_from_1e_minus_400_to_1e400_reports_a_bracket(tmp_path, capsys, rows):
+    # no traceback, and any witness reproduces the matrix: exactly when it
+    # is written as "p/q" strings, within the search's relative 1e-6 (and
+    # float rounding) when it is written as floats
+    code, out, err = run(capsys, "mr", "--matrix", write_matrix(tmp_path / "m.json", rows), "--budget", "0.1")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["lower"] <= rep["upper"]
+    if "factorization" in rep:
+        terms = rep["factorization"]["terms"]
+        got = [[sum(Fraction(w[i]) * Fraction(h[j]) for w, h in terms) for j in range(len(row))] for i, row in enumerate(rows)]
+        miss = max(abs(a - b) for got_row, row in zip(got, rows) for a, b in zip(got_row, row))
+        if terms and isinstance(terms[0][0][0], str):
+            assert rep["upperStatus"] == "exact" and miss == 0
+        else:
+            assert miss <= Fraction(1001, 10**9) * max(map(max, rows))
+
+
+def test_gen_edm_with_a_square_too_long_to_print_exits_2_with_one_line(capsys):
+    # 10^2200 passes the literal guard, but its square has 4,401 digits
+    code, out, err = run(capsys, "gen", "edm", "--values", "1e2200,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):

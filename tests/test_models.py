@@ -41,8 +41,9 @@ from mrw.models import (
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
+    reduced_key,
 )
-from mrw.numkit import NonnegFactorization, nmf_search, verify_nonneg_factorization
+from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
 
 
@@ -201,7 +202,7 @@ def test_empty_models_raise_validation_error():
     zero = RatMatrix(2, 2, [0] * 4)
     # nmf_search returns the zero-term factorization for an all-zero matrix
     with pytest.raises(ValidationError):
-        hv_model_from_factorization(zero, nmf_search(zero, 1))
+        hv_model_from_factorization(zero, nmf_search(zero, 1, SearchBudget(restarts=1, iterations=1)))
     with pytest.raises(ValidationError):
         HiddenVariableModel((), (), ())
 
@@ -454,9 +455,8 @@ def assert_batched_depths_match(grids, oracle):
     oracle."""
     by_shape: dict[tuple[int, int], list] = {}
     for grid in grids:
-        cols = distinct_columns(row_masks(grid), len(grid[0]))
-        rows = distinct_columns(cols, len(grid))
-        by_shape.setdefault((len(rows), len(cols)), []).append((rows, grid))
+        rows, ncols = reduced_key(row_masks(grid), len(grid[0]))
+        by_shape.setdefault((len(rows), ncols), []).append((rows, grid))
     for (_, ncols), group in by_shape.items():
         depths = reduced_depths([rows for rows, _ in group], ncols)
         assert len(depths) == len(group)

@@ -22,6 +22,7 @@ from mrw.constructions import (
     divisibility_tensor,
     edm,
 )
+from mrw.dtensor import DenseTensor
 from mrw.errors import DimensionError, UnsupportedRankError, ValidationError
 from mrw.numkit import (
     NonnegFactorization,
@@ -83,67 +84,59 @@ def test_spectral_split_rejects_bad_input():
         antisym_spectral(ScaledAntisymmetric(RatMatrix(2, 2, [0] * 4), Fraction(1)))
 
 
-def test_nmf_trivial_cases():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    fact = nmf_search(swap, 2)
+def test_nmf_trivial_cases(monkeypatch):
+    # both exact stages settle these, so they are turned off to reach the
+    # float search
+    monkeypatch.setattr(numkit, "_separable_factorization", lambda *args: None)
+    monkeypatch.setattr(numkit, "_triangle_factorization", lambda *args: None)
+    budget = SearchBudget(restarts=16, iterations=3000)
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
+    fact = nmf_search(swap, 2, budget)
     assert fact is not None and fact.r == 2
     assert verify_nonneg_factorization(swap, fact, 1e-6).passed
 
-    rank1 = np.outer([1.0, 2.0, 3.0], [4.0, 0.5, 2.0])
-    fact = nmf_search(rank1, 1)
+    rank1 = RatMatrix.from_rows([[a * b for b in (4, Fraction(1, 2), 2)] for a in (1, 2, 3)])
+    fact = nmf_search(rank1, 1, budget)
     assert fact is not None
-    assert verify_nonneg_factorization(rank1, fact, 1e-5 * rank1.max()).passed
+    assert verify_nonneg_factorization(rank1, fact, 1e-5 * max(rank1.entries)).passed
 
 
 def test_nmf_rejects_negative_input():
     with pytest.raises(ValidationError):
-        nmf_search(np.array([[1.0, -0.1], [0.0, 1.0]]), 1)
+        nmf_search(RatMatrix.from_rows([[1, Fraction(-1, 10)], [0, 1]]), 1, SMALL_BUDGET)
+
+
+def test_nmf_takes_only_a_rat_matrix():
+    for m in (np.ones((2, 2)), [[1, 0], [0, 1]], DenseTensor((2, 2), [1, 0, 0, 1])):
+        with pytest.raises(ValidationError, match="RatMatrix"):
+            nmf_search(m, 2, SMALL_BUDGET)
 
 
 def test_nmf_zero_matrix():
-    fact = nmf_search(np.zeros((3, 3)), 2)
+    fact = nmf_search(RatMatrix(3, 3, [0] * 9), 2, SMALL_BUDGET)
     assert fact is not None and fact.r == 0
 
 
-def test_nmf_deterministic_given_seed():
+def test_nmf_deterministic_given_seed(monkeypatch):
+    monkeypatch.setattr(numkit, "_NMF_SEED", 5)
+    monkeypatch.setattr(numkit, "_NMF_TOL", 1e-3)
     m = edm(EdmSpec.integers(6))
     budget = SearchBudget(restarts=3, iterations=300)
-    a = nmf_search(m, 6, budget=budget, seed=5, tol=1e-3)
-    b = nmf_search(m, 6, budget=budget, seed=5, tol=1e-3)
+    a = nmf_search(m, 6, budget)
+    b = nmf_search(m, 6, budget)
     assert (a is None) == (b is None)
     if a is not None:
         assert a.terms == b.terms
 
 
-def test_nmf_distance_matrix_witness():
+def test_nmf_distance_matrix_witness(monkeypatch):
     # compact version of the flagship search: 8x8 distance matrix at r = 8
+    monkeypatch.setattr(numkit, "_NMF_TOL", 1e-3)
     m = edm(EdmSpec.integers(8))
-    fact = nmf_search(m, 8, budget=SearchBudget(restarts=6, iterations=1500), tol=1e-3)
+    fact = nmf_search(m, 8, SearchBudget(restarts=6, iterations=1500))
     assert fact is not None
     vmax = float(max(m.entries))
     assert verify_nonneg_factorization(m, fact, 1e-3 * vmax).passed
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_nmf_rejects_non_finite_entries_before_any_sweep(monkeypatch, bad):
-    def no_sweeps(*args):
-        raise AssertionError("swept a matrix with a non-finite entry")
-
-    monkeypatch.setattr(numkit, "_hals_sweeps", no_sweeps)
-    m = np.ones((3, 3))
-    m[1, 2] = bad
-    with pytest.raises(ValidationError, match="finite"):
-        nmf_search(m, 2)
-
-
-@pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf])
-def test_nmf_rejects_bad_tol_before_any_sweep(monkeypatch, tol):
-    def no_sweeps(*args):
-        raise AssertionError("swept with a bad tol")
-
-    monkeypatch.setattr(numkit, "_hals_sweeps", no_sweeps)
-    with pytest.raises(ValidationError, match="tol"):
-        nmf_search(np.ones((3, 3)), 1, tol=tol)
 
 
 @pytest.mark.parametrize("field", ["restarts", "iterations"])
@@ -204,11 +197,13 @@ def test_nmf_stops_sweeping_at_tol_and_skips_the_polish(monkeypatch):
 
     monkeypatch.setattr(numkit, "_hals_sweeps", count_sweeps)
     monkeypatch.setattr(numkit, "_chebyshev_refit", no_refit)
-    rank1 = np.outer([1.0, 2.0, 3.0, 0.5], [4.0, 0.5, 2.0])
+    # the separable stage settles rank 1, so it is turned off
+    monkeypatch.setattr(numkit, "_separable_factorization", lambda *args: None)
+    rank1 = RatMatrix.from_rows([[a * b for b in (4, Fraction(1, 2), 2)] for a in (1, 2, 3, Fraction(1, 2))])
     budget = SearchBudget(restarts=2, iterations=400)
-    fact = nmf_search(rank1, 1, budget=budget)
+    fact = nmf_search(rank1, 1, budget)
     assert fact is not None
-    assert verify_nonneg_factorization(rank1, fact, 1e-6 * rank1.max()).passed
+    assert verify_nonneg_factorization(rank1, fact, 1e-6 * max(rank1.entries)).passed
     assert sum(swept) < budget.iterations
 
 
@@ -248,7 +243,10 @@ def full_budget_nmf_search(v, r, budget, seed=1729, tol=1e-6):
     return False
 
 
-def test_nmf_stop_at_tol_loses_no_success():
+def test_nmf_stop_at_tol_loses_no_success(monkeypatch):
+    # r is the rank, so the exact stages are turned off to reach the float search
+    monkeypatch.setattr(numkit, "_separable_factorization", lambda *args: None)
+    monkeypatch.setattr(numkit, "_triangle_factorization", lambda *args: None)
     budget = SearchBudget(restarts=2, iterations=100)
     found = 0
     for seed in range(12):
@@ -260,10 +258,11 @@ def test_nmf_stop_at_tol_loses_no_success():
             k = 2 + seed % 2
             v = (rng.integers(0, 5, size=(nrow, k)) @ rng.integers(0, 5, size=(k, ncol))).astype(float)
         r = int(np.linalg.matrix_rank(v))
-        fact = nmf_search(v, r, budget=budget)
+        m = RatMatrix.from_rows(v.astype(int).tolist())
+        fact = nmf_search(m, r, budget)
         if fact is not None:
             found += 1
-            assert verify_nonneg_factorization(v, fact, 1e-6 * v.max()).passed, seed
+            assert verify_nonneg_factorization(m, fact, 1e-6 * v.max()).passed, seed
         elif full_budget_nmf_search(v, r, budget):
             pytest.fail(f"seed {seed}: the full-budget search succeeds, the search that stops at tol fails")
     assert found >= 6
@@ -324,14 +323,14 @@ def assert_exact_witness(m: RatMatrix, r: int, fact) -> None:
 def test_every_nonnegative_matrix_of_rank_at_most_two_gets_an_exact_witness(m):
     r = sympy_rank(m)
     assume(r > 0)
-    assert_exact_witness(m, r, nmf_search(m, r, budget=SMALL_BUDGET))
+    assert_exact_witness(m, r, nmf_search(m, r, SMALL_BUDGET))
 
 
 @given(planted_separable_products())
 def test_planted_separable_products_get_an_exact_witness(case):
     m, r = case
     assume(sympy_rank(m) == r)
-    assert_exact_witness(m, r, nmf_search(m, r, budget=SMALL_BUDGET))
+    assert_exact_witness(m, r, nmf_search(m, r, SMALL_BUDGET))
 
 
 def test_a_cone_with_a_nearly_extreme_column_gets_its_own_generators():
@@ -342,7 +341,7 @@ def test_a_cone_with_a_nearly_extreme_column_gets_its_own_generators():
     # apart exactly; at n = 10^30 their float points are equal
     for n in (10**8, 10**30):
         m = RatMatrix.from_rows([[1, 1, n, n], [1, 2, n - 1, 2 * n]])
-        fact = nmf_search(m, 2)
+        fact = nmf_search(m, 2, SMALL_BUDGET)
         assert_exact_witness(m, 2, fact)
         assert [w for w, _ in fact.terms] == [(1, 2), (n, n - 1)]
 
@@ -388,8 +387,11 @@ def test_the_successive_projection_pick_matches_every_subset_enumerated(m):
 def test_target_other_than_rank_gets_the_float_search(m, shift):
     r = sympy_rank(m) + shift
     assume(r >= 1)
-    exact = nmf_search(m, r, budget=SMALL_BUDGET)
-    floats = nmf_search(np.array(m.to_float_rows()), r, budget=SMALL_BUDGET)
+    exact = nmf_search(m, r, SMALL_BUDGET)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numkit, "_separable_factorization", lambda *args: None)
+        mp.setattr(numkit, "_triangle_factorization", lambda *args: None)
+        floats = nmf_search(m, r, SMALL_BUDGET)
     assert (exact is None) == (floats is None)
     if exact is not None:
         assert exact.terms == floats.terms and not exact.is_rational()
@@ -400,21 +402,38 @@ SLACK_SQUARE = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
 
 def test_float_and_non_separable_inputs_skip_the_exact_stage(monkeypatch):
     # the slack matrix of a square: rank 3 and monotone rank 4, so neither
-    # exact stage finds a witness and the float search runs as for floats
-    # (its loose tol lets the float search return one)
+    # exact stage finds a witness and the float search runs as with both
+    # stages off (its loose tol lets the float search return one)
+    monkeypatch.setattr(numkit, "_NMF_TOL", 0.4)
     m = RatMatrix.from_rows(SLACK_SQUARE)
     assert numkit._separable_factorization(m, 3, numkit._column_points(m)) is None
     assert numkit._triangle_factorization(m, numkit._column_points(m)) is None
     budget = SearchBudget(restarts=2, iterations=400)
-    exact = nmf_search(m, 3, budget=budget, tol=0.4)
-
-    def no_stage(*args):
-        raise AssertionError("a float input reached the exact stage")
-
-    monkeypatch.setattr(numkit, "_separable_factorization", no_stage)
-    monkeypatch.setattr(numkit, "_triangle_factorization", no_stage)
-    floats = nmf_search(np.array(m.to_float_rows()), 3, budget=budget, tol=0.4)
+    exact = nmf_search(m, 3, budget)
+    monkeypatch.setattr(numkit, "_separable_factorization", lambda *args: None)
+    monkeypatch.setattr(numkit, "_triangle_factorization", lambda *args: None)
+    floats = nmf_search(m, 3, budget)
     assert exact is not None and exact.terms == floats.terms
+
+
+@pytest.mark.parametrize("scale", [Fraction(10) ** 400, Fraction(10) ** -400])
+def test_entries_no_float_holds_get_no_float_search(monkeypatch, scale):
+    # past float range, or all underflowing to 0: the exact stages still
+    # run, and with no witness from them the search is None, unswept
+    def no_sweeps(*args):
+        raise AssertionError("swept a float copy that does not hold the matrix")
+
+    monkeypatch.setattr(numkit, "_hals_sweeps", no_sweeps)
+    m = RatMatrix.from_rows([[x * scale for x in row] for row in SLACK_SQUARE])
+    assert nmf_search(m, 3, SMALL_BUDGET) is None
+    rank1 = RatMatrix.from_rows([[scale, scale], [scale, scale]])
+    assert_exact_witness(rank1, 1, nmf_search(rank1, 1, SMALL_BUDGET))
+
+
+def test_a_float_search_that_overflows_to_nan_finds_nothing():
+    # entries near 1e250 fit a float, but the sweeps' products overflow
+    m = RatMatrix.from_rows([[x * 10**250 for x in row] for row in SLACK_SQUARE])
+    assert nmf_search(m, 3, SMALL_BUDGET) is None
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +514,11 @@ def test_exact_stage_past_the_subset_cap_lists_no_subset(monkeypatch):
 
     monkeypatch.setattr(numkit, "combinations", no_subsets)
     budget = SearchBudget(restarts=1, iterations=10)
-    assert_exact_witness(planted, 8, nmf_search(planted, 8, budget=budget))
+    assert_exact_witness(planted, 8, nmf_search(planted, 8, budget))
     assert numkit._separable_factorization(mixed, 8, numkit._column_points(mixed)) is None
-    exact = nmf_search(mixed, 8, budget=budget)
-    floats = nmf_search(np.array(mixed.to_float_rows()), 8, budget=budget)
+    exact = nmf_search(mixed, 8, budget)
+    monkeypatch.setattr(numkit, "_separable_factorization", lambda *args: None)
+    floats = nmf_search(mixed, 8, budget)
     assert (exact is None) == (floats is None)
     if exact is not None:
         assert exact.terms == floats.terms
@@ -515,7 +535,7 @@ def test_a_separable_rank_3_input_with_32_directions_gets_its_column_witness():
     m = product_matrix(w, list(zip(*cols)))
     assert sympy_rank(m) == 3
     assert len({tuple(Fraction(x) / max(col) for x in col) for col in zip(*m.iter_rows())}) == 32
-    fact = nmf_search(m, 3, budget=SMALL_BUDGET)
+    fact = nmf_search(m, 3, SMALL_BUDGET)
     assert_exact_witness(m, 3, fact)
     assert {w for w, _ in fact.terms} <= set(zip(*m.iter_rows()))
 
@@ -655,7 +675,7 @@ def test_reconstruct_exact_matches_outer_product_sum(fact):
 
 
 def test_cp_als_rank_one_exact():
-    t = np.einsum("i,j,k->ijk", [1.0, 2.0], [3.0, 1.0], [0.5, 4.0])
+    t = DenseTensor((2, 2, 2), [a * b * c for a in (1, 2) for b in (3, 1) for c in (Fraction(1, 2), 4)])
     assert cp_als(t, 1).residual < 1e-10
 
 
@@ -671,7 +691,7 @@ def test_cp_als_divisibility_fit_and_rank1_floor():
 
 def test_cp_als_rejects_matrices():
     with pytest.raises(ValidationError):
-        cp_als(np.ones((3, 3)), 1)
+        cp_als(RatMatrix(3, 3, [1] * 9), 1)
 
 
 def test_cp_als_deterministic():

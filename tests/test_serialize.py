@@ -10,13 +10,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mrw.constructions import DivTensorSpec, EdmSpec, divisibility_tensor, edm
-from mrw.errors import ParseError
+from mrw.dtensor import DenseTensor
+from mrw.errors import CapacityError, ParseError
 from mrw.numkit import NonnegFactorization
-from mrw.ratlinalg import as_exact
+from mrw.ratlinalg import RatMatrix, as_exact
 from mrw.serialize import (
     _clip,
     _parse_exact_entry,
     canonical_dumps,
+    exact_text,
     factorization_to_obj,
     load_json_file,
     matrix_to_obj,
@@ -156,3 +158,22 @@ def test_factorization_round_trip_float_and_rational():
     floats = NonnegFactorization(dims=(1, 1), terms=(((0.5,), (2.0,)),))
     with pytest.raises(ParseError):
         factorization_to_obj(floats, rational=True)
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(1, 10**400)])
+def test_a_rational_witness_no_float_holds_is_emitted_exact(big):
+    fact = NonnegFactorization(dims=(2, 1), terms=(((big, Fraction(1, 2)), (1,)),))
+    obj = {"order": 2, "dims": [2, 1], "terms": [[[str(big), "1/2"], ["1"]]]}
+    assert factorization_to_obj(fact) == factorization_to_obj(fact, rational=True) == obj
+
+
+def test_an_entry_too_long_to_print_is_refused_by_every_emitter():
+    huge = 10**4400
+    for emit in (
+        lambda: matrix_to_obj(RatMatrix(1, 2, [huge, 0])),
+        lambda: tensor_to_obj(DenseTensor((1, 2), [0, Fraction(1, huge)])),
+        lambda: factorization_to_obj(NonnegFactorization(dims=(1, 1), terms=(((huge,), (1,)),))),
+    ):
+        with pytest.raises(CapacityError, match="digits"):
+            emit()
+    assert exact_text(Fraction(-3, 4)) == "-3/4" and exact_text(10**4000) == "1" + "0" * 4000

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mrw.verify as verify
 from mrw.bounds import box_cover_exact, support_pattern
-from mrw.models import dcc_exact_2party
+from mrw.models import dcc_exact_2party, reduced_key
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
@@ -48,8 +48,8 @@ def sabotage_one_key(monkeypatch, target: tuple[tuple[int, ...], int]):
 def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
     # the 2x2 identity's key (rank 2, so depth 0 breaks the chain) is held by
     # several states; the first in enumeration order is the one reported
-    target = verify._chain_key((1, 2), 2)
-    holders = [(nc, rows) for nc, rows in verify._chain_states(3) if verify._chain_key(rows, nc) == target]
+    target = reduced_key((1, 2), 2)
+    holders = [(nc, rows) for nc, rows in verify._chain_states(3) if reduced_key(rows, nc) == target]
     assert len(holders) > 1
     sabotage_one_key(monkeypatch, target)
     ok, observed, _ = verify.check_log_rank_chain("small", 1)
@@ -59,10 +59,10 @@ def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
 def test_a_sabotaged_random_key_is_reported_as_random(monkeypatch):
     # the key of the first random 5x5 at seed 1 is held by no state up to
     # 3x3, so the first state holding it is a random one
-    keys = {verify._chain_key(rows, nc) for nc, rows in verify._chain_states(3)}
+    keys = {reduced_key(rows, nc) for nc, rows in verify._chain_states(3)}
     rng = np.random.default_rng(1 + 23)
     grid = rng.integers(0, 2, size=(5, 5))
-    first = verify._chain_key(tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in grid), 5)
+    first = reduced_key(tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in grid), 5)
     assert first not in keys
     sabotage_one_key(monkeypatch, first)
     ok, observed, _ = verify.check_log_rank_chain("small", 1)
@@ -90,7 +90,7 @@ def test_chain_states_are_the_distinct_row_sets():
     for side, count, keys in ((3, 109, 28), (4, 2696, 334)):
         states = list(verify._chain_states(side))
         assert len(states) == count and set(states) == decoded_states(side)
-        assert len({verify._chain_key(rows, nc) for nc, rows in states}) == keys
+        assert len({reduced_key(rows, nc) for nc, rows in states}) == keys
 
 
 def chain_invariants(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
@@ -99,7 +99,7 @@ def chain_invariants(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
 
 
 def assert_key_keeps_invariants(rows: tuple[int, ...], ncols: int):
-    key_rows, key_cols = verify._chain_key(rows, ncols)
+    key_rows, key_cols = reduced_key(rows, ncols)
     assert list(key_rows) == sorted(set(key_rows)) and key_cols <= ncols
     assert chain_invariants(rows, ncols) == chain_invariants(key_rows, key_cols), (rows, ncols)
 
