@@ -7,15 +7,18 @@ decomposition yields r support-contained boxes covering the support).  The
 cover number itself is solved exactly when the support is small.  One
 closure enumeration finds the maximal boxes of matrices and tensors alike
 (for a matrix they are the formal concepts of its support).  A box system
-(those boxes as bitmasks over the cells, with per-cell covering lists and a
-fixed pivot order) is built once per pattern, and one
+(those boxes as bitmasks over the cells, each one AND over the modes of the
+ORed cell masks of its values, with per-cell covering lists and a fixed
+pivot order) is built once per pattern, and one
 iterative-deepening search over it runs from the best certified bound up to
 the greedy cover.  The certified bounds are the counting bound
 ceil(|support| / max-box-size) and, for matrices, the crown bound: an
 induced copy of the m x m off-diagonal pattern (the crown) needs kappa(m)
 boxes, the least k with C(k, floor(k/2)) >= m (de Caen, Gregory and Pullman
-1981, by Sperner's theorem).  Past the cap we fall back to these bounds,
-never to a heuristic.
+1981, by Sperner's theorem).  Inside a matrix search the greedy crown also
+refutes nodes: an uncovered set holding the crossing cells of
+C(d, floor(d/2)) + 1 of its zeros needs more than d boxes.  Past the cap we
+fall back to these bounds, never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
 factorization, or a factorization from `nmf_search` (exact when r columns
@@ -28,8 +31,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, product
 from math import comb, prod
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -46,6 +51,10 @@ assert EXACT_CELL_CAP <= 64
 # a node with fewer children prunes them one at a time: for so few, numpy's
 # per-call overhead costs more than the scalar scans it saves
 _BATCH_MIN_CHILDREN = 8
+# a box system with fewer boxes, and a family with fewer closures, is read
+# in plain Python: on the many tiny systems of the verify suite, numpy's
+# per-call overhead costs more than it saves
+_NUMPY_MIN_BOXES = 32
 _CLOSURE_SIDE_CAP = 16
 
 Box = tuple[tuple[int, ...], ...]
@@ -119,6 +128,13 @@ def _closures(lines: Iterable[int]) -> set[int]:
     return found
 
 
+def _marked(values: Sequence[int], member: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row of a boolean matrix as the tuple of the `values` it marks."""
+    flat = np.asarray(values)[np.nonzero(member)[1]].tolist()  # row by row, in column order
+    ends = np.cumsum(member.sum(1)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     """All maximal boxes inside a nonempty set of cells of one order.
 
@@ -128,32 +144,47 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     slice holding B, so recursing into each closure finds every maximal box
     (some more than once) and nothing else.  When the rests have at most one
     mode left, the closure is itself a box, so B is the closure (its rests'
-    values) and no recursion runs.  Each level consumes a mode with two or
-    more values, so the recursion is no deeper than there are such modes (at
-    most 20 under the 2^20 entry guard).
+    values) and no recursion runs; from _NUMPY_MIN_BOXES closures on, every
+    box's R and B are read off one boolean matrix each.  Each level consumes
+    a mode with two or more values, so the recursion is no deeper than there
+    are such modes (at most 20 under the 2^20 entry guard).
     """
     first = next(iter(cells))
     lead = next((m for m in range(len(first)) if any(c[m] != first[m] for c in cells)), None)
     if lead is None:
         return {tuple((v,) for v in first)}
     prefix = tuple((v,) for v in first[:lead])
-    rests = sorted({c[lead + 1 :] for c in cells})
+    if lead == len(first) - 1:
+        # only the last mode varies: the cells are one box
+        return {prefix + (tuple(sorted({c[lead] for c in cells})),)}
+    last = lead == len(first) - 2
+    # a rest is the cell past the lead: its last value when one mode is left
+    rest_of = itemgetter(lead + 1 if last else slice(lead + 1, None))
+    rests = sorted(set(map(rest_of, cells)))
     bit = {r: 1 << k for k, r in enumerate(rests)}
     slices: dict[int, int] = {}
     for c in cells:
-        slices[c[lead]] = slices.get(c[lead], 0) | bit[c[lead + 1 :]]
+        slices[c[lead]] = slices.get(c[lead], 0) | bit[rest_of(c)]
     ordered = sorted(slices.items())
-    last = len(first) - lead <= 2
+    closures = _closures(slices.values())
     boxes: set[Box] = set()
-    for closure in _closures(slices.values()):
-        inside = [r for r in rests if closure & bit[r]]
-        if last:
-            found = [(tuple(zip(*inside)), closure)]
-        else:
-            found = [(b, sum(bit[r] for r in product(*b))) for b in _maximal_boxes(inside)]
-        for rest_box, mask in found:
-            rows = tuple(i for i, s in ordered if s & mask == mask)
-            boxes.add(prefix + (rows,) + rest_box)
+    if not last:
+        for closure in closures:
+            for rest_box in _maximal_boxes([r for r in rests if closure & bit[r]]):
+                mask = sum(bit[r] for r in product(*rest_box))
+                rows = tuple([i for i, s in ordered if s & mask == mask])
+                boxes.add(prefix + (rows,) + rest_box)
+    elif len(closures) < _NUMPY_MIN_BOXES:
+        values = list(bit.items())
+        for closure in closures:
+            rows = tuple([i for i, s in ordered if s & closure == closure])
+            boxes.add(prefix + (rows, tuple([v for v, b in values if closure & b])))
+    else:
+        words = np.array(list(closures), dtype=np.uint64)[:, None]
+        held = (np.array([s for _, s in ordered], dtype=np.uint64) & words) == words
+        inside = (words >> np.arange(len(rests), dtype=np.uint64)) & np.uint64(1) == 1
+        rows = _marked([i for i, _ in ordered], held)
+        boxes.update(prefix + pair for pair in zip(rows, _marked(rests, inside)))
     return boxes
 
 
@@ -316,70 +347,148 @@ class _BoxSystem:
     the box masks, the boxes covering each cell, the fixed pivot order (cells
     by number of covering boxes, then index: those counts never change during
     the search) and the (popcount, mask) pairs, largest first.
+
+    A box's mask is one AND over the modes of the OR of its values' slabs,
+    the slab of value v in mode m being the mask of the cells holding v
+    there.  The covering lists and the pivot order are read off the masks
+    when a search first asks for them.  A system of at least
+    _NUMPY_MIN_BOXES boxes also keeps its masks as uint64 words, and reads
+    its covering lists, sizes and greedy gains from them with numpy.
     """
 
     def __init__(self, boxes: list[Box], cells: list[tuple[int, ...]]):
-        cell_ix = {c: i for i, c in enumerate(cells)}
         self.boxes = boxes
-        self.masks: list[int] = []
-        self.covering: list[list[int]] = [[] for _ in cells]
-        covering = self.covering
-        for bi, box in enumerate(boxes):
-            mask = 0
-            for cell in product(*box):
-                ci = cell_ix[cell]
-                mask |= 1 << ci
-                covering[ci].append(bi)
-            self.masks.append(mask)
-        self.full = (1 << len(cells)) - 1
-        # sorted() is stable, so equal counts stay in index order
-        self.pivot_order = sorted(range(len(cells)), key=lambda ci: len(covering[ci]))
-        self.by_size = sorted(((mask.bit_count(), mask) for mask in self.masks), reverse=True)
+        self.full = full = (1 << len(cells)) - 1
+        self.slabs: list[dict[int, int]] = []
+        for values in zip(*cells):
+            slab: dict[int, int] = {}
+            for ci, v in enumerate(values):
+                slab[v] = slab.get(v, 0) | 1 << ci
+            self.slabs.append(slab)
+        # a mode with one value holds every cell of every box
+        live = [(m, slab) for m, slab in enumerate(self.slabs) if len(slab) > 1]
+        masks = self.masks = []
+        for box in boxes:
+            mask = full
+            for m, slab in live:
+                term = 0
+                for v in box[m]:
+                    term |= slab[v]
+                mask &= term
+            masks.append(mask)
+        if len(boxes) >= _NUMPY_MIN_BOXES:
+            self.words = np.array(masks, dtype=np.uint64)
+            sizes = np.bitwise_count(self.words).tolist()
+        else:
+            self.words = None
+            sizes = [mask.bit_count() for mask in masks]
+        self.by_size = sorted(zip(sizes, masks), reverse=True)
         self.counting = _counting_bound(len(cells), self.by_size[0][0])
+
+    @cached_property
+    def covering(self) -> list[Sequence[int]]:
+        """The boxes covering each cell, in ascending order."""
+        n = self.full.bit_length()
+        if self.words is not None:
+            held = (self.words >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1) == 1  # cell x box
+            return _marked(np.arange(len(self.boxes)), held)
+        covering: list[list[int]] = [[] for _ in range(n)]
+        for bi, mask in enumerate(self.masks):
+            while mask:
+                low = mask & -mask
+                covering[low.bit_length() - 1].append(bi)
+                mask ^= low
+        return covering
+
+    @cached_property
+    def pivot_order(self) -> list[int]:
+        covering = self.covering
+        # sorted() is stable, so equal counts stay in index order
+        return sorted(range(len(covering)), key=lambda ci: len(covering[ci]))
 
     def greedy_cover(self) -> tuple[Box, ...]:
         """Greedy set cover: largest marginal gain, ties by box index."""
-        masks, uncovered = self.masks, self.full
+        masks, words, uncovered = self.masks, self.words, self.full
         picked: list[Box] = []
         while uncovered:
-            gains = [(mask & uncovered).bit_count() for mask in masks]
-            best = gains.index(max(gains))  # the first of the largest
+            if words is None:
+                gains = [(mask & uncovered).bit_count() for mask in masks]
+                best = gains.index(max(gains))  # the first of the largest
+            else:
+                gains = np.bitwise_count(words & np.uint64(uncovered))
+                best = int(gains.argmax())  # the first of the largest
             if not gains[best]:
                 raise ValidationError("boxes do not cover the support")
             picked.append(self.boxes[best])
             uncovered &= ~masks[best]
         return tuple(picked)
 
-    def deepen(self, start: int, upper: int, node_budget: int) -> tuple[int, tuple[Box, ...] | None, int]:
+    def _certificates(self, crown: Crown, deepest: int) -> dict[int, list[int]]:
+        """Crown certificates: for each depth 2 <= d <= `deepest` with
+        C(d, floor(d/2)) < len(crown), the masks of the crossing cells
+        (r_i, c_j), i != j, of every C(d, floor(d/2)) + 1 zeros of `crown`.
+
+        An uncovered set U holding one of them needs more than d boxes.  Let
+        A_i (B_i) be the boxes of a d-box cover of U that hold row r_i
+        (column c_i).  A box is a product inside the support, so A_i and B_i
+        are disjoint ((r_i, c_i) is a zero), and A_i meets B_j for i != j (a
+        box covers (r_i, c_j)).  By the set-pair inequality of Bollobás (as
+        used by de Caen, Gregory and Pullman) there are at most
+        C(d, floor(d/2)) such pairs.  At d = 1 the counting prune is exact, so
+        it already refutes every set a certificate would.  The crossing cells
+        of a set S of zeros are the cells in both the rows and the columns of
+        S, so each set's masks are grown from its prefix, one zero at a time.
+        """
+        sizes = {comb(d, d // 2) + 1: d for d in range(2, deepest + 1) if comb(d, d // 2) < len(crown)}
+        certs: dict[int, list[int]] = {}
+        if not sizes:
+            return certs
+        rows, cols = self.slabs
+        lines = [(rows[r], cols[c]) for r, c in crown]
+        # the sets of one size as (index past their last zero, rows, columns)
+        level = [(i + 1, r, c) for i, (r, c) in enumerate(lines)]
+        for size in range(2, max(sizes) + 1):
+            level = [(j + 1, r | lines[j][0], c | lines[j][1]) for nxt, r, c in level for j in range(nxt, len(lines))]
+            if size in sizes:
+                certs[sizes[size]] = [r & c for _, r, c in level]
+        return certs
+
+    def deepen(
+        self, start: int, upper: int, node_budget: int, crown: Crown | None = None
+    ) -> tuple[int, tuple[Box, ...] | None, int]:
         """Iterative deepening for a cover of fewer than `upper` boxes.
 
         Tries depths from `start`, a certified lower bound no smaller than the
         counting bound, upwards with a depth-first search that memoizes
         refuted uncovered sets, refutes an uncovered set U at depth d when no
-        box covers ceil(|U| / d) of its cells, and branches on the first
-        uncovered cell in pivot order.  Returns (depth, cover,
-        nodes): the first depth with a cover and that cover; `upper` and None
-        when every smaller depth is refuted; or the depth being refuted and
-        None when `node_budget` nodes were expanded first.
+        box covers ceil(|U| / d) of its cells or when U holds one of the
+        certificates of `crown` (an induced crown of a matrix pattern, see
+        `_certificates`) for d, and branches on the first uncovered cell in
+        pivot order.  Returns (depth, cover, nodes): the first depth with a
+        cover and that cover; `upper` and None when every smaller depth is
+        refuted; or the depth being refuted and None when `node_budget` nodes
+        were expanded first.  Both refutations are sound and the order is
+        fixed, so the certificates change `nodes` but never the cover found.
 
         An expanded node orders its children (fewest uncovered cells first,
         ties by box index).  When its pivot has at least _BATCH_MIN_CHILDREN
-        covering boxes (one child each), it computes the counting prune of all
+        covering boxes (one child each), it computes both refutations of all
         children in one numpy pass over uint64 masks; otherwise each child
-        runs the scalar `_some_box_covers`.  Either way the children are then
-        visited one at a time, so the nodes, their order and the memo are the
-        same on both paths.
+        runs the scalar `_some_box_covers` and certificate scan.  Either way
+        the children are then visited one at a time, so the nodes, their
+        order and the memo are the same on both paths.
         """
         if start >= upper:
             return start, None, 0
         masks, covering, pivot_order, by_size = self.masks, self.covering, self.pivot_order, self.by_size
+        certs = self._certificates(crown, upper - 2) if crown is not None else {}
         wide = [len(boxes) >= _BATCH_MIN_CHILDREN for boxes in covering]
         if any(wide):
-            words = np.array(masks, dtype=np.uint64)
-            cov_ix = [np.array(c, dtype=np.intp) for c in covering]
-            cov_words = [words[c] for c in cov_ix]
+            words = self.words if self.words is not None else np.array(masks, dtype=np.uint64)
+            pivot_words: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # pivot -> its boxes, their words inverted
             big_words = np.array([mask for _, mask in by_size], dtype=np.uint64)
             neg_sizes = [-size for size, _ in by_size]  # ascending, for bisect
+            cert_words = {d: np.array(c, dtype=np.uint64) for d, c in certs.items()}
         memo: dict[int, int] = {}
         nodes = 0
 
@@ -388,20 +497,29 @@ class _BoxSystem:
             nonlocal nodes
             pivot = next(ci for ci in pivot_order if uncovered >> ci & 1)
             d = depth - 1
+            cert = certs.get(d, ())
             passes = None
             if wide[pivot]:
-                left = np.uint64(uncovered) & ~cov_words[pivot]
+                if pivot not in pivot_words:
+                    ix = np.array(covering[pivot], dtype=np.intp)
+                    pivot_words[pivot] = ix, ~words[ix]
+                cov_ix, outside = pivot_words[pivot]
+                left = np.uint64(uncovered) & outside
                 sizes = np.bitwise_count(left)
-                order = np.argsort(sizes, kind="stable")
+                order = sizes.argsort(kind="stable")
                 left, sizes = left[order], sizes[order]
-                cand = cov_ix[pivot][order].tolist()
+                cand = cov_ix[order].tolist()
                 children = left.tolist()
                 if d > 0:
                     need = (sizes + (d - 1)) // d  # ceil; stays in uint8 as both are <= 64
                     k = bisect_right(neg_sizes, -int(need[0]))  # boxes that can meet some need
                     if k:
                         counts = np.bitwise_count(left[:, None] & big_words[None, :k])
-                        passes = (counts.max(1) >= need).tolist()
+                        ok = counts.max(1) >= need
+                        if cert:
+                            held = cert_words[d][None, :]
+                            ok &= ((left[:, None] & held) != held).all(1)
+                        passes = ok.tolist()
                     else:
                         passes = [False] * len(cand)
             else:
@@ -417,7 +535,12 @@ class _BoxSystem:
                 if nodes >= node_budget:
                     raise _BudgetExhausted
                 nodes += 1
-                if passes[i] if passes is not None else _some_box_covers(by_size, child, -(-child.bit_count() // d)):
+                if passes is not None:
+                    ok = passes[i]
+                else:
+                    ok = _some_box_covers(by_size, child, -(-child.bit_count() // d))
+                    ok = ok and not any(child & c == c for c in cert)
+                if ok:
                     chosen.append(bi)
                     if expand(child, d, chosen):
                         return True
@@ -471,10 +594,20 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         return BoxCoverResult(lower=lower, upper=n, exact=lower == n, boxes=None, note=note, crown=crown)
     system = _BoxSystem(enumerate_maximal_boxes(pattern), sorted(pattern.cells))
     greedy = system.greedy_cover()
-    # the crown is only worth finding when a search would run
-    crown = _crown_above(pattern, system.counting) if system.counting < len(greedy) else None
+    crown = found = None
+    if system.counting < len(greedy):
+        # the crown is only worth finding when a search would run.  It beats
+        # the counting bound when kappa of its size does; and in a search of
+        # 4 or more boxes, one of 4 or more rows certifies refutations of
+        # nodes of depth 2 and up.  (One of 3 rows certifies depth 2 only:
+        # over the 246 searches of `mrw verify --scale full` such crowns
+        # saved no node and cost more to find than those searches took.)
+        bound = min(system.counting, 3) if len(greedy) >= 4 else system.counting
+        found = _crown_above(pattern, bound)
+        if found is not None and len(found) > comb(system.counting, system.counting // 2):
+            crown = found
     start = system.counting if crown is None else crown_cover_number(len(crown))
-    depth, cover, nodes = system.deepen(start, len(greedy), node_budget)
+    depth, cover, nodes = system.deepen(start, len(greedy), node_budget, found)
     if cover is not None:
         note = "optimal cover found"
     elif depth == len(greedy):

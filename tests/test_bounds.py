@@ -8,12 +8,13 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrw.bounds
 import mrw.numkit
 from mrw.bounds import (
+    DEFAULT_NODE_BUDGET,
     BoxCoverResult,
     _max_box_size_2d,
     _crown_above,
@@ -572,10 +573,11 @@ def test_cover_node_count_pins_search_path():
     # any change to the visited nodes or their order moves these numbers
     pat = near_crown_7()
     assert crown_cover_number(len(_induced_crown(_row_zeros(pat), 7))) == 4
-    assert box_cover_exact(pat).nodes == 2571
-    assert box_cover_exact(pat, node_budget=2571).exact
-    short = box_cover_exact(pat, node_budget=2570)
-    assert not short.exact and short.nodes == 2570
+    # its crown certificates cut the nodes from 2,571 to 1,117
+    assert box_cover_exact(pat).nodes == 1117
+    assert box_cover_exact(pat, node_budget=1117).exact
+    short = box_cover_exact(pat, node_budget=1116)
+    assert not short.exact and short.nodes == 1116
     # the crown bound starts edm(8) at 5, which the refutation of 4 took
     # 35,064 nodes to reach
     crown = box_cover_exact(support_pattern(edm(EdmSpec.integers(8))))
@@ -633,13 +635,128 @@ def test_batched_prune_matches_scalar_prune(monkeypatch):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_search_from_the_counting_bound_finds_kappa_on_crowns(m):
     """The unseeded search, started from the counting bound, is the oracle
-    for the crown theorem."""
+    for the crown theorem: `deepen` gets no crown, so no crown certificate
+    refutes any of its nodes."""
     pat = support_pattern(edm(EdmSpec.integers(m)))
     system = mrw.bounds._BoxSystem(enumerate_maximal_boxes(pat), sorted(pat.cells))
     greedy = system.greedy_cover()
     depth, cover, nodes = system.deepen(system.counting, len(greedy), 10**6)
     assert nodes < 10**6 and (cover is not None or depth == len(greedy))
     assert depth == KAPPA[m] == crown_cover_number(m)
+
+
+@st.composite
+def search_patterns(draw):
+    """Matrix patterns of at most 64 cells, each cell kept at a drawn
+    density, or near-crowns of side 6-8 less 1-3 cells."""
+    if draw(st.booleans()):
+        n = draw(st.integers(6, 8))
+        crown = [(i, j) for i in range(n) for j in range(n) if i != j]
+        removed = draw(st.sets(st.sampled_from(crown), min_size=1, max_size=3))
+        return SupportPattern((n, n), frozenset(crown) - removed)
+    dims = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
+    percent = draw(st.sampled_from([50, 70, 85]))
+    grid = list(itertools.product(*map(range, dims)))
+    keep = draw(st.lists(st.integers(0, 99), min_size=len(grid), max_size=len(grid)))
+    return SupportPattern(dims, frozenset(c for c, k in zip(grid, keep) if k < percent))
+
+
+def without_certificates(pattern: SupportPattern, node_budget: int) -> BoxCoverResult:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mrw.bounds._BoxSystem, "_certificates", lambda self, crown, deepest: {})
+        return box_cover_exact(pattern, node_budget=node_budget)
+
+
+@settings(deadline=None)
+@given(search_patterns())
+def test_crown_certificates_change_only_the_node_count(pattern):
+    def outcome(res: BoxCoverResult):
+        return res.lower, res.upper, res.exact, res.boxes, res.note, res.crown
+
+    with_certs = box_cover_exact(pattern)
+    plain = without_certificates(pattern, DEFAULT_NODE_BUDGET)
+    assert outcome(with_certs) == outcome(plain)
+    assert with_certs.nodes <= plain.nodes
+    for node_budget in (1, 7, 50):
+        assert box_cover_exact(pattern, node_budget=node_budget).lower >= without_certificates(pattern, node_budget).lower
+
+
+def crossing_cells(zeros) -> set[tuple[int, int]]:
+    """The cells (r_i, c_j), i != j, of zeros (r_i, c_i)."""
+    return {(r, c) for i, (r, _) in enumerate(zeros) for j, (_, c) in enumerate(zeros) if i != j}
+
+
+def induced_crowns(pattern: SupportPattern) -> list[tuple[tuple[int, int], ...]]:
+    """Oracle: every set of two or more zeros in distinct rows and columns
+    whose crossing cells all lie in the support."""
+    nrows, ncols = pattern.dims
+    crowns = []
+    for k in range(2, min(nrows, ncols) + 1):
+        for rows in itertools.combinations(range(nrows), k):
+            for cols in itertools.permutations(range(ncols), k):
+                zeros = tuple(zip(rows, cols))
+                if not pattern.cells & set(zeros) and crossing_cells(zeros) <= pattern.cells:
+                    crowns.append(zeros)
+    return crowns
+
+
+def brute_force_cover_of(pattern: SupportPattern, targets: set) -> int:
+    """Oracle: the fewest support-contained boxes covering the cells
+    `targets`, by trying all combinations of the maximal boxes."""
+    boxes = [set(itertools.product(*parts)) for parts in brute_force_maximal_boxes(pattern)]
+    for k in range(len(targets) + 1):
+        if any(targets <= set().union(*combo) for combo in itertools.combinations(boxes, k)):
+            return k
+    raise AssertionError("the support does not cover its own cells")
+
+
+def lemma_patterns():
+    """Every pattern of the shapes up to 3x3 with two or more rows and
+    columns, and seeded random ones up to 4x4."""
+    for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        grid = list(itertools.product(*map(range, dims)))
+        for bits in range(1 << len(grid)):
+            yield SupportPattern(dims, frozenset(c for k, c in enumerate(grid) if bits >> k & 1))
+    rng = random.Random(29)
+    for _ in range(150):
+        dims = (rng.randint(3, 4), rng.randint(3, 4))
+        cells = {c for c in itertools.product(*map(range, dims)) if rng.random() < 0.7}
+        yield SupportPattern(dims, frozenset(cells))
+
+
+def test_crossing_cells_of_t_crown_zeros_need_kappa_t_boxes():
+    """The set-pair lemma behind the certificates: an uncovered set U holding
+    the crossing cells of t zeros of an induced crown needs kappa(t) boxes.
+    The search's certificates for depth d are the crossing cells of every
+    C(d, floor(d/2)) + 1 zeros of the greedy crown."""
+    rng = random.Random(1981)
+    checked = {"lemma": 0, "certificate": 0}
+    for pattern in lemma_patterns():
+        crowns = induced_crowns(pattern)
+        if not crowns:
+            continue
+        cells = sorted(pattern.cells)
+        system = mrw.bounds._BoxSystem(enumerate_maximal_boxes(pattern), cells)
+        greedy = _induced_crown(_row_zeros(pattern), pattern.dims[1])
+        certs = system._certificates(greedy, 4)
+        for d, masks in certs.items():
+            t = comb(d, d // 2) + 1
+            want = sorted(crossing_cells(zeros) for zeros in itertools.combinations(greedy, t))
+            assert sorted({c for k, c in enumerate(cells) if mask >> k & 1} for mask in masks) == want
+        for _ in range(3):
+            # random cells plus the crossing cells of a random crown, so the lemma applies
+            uncovered = {c for c in cells if rng.random() < 0.6} | crossing_cells(rng.choice(crowns))
+            best = brute_force_cover_of(pattern, uncovered)
+            for zeros in crowns:
+                if crossing_cells(zeros) <= uncovered:
+                    assert best >= crown_cover_number(len(zeros)), (pattern, uncovered, zeros)
+                    checked["lemma"] += 1
+            mask = sum(1 << k for k, c in enumerate(cells) if c in uncovered)
+            for d, masks in certs.items():
+                if any(mask & held == held for held in masks):
+                    assert best > d
+                    checked["certificate"] += 1
+    assert checked["lemma"] > 1000 and checked["certificate"] > 10, checked
 
 
 def test_crown_cover_number_values():

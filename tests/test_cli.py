@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, JSON output, warnings, file handling."""
 
 import hashlib
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from mrw.cli import main
@@ -405,6 +407,53 @@ def test_mr_on_entries_from_1e_minus_400_to_1e400_reports_a_bracket(tmp_path, ca
             assert rep["upperStatus"] == "exact" and miss == 0
         else:
             assert miss <= Fraction(1001, 10**9) * max(map(max, rows))
+
+
+# the notes `box_cover_exact` writes under the exact-search cap, less the
+# budget note, which names its budget and depth
+COVER_NOTES = {"empty support", "optimal cover found", "counting matches greedy", "crown matches greedy", "greedy proven optimal"}
+
+
+@st.composite
+def zero_one_files(draw):
+    """A 0/1 matrix or tensor file of at most 64 cells, and its flag."""
+    if draw(st.booleans()):
+        dims = list(draw(st.tuples(st.integers(1, 8), st.integers(1, 8))))
+    else:
+        dims = draw(st.one_of(st.lists(st.integers(1, 4), min_size=3, max_size=3), st.lists(st.integers(1, 2), min_size=4, max_size=6)))
+    size = math.prod(dims)
+    # half or three quarters ones: dense files have crowns and searches
+    symbols = draw(st.sampled_from([["0", "1"], ["0", "1", "1", "1"]]))
+    entries = draw(st.lists(st.sampled_from(symbols), min_size=size, max_size=size))
+    if len(dims) == 2:
+        return "--matrix", {"rows": dims[0], "cols": dims[1], "entries": entries}
+    return "--tensor", {"dims": dims, "entries": entries}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(zero_one_files(), st.sampled_from([[], ["--budget", "0.01"]]))
+def test_mr_on_zero_one_files_reports_a_valid_cover(tmp_path, capsys, drawn, budget):
+    flag, obj = drawn
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "mr", flag, str(path), *budget)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    cover = rep["cover"]
+    assert rep["lower"] <= rep["upper"] and cover["lower"] <= cover["upper"]
+    assert cover["note"] in COVER_NOTES or re.fullmatch(r"node budget \d+ exhausted while refuting size \d+", cover["note"])
+    event(cover["note"] if cover["note"] in COVER_NOTES else "budget note")
+    dims = obj["dims"] if flag == "--tensor" else [obj["rows"], obj["cols"]]
+    grid = itertools.product(*map(range, dims))
+    support = {cell for cell, e in zip(grid, obj["entries"]) if e == "1"}
+    if "boxes" in rep:
+        assert len(rep["boxes"]) == cover["upper"]
+        covered = set()
+        for box in rep["boxes"]:
+            cells = set(itertools.product(*box))
+            assert cells <= support
+            covered |= cells
+        assert covered == support
 
 
 def test_gen_edm_with_a_square_too_long_to_print_exits_2_with_one_line(capsys):
