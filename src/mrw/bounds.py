@@ -51,10 +51,6 @@ assert EXACT_CELL_CAP <= 64
 # a node with fewer children prunes them one at a time: for so few, numpy's
 # per-call overhead costs more than the scalar scans it saves
 _BATCH_MIN_CHILDREN = 8
-# a box system with fewer boxes, and a family with fewer closures, is read
-# in plain Python: on the many tiny systems of the verify suite, numpy's
-# per-call overhead costs more than it saves
-_NUMPY_MIN_BOXES = 32
 _CLOSURE_SIDE_CAP = 16
 
 Box = tuple[tuple[int, ...], ...]
@@ -128,13 +124,6 @@ def _closures(lines: Iterable[int]) -> set[int]:
     return found
 
 
-def _marked(values: Sequence[int], member: np.ndarray) -> list[tuple[int, ...]]:
-    """Each row of a boolean matrix as the tuple of the `values` it marks."""
-    flat = np.asarray(values)[np.nonzero(member)[1]].tolist()  # row by row, in column order
-    ends = np.cumsum(member.sum(1)).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-
-
 def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     """All maximal boxes inside a nonempty set of cells of one order.
 
@@ -144,10 +133,9 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     slice holding B, so recursing into each closure finds every maximal box
     (some more than once) and nothing else.  When the rests have at most one
     mode left, the closure is itself a box, so B is the closure (its rests'
-    values) and no recursion runs; from _NUMPY_MIN_BOXES closures on, every
-    box's R and B are read off one boolean matrix each.  Each level consumes
-    a mode with two or more values, so the recursion is no deeper than there
-    are such modes (at most 20 under the 2^20 entry guard).
+    values) and no recursion runs.  Each level consumes a mode with two or
+    more values, so the recursion is no deeper than there are such modes (at
+    most 20 under the 2^20 entry guard).
     """
     first = next(iter(cells))
     lead = next((m for m in range(len(first)) if any(c[m] != first[m] for c in cells)), None)
@@ -174,17 +162,11 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
                 mask = sum(bit[r] for r in product(*rest_box))
                 rows = tuple([i for i, s in ordered if s & mask == mask])
                 boxes.add(prefix + (rows,) + rest_box)
-    elif len(closures) < _NUMPY_MIN_BOXES:
+    else:
         values = list(bit.items())
         for closure in closures:
             rows = tuple([i for i, s in ordered if s & closure == closure])
             boxes.add(prefix + (rows, tuple([v for v, b in values if closure & b])))
-    else:
-        words = np.array(list(closures), dtype=np.uint64)[:, None]
-        held = (np.array([s for _, s in ordered], dtype=np.uint64) & words) == words
-        inside = (words >> np.arange(len(rests), dtype=np.uint64)) & np.uint64(1) == 1
-        rows = _marked([i for i, _ in ordered], held)
-        boxes.update(prefix + pair for pair in zip(rows, _marked(rests, inside)))
     return boxes
 
 
@@ -351,9 +333,7 @@ class _BoxSystem:
     A box's mask is one AND over the modes of the OR of its values' slabs,
     the slab of value v in mode m being the mask of the cells holding v
     there.  The covering lists and the pivot order are read off the masks
-    when a search first asks for them.  A system of at least
-    _NUMPY_MIN_BOXES boxes also keeps its masks as uint64 words, and reads
-    its covering lists, sizes and greedy gains from them with numpy.
+    when a search first asks for them.
     """
 
     def __init__(self, boxes: list[Box], cells: list[tuple[int, ...]]):
@@ -376,23 +356,13 @@ class _BoxSystem:
                     term |= slab[v]
                 mask &= term
             masks.append(mask)
-        if len(boxes) >= _NUMPY_MIN_BOXES:
-            self.words = np.array(masks, dtype=np.uint64)
-            sizes = np.bitwise_count(self.words).tolist()
-        else:
-            self.words = None
-            sizes = [mask.bit_count() for mask in masks]
-        self.by_size = sorted(zip(sizes, masks), reverse=True)
+        self.by_size = sorted(((mask.bit_count(), mask) for mask in masks), reverse=True)
         self.counting = _counting_bound(len(cells), self.by_size[0][0])
 
     @cached_property
-    def covering(self) -> list[Sequence[int]]:
+    def covering(self) -> list[list[int]]:
         """The boxes covering each cell, in ascending order."""
-        n = self.full.bit_length()
-        if self.words is not None:
-            held = (self.words >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1) == 1  # cell x box
-            return _marked(np.arange(len(self.boxes)), held)
-        covering: list[list[int]] = [[] for _ in range(n)]
+        covering: list[list[int]] = [[] for _ in range(self.full.bit_length())]
         for bi, mask in enumerate(self.masks):
             while mask:
                 low = mask & -mask
@@ -408,15 +378,11 @@ class _BoxSystem:
 
     def greedy_cover(self) -> tuple[Box, ...]:
         """Greedy set cover: largest marginal gain, ties by box index."""
-        masks, words, uncovered = self.masks, self.words, self.full
+        masks, uncovered = self.masks, self.full
         picked: list[Box] = []
         while uncovered:
-            if words is None:
-                gains = [(mask & uncovered).bit_count() for mask in masks]
-                best = gains.index(max(gains))  # the first of the largest
-            else:
-                gains = np.bitwise_count(words & np.uint64(uncovered))
-                best = int(gains.argmax())  # the first of the largest
+            gains = [(mask & uncovered).bit_count() for mask in masks]
+            best = gains.index(max(gains))  # the first of the largest
             if not gains[best]:
                 raise ValidationError("boxes do not cover the support")
             picked.append(self.boxes[best])
@@ -484,7 +450,7 @@ class _BoxSystem:
         certs = self._certificates(crown, upper - 2) if crown is not None else {}
         wide = [len(boxes) >= _BATCH_MIN_CHILDREN for boxes in covering]
         if any(wide):
-            words = self.words if self.words is not None else np.array(masks, dtype=np.uint64)
+            words = np.array(masks, dtype=np.uint64)
             pivot_words: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # pivot -> its boxes, their words inverted
             big_words = np.array([mask for _, mask in by_size], dtype=np.uint64)
             neg_sizes = [-size for size, _ in by_size]  # ascending, for bisect
@@ -596,14 +562,15 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
     greedy = system.greedy_cover()
     crown = found = None
     if system.counting < len(greedy):
-        # the crown is only worth finding when a search would run.  It beats
-        # the counting bound when kappa of its size does; and in a search of
-        # 4 or more boxes, one of 4 or more rows certifies refutations of
-        # nodes of depth 2 and up.  (One of 3 rows certifies depth 2 only:
-        # over the 246 searches of `mrw verify --scale full` such crowns
-        # saved no node and cost more to find than those searches took.)
-        bound = min(system.counting, 3) if len(greedy) >= 4 else system.counting
-        found = _crown_above(pattern, bound)
+        # the crown is only worth finding when a search would run.  The
+        # finder returns one of more than C(b, floor(b/2)) rows for
+        # b = min(counting, 3): at b = counting, one whose kappa beats the
+        # counting bound; at b = 3, one of 4 or more rows, whose certificates
+        # refute nodes of depth 2 and up.  (One of 3 rows certifies depth 2
+        # only: over the 246 searches of `mrw verify --scale full`, such
+        # crowns at a counting bound of 3 or more saved no node and cost more
+        # to find than those searches took.)
+        found = _crown_above(pattern, min(system.counting, 3))
         if found is not None and len(found) > comb(system.counting, system.counting // 2):
             crown = found
     start = system.counting if crown is None else crown_cover_number(len(crown))
