@@ -673,7 +673,7 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
         budget = SearchBudget(restarts=2, iterations=400).scaled(budget_factor)
         found = nmf_search(m, lower, budget)
         if found is not None:
-            exact = found.is_rational() and verify_nonneg_factorization(m, found, tol=0).passed
+            exact = verify_nonneg_factorization(m, found).passed
             upper, status = lower, "exact" if exact else "heuristic-certified"
             factorization = found
     return MrBoundReport(

@@ -30,6 +30,7 @@ import numpy as np
 
 from .dtensor import DenseTensor
 from .errors import DimensionError, UnsupportedRankError, ValidationError
+from .numkit import antisym_spectral, as_float_array
 from .ratlinalg import (
     CharPoly,
     Exact,
@@ -265,7 +266,7 @@ class ScaledAntisymmetric:
 
     def to_float(self) -> np.ndarray:
         s = math.sqrt(float(self.scale_sq))
-        return s * np.array(self.base.to_float_rows(), dtype=float)
+        return s * as_float_array(self.base)
 
     def char_poly(self) -> CharPoly:
         """Exact characteristic polynomial of the scaled matrix, for a base of
@@ -339,16 +340,13 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     its rank-2 reconstruction from u0/u1; the reconstruction error is the max
     deviation between rational P and :func:`quantum_distribution`.
     """
-    from .numkit import antisym_spectral
-
     cmat = difference_matrix(spec)
     p = outcome_distribution(spec)
     pair = antisym_spectral(cmat)
     u0, u1 = pair.u0, pair.u1
     v0 = np.conj(u0)
     v1 = -np.conj(u1)
-    p_float = np.array(p.to_float_rows())
-    err = float(np.max(np.abs(quantum_distribution(u0, u1, v0, v1) - p_float)))
+    err = float(np.max(np.abs(quantum_distribution(u0, u1, v0, v1) - as_float_array(p))))
     return CorrelationObjects(
         spec=spec,
         c_matrix=cmat,

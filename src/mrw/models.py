@@ -248,21 +248,16 @@ def hv_model_from_factorization(p: RatMatrix, fact: NonnegFactorization) -> Hidd
     """Turn a nonnegative factorization of a joint distribution into a
     hidden-variable model with one shared value per term.
 
-    The factorization must be rational (a float one raises `ValidationError`)
-    and reproduce p exactly.  Weights and conditionals are Fractions, even
+    A factorization that fails :func:`verify_nonneg_factorization` against p
+    raises `ValidationError`.  Weights and conditionals are Fractions, even
     when its entries are ints: every sum is one :func:`exact_sum`.  Zero-mass
     terms are dropped with a warning.
     """
     if fact.order != 2:
         raise DimensionError("hidden-variable models need a two-sided factorization")
-    if not fact.is_rational():
-        raise ValidationError("hidden-variable models need a rational factorization")
-    check = verify_nonneg_factorization(p, fact, 0)
+    check = verify_nonneg_factorization(p, fact)
     if not check.passed:
-        raise ValidationError(
-            f"factorization does not verify against the target ({check.reason}, "
-            f"error {float(check.max_abs_error):.3g})"
-        )
+        raise ValidationError(f"factorization does not verify against the target ({check.reason})")
     weights = []
     cond_x = []
     cond_y = []

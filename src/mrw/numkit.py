@@ -5,12 +5,14 @@ Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 search of an exact matrix (exact stages at r = rank, which share one
 normalisation of the columns: separable cones picked by successive
 projection, and nested triangles at rank 3; then HALS sweeps and
-linear-program polishing with random restarts on a float copy), and an
-alternating-least-squares tensor fitter; both searches read exact arrays
-only.  Searches are deterministic given (input, seed, budget): restarts are
-ranked by (residual, restart index) so the outcome never depends on
-execution order.  A successful search is a witness, never a proof of
-optimality; failure after budget exhaustion proves nothing.
+linear-program polishing with random restarts on a float copy scaled to a
+largest entry of 1), and an alternating-least-squares tensor fitter; both
+searches read exact arrays only.  Searches are deterministic given (input,
+seed, budget): restarts are ranked by (residual, restart index) so the
+outcome never depends on execution order.  A successful search is a
+witness, never a proof of optimality (it is exact only when
+`verify_nonneg_factorization` passes); failure after budget exhaustion
+proves nothing.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def antisym_spectral(c) -> SpectralPair:
 # nonnegative factorizations
 # ---------------------------------------------------------------------------
 
-def _as_float_array(m) -> np.ndarray:
+def as_float_array(m) -> np.ndarray:
     """Float copy of an exact array: its `entries` shaped by its `dims`.  An
     entry past float range raises `OverflowError`."""
     return np.array(list(map(float, m.entries))).reshape(m.dims)
@@ -171,16 +173,6 @@ class NonnegFactorization:
 
     def has_negative_entry(self) -> bool:
         return any(x < 0 for term in self.terms for vec in term for x in vec)
-
-    def reconstruct_float(self) -> np.ndarray:
-        """Float sum of the outer products of each term's per-mode vectors."""
-        out = np.zeros(self.dims, dtype=float)
-        for term in self.terms:
-            block = np.array([float(x) for x in term[0]], dtype=float)
-            for vec in term[1:]:
-                block = np.multiply.outer(block, np.array([float(x) for x in vec]))
-            out += block
-        return out
 
     def reconstruct_exact(self):
         """Exact reconstruction as a DenseTensor of Fractions, for every order.
@@ -287,8 +279,9 @@ def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.maximum(res.x[: r * ncols].reshape(ncols, r).T, 0.0)
 
 
-def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray, vmax: float) -> float:
-    return float(np.max(np.abs(v - w @ h))) / vmax
+def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
+    """max|V - WH| / max|V| for a V whose largest entry is 1."""
+    return float(np.max(np.abs(v - w @ h)))
 
 
 def _dot(a, b):
@@ -464,8 +457,8 @@ def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None
     return NonnegFactorization(dims=m.dims, terms=terms)
 
 
-# a float search on entries near float range overflows to NaN and then fails
-@np.errstate(over="ignore", invalid="ignore")
+# W scaled back to M's scale may pass float range, and the result is then None
+@np.errstate(over="ignore")
 def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorization | None:
     """Search for an r-term nonnegative factorization of a nonnegative
     `RatMatrix`; any other input raises `ValidationError`.
@@ -482,8 +475,10 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     rational 3-term factorization.  Neither stage draws random numbers.
     Every input they do not settle (rank >= 4, r != rank, or a walk that
     does not close) gets the float search below on a float copy of M, built
-    only then; with an entry past float range, or every entry underflowing
-    to 0, there is none, and the result is None.
+    only then and divided by its largest entry (W is multiplied back by it),
+    so the search is the same at every scale of M; with an entry past float
+    range, every entry underflowing to 0, or a W past it once multiplied
+    back, the result is None.
 
     Each restart of the float search runs floor-clipped HALS sweeps (at most
     `budget.iterations` per round) and then polishes with alternating
@@ -493,10 +488,10 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     The search stops as soon as the error reaches the tol: the sweeps are
     checked every 25, the polish is skipped when the sweeps already reach
     it, and it ends at the first refit that does.  A search that never
-    reaches it (an error that overflows to NaN never does) does all
-    `budget.restarts * 3` rounds of sweeps and returns None, which is *not*
-    evidence that no such factorization exists; otherwise the result is the
-    factorization of the lowest-index restart that reaches it.
+    reaches it does all `budget.restarts * 3` rounds of sweeps and returns
+    None, which is *not* evidence that no such factorization exists;
+    otherwise the result is the factorization of the lowest-index restart
+    that reaches it.
     """
     if not isinstance(m, RatMatrix):
         raise ValidationError(f"nmf_search takes a RatMatrix, got {type(m).__name__}")
@@ -513,12 +508,13 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     if exact is not None:
         return exact
     try:
-        v = _as_float_array(m)
+        v = as_float_array(m)
     except OverflowError:
         return None  # an entry past float range
     vmax = float(np.max(v))
     if not vmax:
         return None  # every entry underflowed to 0
+    v /= vmax  # the search runs at a largest entry of 1, at every scale of M
     tol = _NMF_TOL
     rng = np.random.default_rng(_NMF_SEED)
     nrow, ncol = v.shape
@@ -534,7 +530,7 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
                 chunk = min(_SWEEP_CHUNK, left)
                 _hals_sweeps(v, w, h, chunk)
                 left -= chunk
-                err = _max_rel_err(v, w, h, vmax)
+                err = _max_rel_err(v, w, h)
                 if err <= tol or left <= 0:
                     break
             if best is None or err < best[0]:
@@ -550,7 +546,7 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
                 if w_new is None:
                     break
                 w = w_new.T
-                err_new = _max_rel_err(v, w, h, vmax)
+                err_new = _max_rel_err(v, w, h)
                 if err_new < best[0]:
                     best = (err_new, restart, w.copy(), h.copy())
                 if err_new <= tol or err_new >= err - 1e-12:
@@ -564,43 +560,37 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
             break
     if not best[0] <= tol:
         return None
-    terms = tuple(zip(map(tuple, best[2].T.tolist()), map(tuple, best[3].tolist())))
+    w = best[2] * vmax
+    if not np.isfinite(w).all():
+        return None
+    terms = tuple(zip(map(tuple, w.T.tolist()), map(tuple, best[3].tolist())))
     return NonnegFactorization(dims=m.dims, terms=terms)
 
 
 @dataclass(frozen=True)
 class FactorizationCheck:
-    max_abs_error: float | Fraction
     passed: bool
     reason: str | None = None
 
 
-def verify_nonneg_factorization(target, fact: NonnegFactorization, tol) -> FactorizationCheck:
-    """Reconstruct `fact` and compare against `target`.
+def verify_nonneg_factorization(target, fact: NonnegFactorization) -> FactorizationCheck:
+    """Check exactly that `fact` is a nonnegative factorization of `target`.
 
-    `target` is an exact array (a `RatMatrix` or a `DenseTensor`).  The
-    comparison is exact (Fraction arithmetic, including tol = 0) when the
-    factors are rational, float otherwise.  Any negative factor entry fails
-    the check with reason "negativity" regardless of the error.
+    `target` is an exact array (a `RatMatrix` or a `DenseTensor`).  The check
+    passes only when every factor entry is an int or a Fraction, none is
+    negative, and the exact reconstruction equals `target`; otherwise
+    `reason` is the first failure, in that order: "not rational",
+    "negativity" or "error".
     """
     if target.dims != fact.dims:
         raise DimensionError(f"target dims {target.dims} do not match factorization dims {fact.dims}")
-
-    if fact.is_rational():
-        flat = target.entries
-        rec = fact.reconstruct_exact().entries
-        err: float | Fraction
-        if tol == 0 and rec == flat:
-            err = Fraction(0)  # equality settles tol = 0; max |diff| only reports a miss
-        else:
-            err = max((abs(a - b) for a, b in zip(rec, flat)), default=Fraction(0))
-    else:
-        rec_f = fact.reconstruct_float()
-        err = float(np.max(np.abs(rec_f - _as_float_array(target)))) if rec_f.size else 0.0
-    within = err <= tol
+    if not fact.is_rational():
+        return FactorizationCheck(passed=False, reason="not rational")
     if fact.has_negative_entry():
-        return FactorizationCheck(max_abs_error=err, passed=False, reason="negativity")
-    return FactorizationCheck(max_abs_error=err, passed=within, reason=None if within else "error")
+        return FactorizationCheck(passed=False, reason="negativity")
+    if fact.reconstruct_exact().entries != target.entries:
+        return FactorizationCheck(passed=False, reason="error")
+    return FactorizationCheck(passed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +627,7 @@ def cp_als(
     `iters` sweeps each and returns the decomposition with the lowest
     Frobenius residual (ties broken by restart index).
     """
-    arr = _as_float_array(t)
+    arr = as_float_array(t)
     if arr.ndim < 3:
         raise ValidationError("cp_als needs order >= 3; use the matrix path instead")
     if any(d > 16 for d in arr.shape):

@@ -271,9 +271,6 @@ class RatMatrix:
             self.row(i) == tuple(map(neg, data[i::n])) for i in range(n)
         )
 
-    def to_float_rows(self) -> list[list[float]]:
-        return [[float(e) for e in self.row(i)] for i in range(self.rows)]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -301,24 +298,6 @@ class CharPoly:
     def __post_init__(self):
         if not self.coeffs or self.coeffs[-1] != 1:
             raise ValidationError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
-        return " + ".join(parts) if parts else "0"
 
 
 def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:

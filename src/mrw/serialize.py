@@ -67,16 +67,12 @@ def _float_holds(x) -> bool:
 
 
 def factorization_to_obj(f: NonnegFactorization, rational: bool = False) -> dict:
-    """Floats, or exact "p/q" strings when `rational` or when `f` is rational
-    and no float holds one of its entries."""
-    if rational and not f.is_rational():
-        raise ParseError("factorization has non-rational factors; cannot emit exact form")
-    if not rational and f.is_rational():
-        rational = not all(_float_holds(x) for term in f.terms for vec in term for x in vec)
-
-    def enc(x):
-        return exact_text(x) if rational else float(x)
-
+    """Exact "p/q" strings when `f` is rational and either `rational` asks
+    for them or no float holds one of its entries; floats otherwise."""
+    exact = f.is_rational() and (
+        rational or not all(_float_holds(x) for term in f.terms for vec in term for x in vec)
+    )
+    enc = exact_text if exact else float
     return {
         "order": f.order,
         "dims": list(f.dims),
@@ -103,8 +99,7 @@ def mr_report_to_obj(rep: MrBoundReport, rational: bool = False) -> dict:
     if rep.cover.boxes is not None and rep.cover.exact:
         obj["boxes"] = [[list(part) for part in box] for box in rep.cover.boxes]
     if rep.factorization is not None:
-        emit_rational = rational and rep.factorization.is_rational()
-        obj["factorization"] = factorization_to_obj(rep.factorization, rational=emit_rational)
+        obj["factorization"] = factorization_to_obj(rep.factorization, rational=rational)
     return obj
 
 

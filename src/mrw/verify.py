@@ -112,7 +112,7 @@ def check_edm_mr_bracket(scale: str, seed: int):
     cover = box_cover_exact(support_pattern(m))
     log_floor = math.ceil(math.log2(n))
     fact = edm_folding_factorization(spec)
-    chk = verify_nonneg_factorization(m, fact, tol=0)
+    chk = verify_nonneg_factorization(m, fact)
     ok = cover.lower >= log_floor and chk.passed and fact.r == 2 * log_floor
     return (
         ok,
@@ -196,7 +196,7 @@ def check_hv_chain(scale: str, seed: int):
     facts = exact_unit_factorizations(p)
     sizes = []
     for fact in facts:
-        chk = verify_nonneg_factorization(p, fact, tol=0)
+        chk = verify_nonneg_factorization(p, fact)
         if not chk.passed:
             return False, "an exact factorization failed verification", "all verify exactly"
         if fact.r < cover.lower:

@@ -426,7 +426,7 @@ def test_lower_bound_soundness_against_random_factorizations():
         r = rng.randint(1, 4)
         fact = random_exact_factorization(rng, rows, cols, r)
         m = RatMatrix(*fact.dims, fact.reconstruct_exact().entries)
-        assert verify_nonneg_factorization(m, fact, tol=0).passed
+        assert verify_nonneg_factorization(m, fact).passed
         res = box_cover_exact(support_pattern(m))
         assert r >= res.lower
         assert r >= rank_exact(m)
@@ -504,7 +504,7 @@ def test_mr_bounds_exact_upper_closes_gap():
     assert rep.lower == 2
     assert rep.upper == 2 and rep.upper_status == "exact"
     assert rep.factorization is not None and rep.factorization.r == 2
-    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
+    assert verify_nonneg_factorization(m, rep.factorization).passed
 
 
 def test_mr_bounds_exact_upper_on_a_non_separable_rank_3_matrix():
@@ -524,7 +524,7 @@ def test_mr_bounds_exact_upper_on_a_non_separable_rank_3_matrix():
     assert (rep.lower, rep.lower_witness) == (3, "rank")
     assert rep.upper == 3 and rep.upper_status == "exact"
     assert rep.factorization.r == 3 and rep.factorization.is_rational()
-    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
+    assert verify_nonneg_factorization(m, rep.factorization).passed
 
 
 def test_mr_bounds_closes_a_search_batch_rank_3_bracket_without_the_float_search(monkeypatch):
@@ -547,7 +547,7 @@ def test_mr_bounds_closes_a_search_batch_rank_3_bracket_without_the_float_search
     monkeypatch.setattr(mrw.numkit, "_chebyshev_refit", no_float_search)
     rep = mr_bounds(m)
     assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
-    assert verify_nonneg_factorization(m, rep.factorization, tol=0).passed
+    assert verify_nonneg_factorization(m, rep.factorization).passed
 
 
 def near_crown_7() -> SupportPattern:

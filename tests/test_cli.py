@@ -362,12 +362,36 @@ RANK4_PRODUCT = [
 
 
 def test_a_rank_4_product_past_float_range_keeps_the_trivial_bound(tmp_path, capsys):
-    path = write_matrix(tmp_path / "m.json", [[x * 10**400 for x in row] for row in RANK4_PRODUCT])
+    # at 10^400 no float holds an entry; at 5 * 10^306 every entry fits a
+    # float, but the float witness's W, multiplied back by the largest
+    # entry, does not
+    for scale in (10**400, 5 * 10**306):
+        path = write_matrix(tmp_path / "m.json", [[x * scale for x in row] for row in RANK4_PRODUCT])
+        code, out, err = run(capsys, "mr", "--matrix", path)
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 7, "trivial")
+        assert "factorization" not in rep
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [1, 10**150, 10**250, 10**300, Fraction(1, 10**300)],
+    ids=["1", "1e150", "1e250", "1e300", "1e-300"],
+)
+def test_a_rank_4_product_gets_its_float_witness_at_every_scale_a_float_holds(tmp_path, capsys, scale):
+    # the float search runs on a copy scaled to a largest entry of 1, so
+    # its products neither overflow nor underflow
+    path = write_matrix(tmp_path / "m.json", [[x * scale for x in row] for row in RANK4_PRODUCT])
     code, out, err = run(capsys, "mr", "--matrix", path)
     assert code == 0 and err == ""
     rep = json.loads(out)
-    assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 7, "trivial")
-    assert "factorization" not in rep
+    assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 4, "heuristic-certified")
+    w, h = zip(*rep["factorization"]["terms"])
+    assert min(min(map(min, w)), min(map(min, h))) >= 0
+    rebuilt = [[sum(Fraction(a[i]) * Fraction(b[j]) for a, b in zip(w, h)) for j in range(7)] for i in range(8)]
+    miss = max(abs(x * scale - y) for row, rebuilt_row in zip(RANK4_PRODUCT, rebuilt) for x, y in zip(row, rebuilt_row))
+    assert miss <= Fraction(1, 10**6) * 34 * scale
 
 
 @st.composite

@@ -339,7 +339,7 @@ def test_correlation_char_poly_never_runs_faddeev_leverrier(monkeypatch):
     assert not hasattr(constructions, "char_poly_exact")
     monkeypatch.setattr(ratlinalg, "char_poly_exact", refuse)
     poly = build_correlation(CorrelationSpec(32)).c_matrix.char_poly()
-    assert str(poly) == "x^32 + 1/2*x^30"
+    assert poly.coeffs == (0,) * 30 + (Fraction(1, 2), 0, 1)
 
 
 def test_correlation_reconstruction_accuracy():
@@ -378,6 +378,6 @@ def test_correlation_errors_match_a_direct_recomputation():
         rebuilt = 1j * corr.lambda_magnitude * (np.outer(u0, u0.conj()) - np.outer(u1, u1.conj()))
         assert corr.spectral_error == np.max(np.abs(rebuilt - c))
         dist = 0.5 * np.abs(np.outer(u0, corr.v0) + np.outer(u1, corr.v1)) ** 2
-        p = np.array(corr.p_matrix.to_float_rows())
+        p = np.array([[float(x) for x in row] for row in corr.p_matrix.iter_rows()])
         assert corr.reconstruction_error == np.max(np.abs(dist - p))
         assert corr.spectral_error <= 1e-9 and corr.reconstruction_error <= 1e-9

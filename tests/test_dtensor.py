@@ -13,7 +13,7 @@ from mrw.bounds import mr_bounds, support_pattern
 from mrw.dtensor import DenseTensor
 from mrw.errors import DimensionError, ParseError, ValidationError
 from mrw.models import row_unit_factorization
-from mrw.numkit import _as_float_array, verify_nonneg_factorization
+from mrw.numkit import as_float_array, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix
 from mrw.serialize import parse_matrix, parse_tensor
 
@@ -93,11 +93,12 @@ def test_a_matrix_and_its_order_2_tensor_agree(drawn):
     m, t = RatMatrix(rows, cols, values), DenseTensor((rows, cols), values)
     assert m.dims == t.dims and m.entries == t.entries
     assert support_pattern(m) == support_pattern(t)
-    assert np.array_equal(_as_float_array(t), np.array(m.to_float_rows()))
-    assert np.array_equal(_as_float_array(m), _as_float_array(t))
+    rows_float = [[float(e) for e in row] for row in m.iter_rows()]
+    assert np.array_equal(as_float_array(t), np.array(rows_float))
+    assert np.array_equal(as_float_array(m), as_float_array(t))
     fact = row_unit_factorization(m)
-    assert verify_nonneg_factorization(m, fact, tol=0) == verify_nonneg_factorization(t, fact, tol=0)
-    assert verify_nonneg_factorization(t, fact, tol=0).passed
+    assert verify_nonneg_factorization(m, fact) == verify_nonneg_factorization(t, fact)
+    assert verify_nonneg_factorization(t, fact).passed
     rep_m, rep_t = mr_bounds(m), mr_bounds(t)
     assert rep_m.cover == rep_t.cover
     assert rep_m.lower == rep_t.lower

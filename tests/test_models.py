@@ -281,7 +281,7 @@ def test_folding_witness_of_int_values_is_exact(values):
     spec = EdmSpec(values)
     assert all(type(v) is int for v in spec.values)
     fact = edm_folding_factorization(spec)
-    assert verify_nonneg_factorization(edm(spec), fact, tol=0).passed
+    assert verify_nonneg_factorization(edm(spec), fact).passed
     twin = edm_folding_factorization(EdmSpec([Fraction(v) for v in values]))
     assert (fact.dims, fact.terms) == (twin.dims, twin.terms)
 

@@ -155,9 +155,9 @@ def test_factorization_round_trip_float_and_rational():
     assert fobj == {"order": 2, "dims": [2, 2], "terms": [[[1.0, 0.0], [0.0, 0.5]]]}
     assert json.loads(canonical_dumps(fobj)) == fobj
 
+    # a float factorization is written as floats, also when "p/q" is asked for
     floats = NonnegFactorization(dims=(1, 1), terms=(((0.5,), (2.0,)),))
-    with pytest.raises(ParseError):
-        factorization_to_obj(floats, rational=True)
+    assert factorization_to_obj(floats, rational=True) == {"order": 2, "dims": [1, 1], "terms": [[[0.5], [2.0]]]}
 
 
 @pytest.mark.parametrize("big", [10**400, Fraction(1, 10**400)])
