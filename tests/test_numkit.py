@@ -440,6 +440,33 @@ def test_entries_no_float_holds_get_no_float_search(monkeypatch, scale):
     assert_exact_witness(rank1, 1, nmf_search(rank1, 1, SMALL_BUDGET))
 
 
+# a product of nonnegative 8x4 and 4x7 integer matrices: rank 4, so only the
+# float search runs at r = 4
+RANK4_PRODUCT = (
+    (24, 18, 18, 6, 28, 18, 2),
+    (3, 4, 2, 2, 4, 2, 3),
+    (22, 20, 18, 6, 27, 16, 4),
+    (14, 20, 12, 8, 20, 10, 12),
+    (14, 18, 12, 4, 17, 6, 6),
+    (15, 7, 5, 5, 13, 8, 3),
+    (31, 29, 21, 9, 34, 16, 9),
+    (5, 2, 2, 2, 5, 4, 1),
+)
+
+
+def test_a_float_search_that_overflows_to_nan_finds_nothing():
+    # the sweeps run at a largest entry of 1 and cannot overflow; what still
+    # can is W multiplied back by the largest entry.  At scale 1 the witness
+    # has a W entry above 34, the largest entry of M, so at 5 * 10^306 every
+    # entry of M fits a float but W does not, and the search finds nothing
+    budget = SearchBudget(restarts=2, iterations=400)
+    fact = nmf_search(RatMatrix.from_rows(RANK4_PRODUCT), 4, budget)
+    assert fact is not None and max(max(term[0]) for term in fact.terms) > 34
+    m = RatMatrix.from_rows([[x * 5 * 10**306 for x in row] for row in RANK4_PRODUCT])
+    assert np.isfinite(numkit.as_float_array(m)).all()
+    assert nmf_search(m, 4, budget) is None
+
+
 # ---------------------------------------------------------------------------
 # the exact stage of nmf_search: nested triangles at r = rank = 3
 # ---------------------------------------------------------------------------
