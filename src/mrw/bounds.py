@@ -670,7 +670,7 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     if isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:
         from .numkit import SearchBudget, nmf_search, verify_nonneg_factorization
 
-        budget = SearchBudget(restarts=2, iterations=400).scaled(budget_factor)
+        budget = SearchBudget(restarts=3, iterations=2000).scaled(budget_factor)
         found = nmf_search(m, lower, budget)
         if found is not None:
             exact = verify_nonneg_factorization(m, found).passed

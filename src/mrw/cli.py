@@ -89,8 +89,9 @@ def _load(path: str, parse):
     return array
 
 
-# mr's search work grows as factor * 50k cover nodes and factor^2 * 2,400
-# HALS sweeps, so the factor is capped; README "Performance notes" has the
+# mr's search work grows as factor * 50k cover nodes and at most factor^2 *
+# 18,000 HALS sweeps (3 restarts of 3 rounds of 2,000; a stalled round ends
+# sooner), so the factor is capped; README "Performance notes" has the
 # worst-case time this allows
 _BUDGET_CEILING = 10.0
 

@@ -4,15 +4,14 @@ Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
 search of an exact matrix (exact stages at r = rank, which share one
 normalisation of the columns: separable cones picked by successive
-projection, and nested triangles at rank 3; then HALS sweeps and
-linear-program polishing with random restarts on a float copy scaled to a
-largest entry of 1), and an alternating-least-squares tensor fitter; both
-searches read exact arrays only.  Searches are deterministic given (input,
-seed, budget): restarts are ranked by (residual, restart index) so the
-outcome never depends on execution order.  A successful search is a
-witness, never a proof of optimality (it is exact only when
-`verify_nonneg_factorization` passes); failure after budget exhaustion
-proves nothing.
+projection, and nested triangles at rank 3; then HALS sweeps with random
+restarts on a float copy scaled to a largest entry of 1), and an
+alternating-least-squares tensor fitter; both searches read exact arrays
+only.  Searches are deterministic given (input, seed, budget): restarts are
+ranked by (residual, restart index) so the outcome never depends on
+execution order.  A successful search is a witness, never a proof of
+optimality (it is exact only when `verify_nonneg_factorization` passes);
+failure after budget exhaustion proves nothing.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ _NMF_SEED = DEFAULT_SEED
 _NMF_TOL = 1e-6
 
 # nmf_search runs a round's HALS sweeps in chunks of this many and checks the
-# error against tol after each; the sweeps themselves are the same
+# error after each; the round ends at tol, or when a chunk leaves the error
+# above _STALL_RATIO of what it was (lowers it by less than 1 %)
 _SWEEP_CHUNK = 25
+_STALL_RATIO = 0.99
 
 
 @dataclass(frozen=True)
@@ -238,45 +239,6 @@ def _hals_sweeps(v: np.ndarray, w: np.ndarray, h: np.ndarray, sweeps: int) -> No
             np.add(num_w, np.multiply(diag[k], wk, out=term_w), out=num_w)
             np.divide(num_w, den[k], out=num_w)
             np.maximum(num_w, _FLOOR, out=wk)
-
-
-def _chebyshev_refit(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Minimize max|b - a @ x| over x >= 0, jointly for all columns of b.
-
-    One linear program with a shared epsilon variable: columns decouple, so
-    the shared optimum equals the worst columnwise optimum.  It goes to HiGHS
-    through `milp` with no integer variables, which builds the same model as
-    `linprog(method="highs")` with less Python around the solve.  Returns the
-    stacked solution (r x ncols), or None if the solver fails.
-    """
-    from scipy.optimize import LinearConstraint, milp
-    from scipy.sparse import coo_array
-
-    m, r = a.shape
-    ncols = b.shape[1]
-    half = m * ncols
-    # [[B, -1], [-B, -1]] with B = blockdiag(a, ..., a), one block per column,
-    # as triplets over the nonzeros of a, which the solver turns into the
-    # same int32 CSC matrix as a scipy.sparse block_diag/hstack/vstack
-    # assembly
-    rows, terms = np.nonzero(a)
-    vals = np.tile(a[rows, terms], ncols)
-    block = np.arange(ncols)[:, None]
-    b_rows = (block * m + rows).ravel()
-    b_cols = (block * r + terms).ravel()
-    row = np.concatenate([b_rows, b_rows + half, np.arange(2 * half)]).astype(np.int32)
-    col = np.concatenate([b_cols, b_cols, np.full(2 * half, r * ncols)]).astype(np.int32)
-    data = np.concatenate([vals, -vals, np.full(2 * half, -1.0)])
-    a_ub = coo_array((data, (row, col)), shape=(2 * half, r * ncols + 1))
-    rhs = b.T.ravel()
-    b_ub = np.concatenate([rhs, -rhs])
-    cost = np.zeros(r * ncols + 1)
-    cost[-1] = 1.0
-    # milp's default bounds are x >= 0
-    res = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub))
-    if not res.success:
-        return None
-    return np.maximum(res.x[: r * ncols].reshape(ncols, r).T, 0.0)
 
 
 def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
@@ -480,18 +442,17 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     range, every entry underflowing to 0, or a W past it once multiplied
     back, the result is None.
 
-    Each restart of the float search runs floor-clipped HALS sweeps (at most
-    `budget.iterations` per round) and then polishes with alternating
-    Chebyshev linear-program refits, which directly attack the success
-    metric: relative max-norm error max|M - WH| / max|M| <= `_NMF_TOL`.
-    Three perturb-and-retry rounds, seeded by `_NMF_SEED`, run per restart.
-    The search stops as soon as the error reaches the tol: the sweeps are
-    checked every 25, the polish is skipped when the sweeps already reach
-    it, and it ends at the first refit that does.  A search that never
-    reaches it does all `budget.restarts * 3` rounds of sweeps and returns
-    None, which is *not* evidence that no such factorization exists;
-    otherwise the result is the factorization of the lowest-index restart
-    that reaches it.
+    Each restart of the float search runs floor-clipped HALS sweeps, whose
+    success metric is the relative max-norm error max|M - WH| / max|M| <=
+    `_NMF_TOL`, in three perturb-and-retry rounds seeded by `_NMF_SEED`.
+    A round runs at most `budget.iterations` sweeps, checked every 25: it
+    ends at the tol, and also when 25 sweeps lower the error by less than
+    1 % (`_STALL_RATIO`).  The search stops at the first round that reaches
+    the tol.  A search that never reaches it does `budget.restarts * 3`
+    rounds and returns None, which is *not* evidence that no such
+    factorization exists; otherwise the result is the factorization of the
+    lowest-index restart that reaches it, with each H row scaled to a
+    largest entry of 1 and its W column by the same factor.
     """
     if not isinstance(m, RatMatrix):
         raise ValidationError(f"nmf_search takes a RatMatrix, got {type(m).__name__}")
@@ -524,34 +485,18 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
         w = rng.uniform(0.1, 1.0, size=(nrow, r)) * init_scale
         h = rng.uniform(0.1, 1.0, size=(r, ncol)) * init_scale
         for _ in range(3):  # perturb-and-retry rounds
-            # the round's sweeps in chunks, checked against tol after each
-            left = budget.iterations
+            # the round's sweeps in chunks, checked against tol and the
+            # stall rule after each
+            left, err = budget.iterations, math.inf
             while True:
                 chunk = min(_SWEEP_CHUNK, left)
                 _hals_sweeps(v, w, h, chunk)
                 left -= chunk
-                err = _max_rel_err(v, w, h)
-                if err <= tol or left <= 0:
+                err, last = _max_rel_err(v, w, h), err
+                if err <= tol or left <= 0 or err > last * _STALL_RATIO:
                     break
             if best is None or err < best[0]:
                 best = (err, restart, w.copy(), h.copy())
-            # alternating minimax polish, skipped once the sweeps reach tol;
-            # monotone in the max-norm error
-            for _ in range(0 if err <= tol else 20):
-                h_new = _chebyshev_refit(w, v)
-                if h_new is None:
-                    break
-                h = h_new
-                w_new = _chebyshev_refit(h.T, v.T)
-                if w_new is None:
-                    break
-                w = w_new.T
-                err_new = _max_rel_err(v, w, h)
-                if err_new < best[0]:
-                    best = (err_new, restart, w.copy(), h.copy())
-                if err_new <= tol or err_new >= err - 1e-12:
-                    break
-                err = err_new
             if best[0] <= tol:
                 break
             w *= rng.uniform(0.7, 1.3, size=w.shape)
@@ -560,10 +505,14 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
             break
     if not best[0] <= tol:
         return None
-    w = best[2] * vmax
+    # each H row to a largest entry of 1 (HALS floors every entry at
+    # _FLOOR), so W multiplied back stays near M's largest entry
+    peaks = best[3].max(axis=1)
+    h = best[3] / peaks[:, None]
+    w = best[2] * peaks * vmax
     if not np.isfinite(w).all():
         return None
-    terms = tuple(zip(map(tuple, w.T.tolist()), map(tuple, best[3].tolist())))
+    terms = tuple(zip(map(tuple, w.T.tolist()), map(tuple, h.tolist())))
     return NonnegFactorization(dims=m.dims, terms=terms)
 
 

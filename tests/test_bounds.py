@@ -544,7 +544,6 @@ def test_mr_bounds_closes_a_search_batch_rank_3_bracket_without_the_float_search
         raise AssertionError("the float search ran")
 
     monkeypatch.setattr(mrw.numkit, "_hals_sweeps", no_float_search)
-    monkeypatch.setattr(mrw.numkit, "_chebyshev_refit", no_float_search)
     rep = mr_bounds(m)
     assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
     assert verify_nonneg_factorization(m, rep.factorization).passed

@@ -4,13 +4,18 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+import mrw
 from mrw.cli import main
 from mrw.errors import ValidationError
 from mrw.serialize import canonical_dumps
@@ -324,7 +329,7 @@ def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": ["1", "1", "0", "1", "1", "0", "0", "0", "1"]}))
     code, _, _ = run(capsys, "mr", "--matrix", str(path), "--budget", "0.5")
     assert code == 0
-    assert seen == {"nodes": 25_000, "nmf": SearchBudget(restarts=1, iterations=200)}
+    assert seen == {"nodes": 25_000, "nmf": SearchBudget(restarts=2, iterations=1000)}
 
 
 def write_matrix(path, rows):
@@ -362,26 +367,25 @@ RANK4_PRODUCT = [
 
 
 def test_a_rank_4_product_past_float_range_keeps_the_trivial_bound(tmp_path, capsys):
-    # at 10^400 no float holds an entry; at 5 * 10^306 every entry fits a
-    # float, but the float witness's W, multiplied back by the largest
-    # entry, does not
-    for scale in (10**400, 5 * 10**306):
-        path = write_matrix(tmp_path / "m.json", [[x * scale for x in row] for row in RANK4_PRODUCT])
-        code, out, err = run(capsys, "mr", "--matrix", path)
-        assert code == 0 and err == ""
-        rep = json.loads(out)
-        assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 7, "trivial")
-        assert "factorization" not in rep
+    # at 10^400 no float holds an entry, so the float search does not run
+    path = write_matrix(tmp_path / "m.json", [[x * 10**400 for x in row] for row in RANK4_PRODUCT])
+    code, out, err = run(capsys, "mr", "--matrix", path)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (4, 7, "trivial")
+    assert "factorization" not in rep
 
 
 @pytest.mark.parametrize(
     "scale",
-    [1, 10**150, 10**250, 10**300, Fraction(1, 10**300)],
-    ids=["1", "1e150", "1e250", "1e300", "1e-300"],
+    [1, 10**150, 10**250, 10**300, 5 * 10**306, Fraction(1, 10**300)],
+    ids=["1", "1e150", "1e250", "1e300", "5e306", "1e-300"],
 )
 def test_a_rank_4_product_gets_its_float_witness_at_every_scale_a_float_holds(tmp_path, capsys, scale):
     # the float search runs on a copy scaled to a largest entry of 1, so
-    # its products neither overflow nor underflow
+    # its products neither overflow nor underflow; each H row of the witness
+    # has a largest entry of 1, so W multiplied back stays within float
+    # range up to M's largest entry 1.7e308 (at 5 * 10^306)
     path = write_matrix(tmp_path / "m.json", [[x * scale for x in row] for row in RANK4_PRODUCT])
     code, out, err = run(capsys, "mr", "--matrix", path)
     assert code == 0 and err == ""
@@ -392,6 +396,22 @@ def test_a_rank_4_product_gets_its_float_witness_at_every_scale_a_float_holds(tm
     rebuilt = [[sum(Fraction(a[i]) * Fraction(b[j]) for a, b in zip(w, h)) for j in range(7)] for i in range(8)]
     miss = max(abs(x * scale - y) for row, rebuilt_row in zip(RANK4_PRODUCT, rebuilt) for x, y in zip(row, rebuilt_row))
     assert miss <= Fraction(1, 10**6) * 34 * scale
+
+
+def test_mr_on_a_float_search_leaves_scipy_unimported(tmp_path):
+    # a fresh process whose `mr` reaches the float search imports no scipy
+    path = write_matrix(tmp_path / "m.json", RANK4_PRODUCT)
+    child = (
+        "import json, sys; from mrw.cli import main; code = main(['mr', '--matrix', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(json.dumps([code, json.load(open(sys.argv[2]))['upperStatus'], 'scipy' in sys.modules]))"
+    )
+    src = str(Path(mrw.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", child, path, str(tmp_path / "rep.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout) == [0, "heuristic-certified", False]
 
 
 @st.composite
