@@ -82,15 +82,30 @@ def edm(spec: EdmSpec) -> RatMatrix:
     Symmetric, zero diagonal, positive off-diagonal; rank is 3 for n >= 3
     because every column lies in the span of (a_i^2), (a_i), (1).  Each
     square is computed once, above the diagonal, and mirrored, after the
-    capacity guard.
+    capacity guard.  Int values give int squares.  Otherwise each value is
+    read once as p / q, and for a pair a_i, a_j the difference is
+    t / d = (p_j q_i - p_i q_j) / (q_i q_j); dividing both by g = gcd(t, d)
+    leaves (t/g)^2 / (d/g)^2 in lowest terms, an int when d/g = 1 and one
+    Fraction otherwise.  No common denominator is formed: the lcm of the
+    denominators grows with n (1/1..1/n) while each pair's stays small.
     """
     check_capacity((spec.n, spec.n), "distance matrix")
-    a = spec.values
-    rows = [[0] * spec.n for _ in a]
-    for i, x in enumerate(a):
-        for j in range(i + 1, spec.n):
-            rows[i][j] = rows[j][i] = (a[j] - x) ** 2
-    return RatMatrix.from_rows(rows)
+    n, a = spec.n, spec.values
+    flat = [0] * (n * n)
+    if all(type(x) is int for x in a):
+        for i, x in enumerate(a):
+            for j in range(i + 1, n):
+                flat[i * n + j] = flat[j * n + i] = (a[j] - x) ** 2
+        return RatMatrix(n, n, flat)
+    pq = [(x.numerator, x.denominator) for x in a]
+    for i, (p_i, q_i) in enumerate(pq):
+        for j in range(i + 1, n):
+            p_j, q_j = pq[j]
+            t, d = p_j * q_i - p_i * q_j, q_i * q_j
+            g = math.gcd(t, d)
+            t, d = t // g, d // g
+            flat[i * n + j] = flat[j * n + i] = t * t if d == 1 else Fraction(t * t, d * d)
+    return RatMatrix(n, n, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,15 @@ def abp_profile(n: int, d: int) -> AbpProfile:
     spaced_block_column_indices are its columns at levels j <= d/2 and its
     rows above, against every index on the other side.  crown_lower_bound
     checks it on the flattening and returns kappa, the crown's exact cover
-    number.  Ranks are exact over the rationals; one flattening is held at a
-    time.
+    number.  Ranks are exact over the rationals.  Every level reads the one
+    coefficient array, built once as the middle flattening, in its own
+    shape; a reshape copies nothing.
     """
     spec = FunctionFSpec(n, d)
+    coeffs = flattening(spec, spec.half)
     levels = []
     for j in range(d + 1):
-        flat = flattening(spec, j)
+        flat = coeffs.reshape(n ** j, n ** (d - j))
         crown = spaced_block_column_indices(spec, spec.half - min(j, d - j))
         rows, cols = (range(flat.rows), crown) if j <= spec.half else (crown, range(flat.cols))
         bound = crown_lower_bound(flat, rows, cols)
@@ -125,9 +127,12 @@ class HiddenVariableModel:
         if not (len(self.weights) == len(self.cond_x) == len(self.cond_y)):
             raise DimensionError("weights and conditionals must align")
         for dist in (self.weights, *self.cond_x, *self.cond_y):
-            if any(p < 0 for p in dist):
+            # exactness first: the sign is read from the numerator
+            if not is_exact(dist):
+                raise ValidationError("distribution must be exact and sum to 1 exactly")
+            if any(p.numerator < 0 for p in dist):
                 raise ValidationError("probabilities must be nonnegative")
-            if not is_exact(dist) or exact_sum(dist) != 1:
+            if exact_sum(dist) != 1:
                 raise ValidationError("distribution must be exact and sum to 1 exactly")
 
     @property
@@ -262,7 +267,8 @@ def hv_model_from_factorization(p: RatMatrix, fact: NonnegFactorization) -> Hidd
     cond_x = []
     cond_y = []
     for u, v in fact.terms:
-        # exact_sum returns a Fraction, so every division by it stays exact
+        # exact_sum returns a Fraction, so every division by it stays exact;
+        # a zero entry is the shared zero Fraction, with no division
         su = exact_sum(u)
         sv = exact_sum(v)
         mass = su * sv
@@ -270,8 +276,8 @@ def hv_model_from_factorization(p: RatMatrix, fact: NonnegFactorization) -> Hidd
             warnings.warn("dropping zero-mass factorization term")
             continue
         weights.append(mass)
-        cond_x.append(tuple(x / su for x in u))
-        cond_y.append(tuple(y / sv for y in v))
+        cond_x.append(tuple(x / su if x else _ZERO for x in u))
+        cond_y.append(tuple(y / sv if y else _ZERO for y in v))
     # the masses sum to the entry sum of p; the model checks that it is 1
     return HiddenVariableModel(
         weights=tuple(weights), cond_x=tuple(cond_x), cond_y=tuple(cond_y)

@@ -173,15 +173,21 @@ class NonnegFactorization:
         return self._rational
 
     def has_negative_entry(self) -> bool:
-        return any(x < 0 for term in self.terms for vec in term for x in vec)
+        """True when some entry is negative, read from the sign of its
+        numerator: exact factors only, as for :meth:`reconstruct_exact`."""
+        if not self.is_rational():
+            raise ValidationError("the sign test reads exact factors")
+        return any(x.numerator < 0 for term in self.terms for vec in term for x in vec)
 
-    def reconstruct_exact(self):
-        """Exact reconstruction as a DenseTensor of Fractions, for every order.
+    def exact_numerators(self) -> tuple[int, list[int]]:
+        """The exact reconstruction as (den, numerators): cell k is
+        numerators[k] / den, in row-major order, for every order.
 
         Each factor vector is scaled to ints by the lcm of its denominators,
         so a term is an integer outer product over the product of its
-        scales; the terms are added as ints over the lcm of those products
-        and each cell becomes one Fraction at the end (as in `exact_sum`).
+        scales; the terms are added as ints over den, the lcm of those
+        products.  Nothing is reduced, so a cell's fraction need not be in
+        lowest terms.
         """
         if not self.is_rational():
             raise ValidationError("exact reconstruction needs rational factors")
@@ -201,6 +207,12 @@ class NonnegFactorization:
             for cell in product(*support):
                 offsets, factors = zip(*cell)
                 flat[sum(offsets)] += math.prod(factors)
+        return den, flat
+
+    def reconstruct_exact(self):
+        """Exact reconstruction as a DenseTensor of Fractions, for every
+        order: :meth:`exact_numerators`, each cell one Fraction."""
+        den, flat = self.exact_numerators()
         return DenseTensor(self.dims, [Fraction(x, den) for x in flat])
 
 
@@ -537,7 +549,13 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization) -> Factorizat
         return FactorizationCheck(passed=False, reason="not rational")
     if fact.has_negative_entry():
         return FactorizationCheck(passed=False, reason="negativity")
-    if fact.reconstruct_exact().entries != target.entries:
+    # target cell p/q (lowest terms) equals x/den exactly when q divides den
+    # and p * (den / q) == x, so no cell becomes a Fraction
+    den, flat = fact.exact_numerators()
+    if not all(
+        den % e.denominator == 0 and e.numerator * (den // e.denominator) == x
+        for e, x in zip(target.entries, flat)
+    ):
         return FactorizationCheck(passed=False, reason="error")
     return FactorizationCheck(passed=True)
 

@@ -53,6 +53,45 @@ def test_edm_spec_keeps_integral_values_as_ints():
     assert all(type(e) is int for e in edm(EdmSpec.integers(6)).entries)
 
 
+def _pairwise_squares(values) -> list[Fraction]:
+    """Oracle: (a_j - a_i)^2 by Fraction operators, row-major."""
+    fr = [Fraction(v) for v in values]
+    return [(b - a) ** 2 for a in fr for b in fr]
+
+
+def _assert_edm_matches_pairwise(values):
+    got, want = edm(EdmSpec(values)).entries, _pairwise_squares(values)
+    assert list(got) == want
+    assert list(map(str, got)) == list(map(str, want))
+    # lowest terms: an integral square is an int, any other a Fraction
+    assert all((type(e) is int) == (e.denominator == 1) for e in got)
+
+
+# mixed signs; ints, and fractions whose denominators are pairwise coprime
+# or share factors and repeat
+_edm_values = st.lists(
+    st.one_of(
+        st.integers(-40, 40),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([2, 3, 5, 7, 11])),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([4, 6, 9, 12, 18])),
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+)
+
+
+@given(_edm_values)
+def test_edm_over_q_matches_the_pairwise_formula(values):
+    _assert_edm_matches_pairwise(values)
+
+
+def test_edm_over_unit_fractions_matches_the_pairwise_formula():
+    # 1/1..1/200: the lcm of all the denominators has 90 digits, while each
+    # pair's difference has a denominator below 40,000
+    _assert_edm_matches_pairwise([Fraction(1, k) for k in range(1, 201)])
+
+
 @pytest.mark.parametrize(
     "build",
     [

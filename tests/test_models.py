@@ -78,6 +78,9 @@ def test_profile_level_bound_matches_block_cover():
         assert all(lv.mr_lower_certified for lv in p.levels)
         for lv in p.levels:
             j = lv.level
+            # each level reads the one coefficient array; its rank is that
+            # of the flattening built on its own
+            assert lv.rank == rank_exact(flattening(spec, j)), (n, d, j)
             idx = spaced_block_column_indices(spec, d // 2 - min(j, d - j))
             if len(idx) > 8:
                 assert lv.mr_lower == crown_cover_number(len(idx))
@@ -226,6 +229,14 @@ def test_hv_model_rejects_negative_and_float_drift():
         HiddenVariableModel((0.5, 0.5 + 1e-9), cond, cond)
     with pytest.raises(ValidationError, match="exact"):
         HiddenVariableModel((0.5, 0.5), cond, cond)
+    # exactness is tested before the sign, so an entry that has no order
+    # against 0, or a negative float, is refused as inexact
+    point = ((1,),)
+    for weights in [("a",), (None,), (-0.5,), (1.0,)]:
+        with pytest.raises(ValidationError, match="exact"):
+            HiddenVariableModel(weights, point, point)
+    with pytest.raises(ValidationError, match="exact"):
+        HiddenVariableModel((1,), (("1",),), point)
     assert HiddenVariableModel((Fraction(1, 2), Fraction(1, 2)), cond, cond).support_size == 2
 
 

@@ -628,6 +628,9 @@ def test_verify_reports_the_first_failure_in_order():
     cases = [
         ((((1.0,), (1.0, 0.0)),), "not rational"),
         ((((1.0,), (1.0, -1.0)),), "not rational"),
+        # exactness is tested before any sign, over every term
+        ((((Fraction(-1),), (-1.0, 0)),), "not rational"),
+        ((((-1,), (-1, 0)), ((0.0,), (0, 0))), "not rational"),
         ((((1,), (1, 1)), ((1,), (0, -1))), "negativity"),
         ((((1,), (-1, 0)),), "negativity"),
         ((((1,), (1, Fraction(1, 2))),), "error"),
@@ -636,6 +639,38 @@ def test_verify_reports_the_first_failure_in_order():
     for terms, reason in cases:
         chk = verify_nonneg_factorization(target, NonnegFactorization(dims=(1, 2), terms=terms))
         assert chk == FactorizationCheck(passed=reason is None, reason=reason), terms
+
+
+def test_the_witness_check_needs_the_target_denominator_to_divide_den():
+    # factors in halves put the reconstruction over den = 4: cells 1/4, 1/2.
+    # A target of 1/3 has 1 * (4 // 3) == 1, the first numerator, but 3 does
+    # not divide 4, so the cells differ
+    fact = NonnegFactorization(dims=(1, 2), terms=(((Fraction(1, 2),), (Fraction(1, 2), 1)),))
+    assert fact.exact_numerators() == (4, [1, 2])
+    target = RatMatrix.from_rows([[Fraction(1, 3), Fraction(1, 2)]])
+    assert verify_nonneg_factorization(target, fact) == FactorizationCheck(False, "error")
+    exact = RatMatrix.from_rows([[Fraction(1, 4), Fraction(1, 2)]])
+    assert verify_nonneg_factorization(exact, fact) == FactorizationCheck(passed=True)
+
+
+def test_a_witness_that_matches_only_after_reduction_passes():
+    # two terms over den = 4 give the numerators 2 and 4: the cells 2/4 and
+    # 4/4, which are the target's 1/2 and 1 once reduced
+    half = Fraction(1, 2)
+    fact = NonnegFactorization(
+        dims=(1, 2), terms=(((half,), (half, half)), ((half,), (half, Fraction(3, 2))))
+    )
+    assert fact.exact_numerators() == (4, [2, 4])
+    target = RatMatrix.from_rows([[half, 1]])
+    assert verify_nonneg_factorization(target, fact) == FactorizationCheck(passed=True)
+    assert fact.reconstruct_exact().entries == target.entries
+
+
+def test_the_sign_test_refuses_float_factors():
+    # the sign is read from numerators, which a float does not have
+    fact = NonnegFactorization(dims=(1, 2), terms=(((-1,), (-1, 0)), ((0.0,), (0, 0))))
+    with pytest.raises(ValidationError, match="exact"):
+        fact.has_negative_entry()
 
 
 def test_verify_shape_mismatch():
