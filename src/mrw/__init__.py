@@ -58,7 +58,6 @@ from .bounds import (
     MrBoundReport,
     SupportPattern,
     box_cover_exact,
-    div_tensor_mr_exact,
     mr_bounds,
     support_pattern,
 )

@@ -213,10 +213,11 @@ def divisibility_tensor(spec: DivTensorSpec) -> DenseTensor:
     """Dense 0/1 tensor with exactly base^(order-1) ones: any prefix of d-1
     indices has a unique completing last index."""
     base = spec.base
-    return DenseTensor.from_function(
-        (base,) * spec.order,
-        lambda idx: 1 if sum(i + 1 for i in idx) % base == 0 else 0,
-    )
+    # the 1-based index sums mod base of the cells so far, in row-major order
+    sums = [0]
+    for _ in range(spec.order):
+        sums = [(s + i) % base for s in sums for i in range(1, base + 1)]
+    return DenseTensor((base,) * spec.order, [1 if s == 0 else 0 for s in sums])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ everything comfortably in memory.
 
 from __future__ import annotations
 
-from itertools import product
 from math import prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError
 from .ratlinalg import RatMatrix, RationalLike, as_size, check_capacity, exact_entries
@@ -31,11 +30,6 @@ class DenseTensor:
             raise DimensionError(f"expected {size} entries for dims {dims}, got {len(data)}")
         self.dims = dims
         self._entries = data
-
-    @classmethod
-    def from_function(cls, dims: Sequence[int], fn: Callable[[tuple[int, ...]], object]) -> "DenseTensor":
-        dims = tuple(dims)
-        return cls(dims, map(fn, product(*map(range, dims))))
 
     @property
     def order(self) -> int:

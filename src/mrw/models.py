@@ -18,7 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import crown_lower_bound, div_tensor_mr_exact, rank_lower_bound
+from .bounds import (
+    SupportPattern,
+    crown_lower_bound,
+    rank_lower_bound,
+    singleton_box_predicate,
+    support_pattern,
+)
 from .constructions import (
     DivTensorSpec,
     EdmSpec,
@@ -142,13 +148,6 @@ class HiddenVariableModel:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.cond_x[0]), len(self.cond_y[0])) if self.weights else (0, 0)
-
-    def joint_float(self) -> np.ndarray:
-        nx, ny = self.shape
-        out = np.zeros((nx, ny))
-        for w, cx, cy in zip(self.weights, self.cond_x, self.cond_y):
-            out += float(w) * np.outer([float(p) for p in cx], [float(p) for p in cy])
-        return out
 
 
 # every zero and one the unit factorizations place is one of these two shared
@@ -311,12 +310,13 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
     weights = np.array([float(w) for w in model.weights])
     z_counts = rng.multinomial(trials, weights)
     counts = np.zeros((nx, ny), dtype=np.int64)
-    for t_z, cx, cy in zip(z_counts, model.cond_x, model.cond_y):
-        if t_z == 0:
-            continue
-        cell_probs = np.outer([float(p) for p in cx], [float(p) for p in cy]).ravel()
-        counts += rng.multinomial(int(t_z), cell_probs).reshape(nx, ny)
-    tv = 0.5 * float(np.sum(np.abs(counts / trials - model.joint_float())))
+    joint = np.zeros((nx, ny))
+    for w, t_z, cx, cy in zip(weights, z_counts, model.cond_x, model.cond_y):
+        cell_probs = np.outer([float(p) for p in cx], [float(p) for p in cy])
+        joint += w * cell_probs
+        if t_z:
+            counts += rng.multinomial(int(t_z), cell_probs.ravel()).reshape(nx, ny)
+    tv = 0.5 * float(np.sum(np.abs(counts / trials - joint)))
     return HvSampleReport(trials=trials, seed=seed, counts=counts, tv_distance=tv)
 
 
@@ -482,6 +482,26 @@ class CommBoundReport:
             raise ValidationError("rank upper bound must be positive")
 
 
+def _divisibility_mr(spec: DivTensorSpec, pattern: SupportPattern) -> int:
+    """Exact monotone rank of the divisibility tensor of `spec`, whose
+    support is `pattern`: base^(order-1).
+
+    Index sums of two cells differing only in coordinate m differ by less than
+    the base, so both cannot be divisible: every box is a singleton, the cover
+    number equals the support size, and the singleton factorization matches it.
+    A support of another size, or one the singleton-box predicate refutes,
+    raises `ValidationError`.
+    """
+    expected = spec.base ** (spec.order - 1)
+    if pattern.size != expected:
+        raise ValidationError(
+            f"support size {pattern.size} deviates from base^(order-1) = {expected}"
+        )
+    if not singleton_box_predicate(pattern):
+        raise ValidationError("singleton-box predicate failed for divisibility tensor")
+    return pattern.size
+
+
 def comm_report(nbits: int, d: int, cross_check: bool = True) -> CommBoundReport:
     """Bounds for the d-party divisibility function on nbits-bit inputs.
 
@@ -512,7 +532,7 @@ def comm_report(nbits: int, d: int, cross_check: bool = True) -> CommBoundReport
         n_big = 1 << nbits
         spec = DivTensorSpec(n_big, d)
         tensor = divisibility_tensor(spec)
-        report["mr_cross_check"] = div_tensor_mr_exact(spec)
+        report["mr_cross_check"] = _divisibility_mr(spec, support_pattern(tensor))
         report["flattening_rank"] = rank_lower_bound(tensor)
         report["rank_upper_dn"] = d * n_big
     return CommBoundReport(**report)

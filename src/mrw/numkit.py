@@ -7,11 +7,13 @@ normalisation of the columns: separable cones picked by successive
 projection, and nested triangles at rank 3; then HALS sweeps with random
 restarts on a float copy scaled to a largest entry of 1), and an
 alternating-least-squares tensor fitter; both searches read exact arrays
-only.  Searches are deterministic given (input, seed, budget): restarts are
-ranked by (residual, restart index) so the outcome never depends on
-execution order.  A successful search is a witness, never a proof of
-optimality (it is exact only when `verify_nonneg_factorization` passes);
-failure after budget exhaustion proves nothing.
+only.  Searches are deterministic given (input, seed, budget): the
+factorization search returns the first round that reaches its tolerance and
+the tensor fitter keeps the lowest residual, ties broken by restart index,
+so the outcome never depends on execution order.  A successful search is a
+witness, never a proof of optimality (it is exact only when
+`verify_nonneg_factorization` passes); failure after budget exhaustion
+proves nothing.
 """
 
 from __future__ import annotations
@@ -463,8 +465,8 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     the tol.  A search that never reaches it does `budget.restarts * 3`
     rounds and returns None, which is *not* evidence that no such
     factorization exists; otherwise the result is the factorization of the
-    lowest-index restart that reaches it, with each H row scaled to a
-    largest entry of 1 and its W column by the same factor.
+    first round that reaches it, with each H row scaled to a largest entry
+    of 1 and its W column by the same factor.
     """
     if not isinstance(m, RatMatrix):
         raise ValidationError(f"nmf_search takes a RatMatrix, got {type(m).__name__}")
@@ -492,8 +494,7 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     rng = np.random.default_rng(_NMF_SEED)
     nrow, ncol = v.shape
     init_scale = math.sqrt(float(np.mean(v)) / r)
-    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-    for restart in range(budget.restarts):
+    for _ in range(budget.restarts):
         w = rng.uniform(0.1, 1.0, size=(nrow, r)) * init_scale
         h = rng.uniform(0.1, 1.0, size=(r, ncol)) * init_scale
         for _ in range(3):  # perturb-and-retry rounds
@@ -507,21 +508,19 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
                 err, last = _max_rel_err(v, w, h), err
                 if err <= tol or left <= 0 or err > last * _STALL_RATIO:
                     break
-            if best is None or err < best[0]:
-                best = (err, restart, w.copy(), h.copy())
-            if best[0] <= tol:
+            if err <= tol:
                 break
             w *= rng.uniform(0.7, 1.3, size=w.shape)
             h *= rng.uniform(0.7, 1.3, size=h.shape)
-        if best[0] <= tol:
+        if err <= tol:
             break
-    if not best[0] <= tol:
+    if not err <= tol:
         return None
     # each H row to a largest entry of 1 (HALS floors every entry at
     # _FLOOR), so W multiplied back stays near M's largest entry
-    peaks = best[3].max(axis=1)
-    h = best[3] / peaks[:, None]
-    w = best[2] * peaks * vmax
+    peaks = h.max(axis=1)
+    h = h / peaks[:, None]
+    w = w * peaks * vmax
     if not np.isfinite(w).all():
         return None
     terms = tuple(zip(map(tuple, w.T.tolist()), map(tuple, h.tolist())))

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mrw.bounds
@@ -23,7 +23,6 @@ from mrw.bounds import (
     box_cover_exact,
     crown_cover_number,
     crown_lower_bound,
-    div_tensor_mr_exact,
     enumerate_maximal_boxes,
     mr_bounds,
     rank_lower_bound,
@@ -490,10 +489,28 @@ def test_singleton_predicate_detects_wide_boxes():
     assert not singleton_box_predicate(pat)
 
 
-def test_div_tensor_mr_exact_values():
-    assert div_tensor_mr_exact(DivTensorSpec(2, 3)) == 4
-    assert div_tensor_mr_exact(DivTensorSpec(3, 3)) == 9
-    assert div_tensor_mr_exact(DivTensorSpec(3, 2)) == 3
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=5), st.sets(st.integers(0, 242), max_size=12))
+@example([2, 3], set())  # empty support
+@example([3, 3, 3, 3, 3], {242})  # one cell
+def test_singleton_predicate_matches_the_pairwise_definition(dims, picks):
+    size = prod(dims)
+    hits = {k % size for k in picks}
+    pattern = support_pattern(DenseTensor(dims, [int(k in hits) for k in range(size)]))
+    far_apart = not any(
+        sum(a != b for a, b in zip(x, y)) == 1
+        for x, y in itertools.combinations(pattern.cells, 2)
+    )
+    assert singleton_box_predicate(pattern) == far_apart
+
+
+def test_singleton_predicate_on_indices_past_int64_does_not_wrap():
+    # (16, 0, 0) sits at 2^64 in the 2^30 cube and at 2^84 in the 2^40 one,
+    # both of which int64 wraps onto (0, 0, 0)
+    for dims in [(2**30,) * 3, (2**40,) * 3]:
+        far = SupportPattern(dims=dims, cells=frozenset({(0, 0, 0), (16, 0, 1)}))
+        near = SupportPattern(dims=dims, cells=frozenset({(0, 0, 0), (16, 0, 0)}))
+        assert singleton_box_predicate(far)
+        assert not singleton_box_predicate(near)
 
 
 def test_mr_bounds_exact_upper_closes_gap():

@@ -308,7 +308,6 @@ def test_bad_budget_exits_2(tmp_path, capsys):
 
 def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
     import mrw.bounds
-    import mrw.numkit
     from mrw.numkit import SearchBudget
 
     seen = {}
@@ -323,7 +322,7 @@ def test_mr_budget_scales_cover_and_nmf_search(tmp_path, capsys, monkeypatch):
         return None
 
     monkeypatch.setattr(mrw.bounds, "box_cover_exact", spy_cover)
-    monkeypatch.setattr(mrw.numkit, "nmf_search", spy_nmf)
+    monkeypatch.setattr(mrw.bounds, "nmf_search", spy_nmf)
     path = tmp_path / "m.json"
     # rank 2 and cover 2 against the dimension bound 3, so mr runs its search
     path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": ["1", "1", "0", "1", "1", "0", "0", "0", "1"]}))

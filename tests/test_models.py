@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrw.bounds import box_cover_exact, crown_cover_number, support_pattern
+from mrw.bounds import SupportPattern, box_cover_exact, crown_cover_number, support_pattern
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
@@ -30,6 +30,7 @@ from mrw.constructions import (
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
     HiddenVariableModel,
+    _divisibility_mr,
     abp_profile,
     comm_ladder,
     comm_report,
@@ -255,6 +256,23 @@ def test_hv_sample_deterministic_point_mass():
     )
     rep = hv_sample(model, 500, seed=3)
     assert rep.tv_distance == 0.0
+
+
+def test_hv_sample_counts_and_tv_distance_are_pinned():
+    # the third term gets no draws at these seeds but still enters the joint
+    model = HiddenVariableModel(
+        (Fraction(1, 3), Fraction(2, 3) - Fraction(1, 10**9), Fraction(1, 10**9)),
+        ((Fraction(1, 3),) * 3, (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)), (0, 0, 1)),
+        ((Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)), (Fraction(1, 3), Fraction(2, 3), 0), (1, 0, 0)),
+    )
+    rep = hv_sample(model, 1000, seed=5)
+    assert rep.counts.tolist() == [[39, 90, 60], [65, 165, 87], [147, 283, 64]]
+    assert rep.tv_distance == 0.0339206343015873
+    rep = hv_sample(model, 10**6, seed=29)
+    assert rep.counts.tolist() == [
+        [42762, 96997, 66834], [74485, 160271, 66318], [137954, 287693, 66686]
+    ]
+    assert rep.tv_distance == 0.0007496830158730157
 
 
 def test_hv_sample_statistics_and_determinism():
@@ -565,6 +583,25 @@ def test_comm_report_worked_values():
     small = comm_report(1, 2)
     assert small.log_mr_exact == 1
     assert small.mr_cross_check == 2
+
+
+def test_comm_report_matches_its_closed_forms():
+    for nbits in range(1, 7):
+        for d in range(2, 12 // nbits + 1):
+            rep = comm_report(nbits, d)
+            got = (rep.mr_cross_check, rep.flattening_rank, rep.rank_upper_dn)
+            assert got == (2 ** (nbits * (d - 1)), 2**nbits, d * 2**nbits), (nbits, d)
+
+
+def test_divisibility_mr_is_the_support_size():
+    for base, order, mr in [(2, 3, 4), (3, 3, 9), (3, 2, 3)]:
+        spec = DivTensorSpec(base, order)
+        assert _divisibility_mr(spec, support_pattern(divisibility_tensor(spec))) == mr
+    spec = DivTensorSpec(2, 2)
+    with pytest.raises(ValidationError, match="support size"):
+        _divisibility_mr(spec, SupportPattern((2, 2), frozenset({(0, 1)})))
+    with pytest.raises(ValidationError, match="singleton-box"):
+        _divisibility_mr(spec, SupportPattern((2, 2), frozenset({(0, 0), (0, 1)})))
 
 
 def test_comm_report_validation():
