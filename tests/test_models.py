@@ -35,14 +35,13 @@ from mrw.models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
-    distinct_columns,
     divisibility_rank_witness,
     edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
-    reduced_key,
+    reduced_keys,
 )
 from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
@@ -427,6 +426,12 @@ def test_depth_matches_brute_force():
         assert grid_depth([list(col) for col in zip(*grid)]) == want, grid
 
 
+def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """The distinct columns, sorted, of the 0/1 matrix whose row i has entry
+    (i, j) as bit j of rows[i]; column j has it as bit i."""
+    return tuple(sorted({sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(ncols)}))
+
+
 @functools.cache
 def bipartition_depth(rows: tuple[int, ...], ncols: int) -> int:
     """Oracle: memoized top-down recursion over the bipartitions of the rows
@@ -484,7 +489,8 @@ def assert_batched_depths_match(grids, oracle):
     oracle."""
     by_shape: dict[tuple[int, int], list] = {}
     for grid in grids:
-        rows, ncols = reduced_key(row_masks(grid), len(grid[0]))
+        keys, _ = reduced_keys(np.array([grid]))
+        rows, ncols = keys[0]
         by_shape.setdefault((len(rows), ncols), []).append((rows, grid))
     for (_, ncols), group in by_shape.items():
         depths = reduced_depths([rows for rows, _ in group], ncols)
@@ -566,6 +572,18 @@ def test_depth_capped_by_distinct_rows_plus_columns():
     # whose 2 distinct rows leave 2 distinct columns
     assert grid_depth(mask_grid(range(9), 4)) == 3
     assert grid_depth(mask_grid([0x00FF, 0xFF00] * 8, 16)) == 2
+
+
+def test_16_bit_rows_reduce_in_a_dtype_that_holds_them():
+    # I_4 (x) J_4: 16-bit row masks, the last with bit 15 set, and 4
+    # distinct lines a side; its key is I_4's, of depth 3
+    grid = mask_grid([0xF << (4 * (i // 4)) for i in range(16)], 16)
+    keys, index = reduced_keys(np.array([grid]))
+    assert keys == [((1, 2, 4, 8), 4)] and index.tolist() == [0]
+    assert grid_depth(grid) == 3
+    # rows equal to the largest uint16, next to a repeated and a zero row
+    keys, _ = reduced_keys(np.array([mask_grid([0xFFFF, 0, 0xFFFF] + [0x7FFF] * 13, 16)]))
+    assert keys == [((0, 2, 3), 2)]
 
 
 # ---------------------------------------------------------------------------
