@@ -323,63 +323,22 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
 # deterministic two-party communication
 # ---------------------------------------------------------------------------
 
-# matrices per pass of `reduced_keys`: its temporaries (the uint8 cells and
-# the line masks of one chunk) stay this small however large the batch
-_KEY_CHUNK = 256
-
-
-def reduced_keys(grids: np.ndarray) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray]:
-    """Reduced keys of a batch of 0/1 matrices of one shape: grids[b] is a
-    (rows, cols) 0/1 array.  Each matrix is cut to its distinct columns,
-    sorted as bitmasks of the rows (bit i from row i), and then to its
-    distinct rows, sorted as bitmasks of the kept columns (bit k from the
-    k-th), so a key (rows, ncols) has no line repeated.  Returns the distinct
-    keys, sorted by (ncols, len(rows), rows), and each matrix's index among
-    them.
-
-    Masks take the narrowest unsigned dtype that holds them (uint16 for 16
-    lines), and the matrices go through in chunks of `_KEY_CHUNK`.  Each
-    becomes one code row (ncols, row count, rows with the repeats moved to
-    the end as the dtype's maximum); the code rows are sorted together once,
-    and only the distinct ones become tuples.
-    """
-    count, nrows, ncols = grids.shape
-    col_t = np.min_scalar_type((1 << nrows) - 1)
-    row_t = np.min_scalar_type(max((1 << ncols) - 1, nrows))
-    row_weights = col_t.type(1) << np.arange(nrows, dtype=col_t)
-    pad = np.iinfo(row_t).max
-    codes = np.empty((count, nrows + 2), dtype=row_t)
-    for start in range(0, count, _KEY_CHUNK):
-        chunk = grids[start:start + _KEY_CHUNK].astype(np.uint8, copy=False)
-        cols = chunk.transpose(0, 2, 1) @ row_weights
-        order = np.argsort(cols, axis=1)
-        cols.sort(axis=1)
-        kept = np.ones(cols.shape, dtype=bool)
-        kept[:, 1:] = cols[:, 1:] != cols[:, :-1]
-        # a kept column's row bit is its place among the kept ones; the
-        # weights go back to the input's column order, so one product per
-        # matrix reads off every row
-        place = np.cumsum(kept, axis=1, dtype=row_t) - 1
-        weights = np.empty(cols.shape, dtype=row_t)
-        weights[np.arange(len(chunk))[:, None], order] = np.where(kept, row_t.type(1) << place, 0)
-        rows = (chunk @ weights[:, :, None])[..., 0]
-        rows.sort(axis=1)
-        repeat = np.zeros(rows.shape, dtype=bool)
-        repeat[:, 1:] = rows[:, 1:] == rows[:, :-1]
-        rows[repeat] = pad
-        rows.sort(axis=1)
-        code = codes[start:start + _KEY_CHUNK]
-        code[:, 0] = place[:, -1] + 1
-        code[:, 1] = nrows - repeat.sum(axis=1)
-        code[:, 2:] = rows
-    order = np.lexsort(codes.T[::-1])
-    codes = codes[order]
-    first = np.ones(count, dtype=bool)
-    first[1:] = (codes[1:] != codes[:-1]).any(axis=1)
-    index = np.empty(count, dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    keys = [(tuple(code[2:2 + code[1]]), code[0]) for code in codes[first].tolist()]
-    return keys, index
+def reduced_key(rows: Sequence[int], ncols: int) -> tuple[tuple[int, ...], int]:
+    """The 0/1 matrix whose row i has entry (i, j) as bit j of rows[i], cut
+    to its distinct columns and then to its distinct rows, as (rows, ncols):
+    no line repeated.  Each pass is a bit loop that reads the matrix's
+    columns as bitmasks of its rows (bit i from row i) and keeps the distinct
+    ones, sorted; the second pass, on the kept columns, gives back rows whose
+    bit k comes from the k-th kept column."""
+    for _ in range(2):
+        cols = [0] * ncols
+        for i, row in enumerate(rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        rows, ncols = tuple(sorted(set(cols))), len(rows)
+    return rows, ncols
 
 
 @functools.cache
@@ -471,24 +430,21 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     input set; leaves must be constant submatrices; the value is the minimax
     depth.  Depth does not change under duplicated rows or columns, so the
     input is cut to its r distinct rows and c distinct columns by
-    `reduced_keys` (16-bit masks at the shape cap, in uint16) and handed to
-    `reduced_depths`, each as a batch of one; nothing is kept once the call
-    returns.  The batch of one is some thirty numpy calls: on random 5x5
-    inputs a call took 0.40-0.43 ms against 0.24-0.29 ms with a bit loop over
-    the rows (in process, one core of a shared 2-vCPU host).  A level touches about (3^r 2^c + 2^r 3^c) / 2 cells, so
-    r + c is capped at 16 as well as the shape at 16x16.  At the cap, in a
-    fresh process on one core of a shared 2-vCPU host: the 8x8 identity took
-    0.014-0.018 s, a random 8x8 input 0.016-0.021 s and the 12 distinct rows
-    of 4 bits 0.035-0.050 s at 45 MB peak.  Past it, the 16 distinct rows of
-    4 bits would need 21.5 M row splits of 16 cells per level.
+    `reduced_key` and handed to `reduced_depths` as a batch of one; nothing
+    is kept once the call returns.  A level touches about
+    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16 as well as the
+    shape at 16x16.  At the cap, in a fresh process on one core of a shared
+    2-vCPU host: the 8x8 identity took 0.014-0.018 s, a random 8x8 input
+    0.016-0.021 s and the 12 distinct rows of 4 bits 0.035-0.050 s at 45 MB
+    peak.  Past it, the 16 distinct rows of 4 bits would need 21.5 M row
+    splits of 16 cells per level.
     """
     if m.rows > 16 or m.cols > 16:
         raise CapacityError("exact protocol search is capped at 16x16")
     if not {0, 1}.issuperset(m.entries):
         raise ValidationError("protocol search needs a 0/1 matrix")
-    grid = np.array([int(v) for v in m.entries], dtype=np.uint8).reshape(1, m.rows, m.cols)
-    keys, _ = reduced_keys(grid)
-    rows, ncols = keys[0]
+    masks = [sum(int(v) << j for j, v in enumerate(row)) for row in m.iter_rows()]
+    rows, ncols = reduced_key(masks, m.cols)
     if len(rows) + ncols > 16:
         raise CapacityError(
             "exact protocol search is capped at 16 distinct rows plus distinct columns, "

@@ -9,6 +9,7 @@ quick runs; `scale="full"` runs the complete set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -42,7 +43,7 @@ from .models import (
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
-    reduced_keys,
+    reduced_key,
 )
 from .numkit import DEFAULT_SEED, verify_nonneg_factorization
 from .ratlinalg import RatMatrix, rank_exact
@@ -254,54 +255,50 @@ def _chain_states(side: int):
             yield nc, rows
 
 
-def _shape_grids(nrows: int, ncols: int) -> np.ndarray:
-    """The states of `_chain_states` of one shape, in its order, as a
-    (count, nrows, ncols) uint8 array of 0/1 matrices."""
-    dtype = np.min_scalar_type((1 << ncols) - 1)
-    combos = itertools.combinations(range(1 << ncols), nrows)
-    masks = np.fromiter(itertools.chain.from_iterable(combos), dtype=dtype).reshape(-1, nrows)
-    return ((masks[..., None] >> np.arange(ncols, dtype=dtype)) & 1).astype(np.uint8)
+@functools.cache
+def _relabellings(ncols: int) -> np.ndarray:
+    """The (ncols!, 2^ncols) uint64 table whose entry [p, v] is 1 << w, w
+    the ncols-bit row v with its bits moved by the p-th permutation of the
+    columns: ORing a row set's entries of line p gives the set, as one
+    2^ncols-bit mask, under relabelling p.  Read-only, built once per ncols."""
+    assert ncols <= 6, "a set of rows over more than 6 columns does not fit 64 bits"
+    bits = ((np.arange(1 << ncols)[:, None] >> np.arange(ncols)) & 1).astype(np.uint8)
+    perms = np.array(list(itertools.permutations(range(ncols))), dtype=np.uint8)
+    table = np.uint64(1) << (bits << perms[:, None, :]).sum(axis=2, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
 
-def _chain_batches(side: int, big: int, count: int, seed: int) -> list[np.ndarray]:
-    """The matrices of the log-rank chain as batches of one shape: the
-    states of `_chain_states(side)` shape by shape, then `count` seeded
-    random big x big 0/1 matrices."""
-    rng = np.random.default_rng(seed + 23)
-    grids = np.stack([rng.integers(0, 2, size=(big, big)) for _ in range(count)])
-    return [_shape_grids(nr, nc) for nr, nc in _chain_shapes(side)] + [grids]
+def _columns(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """The columns, as bitmasks of the rows (bit i from row i), of a batch
+    of 0/1 matrices of one shape given as row bitmasks: rows[b] holds the
+    rows of matrix b."""
+    bits = (rows[:, :, None] >> np.arange(ncols)) & 1
+    return (bits << np.arange(rows.shape[1])[:, None]).sum(axis=1)
 
 
-def _key_classes(keys: list[tuple[tuple[int, ...], int]]) -> list[tuple[tuple[int, ...], int]]:
-    """The class of each reduced key: the smaller of the key and the reduced
-    key of its transpose, which is the key's columns as bitmasks of its rows
-    (bit i from row i), sorted, since a key repeats no column.  Depth, rank
-    and cover number do not change under transposition, so a class holds
-    the invariants of its keys."""
-    height = max(len(rows) for rows, _ in keys)
-    width = max(nc for _, nc in keys)
-    masks = np.array([rows + (0,) * (height - len(rows)) for rows, _ in keys])
-    cols = (((masks[:, :, None] >> np.arange(width)) & 1) << np.arange(height)[:, None]).sum(axis=1)
-    # columns past a key's own width go to the end of its sorted row
-    cols[np.arange(width) >= np.array([nc for _, nc in keys])[:, None]] = 1 << height
-    cols.sort(axis=1)
-    return [min((rows, nc), (tuple(col[:nc]), len(rows))) for (rows, nc), col in zip(keys, cols.tolist())]
+def _classes(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int, int]]:
+    """The class of each of a batch of reduced keys of one shape, given by
+    its rows and its columns as bitmasks: the lesser of its code and its
+    transpose's.  A code is the shape plus the set of rows as one mask,
+    the least over the column relabellings; a key repeats no row, so it is
+    its row set, and two keys share a class exactly when row and column
+    permutations and transposition take one to the other."""
+    nrows, ncols = rows.shape[1], cols.shape[1]
+
+    def codes(lines: np.ndarray, width: int) -> list[int]:
+        # one (width!, batch) mask array at a time, ORed line by line
+        table = _relabellings(width)
+        return functools.reduce(np.bitwise_or, (table[:, line] for line in lines.T)).min(axis=0).tolist()
+
+    return [min((nrows, ncols, a), (ncols, nrows, b)) for a, b in zip(codes(rows, ncols), codes(cols, nrows))]
 
 
-def _chain_classes(batches: list[np.ndarray]):
-    """The classes of the 0/1 matrices of `batches` (each an array of
-    matrices of one shape), and the index of each matrix's class among
-    them, in batch order.  Each batch is reduced in one `reduced_keys` call,
-    and only its distinct keys are looked up."""
-    key_ids: dict[tuple[tuple[int, ...], int], int] = {}
-    per_batch = []
-    for batch in batches:
-        keys, index = reduced_keys(batch)
-        ids = np.array([key_ids.setdefault(key, len(key_ids)) for key in keys])
-        per_batch.append(ids[index])
-    class_ids: dict[tuple[tuple[int, ...], int], int] = {}
-    key_class = np.array([class_ids.setdefault(c, len(class_ids)) for c in _key_classes(list(key_ids))])
-    return list(class_ids), key_class[np.concatenate(per_batch)]
+def _class_of(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
+    """The class of one 0/1 matrix, given as row bitmasks: its reduced key's."""
+    key, width = reduced_key(rows, ncols)
+    grid = np.array([key])
+    return _classes(grid, _columns(grid, width))[0]
 
 
 def check_log_rank_chain(scale: str, seed: int):
@@ -310,39 +307,52 @@ def check_log_rank_chain(scale: str, seed: int):
 
     Depth, rank and cover number are invariant under duplicating and
     permuting rows and columns and under transposition.  So one state per
-    set of distinct rows covers every matrix up to side x side, each state
-    is cut to its reduced key, and the chain is evaluated once per class:
-    the smaller of a key and the reduced key of its transpose.  At full
-    scale and seed 1729 the 2,716 states (2,696 small, 20 random 6x6) share
-    354 keys and 219 classes of 12 shapes; at small scale the 114 states
-    (109 and 5 random 5x5) share 33 keys and 26 classes.  The states of one
-    shape are reduced in one `reduced_keys` batch, the classes of one shape
-    get their depths from one `reduced_depths` sweep, then each class its
-    rank and cover bound.  The first state (in enumeration order, the
-    random ones last) whose class breaks the chain is reported; the count
-    reported is per state.
+    set of distinct rows covers every matrix up to side x side, and the
+    chain is evaluated once per class of reduced keys under row and column
+    permutations and transposition (`_classes`).  A state's reduced key is
+    a state whose columns are distinct, so only those states are coded, in
+    one numpy pass per shape; the random matrices are reduced by
+    `reduced_key` first.  At full scale and seed 1729 the 2,716 states
+    (2,696 small, 20 random 6x6) fall into 123 classes of 11 shapes; at
+    small scale the 114 states (109 and 5 random 5x5) into 24 classes.
+    The classes of one shape get their depths from one `reduced_depths`
+    sweep, then each class its rank and cover bound.  The count reported is
+    per state; on failure the states are classed one at a time, and the
+    first (in enumeration order, the random ones last) whose class breaks
+    the chain is reported.
     """
     side = 4 if scale == "full" else 3
     big, count = (6, 20) if scale == "full" else (5, 5)
-    classes, state_class = _chain_classes(_chain_batches(side, big, count, seed))
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, (rows, nc) in enumerate(classes):
-        by_shape.setdefault((len(rows), nc), []).append(i)
-    holds = np.zeros(len(classes), dtype=bool)
-    for (_, nc), group in by_shape.items():
-        keys = [classes[i][0] for i in group]
-        for i, rows, depth in zip(group, keys, reduced_depths(keys, nc)):
-            m = RatMatrix(len(rows), nc, [(r >> j) & 1 for r in rows for j in range(nc)])
+    rng = np.random.default_rng(seed + 23)
+    weights = 1 << np.arange(big)
+    randoms = [tuple((rng.integers(0, 2, size=(big, big)) @ weights).tolist()) for _ in range(count)]
+    classes: dict[tuple[int, int, int], None] = {}
+    total = count
+    for nr, nc in _chain_shapes(side):
+        rows = np.array(list(itertools.combinations(range(1 << nc), nr)))
+        cols = _columns(rows, nc)
+        ordered = np.sort(cols, axis=1)
+        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        classes.update(dict.fromkeys(_classes(rows[distinct], cols[distinct])))
+        total += len(rows)
+    classes.update(dict.fromkeys(_class_of(rows, big) for rows in randoms))
+    by_shape: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for cls in classes:
+        by_shape.setdefault(cls[:2], []).append(cls)
+    broken = set()
+    for (nr, nc), group in by_shape.items():
+        keys = [tuple(v for v in range(1 << nc) if code >> v & 1) for _, _, code in group]
+        for cls, rows, depth in zip(group, keys, reduced_depths(keys, nc)):
+            m = RatMatrix(nr, nc, [(r >> j) & 1 for r in rows for j in range(nc)])
             lows = (rank_exact(m), box_cover_exact(support_pattern(m)).lower)
-            holds[i] = all(depth >= math.ceil(math.log2(low)) for low in lows if low >= 1)
-    broken = np.flatnonzero(~holds[state_class])
-    if broken.size:
-        i = int(broken[0])
-        if i >= len(state_class) - count:
-            return False, f"chain violated on random {big}x{big}", "chain holds"
-        state = next(itertools.islice(_chain_states(side), i, None))
-        return False, f"chain violated at {state}", "depth >= log2(rank), log2(cover)"
-    return True, f"{len(state_class)} canonical instances checked", "chain holds on all instances"
+            if any(depth < math.ceil(math.log2(low)) for low in lows if low >= 1):
+                broken.add(cls)
+    if broken:
+        for nc, rows in _chain_states(side):
+            if _class_of(rows, nc) in broken:
+                return False, f"chain violated at {(nc, rows)}", "depth >= log2(rank), log2(cover)"
+        return False, f"chain violated on random {big}x{big}", "chain holds"
+    return True, f"{total} canonical instances checked", "chain holds on all instances"
 
 
 def check_separation_report(scale: str, seed: int):

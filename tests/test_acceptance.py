@@ -64,7 +64,7 @@ def test_exact_witnesses_pinned(full_report):
     assert int(edm_m.group(1)) <= int(edm_m.group(2)) == 8
     div_r = re.findall(r"rank witness r=(\d+) exact", observed["divisibility-tensor"])
     assert div_r == ["4", "7", "5"], observed["divisibility-tensor"]
-    # one per state, although the chain runs once per reduced key
+    # one per state, although the chain runs once per canonical class
     assert observed["log-rank-chain"] == "2716 canonical instances checked"
     for text in observed.values():
         assert "heuristic" not in text and "residual" not in text, text

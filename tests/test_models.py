@@ -41,7 +41,7 @@ from mrw.models import (
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
-    reduced_keys,
+    reduced_key,
 )
 from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
@@ -489,8 +489,7 @@ def assert_batched_depths_match(grids, oracle):
     oracle."""
     by_shape: dict[tuple[int, int], list] = {}
     for grid in grids:
-        keys, _ = reduced_keys(np.array([grid]))
-        rows, ncols = keys[0]
+        rows, ncols = reduced_key(row_masks(grid), len(grid[0]))
         by_shape.setdefault((len(rows), ncols), []).append((rows, grid))
     for (_, ncols), group in by_shape.items():
         depths = reduced_depths([rows for rows, _ in group], ncols)
@@ -574,16 +573,14 @@ def test_depth_capped_by_distinct_rows_plus_columns():
     assert grid_depth(mask_grid([0x00FF, 0xFF00] * 8, 16)) == 2
 
 
-def test_16_bit_rows_reduce_in_a_dtype_that_holds_them():
+def test_16_bit_rows_reduce_to_their_distinct_lines():
     # I_4 (x) J_4: 16-bit row masks, the last with bit 15 set, and 4
     # distinct lines a side; its key is I_4's, of depth 3
     grid = mask_grid([0xF << (4 * (i // 4)) for i in range(16)], 16)
-    keys, index = reduced_keys(np.array([grid]))
-    assert keys == [((1, 2, 4, 8), 4)] and index.tolist() == [0]
+    assert reduced_key(row_masks(grid), 16) == ((1, 2, 4, 8), 4)
     assert grid_depth(grid) == 3
-    # rows equal to the largest uint16, next to a repeated and a zero row
-    keys, _ = reduced_keys(np.array([mask_grid([0xFFFF, 0, 0xFFFF] + [0x7FFF] * 13, 16)]))
-    assert keys == [((0, 2, 3), 2)]
+    # rows of sixteen ones next to a repeated and a zero row
+    assert reduced_key([0xFFFF, 0, 0xFFFF] + [0x7FFF] * 13, 16) == ((0, 2, 3), 2)
 
 
 # ---------------------------------------------------------------------------

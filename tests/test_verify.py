@@ -1,7 +1,10 @@
 """The verification harness itself: report shape, determinism, and the
 forced-failure mode (a broken kernel must turn its check red), and the
-batched reduction and transposition classes the log-rank chain is
-evaluated on."""
+reduction and canonical classes the log-rank chain is evaluated on: a class
+is held to a brute-force canonical form over every row permutation, column
+permutation and transposition of the reduced key."""
+
+import itertools
 
 import numpy as np
 from hypothesis import example, given
@@ -9,14 +12,13 @@ from hypothesis import strategies as st
 
 import mrw.verify as verify
 from mrw.bounds import box_cover_exact, support_pattern
-from mrw.models import dcc_exact_2party, reduced_keys
+from mrw.models import dcc_exact_2party, reduced_key
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
 def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """The distinct columns, sorted, of the 0/1 matrix whose row i has entry
-    (i, j) as bit j of rows[i]; column j has it as bit i.  A bit loop over
-    one matrix: the reference `reduced_keys` is held to."""
+    (i, j) as bit j of rows[i]; column j has it as bit i."""
     cols = [0] * ncols
     for i, row in enumerate(rows):
         while row:
@@ -26,7 +28,8 @@ def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     return tuple(sorted(set(cols)))
 
 
-def reduced_key(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], int]:
+def reference_key(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], int]:
+    """A bit loop over one matrix: the reference `reduced_key` is held to."""
     cols = distinct_columns(rows, ncols)
     return distinct_columns(cols, len(rows)), len(cols)
 
@@ -36,20 +39,27 @@ def transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     return tuple(sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(ncols))
 
 
-def chain_class(key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
-    rows, ncols = key
-    return min(key, reduced_key(transpose(rows, ncols), len(rows)))
+def relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows with column j moved to column perm[j]."""
+    return tuple(sum((row >> j & 1) << k for j, k in enumerate(perm)) for row in rows)
 
 
-def grid_of(rows: tuple[int, ...], ncols: int) -> np.ndarray:
-    return np.array([[row >> j & 1 for j in range(ncols)] for row in rows], dtype=np.uint8)
+def canonical_form(rows: tuple[int, ...], ncols: int) -> tuple[int, int, tuple[int, ...]]:
+    """The least (row count, column count, rows) over every transposition,
+    column permutation and row permutation of the reduced key; the least
+    row order is the sorted one."""
+    key, width = reference_key(rows, ncols)
+    return min(
+        (len(lines), n, tuple(sorted(relabel(lines, perm))))
+        for lines, n in ((key, width), (transpose(key, width), len(key)))
+        for perm in itertools.permutations(range(n))
+    )
 
 
-def batch_keys(states: list[tuple[int, ...]], ncols: int) -> list[tuple[tuple[int, ...], int]]:
-    """The key of each state (row masks over ncols columns, all of one row
-    count) from one `reduced_keys` batch."""
-    keys, index = reduced_keys(np.array([grid_of(rows, ncols) for rows in states]))
-    return [keys[i] for i in index.tolist()]
+def decoded(cls: tuple[int, int, int]) -> tuple[tuple[int, ...], int]:
+    """The matrix a class names: the rows its row-set mask holds."""
+    _, ncols, code = cls
+    return tuple(v for v in range(1 << ncols) if code >> v & 1), ncols
 
 
 def random_rows(seed: int, big: int, count: int) -> list[tuple[int, ...]]:
@@ -82,26 +92,25 @@ def test_sabotaged_depth_fails_the_log_rank_chain(monkeypatch):
 
 
 def sabotage_one_class(monkeypatch, target: tuple[tuple[int, ...], int]):
-    """Give the class of the key `target` depth 0 and every other class its
-    true depth."""
+    """Give the canonical class of the matrix `target` depth 0 and every
+    other class its true depth."""
     real = verify.reduced_depths
-    broken = chain_class(target)
+    broken = canonical_form(*target)
 
     def depths(keys, ncols):
-        return [0 if (rows, ncols) == broken else d for rows, d in zip(keys, real(keys, ncols))]
+        return [0 if canonical_form(rows, ncols) == broken else d for rows, d in zip(keys, real(keys, ncols))]
 
     monkeypatch.setattr(verify, "reduced_depths", depths)
 
 
 def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
-    # the 2x2 identity's key (rank 2, so depth 0 breaks the chain) is its own
-    # class and is held by several states; the first in enumeration order
-    # whose key or transposed key is the target is the one reported
-    target = reduced_key((1, 2), 2)
-    assert chain_class(target) == target
+    # the 2x2 identity (rank 2, so depth 0 breaks the chain) is held by
+    # several states; the first in enumeration order whose canonical class
+    # is the identity's is the one reported
+    target = ((1, 2), 2)
     holders = [
         (nc, rows) for nc, rows in verify._chain_states(3)
-        if target in (reduced_key(rows, nc), reduced_key(transpose(rows, nc), len(rows)))
+        if canonical_form(rows, nc) == canonical_form(*target)
     ]
     assert len(holders) > 1
     sabotage_one_class(monkeypatch, target)
@@ -112,9 +121,9 @@ def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
 def test_a_sabotaged_random_key_is_reported_as_random(monkeypatch):
     # the class of the first random 5x5 at seed 1 is held by no state up to
     # 3x3, so the first state holding it is a random one
-    classes = {chain_class(reduced_key(rows, nc)) for nc, rows in verify._chain_states(3)}
-    first = reduced_key(random_rows(1, 5, 1)[0], 5)
-    assert chain_class(first) not in classes
+    classes = {canonical_form(rows, nc) for nc, rows in verify._chain_states(3)}
+    first = (random_rows(1, 5, 1)[0], 5)
+    assert canonical_form(*first) not in classes
     sabotage_one_class(monkeypatch, first)
     ok, observed, _ = verify.check_log_rank_chain("small", 1)
     assert not ok and observed == "chain violated on random 5x5"
@@ -141,7 +150,7 @@ def test_chain_states_are_the_distinct_row_sets():
     for side, count, keys in ((3, 109, 28), (4, 2696, 334)):
         states = list(verify._chain_states(side))
         assert len(states) == count and set(states) == decoded_states(side)
-        assert len({reduced_key(rows, nc) for nc, rows in states}) == keys
+        assert len({reference_key(rows, nc) for nc, rows in states}) == keys
 
 
 def chain_invariants(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
@@ -150,7 +159,7 @@ def chain_invariants(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
 
 
 def assert_key_keeps_invariants(rows: tuple[int, ...], ncols: int):
-    [(key_rows, key_cols)] = batch_keys([rows], ncols)
+    key_rows, key_cols = reduced_key(rows, ncols)
     assert list(key_rows) == sorted(set(key_rows)) and key_cols <= ncols
     assert chain_invariants(rows, ncols) == chain_invariants(key_rows, key_cols), (rows, ncols)
 
@@ -162,77 +171,92 @@ def test_chain_key_keeps_depth_rank_and_cover_on_every_small_state():
 
 @st.composite
 def grids01(draw, side: int = 5):
+    """A 0/1 matrix up to side x side as (row masks, ncols), with repeated
+    and all-zero rows and columns: rows drawn from a small pool or zero,
+    then each column a copy of a drawn column or zero."""
     nr, nc = draw(st.integers(1, side)), draw(st.integers(1, side))
-    return draw(st.lists(st.integers(0, (1 << nc) - 1), min_size=nr, max_size=nr)), nc
+    row = st.integers(0, (1 << nc) - 1)
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    rows = draw(st.lists(st.one_of(st.sampled_from(pool + [0]), row), min_size=nr, max_size=nr))
+    source = draw(st.lists(st.integers(-1, nc - 1), min_size=nc, max_size=nc))
+    copied = [sum((row >> s & 1) << j for j, s in enumerate(source) if s >= 0) for row in rows]
+    return tuple(draw(st.sampled_from([rows, copied]))), nc
 
 
 @given(grids01())
 def test_chain_key_keeps_depth_rank_and_cover(grid):
+    assert_key_keeps_invariants(*grid)
+
+
+@given(grids01(side=6), st.data())
+def test_transpose_keeps_the_chain_invariants_and_the_class_holds_them(grid, data):
     rows, ncols = grid
-    assert_key_keeps_invariants(tuple(rows), ncols)
-
-
-@given(grids01(side=6))
-def test_transpose_keeps_the_chain_invariants_and_the_class_holds_them(grid):
-    rows, ncols = tuple(grid[0]), grid[1]
-    cols = transpose(rows, ncols)
+    cls = verify._class_of(rows, ncols)
     want = chain_invariants(rows, ncols)
-    assert chain_invariants(cols, len(rows)) == want
-    key, key_t = batch_keys([rows], ncols)[0], batch_keys([cols], len(rows))[0]
-    # a key's class is the smaller of it and the reduced key of its
-    # transpose; the classes of the grid and of its transpose hold its
-    # invariants, and a key whose transposed key transposes back to it
-    # shares its class with that key
-    classes = verify._key_classes([key, key_t])
-    assert classes == [chain_class(key), chain_class(key_t)]
-    assert [chain_invariants(*c) for c in classes] == [want, want]
-    mate = reduced_key(transpose(*key), len(key[0]))
-    if reduced_key(transpose(*mate), len(mate[0])) == key:
-        assert verify._key_classes([key, mate]) == [chain_class(key)] * 2
+    # the class names a matrix of the grid's canonical form, with its
+    # depth, rank and cover bound
+    assert canonical_form(*decoded(cls)) == canonical_form(rows, ncols)
+    assert chain_invariants(*decoded(cls)) == want
+    # and the transpose, and any row and column permutation of either, has
+    # the same class and invariants
+    order = data.draw(st.permutations(rows))
+    perm = tuple(data.draw(st.permutations(range(ncols))))
+    for moved in ((transpose(rows, ncols), len(rows)), (relabel(tuple(order), perm), ncols)):
+        assert verify._class_of(*moved) == cls
+        assert chain_invariants(*moved) == want
 
 
-def test_batched_reduction_matches_the_bit_loop_on_the_chain_states():
-    for side, big, count in ((4, 6, 20), (3, 5, 5)):
-        *batches, grids = verify._chain_batches(side, big, count, 1729)
-        states = list(verify._chain_states(side))
-        got = []
-        for batch in batches:
-            keys, index = reduced_keys(batch)
-            got += [keys[i] for i in index.tolist()]
-        assert got == [reduced_key(rows, nc) for nc, rows in states]
-        keys, index = reduced_keys(grids)
-        want = [reduced_key(rows, big) for rows in random_rows(1729, big, count)]
-        assert [keys[i] for i in index.tolist()] == want
-        assert keys == sorted(set(want), key=lambda k: (k[1], len(k[0]), k[0]))
+def test_reduced_key_matches_the_bit_loop_on_the_chain_states():
+    for nc, rows in verify._chain_states(4):
+        assert reduced_key(rows, nc) == reference_key(rows, nc)
+    for rows in random_rows(1729, 6, 20):
+        assert reduced_key(rows, 6) == reference_key(rows, 6)
 
 
 @st.composite
-def wide_batches(draw):
+def wide_grids(draw):
     nr, nc = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     row = st.integers(0, (1 << nc) - 1)
     pool = draw(st.lists(row, min_size=1, max_size=3))
     line = st.one_of(st.sampled_from(pool + [0, (1 << nc) - 1]), row)
-    return draw(st.lists(st.lists(line, min_size=nr, max_size=nr), min_size=1, max_size=4)), nc
+    return tuple(draw(st.lists(line, min_size=nr, max_size=nr))), nc
 
 
-@given(wide_batches())
+@given(wide_grids())
 # I_4 (x) J_4: four distinct 16-bit rows, the last with bit 15 set
-@example(([[0x000F] * 4 + [0x00F0] * 4 + [0x0F00] * 4 + [0xF000] * 4], 16))
-# rows equal to the uint16 padding value, repeated
-@example(([[0xFFFF] * 16, [0xFFFF, 0] * 8, [0x7FFF, 0xFFFF] * 8], 16))
-def test_batched_reduction_matches_the_bit_loop_up_to_16x16(batch):
-    states, ncols = batch
-    assert batch_keys([tuple(rows) for rows in states], ncols) == [
-        reduced_key(tuple(rows), ncols) for rows in states
-    ]
+@example(((0x000F,) * 4 + (0x00F0,) * 4 + (0x0F00,) * 4 + (0xF000,) * 4, 16))
+# rows of sixteen ones, repeated, next to zero rows and one bit short
+@example(((0xFFFF,) * 16, 16))
+@example(((0xFFFF, 0) * 8, 16))
+@example(((0x7FFF, 0xFFFF) * 8, 16))
+def test_reduced_key_matches_the_bit_loop_up_to_16x16(grid):
+    assert reduced_key(*grid) == reference_key(*grid)
 
 
-def test_every_class_cover_is_exact_at_both_scales():
-    for args, counts in (((4, 6, 20, 1729), (2716, 219, 12)), ((3, 5, 5, 1729), (114, 26, 7))):
-        classes, state_class = verify._chain_classes(verify._chain_batches(*args))
-        shapes = {(len(rows), nc) for rows, nc in classes}
-        assert (len(state_class), len(classes), len(shapes)) == counts
-        for rows, nc in classes:
+def test_every_class_cover_is_exact_at_both_scales(monkeypatch):
+    # the chain runs depth once per class: one key per brute-force canonical
+    # form of its states and random matrices, and every class cover is exact
+    calls = []
+    real = verify.reduced_depths
+
+    def depths(keys, ncols):
+        calls.append((keys, ncols))
+        return real(keys, ncols)
+
+    monkeypatch.setattr(verify, "reduced_depths", depths)
+    for scale, side, big, count, states, classes, shapes in (
+        ("full", 4, 6, 20, 2716, 123, 11),
+        ("small", 3, 5, 5, 114, 24, 7),
+    ):
+        calls.clear()
+        ok, observed, _ = verify.check_log_rank_chain(scale, 1729)
+        assert ok and observed == f"{states} canonical instances checked"
+        keys = [(rows, nc) for batch, nc in calls for rows in batch]
+        assert (len(keys), len(calls)) == (classes, shapes)
+        want = {canonical_form(rows, nc) for nc, rows in verify._chain_states(side)}
+        want |= {canonical_form(rows, big) for rows in random_rows(1729, big, count)}
+        assert len(want) == classes and {canonical_form(*key) for key in keys} == want
+        for rows, nc in keys:
             m = RatMatrix(len(rows), nc, [(r >> j) & 1 for r in rows for j in range(nc)])
             assert box_cover_exact(support_pattern(m)).exact, (rows, nc)
 
