@@ -661,10 +661,7 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
 
     dims = pattern.dims
     trivial = prod(dims) // max(dims)
-    candidates: list[tuple[int, str]] = [(trivial, "trivial"), (pattern.size, "exact")]
-    if pattern.size == 0:
-        candidates = [(0, "exact")]
-    upper, status = min(candidates, key=lambda c: (c[0], c[1] != "exact"))
+    upper, status = (pattern.size, "exact") if pattern.size <= trivial else (trivial, "trivial")
 
     factorization = None
     if isinstance(m, RatMatrix) and lower < upper and max(dims) <= 64:

@@ -10,17 +10,18 @@ alike, so equality, hashing and serialized output do not depend on which one
 an entry is; integer matrices just skip building Fractions.  Every operation
 here is a pure function whose output is reproducible bit for bit.  The rank,
 determinant and characteristic-polynomial kernels clear denominators first
-and then run on ints, so no step pays for a gcd: rank and determinant scale
-each row by the lcm of its denominators and run integer-preserving (Bareiss)
-elimination on Python ints, whose size is unbounded, with a canonical pivot
-rule -- first nonzero entry in column order -- and the characteristic
-polynomial runs the Faddeev-LeVerrier recurrence on the integer matrix D*M,
-where every division is exact, and rescales each coefficient once at the
-end.  From ``_MODULAR_MIN_ENTRIES`` entries on, :func:`rank_exact` first
-proves the rank by int64 arithmetic modulo primes, where no product
-overflows, and Bareiss decides only what that does not settle.  Basis
-columns and exact coordinates (:func:`column_basis`) come from the
-fraction-free Gauss-Jordan form of the same row-scaled elimination.  Exact
+and then run on ints, so no step pays for a gcd.  One fraction-free
+elimination loop (:func:`_eliminate`, Bareiss 1968) runs on the rows scaled
+to ints by the lcm of their denominators, on Python ints, whose size is
+unbounded, with a canonical pivot rule -- first nonzero entry in column
+order.  Its forward sweep gives rank and determinant; its full sweep gives
+basis columns and exact coordinates (:func:`column_basis`) and the
+certificate of :func:`rank_exact`.  The characteristic polynomial runs the
+Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
+division is exact, and rescales each coefficient once at the end.  From
+``_MODULAR_MIN_ENTRIES`` entries on, :func:`rank_exact` first proves the
+rank by int64 arithmetic modulo primes, where no product overflows, and the
+forward sweep decides only what that does not settle.  Exact
 sums (:func:`exact_sum`) work the same way: each term is scaled to the lcm of
 the denominators and added as an int, and one Fraction is built at the end.
 Nothing in this module touches floating point: separation claims elsewhere
@@ -55,8 +56,8 @@ _denominator = attrgetter("denominator")
 # file whose elimination would run for hours.
 CAPACITY_LIMIT = 1 << 20
 
-# Modular rank (see rank_exact).  Below this many entries Bareiss is cheaper
-# than building the int64 arrays.
+# Modular rank (see rank_exact).  Below this many entries the forward sweep is
+# cheaper than building the int64 arrays.
 _MODULAR_MIN_ENTRIES = 256
 # The elimination prime, 2^31 - 1: residues are below 2^31, so the product of
 # two fits int64.
@@ -318,57 +319,58 @@ def _integer_rows(rows_in: Sequence[Sequence[Exact]]) -> tuple[list[int], list[l
     return scales, [_scaled_row(row, s) for row, s in zip(rows_in, scales)]
 
 
-def _bareiss(rows_in: Sequence[Sequence[Exact]]) -> tuple[int, int, Fraction]:
-    """Integer-preserving elimination of a matrix given by its rows: (rank,
-    row-swap sign, last pivot).
+def _eliminate(work: list[list[int]], scan: Iterable[int], forward: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination (Bareiss 1968) of the int rows ``work``, in
+    place, over the columns in ``scan`` order: (pivot columns, row-swap sign,
+    last pivot).
 
-    Each row is first scaled by the lcm of its denominators, so the loop runs
-    on Python ints and every Bareiss update divides exactly by the previous
-    pivot (Bareiss 1968: the entries are minors of the scaled matrix).  A
-    positive row scale multiplies every intermediate in that row by a positive
-    constant, so the zero pattern, the pivots chosen, the rank and the swap
-    sign are those of the unscaled matrix.  Pivots are chosen canonically
-    (first nonzero entry scanning columns left to right, rows top to bottom).
-    The last pivot is returned divided by the product of the row scales: for a
-    square matrix of full rank it is then the determinant up to the sign.
+    A column is a pivot when a row not yet used is nonzero in it; the first
+    such row is swapped up to position k, and rows are replaced by (pivot *
+    row - factor * pivot row) / previous pivot.  Every entry is then a minor
+    of the input, so each division is exact.  Rows scaled to ints by positive
+    constants (:func:`_integer_rows`) give the pivots and sign of the unscaled
+    matrix.  The forward sweep (columns in order) updates only the rows below
+    the pivot, from the pivot column on: the echelon form, whose last pivot
+    for a square matrix of full rank is its determinant up to the sign.  The
+    full sweep updates every other row in full, leaving the first k rows as
+    the last pivot times the reduced row echelon form in the scan order.
     """
-    scales, work = _integer_rows(rows_in)
-    rows, cols = len(work), len(work[0])
-    pivot_row = 0
-    sign = 1
-    prev_pivot = 1
-    for col in range(cols):
-        if pivot_row == rows:
+    rows = len(work)
+    pivots: list[int] = []
+    sign = prev_pivot = 1
+    for col in scan:
+        k = len(pivots)
+        if k == rows:
             break
-        pivot = next((r for r in range(pivot_row, rows) if work[r][col] != 0), None)
+        pivot = next((r for r in range(k, rows) if work[r][col] != 0), None)
         if pivot is None:
             continue
-        if pivot != pivot_row:
-            work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        if pivot != k:
+            work[k], work[pivot] = work[pivot], work[k]
             sign = -sign
-        row_p = work[pivot_row]
-        piv = row_p[col]
-        tail_p = row_p[col + 1 :]
-        for r in range(pivot_row + 1, rows):
+        start = col if forward else 0
+        tail_p = work[k][start:]
+        piv = work[k][col]
+        for r in range(k + 1 if forward else 0, rows):
+            if r == k:
+                continue
             row_r = work[r]
             factor = row_r[col]
             if factor == 0:
                 # Still rescale so later divisions by prev_pivot stay exact.
-                row_r[col + 1 :] = [piv * x // prev_pivot for x in row_r[col + 1 :]]
+                row_r[start:] = [piv * x // prev_pivot for x in row_r[start:]]
             else:
-                row_r[col + 1 :] = [
-                    (piv * x - factor * y) // prev_pivot
-                    for x, y in zip(row_r[col + 1 :], tail_p)
+                row_r[start:] = [
+                    (piv * x - factor * y) // prev_pivot for x, y in zip(row_r[start:], tail_p)
                 ]
-                row_r[col] = 0
         prev_pivot = piv
-        pivot_row += 1
-    return pivot_row, sign, Fraction(prev_pivot, prod(scales))
+        pivots.append(col)
+    return pivots, sign, prev_pivot
 
 
 def rank_exact(m: RatMatrix) -> int:
-    """Exact rank over the rationals: a certified modular rank, with
-    integer-preserving (Bareiss) elimination as the fallback.
+    """Exact rank over the rationals: a certified modular rank, with the
+    forward sweep of :func:`_eliminate` as the fallback.
 
     Rank is invariant under transposition and under scaling a row by a
     positive int, so the rows are scaled to ints and a tall matrix is read
@@ -378,29 +380,33 @@ def rank_exact(m: RatMatrix) -> int:
     1. *Lower bound.*  Elimination modulo the prime ``_ELIM_PRIME`` gives r
        pivot rows R and pivot columns C.  The minor W[R, C] is nonzero mod p,
        so it is nonzero over Z, and rank W >= r.  At r = m that is the rank.
-    2. *Upper bound.*  With A = W[R, C], fraction-free Gauss-Jordan
-       elimination of [A^T | W[:, C]^T] gives a nonzero multiple d of det A
-       and Y = d * W[:, C] * A^-1 in ints.  rank W <= r exactly when
+    2. *Upper bound.*  With A = W[R, C], the full sweep of :func:`_eliminate`
+       on [A^T | W[:, C]^T] gives a nonzero multiple d of det A and
+       Y = d * W[:, C] * A^-1 in ints.  rank W <= r exactly when
        d * W = Y * W[R, :], and only the rows outside R and the columns
        outside C can differ.  Every entry of the difference is an int of
        magnitude at most H = |d| max|W| + r max|Y| max|W|, so it is zero when
        it vanishes modulo primes whose product exceeds H: each prime of
        ``_CHECK_PRIMES`` it needs is one int64 matrix product.
 
-    No step rests on chance.  Bareiss runs instead when the matrix is smaller
-    than the cut, an entry does not fit int64, the upper bound would cost
-    more than elimination (``_certificate_pays``, which reads only the shape
-    and r), H outgrows the primes, or a residue is nonzero: then p divides a
-    minor and r is below the rank.
+    No step rests on chance.  The forward sweep runs instead when the matrix
+    is smaller than the cut, an entry does not fit int64, the upper bound
+    would cost more than elimination (``_certificate_pays``, which reads only
+    the shape and r), H outgrows the primes, or a residue is nonzero: then p
+    divides a minor and r is below the rank.
     """
     w = _int64_rows(m) if len(m.entries) >= _MODULAR_MIN_ENTRIES else None
-    if w is None:
+    if w is not None:
+        if m.rows > m.cols:
+            w = w.T
+        rank = _certified_rank(w)
+        if rank is not None:
+            return rank
+        work = w.tolist()
+    else:
         rows = m.iter_rows()
-        return _bareiss(list(zip(*rows)) if m.rows > m.cols else list(rows))[0]
-    if m.rows > m.cols:
-        w = w.T
-    rank = _certified_rank(w)
-    return _bareiss(w.tolist())[0] if rank is None else rank
+        work = _integer_rows(list(zip(*rows)) if m.rows > m.cols else list(rows))[1]
+    return len(_eliminate(work, range(len(work[0])), forward=True)[0])
 
 
 def _int64_rows(m: RatMatrix) -> np.ndarray | None:
@@ -417,8 +423,9 @@ def _int64_rows(m: RatMatrix) -> np.ndarray | None:
 
 def _mod_p_pivots(w: np.ndarray) -> tuple[list[int], list[int]]:
     """Pivot rows (as rows of ``w``) and pivot columns of the elimination of
-    ``w`` modulo ``_ELIM_PRIME``, with the canonical pivot rule of
-    :func:`_bareiss`.  Residues stay below 2^31, so every product fits int64."""
+    ``w`` modulo ``_ELIM_PRIME``, with the canonical pivot rule of the forward
+    sweep of :func:`_eliminate`.  Residues stay below 2^31, so every product
+    fits int64."""
     p = _ELIM_PRIME
     a = w % p
     m, n = a.shape
@@ -451,7 +458,7 @@ def _mod_p_pivots(w: np.ndarray) -> tuple[list[int], list[int]]:
 
 def _certified_rank(w: np.ndarray) -> int | None:
     """The rank of the int64 matrix ``w`` (m <= n), certified as in
-    :func:`rank_exact`, or None when Bareiss must decide it."""
+    :func:`rank_exact`, or None when the forward sweep must decide it."""
     m, n = w.shape
     rows, cols = _mod_p_pivots(w)
     r = len(rows)
@@ -470,9 +477,9 @@ def _rows_span(w: np.ndarray, rows: list[int], cols: list[int]) -> bool:
     in_rows, in_cols = set(rows), set(cols)
     rest_rows = [i for i in range(m) if i not in in_rows]
     rest_cols = [j for j in range(n) if j not in in_cols]
-    # [A^T | W[rest_rows, C]^T]; Gauss-Jordan leaves d*I | Y[rest_rows]^T
+    # [A^T | W[rest_rows, C]^T]; the full sweep leaves d*I | Y[rest_rows]^T
     work = w[np.ix_(rows + rest_rows, cols)].T.tolist()
-    _, d = _gauss_jordan(work, range(r))
+    d = _eliminate(work, range(r), forward=False)[2]
     y_t = np.array([row[r:] for row in work], dtype=object).reshape(r, m - r)
     top = max(int(w.max()), -int(w.min()))
     bound = abs(d) * top + r * max(map(abs, y_t.flat), default=0) * top
@@ -490,54 +497,17 @@ def _rows_span(w: np.ndarray, rows: list[int], cols: list[int]) -> bool:
 
 def _certificate_pays(m: int, n: int, r: int) -> bool:
     """Whether certifying rank <= r for an m x n matrix (m <= n) costs less
-    than Bareiss elimination, from the shape and r alone.
+    than the forward sweep of :func:`_eliminate`, from the shape and r alone.
 
     Both costs count int operations weighted by the order of the minors
-    they hold: Bareiss step k updates (m-1-k)(n-1-k) entries, minors of order
-    k+1; the certificate's Gauss-Jordan step j updates (r-1)m entries, minors
-    of order j+1.  The certificate's operations measured about a fifth
-    cheaper, hence the 5:4 weighing.
+    they hold: forward step k updates (m-1-k)(n-1-k) entries past the pivot
+    column, minors of order k+1; the certificate's full-sweep step j updates
+    (r-1)m entries, minors of order j+1.  The certificate's operations
+    measured about a fifth cheaper, hence the 5:4 weighing.
     """
-    bareiss = sum((m - 1 - k) * (n - 1 - k) * (k + 1) for k in range(r))
+    forward = sum((m - 1 - k) * (n - 1 - k) * (k + 1) for k in range(r))
     certificate = (r - 1) * m * r * (r + 1) // 2
-    return 4 * certificate <= 5 * bareiss
-
-
-def _gauss_jordan(work: list[list[int]], scan: Iterable[int]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of the int rows ``work``, in
-    place, over the columns in ``scan`` order: (pivot columns, last pivot).
-
-    A column is a pivot when some row not yet used has a nonzero entry in it.
-    Each pivot step swaps the first such row up to position k and replaces
-    every other row by (pivot * row - factor * pivot row) / previous pivot.
-    Every entry is then a minor of the input, so each division is exact, and
-    at the end each of the first k rows is the last pivot times its reduced
-    row (the reduced row echelon form in the scan order).
-    """
-    rows = len(work)
-    pivots: list[int] = []
-    prev_pivot = 1
-    for col in scan:
-        k = len(pivots)
-        if k == rows:
-            break
-        pivot = next((r for r in range(k, rows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[k], work[pivot] = work[pivot], work[k]
-        row_p = work[k]
-        piv = row_p[col]
-        for r, row_r in enumerate(work):
-            if r == k:
-                continue
-            factor = row_r[col]
-            if factor == 0:
-                work[r] = [piv * x // prev_pivot for x in row_r]
-            else:
-                work[r] = [(piv * x - factor * y) // prev_pivot for x, y in zip(row_r, row_p)]
-        prev_pivot = piv
-        pivots.append(col)
-    return pivots, prev_pivot
+    return 4 * certificate <= 5 * forward
 
 
 def column_basis(
@@ -550,13 +520,13 @@ def column_basis(
     Returns ``(pivots, coords)``: ``coords`` has one row per pivot and one
     column per column of ``m``, ``m = m[:, pivots] @ coords``, and
     ``coords[:, pivots]`` is the identity (the reduced row echelon form of
-    ``m`` in the scan order, less its zero rows).  The elimination is
-    :func:`_gauss_jordan` on the rows scaled to ints as in :func:`_bareiss`.
+    ``m`` in the scan order, less its zero rows).  The elimination is the
+    full sweep of :func:`_eliminate` on the rows scaled to ints.
     """
     seen = set(first)
     scan = list(first) + [j for j in range(m.cols) if j not in seen]
     _, work = _integer_rows(list(m.iter_rows()))
-    pivots, last_pivot = _gauss_jordan(work, scan)
+    pivots, _, last_pivot = _eliminate(work, scan, forward=False)
     coords = tuple(
         tuple(as_exact(Fraction(x, last_pivot)) for x in row) for row in work[: len(pivots)]
     )
@@ -564,11 +534,13 @@ def column_basis(
 
 
 def det_exact(m: RatMatrix) -> Fraction:
-    """Exact determinant via Bareiss elimination with sign tracking."""
+    """Exact determinant: the forward sweep of :func:`_eliminate` on the rows
+    scaled to ints, its sign and last pivot over the product of the scales."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.dims}")
-    rank, sign, last_pivot = _bareiss(list(m.iter_rows()))
-    return sign * last_pivot if rank == m.rows else Fraction(0)
+    scales, work = _integer_rows(list(m.iter_rows()))
+    pivots, sign, last_pivot = _eliminate(work, range(m.cols), forward=True)
+    return Fraction(sign * last_pivot, prod(scales)) if len(pivots) == m.rows else Fraction(0)
 
 
 def char_poly_exact(m: RatMatrix) -> CharPoly:

@@ -445,6 +445,19 @@ def test_mr_bounds_examples():
     assert rep.lower == rep.upper == 2
 
 
+@pytest.mark.parametrize(
+    "m, bracket, status",
+    [
+        (RatMatrix.from_rows([[1, 0], [0, 1]]), (2, 2), "exact"),  # support ties the bound
+        (RatMatrix.from_rows([[0, 0], [0, 0]]), (0, 0), "exact"),  # empty support
+        (DenseTensor((2, 2, 2), [1] * 8), (1, 4), "trivial"),  # support past the bound
+    ],
+)
+def test_mr_bounds_upper_is_the_support_unless_the_dimension_bound_is_smaller(m, bracket, status):
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.upper, rep.upper_status) == (*bracket, status)
+
+
 def test_mr_bounds_rejects_negative_entries():
     with pytest.raises(ValidationError):
         mr_bounds(RatMatrix.from_rows([[1, -1], [0, 1]]))

@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from mrw.ratlinalg import (
     RatMatrix,
     _certificate_pays,
     _certified_rank,
+    _eliminate,
+    _integer_rows,
     _mod_p_pivots,
     _rows_span,
     as_fraction,
@@ -215,6 +218,26 @@ def test_column_basis_matches_sympy_rref(m, data):
     for i, row in enumerate(coords):
         assert all(type(x) is int or x.denominator > 1 for x in row)
         assert [row[j] for j in order] == [to_fraction(x) for x in reduced.row(i)]
+
+
+@given(st.one_of(planted_deficient_rows(), planted_deficient_rows(entry=st.integers(-3, 3))))
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2], [2, 4], [1, 2]])
+def test_forward_and_full_sweeps_share_pivots_sign_and_last_pivot(rows):
+    # the one elimination loop: the forward sweep (rank, det) and the full
+    # sweep (column_basis, the rank certificate) find the same pivots
+    scales, echelon = _integer_rows(rows)
+    reduced = [list(row) for row in echelon]
+    cols = range(len(rows[0]))
+    pivots, sign, last = _eliminate(echelon, cols, forward=True)
+    assert _eliminate(reduced, cols, forward=False) == (pivots, sign, last)
+    oracle = to_sympy(RatMatrix.from_rows(rows))
+    assert len(pivots) == oracle.rank()
+    if len(rows) == len(cols):
+        det = Fraction(sign * last, prod(scales)) if len(pivots) == len(rows) else 0
+        assert det == to_fraction(oracle.det())
+    for i, col in enumerate(pivots):
+        assert [row[col] for row in reduced] == [last * (r == i) for r in range(len(rows))]
 
 
 @given(planted_deficient_matrices(max_size=6, square=True))
