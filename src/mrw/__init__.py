@@ -24,7 +24,6 @@ from .ratlinalg import (
     RatMatrix,
     char_poly_exact,
     det_exact,
-    hadamard,
     rank_exact,
     submatrix,
 )

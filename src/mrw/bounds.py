@@ -617,13 +617,6 @@ class MrBoundReport:
             raise ValidationError("upper bound below lower bound")
 
 
-def _validate_nonneg_exact(m) -> None:
-    if not isinstance(m, (RatMatrix, DenseTensor)):
-        raise ValidationError("mr_bounds expects a RatMatrix or DenseTensor")
-    if any(e < 0 for e in m.entries):
-        raise ValidationError("entries must be nonnegative")
-
-
 def rank_lower_bound(m) -> int:
     """Exact-rank component of the mr lower bound (max mode-flattening rank
     for tensors: any rank-r nonnegative decomposition flattens to a rank-<=r
@@ -649,7 +642,10 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     gets no float search.  `budget_factor` scales both the cover search's
     node budget and the numeric search.
     """
-    _validate_nonneg_exact(m)
+    if not isinstance(m, (RatMatrix, DenseTensor)):
+        raise ValidationError("mr_bounds expects a RatMatrix or DenseTensor")
+    if any(e < 0 for e in m.entries):
+        raise ValidationError("entries must be nonnegative")
     pattern = support_pattern(m)
     rank_lb = rank_lower_bound(m) if pattern.cells else 0
     cover = box_cover_exact(pattern, node_budget=int(DEFAULT_NODE_BUDGET * budget_factor))

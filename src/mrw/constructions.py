@@ -39,7 +39,6 @@ from .ratlinalg import (
     as_exact,
     check_capacity,
     exact_sum,
-    hadamard,
     rank_exact,
 )
 
@@ -171,7 +170,7 @@ def offset_matrix(spec: FunctionFSpec) -> RatMatrix:
 def offset_square_matrix(spec: FunctionFSpec) -> RatMatrix:
     """Entrywise square of :func:`offset_matrix`."""
     base = offset_matrix(spec)
-    return hadamard(base, base)
+    return RatMatrix(base.rows, base.cols, [x * x for x in base.entries])
 
 
 def spaced_block_column_indices(spec: FunctionFSpec, k: int) -> list[int]:
@@ -310,7 +309,6 @@ class ScaledAntisymmetric:
 class CorrelationObjects:
     """Everything the correlation pipeline produces for one spec."""
 
-    spec: CorrelationSpec
     c_matrix: ScaledAntisymmetric
     p_matrix: RatMatrix
     u0: np.ndarray
@@ -364,7 +362,6 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
     v1 = -np.conj(u1)
     err = float(np.max(np.abs(quantum_distribution(u0, u1, v0, v1) - as_float_array(p))))
     return CorrelationObjects(
-        spec=spec,
         c_matrix=cmat,
         p_matrix=p,
         u0=u0,

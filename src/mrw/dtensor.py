@@ -39,19 +39,6 @@ class DenseTensor:
     def entries(self) -> tuple:
         return self._entries
 
-    def flat_index(self, idx: Sequence[int]) -> int:
-        if len(idx) != self.order:
-            raise DimensionError(f"index {idx} has wrong order for dims {self.dims}")
-        pos = 0
-        for i, d in zip(idx, self.dims):
-            if not (0 <= i < d):
-                raise IndexError(f"index {idx} out of range for dims {self.dims}")
-            pos = pos * d + i
-        return pos
-
-    def __getitem__(self, idx: Sequence[int]):
-        return self._entries[self.flat_index(idx)]
-
     def mode_flattening(self, mode: int) -> RatMatrix:
         """Matrix with one row per index of `mode`, columns in lex order of the
         remaining modes."""

@@ -4,7 +4,9 @@ Three families live here: per-level rank/monotone-lower profiles of the
 degree-d coefficient flattenings (branching-program level sizes), hidden-
 variable models that replay a joint distribution from a nonnegative
 factorization (with seeded sampling), and deterministic two-party
-communication complexity plus the multiparty separation report.
+communication complexity plus the multiparty separation report.  The
+protocol-depth search has one work guard, at most 16 distinct rows plus
+distinct columns, and no cap on the shape.
 """
 
 from __future__ import annotations
@@ -284,8 +286,6 @@ def hv_model_from_factorization(p: RatMatrix, fact: NonnegFactorization) -> Hidd
 
 @dataclass(frozen=True, eq=False)
 class HvSampleReport:
-    trials: int
-    seed: int
     counts: np.ndarray
     tv_distance: float
 
@@ -316,7 +316,7 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
         if t_z:
             counts += rng.multinomial(int(t_z), cell_probs.ravel()).reshape(nx, ny)
     tv = 0.5 * float(np.sum(np.abs(counts / trials - joint)))
-    return HvSampleReport(trials=trials, seed=seed, counts=counts, tv_distance=tv)
+    return HvSampleReport(counts=counts, tv_distance=tv)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +431,15 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     depth.  Depth does not change under duplicated rows or columns, so the
     input is cut to its r distinct rows and c distinct columns by
     `reduced_key` and handed to `reduced_depths` as a batch of one; nothing
-    is kept once the call returns.  A level touches about
-    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16 as well as the
-    shape at 16x16.  At the cap, in a fresh process on one core of a shared
-    2-vCPU host: the 8x8 identity took 0.014-0.018 s, a random 8x8 input
+    is kept once the call returns.  The reduction is linear in the entries,
+    which the matrix's capacity guard bounds; a level touches about
+    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16, whatever the
+    shape.  At the cap, in a fresh process on one core of a shared 2-vCPU
+    host: the 8x8 identity took 0.014-0.018 s, a random 8x8 input
     0.016-0.021 s and the 12 distinct rows of 4 bits 0.035-0.050 s at 45 MB
     peak.  Past it, the 16 distinct rows of 4 bits would need 21.5 M row
     splits of 16 cells per level.
     """
-    if m.rows > 16 or m.cols > 16:
-        raise CapacityError("exact protocol search is capped at 16x16")
     if not {0, 1}.issuperset(m.entries):
         raise ValidationError("protocol search needs a 0/1 matrix")
     masks = [sum(int(v) << j for j, v in enumerate(row)) for row in m.iter_rows()]

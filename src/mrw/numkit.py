@@ -13,7 +13,8 @@ the tensor fitter keeps the lowest residual, ties broken by restart index,
 so the outcome never depends on execution order.  A successful search is a
 witness, never a proof of optimality (it is exact only when
 `verify_nonneg_factorization` passes); failure after budget exhaustion
-proves nothing.
+proves nothing.  The check reads exactness from one cached property,
+`NonnegFactorization.is_rational`, and then the numerators' signs.
 """
 
 from __future__ import annotations
@@ -84,12 +85,10 @@ class SpectralPair:
     u0: np.ndarray
     u1: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        lam = 1j * self.lambda_magnitude
-        return lam * (np.outer(self.u0, np.conj(self.u0)) - np.outer(self.u1, np.conj(self.u1)))
-
     def reconstruction_error(self, c: np.ndarray) -> float:
-        return float(np.max(np.abs(self.reconstruct() - np.asarray(c, dtype=complex))))
+        lam = 1j * self.lambda_magnitude
+        rec = lam * (np.outer(self.u0, np.conj(self.u0)) - np.outer(self.u1, np.conj(self.u1)))
+        return float(np.max(np.abs(rec - np.asarray(c, dtype=complex))))
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -167,19 +166,9 @@ class NonnegFactorization:
         return len(self.terms)
 
     @cached_property
-    def _rational(self) -> bool:
-        return is_exact(x for term in self.terms for vec in term for x in vec)
-
     def is_rational(self) -> bool:
         """True when every entry is an int or a Fraction; one pass per instance."""
-        return self._rational
-
-    def has_negative_entry(self) -> bool:
-        """True when some entry is negative, read from the sign of its
-        numerator: exact factors only, as for :meth:`reconstruct_exact`."""
-        if not self.is_rational():
-            raise ValidationError("the sign test reads exact factors")
-        return any(x.numerator < 0 for term in self.terms for vec in term for x in vec)
+        return is_exact(x for term in self.terms for vec in term for x in vec)
 
     def exact_numerators(self) -> tuple[int, list[int]]:
         """The exact reconstruction as (den, numerators): cell k is
@@ -191,7 +180,7 @@ class NonnegFactorization:
         products.  Nothing is reduced, so a cell's fraction need not be in
         lowest terms.
         """
-        if not self.is_rational():
+        if not self.is_rational:
             raise ValidationError("exact reconstruction needs rational factors")
         strides = [math.prod(self.dims[m + 1 :]) for m in range(self.order)]
         scales = [[math.lcm(*(x.denominator for x in vec)) for vec in term] for term in self.terms]
@@ -544,9 +533,9 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization) -> Factorizat
     """
     if target.dims != fact.dims:
         raise DimensionError(f"target dims {target.dims} do not match factorization dims {fact.dims}")
-    if not fact.is_rational():
+    if not fact.is_rational:
         return FactorizationCheck(passed=False, reason="not rational")
-    if fact.has_negative_entry():
+    if any(x.numerator < 0 for term in fact.terms for vec in term for x in vec):
         return FactorizationCheck(passed=False, reason="negativity")
     # target cell p/q (lowest terms) equals x/den exactly when q divides den
     # and p * (den / q) == x, so no cell becomes a Fraction

@@ -2,10 +2,11 @@
 
 Matrices are immutable value objects whose entries are exact rationals: a
 Python ``int`` stays an ``int`` and every other entry is a
-``fractions.Fraction``.  :func:`exact_entries` is that rule, and tensors
-(``dtensor.DenseTensor``) are built by it too, so both arrays are exact once
-built and give their shape as ``dims`` and their row-major entries as
-``entries``.  An int and the equal Fraction compare, hash and print
+``fractions.Fraction``.  :func:`exact_entries` is that rule: it keeps the
+values that :func:`is_exact` accepts (type exactly ``int`` or ``Fraction``).
+Tensors (``dtensor.DenseTensor``) are built by it too, so both arrays are
+exact once built and give their shape as ``dims`` and their row-major
+entries as ``entries``.  An int and the equal Fraction compare, hash and print
 alike, so equality, hashing and serialized output do not depend on which one
 an entry is; integer matrices just skip building Fractions.  Every operation
 here is a pure function whose output is reproducible bit for bit.  The rank,
@@ -171,14 +172,15 @@ def exact_entries(values: Iterable[RationalLike]) -> tuple[Exact, ...]:
     a ``Fraction`` is kept as it is, anything else is coerced by
     :func:`as_fraction`, which refuses what is not exact."""
     data = tuple(values)
-    if not _EXACT_TYPES.issuperset(map(type, data)):
+    if not is_exact(data):
         data = tuple(e if type(e) in _EXACT_TYPES else as_fraction(e) for e in data)
     return data
 
 
 def is_exact(values: Iterable) -> bool:
-    """True when every value is an int or a Fraction (booleans are not)."""
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+    """True when every value's type is exactly ``int`` or ``Fraction``: a
+    ``bool`` or any other subclass is not."""
+    return _EXACT_TYPES.issuperset(map(type, values))
 
 
 class RatMatrix:
@@ -299,11 +301,6 @@ class CharPoly:
     def __post_init__(self):
         if not self.coeffs or self.coeffs[-1] != 1:
             raise ValidationError("characteristic polynomial must be monic")
-
-
-def _require_same_shape(a: RatMatrix, b: RatMatrix, op: str) -> None:
-    if a.dims != b.dims:
-        raise DimensionError(f"{op} needs matching shapes, got {a.dims} and {b.dims}")
 
 
 def _scaled_row(row: Sequence[Exact], scale: int) -> list[int]:
@@ -569,12 +566,6 @@ def char_poly_exact(m: RatMatrix) -> CharPoly:
         ak = [[sum(map(mul, row, col)) for col in a_cols] for row in ak]
         coeffs[n - k] = -sum(ak[i][i] for i in range(n)) // k
     return CharPoly(tuple(Fraction(c, den ** (n - j)) for j, c in enumerate(coeffs)))
-
-
-def hadamard(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Entrywise product of two equally shaped matrices."""
-    _require_same_shape(a, b, "entrywise product")
-    return RatMatrix(a.rows, a.cols, [x * y for x, y in zip(a.entries, b.entries)])
 
 
 def submatrix(m: RatMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:

@@ -69,7 +69,7 @@ def _float_holds(x) -> bool:
 def factorization_to_obj(f: NonnegFactorization, rational: bool = False) -> dict:
     """Exact "p/q" strings when `f` is rational and either `rational` asks
     for them or no float holds one of its entries; floats otherwise."""
-    exact = f.is_rational() and (
+    exact = f.is_rational and (
         rational or not all(_float_holds(x) for term in f.terms for vec in term for x in vec)
     )
     enc = exact_text if exact else float

@@ -553,7 +553,7 @@ def test_mr_bounds_exact_upper_on_a_non_separable_rank_3_matrix():
     rep = mr_bounds(m)
     assert (rep.lower, rep.lower_witness) == (3, "rank")
     assert rep.upper == 3 and rep.upper_status == "exact"
-    assert rep.factorization.r == 3 and rep.factorization.is_rational()
+    assert rep.factorization.r == 3 and rep.factorization.is_rational
     assert verify_nonneg_factorization(m, rep.factorization).passed
 
 

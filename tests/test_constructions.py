@@ -31,7 +31,7 @@ from mrw.constructions import (
     spaced_block_column_indices,
 )
 from mrw.errors import CapacityError, UnsupportedRankError, ValidationError
-from mrw.ratlinalg import RatMatrix, char_poly_exact, hadamard, rank_exact, submatrix
+from mrw.ratlinalg import RatMatrix, char_poly_exact, rank_exact, submatrix
 
 
 def test_edm_worked_values():
@@ -181,10 +181,26 @@ def test_offset_matrices_worked_values():
     spec = FunctionFSpec(2, 4)
     assert offset_square_matrix(spec) == RatMatrix.from_rows([[1], [9]])
     assert offset_matrix(spec) == RatMatrix.from_rows([[1], [3]])
-    assert hadamard(offset_matrix(spec), offset_matrix(spec)) == offset_square_matrix(spec)
     assert rank_exact(offset_matrix(FunctionFSpec(3, 4))) == 2
     with pytest.raises(ValidationError):
         offset_matrix(FunctionFSpec(2, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("d", [4, 6])
+def test_offset_square_matrix_squares_the_offsets_of_the_middle_row(n, d):
+    spec = FunctionFSpec(n, d)
+    base, square = offset_matrix(spec), offset_square_matrix(spec)
+    assert square.dims == base.dims
+    assert list(square.entries) == [x * x for x in base.entries]
+    # row 0 of the middle flattening holds (c - 0)^2 at column c, and the
+    # offset b*n + j sits at row b, column j - 1
+    mid = flattening(spec, d // 2)
+    assert square == RatMatrix(
+        base.rows,
+        base.cols,
+        [mid[0, b * n + j] for b in range(base.rows) for j in range(1, n)],
+    )
 
 
 def test_spaced_block_is_distance_matrix_over_progression():
@@ -240,11 +256,11 @@ def test_spaced_block_values_and_submatrix():
 
 def test_divisibility_tensor_support():
     t = divisibility_tensor(DivTensorSpec(2, 3))
-    ones = {idx for idx in np.ndindex(*t.dims) if t[idx] == 1}
+    ones = {idx for idx, e in zip(np.ndindex(*t.dims), t.entries) if e == 1}
     assert ones == {(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)}
     assert len(ones) == 2 ** (3 - 1)
     perm = divisibility_tensor(DivTensorSpec(3, 2))
-    rows = [[perm[(i, j)] for j in range(3)] for i in range(3)]
+    rows = list(perm.mode_flattening(0).iter_rows())
     assert all(sum(r) == 1 for r in rows)
     assert all(sum(col) == 1 for col in zip(*rows))
 

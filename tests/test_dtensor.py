@@ -38,11 +38,6 @@ def test_mode_flattening_matches_numpy_moveaxis(t):
         assert list(flat.entries) == [Fraction(x) for x in oracle.ravel()]
 
 
-@given(exact_tensors())
-def test_entries_are_numpy_row_major_order(t):
-    assert [t[idx] for idx in np.ndindex(*t.dims)] == list(t.entries)
-
-
 def test_inexact_entries_are_refused_when_built():
     for bad in (True, 0.5, None):
         with pytest.raises(ValidationError):

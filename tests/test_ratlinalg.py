@@ -34,8 +34,9 @@ from mrw.ratlinalg import (
     column_basis,
     det_exact,
     exact_sum,
+    exact_entries,
     fraction_from_text,
-    hadamard,
+    is_exact,
     rank_exact,
     submatrix,
 )
@@ -317,40 +318,32 @@ def test_char_poly_matches_principal_minor_sums():
         assert poly.coeffs[n - 1] == -sum((m[i, i] for i in range(n)), Fraction(0))
 
 
-def test_hadamard_worked_values():
-    a = RatMatrix.from_rows([[1, 2], [3, 4]])
-    b = RatMatrix.from_rows([[5, 6], [7, 8]])
-    assert hadamard(a, b) == RatMatrix.from_rows([[5, 12], [21, 32]])
-    zeros = RatMatrix(2, 2, [0] * 4)
-    assert hadamard(a, zeros) == zeros
-    s1 = RatMatrix.from_rows([[1], [3]])
-    assert hadamard(s1, s1) == RatMatrix.from_rows([[1], [9]])
+class _IntSubclass(int):
+    pass
 
 
-def test_hadamard_shape_mismatch():
-    with pytest.raises(DimensionError):
-        hadamard(identity(2), identity(3))
+_mixed_values = st.lists(
+    st.one_of(
+        st.integers(-5, 5),
+        st.fractions(max_denominator=6),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.text(alphabet="0123456789/-.", max_size=4),
+        st.none(),
+        st.builds(_IntSubclass, st.integers(-5, 5)),
+    ),
+    max_size=6,
+)
 
 
-def test_hadamard_rank_bound():
-    rng = random.Random(97)
-    for _ in range(20):
-        rows, cols = rng.randint(2, 5), rng.randint(2, 5)
-        a = random_matrix(rng, rows, cols)
-        b = random_matrix(rng, rows, cols)
-        assert rank_exact(hadamard(a, b)) <= rank_exact(a) * rank_exact(b)
-
-
-def test_hadamard_is_submatrix_of_kronecker():
-    rng = random.Random(3)
-    for _ in range(10):
-        a = random_matrix(rng, 3, 3)
-        b = random_matrix(rng, 3, 3)
-        # np.kron on object arrays of Fractions is an independent exact oracle
-        a_obj, b_obj = (np.array(list(x.iter_rows()), dtype=object) for x in (a, b))
-        kron = RatMatrix.from_rows(np.kron(a_obj, b_obj).tolist())
-        picked = submatrix(kron, [i * 3 + i for i in range(3)], [j * 3 + j for j in range(3)])
-        assert picked == hadamard(a, b)
+@given(_mixed_values)
+def test_is_exact_agrees_with_exact_entries_keeping_every_value(values):
+    try:
+        kept = exact_entries(values)
+    except ValidationError:
+        kept = None
+    unchanged = kept is not None and all(a is b for a, b in zip(kept, values))
+    assert is_exact(values) == unchanged
 
 
 def test_submatrix_worked_values():
