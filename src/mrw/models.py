@@ -4,9 +4,7 @@ Three families live here: per-level rank/monotone-lower profiles of the
 degree-d coefficient flattenings (branching-program level sizes), hidden-
 variable models that replay a joint distribution from a nonnegative
 factorization (with seeded sampling), and deterministic two-party
-communication complexity plus the multiparty separation report.  The
-protocol-depth search has one work guard, at most 16 distinct rows plus
-distinct columns, and no cap on the shape.
+communication complexity plus the multiparty separation report.
 """
 
 from __future__ import annotations
@@ -429,12 +427,13 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     At every node one party announces one bit by bipartitioning its current
     input set; leaves must be constant submatrices; the value is the minimax
     depth.  Depth does not change under duplicated rows or columns, so the
-    input is cut to its r distinct rows and c distinct columns by
-    `reduced_key` and handed to `reduced_depths` as a batch of one; nothing
-    is kept once the call returns.  The reduction is linear in the entries,
-    which the matrix's capacity guard bounds; a level touches about
-    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16, whatever the
-    shape.  At the cap, in a fresh process on one core of a shared 2-vCPU
+    input is cut to its r distinct rows and then to their c distinct
+    columns, as tuples in one hashing pass over the entries (dropping a
+    repeated column keeps distinct rows distinct, so both counts are final);
+    only then are the kept lines packed as bitmasks and handed to
+    `reduced_depths` as a batch of one; nothing is kept once the call
+    returns.  A level touches about (3^r 2^c + 2^r 3^c) / 2 cells, so r + c
+    is capped at 16.  At the cap, in a fresh process on one core of a shared 2-vCPU
     host: the 8x8 identity took 0.014-0.018 s, a random 8x8 input
     0.016-0.021 s and the 12 distinct rows of 4 bits 0.035-0.050 s at 45 MB
     peak.  Past it, the 16 distinct rows of 4 bits would need 21.5 M row
@@ -442,14 +441,15 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     """
     if not {0, 1}.issuperset(m.entries):
         raise ValidationError("protocol search needs a 0/1 matrix")
-    masks = [sum(int(v) << j for j, v in enumerate(row)) for row in m.iter_rows()]
-    rows, ncols = reduced_key(masks, m.cols)
-    if len(rows) + ncols > 16:
+    rows = list(set(m.iter_rows()))
+    cols = set(zip(*rows))
+    if len(rows) + len(cols) > 16:
         raise CapacityError(
             "exact protocol search is capped at 16 distinct rows plus distinct columns, "
-            f"got {len(rows) + ncols}"
+            f"got {len(rows) + len(cols)}"
         )
-    return reduced_depths([rows], ncols)[0]
+    masks = [sum(int(col[i]) << k for k, col in enumerate(cols)) for i in range(len(rows))]
+    return reduced_depths([masks], len(cols))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ the tensor fitter keeps the lowest residual, ties broken by restart index,
 so the outcome never depends on execution order.  A successful search is a
 witness, never a proof of optimality (it is exact only when
 `verify_nonneg_factorization` passes); failure after budget exhaustion
-proves nothing.  The check reads exactness from one cached property,
-`NonnegFactorization.is_rational`, and then the numerators' signs.
+proves nothing.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ separation reports."""
 import functools
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from mrw.models import (
     reduced_key,
 )
 from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
-from mrw.ratlinalg import RatMatrix, rank_exact, submatrix
+from mrw.ratlinalg import CAPACITY_LIMIT, RatMatrix, rank_exact, submatrix
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +575,16 @@ def test_depth_capped_by_distinct_rows_plus_columns():
     # no shape cap: a 24x24 input of rows alternating between ones on the
     # first 12 columns and ones on the last 12 solves the same way
     assert grid_depth(mask_grid([0xFFF, 0xFFF000] * 12, 24)) == 2
+
+
+def test_depth_of_a_line_of_2_20_ones_is_found_in_one_pass():
+    # one distinct line a side: lines are cut as tuples before any bitmask
+    # is built, so a 2^20-bit row costs one pass, not one pass per set bit
+    width = CAPACITY_LIMIT
+    start = time.perf_counter()
+    assert dcc_exact_2party(RatMatrix(1, width, [1] * width)) == 0
+    assert dcc_exact_2party(RatMatrix(width, 1, [0] * (width - 1) + [1])) == 1
+    assert time.perf_counter() - start < 20
 
 
 def test_16_bit_rows_reduce_to_their_distinct_lines():
