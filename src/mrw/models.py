@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -321,22 +321,18 @@ def hv_sample(model: HiddenVariableModel, trials: int, seed: int = DEFAULT_SEED)
 # deterministic two-party communication
 # ---------------------------------------------------------------------------
 
-def reduced_key(rows: Sequence[int], ncols: int) -> tuple[tuple[int, ...], int]:
-    """The 0/1 matrix whose row i has entry (i, j) as bit j of rows[i], cut
-    to its distinct columns and then to its distinct rows, as (rows, ncols):
-    no line repeated.  Each pass is a bit loop that reads the matrix's
-    columns as bitmasks of its rows (bit i from row i) and keeps the distinct
-    ones, sorted; the second pass, on the kept columns, gives back rows whose
-    bit k comes from the k-th kept column."""
-    for _ in range(2):
-        cols = [0] * ncols
-        for i, row in enumerate(rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        rows, ncols = tuple(sorted(set(cols))), len(rows)
-    return rows, ncols
+def distinct_lines(rows: Iterable[tuple]) -> list[tuple]:
+    """The distinct columns, as tuples, of the distinct rows of a matrix
+    given as its rows (tuples), in one hashing pass over the entries.
+    Dropping a repeated column keeps distinct rows distinct, so no line of
+    the result repeats: each column has one entry per distinct row."""
+    return list(set(zip(*set(rows))))
+
+
+def row_masks(cols: Sequence[tuple]) -> list[int]:
+    """The row bitmasks of the 0/1 matrix with columns `cols`: bit k of row
+    i is entry i of cols[k].  `int` reads a Fraction one as 1."""
+    return [sum(int(col[i]) << k for k, col in enumerate(cols)) for i in range(len(cols[0]))]
 
 
 @functools.cache
@@ -427,29 +423,27 @@ def dcc_exact_2party(m: RatMatrix) -> int:
     At every node one party announces one bit by bipartitioning its current
     input set; leaves must be constant submatrices; the value is the minimax
     depth.  Depth does not change under duplicated rows or columns, so the
-    input is cut to its r distinct rows and then to their c distinct
-    columns, as tuples in one hashing pass over the entries (dropping a
-    repeated column keeps distinct rows distinct, so both counts are final);
-    only then are the kept lines packed as bitmasks and handed to
-    `reduced_depths` as a batch of one; nothing is kept once the call
-    returns.  A level touches about (3^r 2^c + 2^r 3^c) / 2 cells, so r + c
-    is capped at 16.  At the cap, in a fresh process on one core of a shared 2-vCPU
-    host: the 8x8 identity took 0.014-0.018 s, a random 8x8 input
-    0.016-0.021 s and the 12 distinct rows of 4 bits 0.035-0.050 s at 45 MB
-    peak.  Past it, the 16 distinct rows of 4 bits would need 21.5 M row
-    splits of 16 cells per level.
+    input is cut by `distinct_lines` to the c distinct columns of its r
+    distinct rows, and only an input that passes the guard on r + c is
+    packed by `row_masks` and handed to `reduced_depths` as a batch of one;
+    nothing is kept once the call returns.  A level touches about
+    (3^r 2^c + 2^r 3^c) / 2 cells, so r + c is capped at 16.  At the cap, in
+    a fresh process on one core of a shared 2-vCPU host: the 8x8 identity
+    took 0.014-0.018 s, a random 8x8 input 0.016-0.021 s and the 12
+    distinct rows of 4 bits 0.035-0.050 s at 45 MB peak.  Past it, the 16
+    distinct rows of 4 bits would need 21.5 M row splits of 16 cells per
+    level.
     """
     if not {0, 1}.issuperset(m.entries):
         raise ValidationError("protocol search needs a 0/1 matrix")
-    rows = list(set(m.iter_rows()))
-    cols = set(zip(*rows))
-    if len(rows) + len(cols) > 16:
+    cols = distinct_lines(m.iter_rows())
+    nlines = len(cols) + len(cols[0])
+    if nlines > 16:
         raise CapacityError(
             "exact protocol search is capped at 16 distinct rows plus distinct columns, "
-            f"got {len(rows) + len(cols)}"
+            f"got {nlines}"
         )
-    masks = [sum(int(col[i]) << k for k, col in enumerate(cols)) for i in range(len(rows))]
-    return reduced_depths([masks], len(cols))[0]
+    return reduced_depths([row_masks(cols)], len(cols))[0]
 
 
 # ---------------------------------------------------------------------------

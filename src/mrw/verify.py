@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -37,13 +38,14 @@ from .models import (
     abp_profile,
     comm_ladder,
     comm_report,
+    distinct_lines,
     divisibility_rank_witness,
     edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
-    reduced_key,
+    row_masks,
 )
 from .numkit import DEFAULT_SEED, verify_nonneg_factorization
 from .ratlinalg import RatMatrix, rank_exact
@@ -239,22 +241,6 @@ def check_divisibility(scale: str, seed: int):
     return True, "; ".join(details), _DIV_EXPECTED
 
 
-def _chain_shapes(side: int):
-    """The (nrows, ncols) of the states of `_chain_states`, in its order."""
-    for nc in range(1, side + 1):
-        for nr in range(1, min(side, 1 << nc) + 1):
-            yield nr, nc
-
-
-def _chain_states(side: int):
-    """Every (ncols, rows) with ncols <= side and rows a sorted tuple of at
-    most side distinct ncols-bit row masks: one state per set of distinct
-    rows of a 0/1 matrix up to side x side."""
-    for nr, nc in _chain_shapes(side):
-        for rows in itertools.combinations(range(1 << nc), nr):
-            yield nc, rows
-
-
 @functools.cache
 def _relabellings(ncols: int) -> np.ndarray:
     """The (ncols!, 2^ncols) uint64 table whose entry [p, v] is 1 << w, w
@@ -294,11 +280,12 @@ def _classes(rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int, int]]:
     return [min((nrows, ncols, a), (ncols, nrows, b)) for a, b in zip(codes(rows, ncols), codes(cols, nrows))]
 
 
-def _class_of(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
-    """The class of one 0/1 matrix, given as row bitmasks: its reduced key's."""
-    key, width = reduced_key(rows, ncols)
-    grid = np.array([key])
-    return _classes(grid, _columns(grid, width))[0]
+def _class_of(rows: Iterable[tuple[int, ...]]) -> tuple[int, int, int]:
+    """The class of one 0/1 matrix, given as its rows (tuples): its distinct
+    lines', packed as row bitmasks."""
+    cols = distinct_lines(rows)
+    grid = np.array([row_masks(cols)])
+    return _classes(grid, _columns(grid, len(cols)))[0]
 
 
 def check_log_rank_chain(scale: str, seed: int):
@@ -308,34 +295,39 @@ def check_log_rank_chain(scale: str, seed: int):
     Depth, rank and cover number are invariant under duplicating and
     permuting rows and columns and under transposition.  So one state per
     set of distinct rows covers every matrix up to side x side, and the
-    chain is evaluated once per class of reduced keys under row and column
-    permutations and transposition (`_classes`).  A state's reduced key is
-    a state whose columns are distinct, so only those states are coded, in
-    one numpy pass per shape; the random matrices are reduced by
-    `reduced_key` first.  At full scale and seed 1729 the 2,716 states
-    (2,696 small, 20 random 6x6) fall into 123 classes of 11 shapes; at
-    small scale the 114 states (109 and 5 random 5x5) into 24 classes.
-    The classes of one shape get their depths from one `reduced_depths`
-    sweep, then each class its rank and cover bound.  The count reported is
-    per state; on failure the states are classed one at a time, and the
-    first (in enumeration order, the random ones last) whose class breaks
-    the chain is reported.
+    chain is evaluated once per class of distinct lines under row and
+    column permutations and transposition (`_classes`).  A state's distinct
+    lines form a state whose columns are distinct, so only those states are
+    coded, in one numpy pass per shape; the random matrices, drawn as 0/1
+    rows, are cut by `distinct_lines` and packed by `row_masks` first.  At
+    full scale and seed 1729 the 2,716 states (2,696 small, 20 random 6x6)
+    fall into 123 classes of 11 shapes; at small scale the 114 states (109
+    and 5 random 5x5) into 24 classes.  The classes of one shape get their
+    depths from one `reduced_depths` sweep, then each class its rank and
+    cover bound.  The count reported is per state.  Each state with distinct
+    columns is classed once and kept with its class, in enumeration order;
+    on failure the first of them whose class breaks the chain is reported,
+    or else a random one.  That is the first state of all to hold a broken
+    class: a state with a repeated column comes after its distinct lines,
+    a state with fewer columns and the same class.
     """
     side = 4 if scale == "full" else 3
     big, count = (6, 20) if scale == "full" else (5, 5)
     rng = np.random.default_rng(seed + 23)
-    weights = 1 << np.arange(big)
-    randoms = [tuple((rng.integers(0, 2, size=(big, big)) @ weights).tolist()) for _ in range(count)]
-    classes: dict[tuple[int, int, int], None] = {}
+    randoms = [rng.integers(0, 2, size=(big, big)).tolist() for _ in range(count)]
+    kept: list[tuple[int, tuple[int, ...], tuple[int, int, int]]] = []
     total = count
-    for nr, nc in _chain_shapes(side):
-        rows = np.array(list(itertools.combinations(range(1 << nc), nr)))
-        cols = _columns(rows, nc)
-        ordered = np.sort(cols, axis=1)
-        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-        classes.update(dict.fromkeys(_classes(rows[distinct], cols[distinct])))
-        total += len(rows)
-    classes.update(dict.fromkeys(_class_of(rows, big) for rows in randoms))
+    for nc in range(1, side + 1):
+        for nr in range(1, min(side, 1 << nc) + 1):
+            rows = np.array(list(itertools.combinations(range(1 << nc), nr)))
+            cols = _columns(rows, nc)
+            total += len(rows)
+            ordered = np.sort(cols, axis=1)
+            distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+            rows, cols = rows[distinct], cols[distinct]
+            kept += zip(itertools.repeat(nc), map(tuple, rows.tolist()), _classes(rows, cols))
+    classes = dict.fromkeys(cls for _, _, cls in kept)
+    classes.update(dict.fromkeys(_class_of(map(tuple, grid)) for grid in randoms))
     by_shape: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for cls in classes:
         by_shape.setdefault(cls[:2], []).append(cls)
@@ -348,8 +340,8 @@ def check_log_rank_chain(scale: str, seed: int):
             if any(depth < math.ceil(math.log2(low)) for low in lows if low >= 1):
                 broken.add(cls)
     if broken:
-        for nc, rows in _chain_states(side):
-            if _class_of(rows, nc) in broken:
+        for nc, rows, cls in kept:
+            if cls in broken:
                 return False, f"chain violated at {(nc, rows)}", "depth >= log2(rank), log2(cover)"
         return False, f"chain violated on random {big}x{big}", "chain holds"
     return True, f"{total} canonical instances checked", "chain holds on all instances"

@@ -499,6 +499,54 @@ def test_mr_on_zero_one_files_reports_a_valid_cover(tmp_path, capsys, drawn, bud
         assert covered == support
 
 
+FILE_COMMANDS = [("rank", "--matrix"), ("mr", "--matrix"), ("mr", "--tensor"), ("dcc", "--matrix")]
+
+
+@st.composite
+def malformed_files(draw):
+    """A matrix or tensor object of at most 30 entries, each key possibly
+    missing or of a wrong type: sizes that are negative, zero, bools,
+    floats, None or strings; entries that are not a list, or hold bools,
+    floats, None, lists or bad literals; entry counts off by one."""
+    size = st.one_of(st.integers(-1, 5), st.booleans(), st.floats(-2, 5), st.none(), st.sampled_from(["2", "x"]))
+    entry = st.one_of(
+        st.sampled_from(["0", "1", "1", "-2", "3/2", "1/0", "2e1", "1e", "abc", "", " 1", "0x1", "nan", "inf"]),
+        st.integers(-2, 2),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.none(),
+        st.lists(st.sampled_from(["0", "1"]), max_size=2),
+    )
+    if draw(st.booleans()):
+        obj = {"rows": draw(size), "cols": draw(size)}
+        shape = [obj["rows"], obj["cols"]]
+    else:
+        obj = {"dims": draw(st.one_of(st.lists(size, max_size=4), size))}
+        shape = obj["dims"] if isinstance(obj["dims"], list) else [obj["dims"]]
+    # a well-formed shape of under 30 cells gets its entry count or one off
+    cells = math.prod(shape) if all(type(n) is int and n >= 0 for n in shape) else 30
+    count = max(draw(st.sampled_from([cells - 1, cells, cells + 1]) if cells < 30 else st.integers(0, 30)), 0)
+    obj["entries"] = draw(st.one_of(st.lists(entry, min_size=count, max_size=count), entry, st.dictionaries(st.text(max_size=2), entry, max_size=2)))
+    for key in list(obj):
+        if draw(st.integers(0, 9)) == 0:
+            del obj[key]
+    return obj
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FILE_COMMANDS), malformed_files())
+def test_file_commands_refuse_malformed_objects_with_one_error_line(tmp_path, capsys, command, obj):
+    # exit 0 on a file that reads as a valid object, else exit 2 with the
+    # error as the last stderr line; never a traceback
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, *command, str(path))
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert err.splitlines()[-1].startswith("error:")
+
+
 def test_gen_edm_with_a_square_too_long_to_print_exits_2_with_one_line(capsys):
     # 10^2200 passes the literal guard, but its square has 4,401 digits
     code, out, err = run(capsys, "gen", "edm", "--values", "1e2200,0")

@@ -36,13 +36,14 @@ from mrw.models import (
     comm_ladder,
     comm_report,
     dcc_exact_2party,
+    distinct_lines,
     divisibility_rank_witness,
     edm_folding_factorization,
     exact_unit_factorizations,
     hv_model_from_factorization,
     hv_sample,
     reduced_depths,
-    reduced_key,
+    row_masks,
 )
 from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import CAPACITY_LIMIT, RatMatrix, rank_exact, submatrix
@@ -480,18 +481,19 @@ def test_depth_matches_bipartition_recursion():
         assert grid_depth(grid) == bipartition_depth(masks, len(grid[0])), grid
 
 
-def row_masks(grid) -> tuple[int, ...]:
+def grid_masks(grid) -> tuple[int, ...]:
     return tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
 
 
 def assert_batched_depths_match(grids, oracle):
-    """Cut each grid to its reduced key, sweep the keys of each shape as one
-    batch, and hold every batched depth to the one-instance path and to the
-    oracle."""
+    """Cut each grid to its distinct lines, sweep the packed lines of each
+    shape as one batch, and hold every batched depth to the one-instance
+    path and to the oracle."""
     by_shape: dict[tuple[int, int], list] = {}
     for grid in grids:
-        rows, ncols = reduced_key(row_masks(grid), len(grid[0]))
-        by_shape.setdefault((len(rows), ncols), []).append((rows, grid))
+        cols = distinct_lines(map(tuple, grid))
+        rows = row_masks(cols)
+        by_shape.setdefault((len(rows), len(cols)), []).append((rows, grid))
     for (_, ncols), group in by_shape.items():
         depths = reduced_depths([rows for rows, _ in group], ncols)
         assert len(depths) == len(group)
@@ -514,7 +516,7 @@ def test_batched_depths_on_every_matrix_up_to_3x3():
 def test_batched_depths_on_seeded_5x5_and_6x6():
     rng = random.Random(26)
     grids = [[[rng.randint(0, 1) for _ in range(n)] for _ in range(n)] for n in (5, 6) for _ in range(40)]
-    assert_batched_depths_match(grids, lambda grid: bipartition_depth(row_masks(grid), len(grid[0])))
+    assert_batched_depths_match(grids, lambda grid: bipartition_depth(grid_masks(grid), len(grid[0])))
 
 
 def test_batched_depths_retire_each_instance_at_its_own_level():
@@ -587,14 +589,34 @@ def test_depth_of_a_line_of_2_20_ones_is_found_in_one_pass():
     assert time.perf_counter() - start < 20
 
 
+def packed_lines(grid) -> tuple[list[int], int]:
+    """The distinct lines of a grid packed as row masks, sorted, and their
+    column count."""
+    cols = distinct_lines(map(tuple, grid))
+    return sorted(row_masks(cols)), len(cols)
+
+
 def test_16_bit_rows_reduce_to_their_distinct_lines():
-    # I_4 (x) J_4: 16-bit row masks, the last with bit 15 set, and 4
-    # distinct lines a side; its key is I_4's, of depth 3
+    # I_4 (x) J_4: 16-bit rows, the last with bit 15 set, and 4 distinct
+    # lines a side; its distinct lines are I_4's, of depth 3, in any order
     grid = mask_grid([0xF << (4 * (i // 4)) for i in range(16)], 16)
-    assert reduced_key(row_masks(grid), 16) == ((1, 2, 4, 8), 4)
+    assert packed_lines(grid) == ([1, 2, 4, 8], 4)
     assert grid_depth(grid) == 3
-    # rows of sixteen ones next to a repeated and a zero row
-    assert reduced_key([0xFFFF, 0, 0xFFFF] + [0x7FFF] * 13, 16) == ((0, 2, 3), 2)
+    # rows of sixteen ones next to a repeated and a zero row: 3 distinct
+    # rows over 2 distinct columns, the short row's bit where column 15 is not
+    rows, ncols = packed_lines(mask_grid([0xFFFF, 0, 0xFFFF] + [0x7FFF] * 13, 16))
+    assert ncols == 2 and rows in ([0, 1, 3], [0, 2, 3])
+
+
+def test_ones_given_as_fractions_are_packed_as_ints():
+    # RatMatrix keeps a Fraction(1) entry as a Fraction; packing reads it as 1
+    one = Fraction(1)
+    assert dcc_exact_2party(RatMatrix(2, 2, [one, 0, 0, one])) == 2
+    # int and Fraction ones mixed over repeated lines: hashing reads 1 and
+    # Fraction(1) as one value, so this is I_2 (x) J_2 with a repeated row
+    grid = [[1, one, 0, 0], [one, 1, 0, 0], [0, 0, one, 1], [0, 0, 1, 1], [1, 1, 0, 0]]
+    assert packed_lines(grid) == ([1, 2], 2)
+    assert grid_depth(grid) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The verification harness itself: report shape, determinism, and the
 forced-failure mode (a broken kernel must turn its check red), and the
-reduction and canonical classes the log-rank chain is evaluated on: a class
-is held to a brute-force canonical form over every row permutation, column
-permutation and transposition of the reduced key."""
+reduction and canonical classes the log-rank chain is evaluated on: the
+packed distinct lines are held to a bit loop, and a class to a brute-force
+canonical form over every row permutation, column permutation and
+transposition of the distinct lines."""
 
 import itertools
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import mrw.verify as verify
 from mrw.bounds import box_cover_exact, support_pattern
-from mrw.models import dcc_exact_2party, reduced_key
+from mrw.models import dcc_exact_2party, distinct_lines, reduced_depths, row_masks
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
@@ -29,9 +30,58 @@ def distinct_columns(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
 
 
 def reference_key(rows: tuple[int, ...], ncols: int) -> tuple[tuple[int, ...], int]:
-    """A bit loop over one matrix: the reference `reduced_key` is held to."""
+    """A bit loop over one matrix: the reference the packed distinct lines
+    are held to."""
     cols = distinct_columns(rows, ncols)
     return distinct_columns(cols, len(rows)), len(cols)
+
+
+def bits(rows: tuple[int, ...], ncols: int) -> list[tuple[int, ...]]:
+    """The 0/1 rows, as tuples, of the matrix with row masks `rows`."""
+    return [tuple(row >> j & 1 for j in range(ncols)) for row in rows]
+
+
+def packed_key(rows: tuple[int, ...], ncols: int) -> tuple[list[int], int]:
+    """The distinct lines of the matrix with row masks `rows`, packed back
+    as row masks, and their column count."""
+    cols = distinct_lines(bits(rows, ncols))
+    return row_masks(cols), len(cols)
+
+
+def same_up_to_line_order(a: tuple, b: tuple) -> bool:
+    """Whether two (row masks, ncols) matrices with distinct rows differ
+    only by an order of their rows and an order of their columns: the
+    columns of a are matched to those of b one at a time, each match
+    keeping equal the row multisets over the columns matched so far."""
+    (rows_a, ncols), (rows_b, ncols_b) = a, b
+    if (len(rows_a), ncols) != (len(rows_b), ncols_b):
+        return False
+
+    def over(rows, picked):
+        return sorted(tuple(row >> j & 1 for j in picked) for row in rows)
+
+    def match(picked_b):
+        picked_a = range(len(picked_b))
+        if len(picked_b) == ncols:
+            return True
+        return any(
+            over(rows_a, [*picked_a, len(picked_b)]) == over(rows_b, [*picked_b, j]) and match([*picked_b, j])
+            for j in range(ncols)
+            if j not in picked_b
+        )
+
+    return match([])
+
+
+def chain_states(side: int):
+    """Every (ncols, rows) with ncols <= side and rows a sorted tuple of at
+    most side distinct ncols-bit row masks, in the order the log-rank chain
+    enumerates them: one state per set of distinct rows of a 0/1 matrix up
+    to side x side."""
+    for nc in range(1, side + 1):
+        for nr in range(1, min(side, 1 << nc) + 1):
+            for rows in itertools.combinations(range(1 << nc), nr):
+                yield nc, rows
 
 
 def transpose(rows: tuple[int, ...], ncols: int) -> tuple[int, ...]:
@@ -63,9 +113,10 @@ def decoded(cls: tuple[int, int, int]) -> tuple[tuple[int, ...], int]:
 
 
 def random_rows(seed: int, big: int, count: int) -> list[tuple[int, ...]]:
+    """The row masks of the chain's random matrices, drawn as it draws them."""
     rng = np.random.default_rng(seed + 23)
-    grids = [rng.integers(0, 2, size=(big, big)) for _ in range(count)]
-    return [tuple(int(sum(int(v) << j for j, v in enumerate(row))) for row in grid) for grid in grids]
+    grids = [rng.integers(0, 2, size=(big, big)).tolist() for _ in range(count)]
+    return [tuple(sum(v << j for j, v in enumerate(row)) for row in grid) for grid in grids]
 
 
 def test_report_shape_and_ids():
@@ -94,11 +145,10 @@ def test_sabotaged_depth_fails_the_log_rank_chain(monkeypatch):
 def sabotage_one_class(monkeypatch, target: tuple[tuple[int, ...], int]):
     """Give the canonical class of the matrix `target` depth 0 and every
     other class its true depth."""
-    real = verify.reduced_depths
     broken = canonical_form(*target)
 
     def depths(keys, ncols):
-        return [0 if canonical_form(rows, ncols) == broken else d for rows, d in zip(keys, real(keys, ncols))]
+        return [0 if canonical_form(rows, ncols) == broken else d for rows, d in zip(keys, reduced_depths(keys, ncols))]
 
     monkeypatch.setattr(verify, "reduced_depths", depths)
 
@@ -109,7 +159,7 @@ def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
     # is the identity's is the one reported
     target = ((1, 2), 2)
     holders = [
-        (nc, rows) for nc, rows in verify._chain_states(3)
+        (nc, rows) for nc, rows in chain_states(3)
         if canonical_form(rows, nc) == canonical_form(*target)
     ]
     assert len(holders) > 1
@@ -121,12 +171,33 @@ def test_a_sabotaged_key_names_the_first_state_holding_it(monkeypatch):
 def test_a_sabotaged_random_key_is_reported_as_random(monkeypatch):
     # the class of the first random 5x5 at seed 1 is held by no state up to
     # 3x3, so the first state holding it is a random one
-    classes = {canonical_form(rows, nc) for nc, rows in verify._chain_states(3)}
+    classes = {canonical_form(rows, nc) for nc, rows in chain_states(3)}
     first = (random_rows(1, 5, 1)[0], 5)
     assert canonical_form(*first) not in classes
     sabotage_one_class(monkeypatch, first)
     ok, observed, _ = verify.check_log_rank_chain("small", 1)
     assert not ok and observed == "chain violated on random 5x5"
+
+
+def test_each_sabotaged_small_class_names_its_first_holder(monkeypatch):
+    # each of the 24 classes at small scale and seed 1 in turn: a class of
+    # rank or cover bound 2 or more breaks the chain at depth 0, and the
+    # report names the first state of the full enumeration that holds it,
+    # repeated-column states included, or else the random matrices
+    holders: dict = {}
+    for nc, rows in chain_states(3):
+        holders.setdefault(canonical_form(rows, nc), ((rows, nc), f"chain violated at {(nc, rows)}"))
+    for rows in random_rows(1, 5, 5):
+        holders.setdefault(canonical_form(rows, 5), ((rows, 5), "chain violated on random 5x5"))
+    assert len(holders) == 24
+    seen = set()
+    for target, report in holders.values():
+        sabotage_one_class(monkeypatch, target)
+        ok, observed, _ = verify.check_log_rank_chain("small", 1)
+        breaks = max(chain_invariants(*target)[1:]) >= 2
+        assert (ok, observed) == ((False, report) if breaks else (True, "114 canonical instances checked")), target
+        seen.add((breaks, report.endswith("5x5")))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def test_log_rank_chain_counts_every_state():
@@ -148,7 +219,7 @@ def decoded_states(side: int) -> set:
 
 def test_chain_states_are_the_distinct_row_sets():
     for side, count, keys in ((3, 109, 28), (4, 2696, 334)):
-        states = list(verify._chain_states(side))
+        states = list(chain_states(side))
         assert len(states) == count and set(states) == decoded_states(side)
         assert len({reference_key(rows, nc) for nc, rows in states}) == keys
 
@@ -159,13 +230,13 @@ def chain_invariants(rows: tuple[int, ...], ncols: int) -> tuple[int, int, int]:
 
 
 def assert_key_keeps_invariants(rows: tuple[int, ...], ncols: int):
-    key_rows, key_cols = reduced_key(rows, ncols)
-    assert list(key_rows) == sorted(set(key_rows)) and key_cols <= ncols
+    key_rows, key_cols = packed_key(rows, ncols)
+    assert len(set(key_rows)) == len(key_rows) and key_cols <= ncols
     assert chain_invariants(rows, ncols) == chain_invariants(key_rows, key_cols), (rows, ncols)
 
 
 def test_chain_key_keeps_depth_rank_and_cover_on_every_small_state():
-    for ncols, rows in verify._chain_states(3):
+    for ncols, rows in chain_states(3):
         assert_key_keeps_invariants(rows, ncols)
 
 
@@ -191,7 +262,7 @@ def test_chain_key_keeps_depth_rank_and_cover(grid):
 @given(grids01(side=6), st.data())
 def test_transpose_keeps_the_chain_invariants_and_the_class_holds_them(grid, data):
     rows, ncols = grid
-    cls = verify._class_of(rows, ncols)
+    cls = verify._class_of(bits(rows, ncols))
     want = chain_invariants(rows, ncols)
     # the class names a matrix of the grid's canonical form, with its
     # depth, rank and cover bound
@@ -202,15 +273,17 @@ def test_transpose_keeps_the_chain_invariants_and_the_class_holds_them(grid, dat
     order = data.draw(st.permutations(rows))
     perm = tuple(data.draw(st.permutations(range(ncols))))
     for moved in ((transpose(rows, ncols), len(rows)), (relabel(tuple(order), perm), ncols)):
-        assert verify._class_of(*moved) == cls
+        assert verify._class_of(bits(*moved)) == cls
         assert chain_invariants(*moved) == want
 
 
-def test_reduced_key_matches_the_bit_loop_on_the_chain_states():
-    for nc, rows in verify._chain_states(4):
-        assert reduced_key(rows, nc) == reference_key(rows, nc)
+def test_packed_lines_match_the_bit_loop_on_the_chain_states():
+    for nc, rows in chain_states(4):
+        assert same_up_to_line_order(packed_key(rows, nc), reference_key(rows, nc)), (rows, nc)
     for rows in random_rows(1729, 6, 20):
-        assert reduced_key(rows, 6) == reference_key(rows, 6)
+        assert same_up_to_line_order(packed_key(rows, 6), reference_key(rows, 6)), rows
+    # the check tells apart matrices of one shape: I_2 and the two rows 00, 11
+    assert not same_up_to_line_order(((1, 2), 2), ((0, 3), 2))
 
 
 @st.composite
@@ -229,8 +302,8 @@ def wide_grids(draw):
 @example(((0xFFFF,) * 16, 16))
 @example(((0xFFFF, 0) * 8, 16))
 @example(((0x7FFF, 0xFFFF) * 8, 16))
-def test_reduced_key_matches_the_bit_loop_up_to_16x16(grid):
-    assert reduced_key(*grid) == reference_key(*grid)
+def test_packed_lines_match_the_bit_loop_up_to_16x16(grid):
+    assert same_up_to_line_order(packed_key(*grid), reference_key(*grid))
 
 
 def test_every_class_cover_is_exact_at_both_scales(monkeypatch):
@@ -253,7 +326,7 @@ def test_every_class_cover_is_exact_at_both_scales(monkeypatch):
         assert ok and observed == f"{states} canonical instances checked"
         keys = [(rows, nc) for batch, nc in calls for rows in batch]
         assert (len(keys), len(calls)) == (classes, shapes)
-        want = {canonical_form(rows, nc) for nc, rows in verify._chain_states(side)}
+        want = {canonical_form(rows, nc) for nc, rows in chain_states(side)}
         want |= {canonical_form(rows, big) for rows in random_rows(1729, big, count)}
         assert len(want) == classes and {canonical_form(*key) for key in keys} == want
         for rows, nc in keys:
