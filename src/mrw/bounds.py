@@ -634,16 +634,18 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
 
     lower = max(exact rank, certified box-cover lower bound), whose witness
     is "crown" when the cover's lower bound is its crown's; upper is the
-    best of the dimension bound, the singleton-support factorization, and (for
-    matrices with a gap) `nmf_search` at r = lower.  Its witness is `exact`
-    when it is rational and reproduces m exactly (the separable stage at
-    r = rank, or the nested-triangle stage at r = rank = 3),
-    `heuristic-certified` otherwise; a matrix with an entry past float range
-    gets no float search.  `budget_factor` scales both the cover search's
-    node budget and the numeric search.
+    best of the dimension bound, the singleton-support factorization, and
+    (for matrices (and order-2 tensors) with a gap) `nmf_search` at
+    r = lower.  Its witness is `exact` when it is rational and reproduces m
+    exactly (the separable stage at r = rank, or the nested-triangle stage
+    at r = rank = 3), `heuristic-certified` otherwise; a matrix with an
+    entry past float range gets no float search.  `budget_factor` scales
+    both the cover search's node budget and the numeric search.
     """
     if not isinstance(m, (RatMatrix, DenseTensor)):
         raise ValidationError("mr_bounds expects a RatMatrix or DenseTensor")
+    if isinstance(m, DenseTensor) and m.order == 2:
+        m = RatMatrix(*m.dims, m.entries)
     if any(e < 0 for e in m.entries):
         raise ValidationError("entries must be nonnegative")
     pattern = support_pattern(m)

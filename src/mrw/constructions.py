@@ -173,21 +173,6 @@ def offset_square_matrix(spec: FunctionFSpec) -> RatMatrix:
     return RatMatrix(base.rows, base.cols, [x * x for x in base.entries])
 
 
-def spaced_block_column_indices(spec: FunctionFSpec, k: int) -> list[int]:
-    """Indices of the crown inside the level-(d/2 -+ k) flattenings.
-
-    The multiples p * n^k for p < n^(d/2-k): the lex ranks of the index
-    tuples whose first and last k indices are the first symbol.  As columns
-    of flattening(spec, d/2-k), against every row, they give the
-    squared-difference matrix over 0, n^k, 2n^k, ...; as rows of
-    flattening(spec, d/2+k), against every column, the one over 0, 1, 2, ...
-    """
-    if not (0 <= k <= spec.half):
-        raise ValidationError(f"block stride exponent k={k} outside [0..{spec.half}]")
-    stride = spec.n ** k
-    return [p * stride for p in range(spec.n ** (spec.half - k))]
-
-
 # ---------------------------------------------------------------------------
 # divisibility tensor
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bounds import (
     SupportPattern,
+    crown_cover_number,
     crown_lower_bound,
     singleton_box_predicate,
     support_pattern,
@@ -31,7 +32,6 @@ from .constructions import (
     divisibility_tensor,
     flattening,
     offset_square_matrix,
-    spaced_block_column_indices,
 )
 from .errors import CapacityError, DimensionError, ValidationError
 from .numkit import DEFAULT_SEED, NonnegFactorization, verify_nonneg_factorization
@@ -69,22 +69,23 @@ class AbpProfile:
 def abp_profile(n: int, d: int) -> AbpProfile:
     """Exact level ranks plus certified per-level monotone lower bounds.
 
-    Level j's flattening holds a full crown of size n^min(j, d-j): the
-    spaced_block_column_indices are its columns at levels j <= d/2 and its
-    rows above, against every index on the other side.  crown_lower_bound
-    checks it on the flattening and returns kappa, the crown's exact cover
-    number.  Ranks are exact over the rationals.  Every level reads the one
-    coefficient array, built once as the middle flattening, in its own
-    shape; a reshape copies nothing.
+    Every level reads the one coefficient array, built once as the middle
+    flattening M (H x H, H = n^(d/2)), in its own shape; a reshape copies
+    nothing.  Level j's crown is a principal block of M: for j <= d/2 and
+    s = n^(d/2-j), its entry (i, p*s) is M[i*s, p*s] (i, p < n^j); for
+    j > d/2, m = d-j and t = n^(j-d/2), its entry (p*t, c) is M[p, c]
+    (p, c < n^m).  crown_lower_bound checks once that M is zero exactly on
+    its diagonal, so every principal block is too, and level j reports
+    kappa(n^min(j, d-j)), its crown's exact cover number.  Ranks are exact
+    over the rationals.
     """
     spec = FunctionFSpec(n, d)
     coeffs = flattening(spec, spec.half)
+    crown_lower_bound(coeffs, range(coeffs.rows), range(coeffs.cols))
     levels = []
     for j in range(d + 1):
         flat = coeffs.reshape(n ** j, n ** (d - j))
-        crown = spaced_block_column_indices(spec, spec.half - min(j, d - j))
-        rows, cols = (range(flat.rows), crown) if j <= spec.half else (crown, range(flat.cols))
-        bound = crown_lower_bound(flat, rows, cols)
+        bound = crown_cover_number(n ** min(j, d - j))
         levels.append(AbpLevel(level=j, rank=rank_exact(flat), mr_lower=bound, mr_lower_certified=True))
     ranks = [lv.rank for lv in levels]
 

@@ -107,6 +107,17 @@ def test_mr_on_tensor_file(tmp_path, capsys):
     assert obj["lower"] == 4 and obj["upper"] == 4
 
 
+def test_mr_reads_a_two_mode_tensor_file_as_the_matrix(tmp_path, capsys):
+    entries = ["1", "1", "0", "1", "2", "1", "0", "1", "1", "2", "3", "1"]
+    (tmp_path / "t.json").write_text(json.dumps({"dims": [4, 3], "entries": entries}))
+    (tmp_path / "m.json").write_text(json.dumps({"rows": 4, "cols": 3, "entries": entries}))
+    code_t, out_t, _ = run(capsys, "mr", "--tensor", str(tmp_path / "t.json"))
+    code_m, out_m, _ = run(capsys, "mr", "--matrix", str(tmp_path / "m.json"))
+    assert code_t == code_m == 0 and out_t == out_m
+    rep = json.loads(out_t)
+    assert (rep["lower"], rep["upper"], rep["upperStatus"]) == (2, 2, "exact") and "factorization" in rep
+
+
 def test_dcc_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(canonical_dumps({"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}))

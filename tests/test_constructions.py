@@ -28,7 +28,6 @@ from mrw.constructions import (
     offset_matrix,
     offset_square_matrix,
     outcome_distribution,
-    spaced_block_column_indices,
 )
 from mrw.errors import CapacityError, UnsupportedRankError, ValidationError
 from mrw.ratlinalg import RatMatrix, char_poly_exact, rank_exact, submatrix
@@ -203,12 +202,18 @@ def test_offset_square_matrix_squares_the_offsets_of_the_middle_row(n, d):
     )
 
 
+def _spaced_block_indices(n: int, d: int, k: int) -> list[int]:
+    """The crown indices inside the level-(d/2 -+ k) flattenings: the
+    multiples p * n^k for p < n^(d/2-k)."""
+    return [p * n**k for p in range(n ** (d // 2 - k))]
+
+
 def test_spaced_block_is_distance_matrix_over_progression():
     # levels j <= d/2: every row, the embedded columns
     for n, d, k in [(2, 4, 1), (3, 4, 1), (2, 6, 2), (2, 4, 0)]:
         spec = FunctionFSpec(n, d)
         host = flattening(spec, d // 2 - k)
-        block = submatrix(host, range(host.rows), spaced_block_column_indices(spec, k))
+        block = submatrix(host, range(host.rows), _spaced_block_indices(n, d, k))
         assert block == edm(EdmSpec([i * n**k for i in range(n ** (d // 2 - k))]))
 
 
@@ -229,19 +234,18 @@ def _padded_tuple_ranks(n: int, d: int, k: int) -> list[int]:
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 def test_spaced_block_indices_match_the_padded_tuple_ranks(n, d):
     for k in range(d // 2 + 1):
-        assert spaced_block_column_indices(FunctionFSpec(n, d), k) == _padded_tuple_ranks(n, d, k)
+        assert _spaced_block_indices(n, d, k) == _padded_tuple_ranks(n, d, k)
 
 
 def test_spaced_block_values_and_submatrix():
-    spec = FunctionFSpec(2, 4)
-    assert spaced_block_column_indices(spec, 0) == [0, 1, 2, 3]
-    assert spaced_block_column_indices(spec, 1) == [0, 2]
-    assert spaced_block_column_indices(spec, 2) == [0]
+    assert _spaced_block_indices(2, 4, 0) == [0, 1, 2, 3]
+    assert _spaced_block_indices(2, 4, 1) == [0, 2]
+    assert _spaced_block_indices(2, 4, 2) == [0]
     for n, d in [(2, 4), (3, 4), (2, 6)]:
         s = FunctionFSpec(n, d)
         for k in range(d // 2 + 1):
             block = edm(EdmSpec([i * n**k for i in range(n ** (d // 2 - k))]))
-            idx = spaced_block_column_indices(s, k)
+            idx = _spaced_block_indices(n, d, k)
             low, high = flattening(s, d // 2 - k), flattening(s, d // 2 + k)
             # level d/2 - k: the embedded columns against every row; level
             # d/2 + k: the embedded rows against every column, where the

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrw.bounds import SupportPattern, box_cover_exact, crown_cover_number, support_pattern
+from mrw import models
+from mrw.bounds import SupportPattern, box_cover_exact, crown_cover_number, crown_lower_bound, support_pattern
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
@@ -26,7 +27,6 @@ from mrw.constructions import (
     flattening,
     outcome_distribution,
     quantum_distribution,
-    spaced_block_column_indices,
 )
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.models import (
@@ -71,6 +71,21 @@ def test_profile_rank_caps_small_sweep():
                 assert p.levels[half + k].rank == p.levels[half - k].rank
 
 
+def _spaced_block_indices(n: int, d: int, k: int) -> list[int]:
+    """The crown indices inside the level-(d/2 -+ k) flattenings: the
+    multiples p * n^k for p < n^(d/2-k)."""
+    return [p * n**k for p in range(n ** (d // 2 - k))]
+
+
+def _level_crown(host: RatMatrix, n: int, d: int, j: int) -> RatMatrix:
+    """Level j's crown read from its materialised flattening: the spaced
+    columns against every row at j <= d/2, the spaced rows above."""
+    idx = _spaced_block_indices(n, d, d // 2 - min(j, d - j))
+    if j <= d // 2:
+        return submatrix(host, range(host.rows), idx)
+    return submatrix(host, idx, range(host.cols))
+
+
 def test_profile_level_bound_matches_block_cover():
     # the exhaustive cover search on each level's embedded crown is the
     # independent oracle for kappa; past 8 rows only kappa itself is pinned
@@ -83,19 +98,61 @@ def test_profile_level_bound_matches_block_cover():
             # each level reads the one coefficient array; its rank is that
             # of the flattening built on its own
             assert lv.rank == rank_exact(flattening(spec, j)), (n, d, j)
-            idx = spaced_block_column_indices(spec, d // 2 - min(j, d - j))
-            if len(idx) > 8:
-                assert lv.mr_lower == crown_cover_number(len(idx))
+            size = n ** min(j, d - j)
+            if size > 8:
+                assert lv.mr_lower == crown_cover_number(size)
                 continue
-            host = flattening(spec, j)
-            if j <= d // 2:
-                block = submatrix(host, range(host.rows), idx)
-            else:
-                block = submatrix(host, idx, range(host.cols))
+            block = _level_crown(flattening(spec, j), n, d, j)
             assert lv.mr_lower == box_cover_exact(support_pattern(block)).lower, (n, d, j)
     p = abp_profile(4, 6)
     assert [lv.mr_lower for lv in p.levels] == [0, 4, 6, 8, 6, 4, 0]
     assert all(lv.mr_lower_certified for lv in p.levels)
+
+
+def test_every_level_crown_is_a_principal_block_of_the_middle_flattening():
+    # the index identity abp_profile's one crown check rests on, at every
+    # (n, d) with n^d <= 2^12
+    cases = [(n, d) for n in range(2, 65) for d in range(2, 13, 2) if n**d <= 2**12]
+    assert (2, 12) in cases and (4, 6) in cases and (64, 2) in cases
+    for n, d in cases:
+        spec = FunctionFSpec(n, d)
+        mid = flattening(spec, d // 2)
+        for j in range(d + 1):
+            if j <= d // 2:
+                s = n ** (d // 2 - j)
+                principal = [i * s for i in range(n**j)]
+            else:
+                principal = list(range(n ** (d - j)))
+            crown = _level_crown(flattening(spec, j), n, d, j)
+            assert crown == submatrix(mid, principal, principal), (n, d, j)
+
+
+def test_profile_refuses_a_middle_flattening_with_an_extra_zero(monkeypatch):
+    def sabotaged(spec, k):
+        m = flattening(spec, k)
+        entries = list(m.entries)
+        entries[1] = 0  # cell (0, 1), off the diagonal
+        return RatMatrix(m.rows, m.cols, entries)
+
+    monkeypatch.setattr(models, "flattening", sabotaged)
+    for n, d in [(2, 2), (2, 4), (3, 4)]:
+        with pytest.raises(ValidationError):
+            abp_profile(n, d)
+
+
+def test_profile_checks_one_crown(monkeypatch):
+    calls = []
+
+    def counted(m, rows, cols):
+        calls.append((m.dims, list(rows) == list(cols) == list(range(m.rows))))
+        return crown_lower_bound(m, rows, cols)
+
+    monkeypatch.setattr(models, "crown_lower_bound", counted)
+    for n, d in [(2, 2), (2, 6), (3, 4), (4, 6)]:
+        calls.clear()
+        abp_profile(n, d)
+        # one check, on the whole middle flattening
+        assert calls == [((n ** (d // 2), n ** (d // 2)), True)], (n, d)
 
 
 def test_profile_rejects_odd_degree_and_overflow():
