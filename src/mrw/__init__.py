@@ -25,7 +25,6 @@ from .ratlinalg import (
     char_poly_exact,
     det_exact,
     rank_exact,
-    submatrix,
 )
 from .dtensor import DenseTensor
 from .constructions import (

@@ -35,14 +35,14 @@ from functools import cached_property
 from itertools import compress, product
 from math import comb, prod
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 import numpy as np
 
 from .dtensor import DenseTensor
 from .errors import CapacityError, ValidationError
 from .numkit import SearchBudget, nmf_search, verify_nonneg_factorization
-from .ratlinalg import RatMatrix, rank_exact, submatrix
+from .ratlinalg import RatMatrix, rank_exact
 
 DEFAULT_NODE_BUDGET = 50_000
 EXACT_CELL_CAP = 64
@@ -236,16 +236,16 @@ def crown_cover_number(m: int) -> int:
     return k
 
 
-def crown_lower_bound(m: RatMatrix, rows: Sequence[int], cols: Sequence[int]) -> int:
-    """kappa(len(rows)), certified by a crown embedded in m: the restriction
-    of m to `rows` x `cols` (in order) must be square and zero exactly on its
-    diagonal, which is checked here.  Cover number cannot grow under
-    restriction, so kappa bounds m's cover number and monotone rank."""
-    block = submatrix(m, rows, cols)
-    zeros = [k for k, e in enumerate(block.entries) if e == 0]
-    if block.rows != block.cols or zeros != list(range(0, block.rows**2, block.rows + 1)):
-        raise ValidationError("the given rows and columns do not embed a crown")
-    return crown_cover_number(block.rows)
+def crown_lower_bound(m: RatMatrix) -> int:
+    """kappa(m.rows), certified by m itself: m must be square and zero
+    exactly on its diagonal (n zeros, none of them off it), which is checked
+    here.  Cover number cannot grow under restriction, so kappa bounds the
+    cover number, and the monotone rank, of any matrix that holds m as a
+    submatrix."""
+    n = m.rows
+    if m.cols != n or m.entries.count(0) != n or any(m.entries[:: n + 1]):
+        raise ValidationError("not a crown: the matrix must be square and zero exactly on its diagonal")
+    return crown_cover_number(n)
 
 
 def _row_zeros(pattern: SupportPattern) -> list[int]:

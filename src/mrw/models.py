@@ -81,7 +81,7 @@ def abp_profile(n: int, d: int) -> AbpProfile:
     """
     spec = FunctionFSpec(n, d)
     coeffs = flattening(spec, spec.half)
-    crown_lower_bound(coeffs, range(coeffs.rows), range(coeffs.cols))
+    crown_lower_bound(coeffs)
     levels = []
     for j in range(d + 1):
         flat = coeffs.reshape(n ** j, n ** (d - j))

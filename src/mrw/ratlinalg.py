@@ -566,22 +566,3 @@ def char_poly_exact(m: RatMatrix) -> CharPoly:
         ak = [[sum(map(mul, row, col)) for col in a_cols] for row in ak]
         coeffs[n - k] = -sum(ak[i][i] for i in range(n)) // k
     return CharPoly(tuple(Fraction(c, den ** (n - j)) for j, c in enumerate(coeffs)))
-
-
-def submatrix(m: RatMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> RatMatrix:
-    """Select rows/columns in the given order.
-
-    Empty index lists are rejected: 0x0 matrices would force degenerate rank
-    conventions downstream.
-    """
-    if not row_idx or not col_idx:
-        raise ValidationError("submatrix index lists must be nonempty")
-    for i in row_idx:
-        if not (0 <= i < m.rows):
-            raise IndexError(f"row index {i} out of range for {m.rows} rows")
-    for j in col_idx:
-        if not (0 <= j < m.cols):
-            raise IndexError(f"column index {j} out of range for {m.cols} columns")
-    return RatMatrix(
-        len(row_idx), len(col_idx), [m[i, j] for i in row_idx for j in col_idx]
-    )

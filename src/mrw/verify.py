@@ -393,7 +393,7 @@ RUNTIME_LIMIT_SECONDS = 600.0
 def run_verify_suite(scale: str = "small", seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check at the given scale; deterministic given the seed."""
     if scale not in ("small", "full"):
-        raise ValueError("scale must be 'small' or 'full'")
+        raise ValidationError("scale must be 'small' or 'full'")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
     results = []

@@ -792,16 +792,58 @@ def test_crown_cover_number_values():
     assert {m: crown_cover_number(m) for m in KAPPA} == KAPPA
 
 
+def _block(m: RatMatrix, rows, cols) -> RatMatrix:
+    """The block of m on `rows` x `cols`, in the given order."""
+    return RatMatrix.from_rows([[m[i, j] for j in cols] for i in rows])
+
+
 def test_crown_lower_bound_checks_the_embedding():
     host = edm(EdmSpec.integers(5))
-    assert crown_lower_bound(host, [0, 2, 4], [0, 2, 4]) == KAPPA[3]
-    assert crown_lower_bound(host, range(5), range(5)) == KAPPA[5]
+    assert crown_lower_bound(_block(host, [0, 2, 4], [0, 2, 4])) == KAPPA[3]
+    assert crown_lower_bound(_block(host, range(5), range(5))) == KAPPA[5]
+    # kappa(1) = 0: a single zero is the smallest crown
+    assert crown_lower_bound(_block(host, [2], [2])) == 0
     # a zero off the diagonal, a nonzero on it, a non-square restriction
     for rows, cols in [([0, 1, 2], [1, 0, 2]), ([0, 1], [1, 2]), ([0, 1], [0, 1, 2])]:
         with pytest.raises(ValidationError):
-            crown_lower_bound(host, rows, cols)
+            crown_lower_bound(_block(host, rows, cols))
     with pytest.raises(ValidationError):
-        crown_lower_bound(RatMatrix.from_rows([[0, 0], [1, 0]]), [0, 1], [0, 1])
+        crown_lower_bound(_block(RatMatrix.from_rows([[0, 0], [1, 0]]), [0, 1], [0, 1]))
+
+
+_ZEROS = [0, Fraction(0)]
+_NONZEROS = [1, 2, Fraction(1, 2)]
+
+
+@st.composite
+def near_crowns(draw):
+    """Matrices up to 6x6, square or not: zeros on the diagonal and nonzeros
+    off it, then up to three cells redrawn from the whole value set."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    entries = [
+        draw(st.sampled_from(_ZEROS if i == j else _NONZEROS))
+        for i in range(rows)
+        for j in range(cols)
+    ]
+    for k in draw(st.lists(st.integers(0, rows * cols - 1), max_size=3)):
+        entries[k] = draw(st.sampled_from(_ZEROS + _NONZEROS))
+    return RatMatrix(rows, cols, entries)
+
+
+@given(near_crowns())
+@example(RatMatrix.from_rows([[Fraction(0), 1], [Fraction(1, 2), Fraction(0)]]))
+@example(RatMatrix.from_rows([[0, Fraction(0)], [1, 0]]))
+@example(RatMatrix.from_rows([[1, 0, 1], [1, 0, 1], [1, 1, 0]]))  # a zero moved off the diagonal
+@example(RatMatrix.from_rows([[0, 1, 1], [1, 0, 0], [1, 1, 0]]))  # one extra zero
+@example(RatMatrix.from_rows([[0, 1, 1], [1, 0, 1]]))  # 2x3, zero at (0, 0) and (1, 1) only
+def test_crown_lower_bound_accepts_exactly_the_crowns(m):
+    zeros = {(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] == 0}
+    if m.rows == m.cols and zeros == {(i, i) for i in range(m.rows)}:
+        assert crown_lower_bound(m) == crown_cover_number(m.rows)
+    else:
+        with pytest.raises(ValidationError):
+            crown_lower_bound(m)
 
 
 @st.composite

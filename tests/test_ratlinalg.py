@@ -38,13 +38,17 @@ from mrw.ratlinalg import (
     fraction_from_text,
     is_exact,
     rank_exact,
-    submatrix,
 )
 from mrw.serialize import canonical_dumps, matrix_to_obj
 
 
 def identity(n: int) -> RatMatrix:
     return RatMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
+
+
+def _block(m: RatMatrix, rows, cols) -> RatMatrix:
+    """The block of m on `rows` x `cols`, in the given order."""
+    return RatMatrix.from_rows([[m[i, j] for j in cols] for i in rows])
 
 
 def naive_rank(m: RatMatrix) -> int:
@@ -122,7 +126,7 @@ def test_rank_invariant_under_permutations():
         cp = list(range(5))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        permuted = submatrix(m, rp, cp)
+        permuted = _block(m, rp, cp)
         assert rank_exact(permuted) == base
 
 
@@ -213,7 +217,7 @@ def test_column_basis_matches_sympy_rref(m, data):
     first = data.draw(st.lists(st.integers(0, m.cols - 1), unique=True))
     order = first + [j for j in range(m.cols) if j not in first]
     pivots, coords = column_basis(m, first)
-    reduced, oracle_pivots = to_sympy(submatrix(m, range(m.rows), order)).rref()
+    reduced, oracle_pivots = to_sympy(_block(m, range(m.rows), order)).rref()
     assert pivots == tuple(order[p] for p in oracle_pivots)
     assert len(coords) == len(pivots) == rank_exact(m)
     for i, row in enumerate(coords):
@@ -291,7 +295,7 @@ def test_char_poly_low_coefficients_vanish_for_rank2_antisymmetric():
     assert rank_exact(m) == 2
     for size in (3, 4, 5):
         for idx in itertools.combinations(range(5), size):
-            assert det_exact(submatrix(m, list(idx), list(idx))) == 0
+            assert det_exact(_block(m, idx, idx)) == 0
     poly = char_poly_exact(m)
     assert all(poly.coeffs[k] == 0 for k in range(0, 5 - 2))
 
@@ -309,7 +313,7 @@ def test_char_poly_matches_principal_minor_sums():
             else:
                 expected = (-1) ** size * sum(
                     (
-                        naive_det(submatrix(m, list(idx), list(idx)))
+                        naive_det(_block(m, idx, idx))
                         for idx in itertools.combinations(range(n), size)
                     ),
                     Fraction(0),
@@ -345,19 +349,6 @@ def test_is_exact_agrees_with_exact_entries_keeping_every_value(values):
     unchanged = kept is not None and all(a is b for a, b in zip(kept, values))
     assert is_exact(values) == unchanged
 
-
-def test_submatrix_worked_values():
-    m = RatMatrix.from_rows([[0, 1], [1, 0]])
-    assert submatrix(m, [0, 1], [0, 1]) == m
-    assert submatrix(m, [0], [0]) == RatMatrix.from_rows([[0]])
-
-
-def test_submatrix_rejects_bad_indices():
-    m = identity(2)
-    with pytest.raises(IndexError):
-        submatrix(m, [0, 2], [0])
-    with pytest.raises(ValidationError):
-        submatrix(m, [], [0])
 
 
 def test_reshape_keeps_the_entries_and_checks_the_shape():

@@ -8,11 +8,13 @@ transposition of the distinct lines."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mrw.verify as verify
 from mrw.bounds import box_cover_exact, support_pattern
+from mrw.errors import ValidationError
 from mrw.models import dcc_exact_2party, distinct_lines, reduced_depths, row_masks
 from mrw.ratlinalg import RatMatrix, rank_exact
 
@@ -128,6 +130,12 @@ def test_report_shape_and_ids():
     assert ids[-1] == "runtime-budget"
     for c in obj["checks"]:
         assert set(c) == {"id", "claim", "status", "observed", "expected", "runtimeMs"}
+
+
+def test_bad_scale_and_negative_seed_are_refused_alike():
+    for scale, seed in [("huge", verify.DEFAULT_SEED), ("small", -1)]:
+        with pytest.raises(ValidationError):
+            verify.run_verify_suite(scale, seed)
 
 
 def test_sabotaged_rank_fails_its_check(monkeypatch):
