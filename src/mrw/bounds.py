@@ -39,10 +39,9 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .dtensor import DenseTensor
 from .errors import CapacityError, ValidationError
 from .numkit import SearchBudget, nmf_search, verify_nonneg_factorization
-from .ratlinalg import RatMatrix, rank_exact
+from .ratlinalg import ExactArray, RatMatrix, rank_exact
 
 DEFAULT_NODE_BUDGET = 50_000
 EXACT_CELL_CAP = 64
@@ -80,9 +79,9 @@ class SupportPattern:
         return len(self.cells)
 
 
-def support_pattern(m: RatMatrix | DenseTensor) -> SupportPattern:
-    """Exact nonzero pattern of a RatMatrix or a DenseTensor: the row-major
-    indices of its nonzero entries."""
+def support_pattern(m: ExactArray) -> SupportPattern:
+    """Exact nonzero pattern of a matrix or tensor: the row-major indices of
+    its nonzero entries."""
     # the cells come from the array's own index ranges, so the range check
     # of __post_init__ is skipped: the pattern is built as the frozen
     # dataclass's own __init__ would build it, less that call
@@ -642,9 +641,9 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     entry past float range gets no float search.  `budget_factor` scales
     both the cover search's node budget and the numeric search.
     """
-    if not isinstance(m, (RatMatrix, DenseTensor)):
+    if not isinstance(m, ExactArray):
         raise ValidationError("mr_bounds expects a RatMatrix or DenseTensor")
-    if isinstance(m, DenseTensor) and m.order == 2:
+    if not isinstance(m, RatMatrix) and len(m.dims) == 2:
         m = RatMatrix(*m.dims, m.entries)
     if any(e < 0 for e in m.entries):
         raise ValidationError("entries must be nonnegative")

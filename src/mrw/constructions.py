@@ -190,13 +190,13 @@ class DivTensorSpec:
             raise ValidationError(f"base must be >= 2, got {self.base}")
         if self.order < 2:
             raise ValidationError(f"order must be >= 2, got {self.order}")
-        check_capacity(repeat(self.base, self.order), "divisibility tensor")
 
 
 def divisibility_tensor(spec: DivTensorSpec) -> DenseTensor:
     """Dense 0/1 tensor with exactly base^(order-1) ones: any prefix of d-1
     indices has a unique completing last index."""
     base = spec.base
+    check_capacity(repeat(base, spec.order), "divisibility tensor")
     # the 1-based index sums mod base of the cells so far, in row-major order
     sums = [0]
     for _ in range(spec.order):

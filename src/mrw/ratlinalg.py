@@ -1,14 +1,13 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Matrices are immutable value objects whose entries are exact rationals: a
+Matrices and tensors (``dtensor.DenseTensor``) are immutable value objects
+on one base, :class:`ExactArray`, whose entries are exact rationals: a
 Python ``int`` stays an ``int`` and every other entry is a
 ``fractions.Fraction``.  :func:`exact_entries` is that rule: it keeps the
 values that :func:`is_exact` accepts (type exactly ``int`` or ``Fraction``).
-Tensors (``dtensor.DenseTensor``) are built by it too, so both arrays are
-exact once built and give their shape as ``dims`` and their row-major
-entries as ``entries``.  An int and the equal Fraction compare, hash and print
-alike, so equality, hashing and serialized output do not depend on which one
-an entry is; integer matrices just skip building Fractions.  Every operation
+An int and the equal Fraction compare, hash and print alike, so equality,
+hashing and serialized output do not depend on which one an entry is;
+integer matrices just skip building Fractions.  Every operation
 here is a pure function whose output is reproducible bit for bit.  The rank,
 determinant and characteristic-polynomial kernels clear denominators first
 and then run on ints, so no step pays for a gcd.  One fraction-free
@@ -27,8 +26,7 @@ sums (:func:`exact_sum`) work the same way: each term is scaled to the lcm of
 the denominators and added as an int, and one Fraction is built at the end.
 Nothing in this module touches floating point: separation claims elsewhere
 in the workbench rely on exact rank values, where float pivoting could
-silently misreport.  Dense matrices (and tensors) hold at most
-``CAPACITY_LIMIT`` entries.
+silently misreport.  Dense arrays hold at most ``CAPACITY_LIMIT`` entries.
 """
 
 from __future__ import annotations
@@ -183,32 +181,59 @@ def is_exact(values: Iterable) -> bool:
     return _EXACT_TYPES.issuperset(map(type, values))
 
 
-class RatMatrix:
-    """Dense matrix of exact rationals, stored row-major and immutable.
+class ExactArray:
+    """Dense array of exact rationals, immutable: the contract a matrix and
+    a tensor share.
 
-    Entries go through :func:`exact_entries`, as a tensor's do.  Each
-    entry is therefore an exact rational in canonical form (a Fraction is
-    reduced with positive denominator; an int has denominator 1), and the
-    kernels read it through ``numerator`` and ``denominator``, which both
-    types have.  Equality and hashing follow value semantics: an int entry
-    and the equal Fraction give the same matrix, hash and ``str``.
+    ``dims`` is the shape (sizes of at least 1, read by :func:`as_size`) and
+    ``entries`` the flat row-major tuple (last index varies fastest).  The
+    shape passes :func:`check_capacity` before any entry is read, and the
+    entries go through :func:`exact_entries`, so each is an exact rational in
+    canonical form (a Fraction is reduced with positive denominator; an int
+    has denominator 1) and the kernels read it through ``numerator`` and
+    ``denominator``, which both types have.  Equality and hashing follow
+    value semantics within one class: an int entry and the equal Fraction
+    give the same array, hash and ``str``, but a matrix never equals a
+    tensor.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("dims", "_entries")
+
+    def __init__(self, dims: Iterable[int], entries: Iterable[RationalLike], what: str):
+        dims = tuple(map(as_size, dims))
+        if any(d < 1 for d in dims):
+            raise DimensionError(f"{what} dims {dims} must all be at least 1")
+        size = check_capacity(dims, what)
+        data = exact_entries(entries)
+        if len(data) != size:
+            raise DimensionError(f"expected {size} entries for {what} dims {dims}, got {len(data)}")
+        self.dims = dims
+        self._entries = data
+
+    @property
+    def entries(self) -> tuple[Exact, ...]:
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.dims == other.dims
+            and self._entries == other._entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self._entries))
+
+
+class RatMatrix(ExactArray):
+    """Dense rows x cols matrix of exact rationals (an :class:`ExactArray`
+    with ``dims == (rows, cols)``)."""
+
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[RationalLike]):
-        rows, cols = as_size(rows), as_size(cols)
-        if rows < 1 or cols < 1:
-            raise DimensionError(f"matrix shape {rows}x{cols} must be at least 1x1")
-        check_capacity((rows, cols), "matrix")
-        data = exact_entries(entries)
-        if len(data) != rows * cols:
-            raise DimensionError(
-                f"expected {rows * cols} entries for {rows}x{cols}, got {len(data)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self._entries = data
+        super().__init__((rows, cols), entries, "matrix")
+        self.rows, self.cols = self.dims
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[RationalLike]]) -> "RatMatrix":
@@ -218,10 +243,6 @@ class RatMatrix:
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
         return cls(len(rows), ncols, [v for r in rows for v in r])
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
 
     @property
     def is_square(self) -> bool:
@@ -240,10 +261,6 @@ class RatMatrix:
         data, cols = self._entries, self.cols
         return (data[i : i + cols] for i in range(0, len(data), cols))
 
-    @property
-    def entries(self) -> tuple[Exact, ...]:
-        return self._entries
-
     def reshape(self, rows: int, cols: int) -> "RatMatrix":
         """The same row-major entries read as a rows x cols matrix.  They
         were checked when this matrix was built, so they are not scanned
@@ -251,7 +268,8 @@ class RatMatrix:
         if rows < 1 or cols < 1 or rows * cols != len(self._entries):
             raise DimensionError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
         out = object.__new__(RatMatrix)
-        out.rows, out.cols, out._entries = rows, cols, self._entries
+        out.dims, out._entries = (rows, cols), self._entries
+        out.rows, out.cols = rows, cols
         return out
 
     def transpose(self) -> "RatMatrix":
@@ -273,16 +291,6 @@ class RatMatrix:
         return self.is_square and all(
             self.row(i) == tuple(map(neg, data[i::n])) for i in range(n)
         )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.dims == other.dims
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.iter_rows())

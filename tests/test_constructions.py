@@ -276,7 +276,7 @@ def test_divisibility_tensor_support():
 
 def test_divisibility_capacity_guard():
     with pytest.raises(CapacityError):
-        DivTensorSpec(2, 21)
+        divisibility_tensor(DivTensorSpec(2, 21))
 
 
 def test_correlation_forced_small_cases():

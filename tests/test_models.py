@@ -395,6 +395,20 @@ def test_divisibility_witness_reconstructs_tensor_exactly(base, order):
     assert witness.r == order * (base - 1) + 1 <= base * order
 
 
+def test_divisibility_witness_builds_past_the_dense_guard():
+    # 2^30 cells, no dense tensor: term t is c_t (t, t^2) in mode 0 and
+    # (t, t^2) in the others, so the identities sum_t c_t t^S = [2 | S] over
+    # the index sums S = 30..60 are the whole decomposition
+    spec = DivTensorSpec(2, 30)
+    with pytest.raises(CapacityError):
+        divisibility_tensor(spec)
+    witness = divisibility_rank_witness(spec)
+    assert witness.r == 31
+    c = [term[0][0] / term[1][0] for term in witness.terms]
+    for s in range(30, 61):
+        assert sum(ct * t**s for t, ct in enumerate(c, start=1)) == (s % 2 == 0)
+
+
 # ---------------------------------------------------------------------------
 # quantum outcome distribution
 # ---------------------------------------------------------------------------

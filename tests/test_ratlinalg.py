@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from mrw.dtensor import DenseTensor
 from mrw.errors import CapacityError, DimensionError, ValidationError
 from mrw.ratlinalg import (
     _CHECK_PRIMES,
@@ -39,7 +40,7 @@ from mrw.ratlinalg import (
     is_exact,
     rank_exact,
 )
-from mrw.serialize import canonical_dumps, matrix_to_obj
+from mrw.serialize import canonical_dumps, matrix_to_obj, parse_matrix, parse_tensor
 
 
 def identity(n: int) -> RatMatrix:
@@ -360,9 +361,38 @@ def test_reshape_keeps_the_entries_and_checks_the_shape():
             m.reshape(rows, cols)
 
 
+def _unread_entries():
+    """An entry iterator that fails the test if anything consumes it."""
+    raise AssertionError("entries read before the capacity guard")
+    yield
+
+
+class _UnreadList(list):
+    """An entry list that fails the test if its length or items are read."""
+
+    def _read(self, *args):
+        raise AssertionError("entry list read before the capacity guard")
+
+    __len__ = __iter__ = __getitem__ = _read
+
+
 def test_capacity_guard_rejects_oversized_matrix():
     with pytest.raises(CapacityError):
         RatMatrix(1025, 1024, [])
+    # 17 x 61681 = 2^20 + 1 entries: one past the guard, refused by both
+    # arrays and both parsers before any entry is read
+    guard = "^(matrix|tensor) with 1048577 entries exceeds the 1048576 guard$"
+    with pytest.raises(CapacityError, match=guard):
+        RatMatrix(17, 61681, _unread_entries())
+    with pytest.raises(CapacityError, match=guard):
+        DenseTensor((17, 61681), _unread_entries())
+    with pytest.raises(CapacityError, match=guard):
+        parse_matrix({"rows": 17, "cols": 61681, "entries": _UnreadList()})
+    with pytest.raises(CapacityError, match=guard):
+        parse_tensor({"dims": [17, 61681], "entries": _UnreadList()})
+    # exactly 2^20 entries are admitted
+    assert RatMatrix(1024, 1024, [0] * (1 << 20)).dims == (1024, 1024)
+    assert DenseTensor((2,) * 20, [1] * (1 << 20)).dims == (2,) * 20
 
 
 def test_check_capacity_counts_lazily_and_prints_bounded_numbers():
@@ -370,6 +400,8 @@ def test_check_capacity_counts_lazily_and_prints_bounded_numbers():
     assert check_capacity(itertools.repeat(2, 20), "tensor") == 1 << 20
     with pytest.raises(CapacityError, match="^matrix with 1049600 entries exceeds the 1048576 guard$"):
         check_capacity((1025, 1024), "matrix")
+    with pytest.raises(CapacityError, match="^matrix with 1048577 entries exceeds the 1048576 guard$"):
+        check_capacity((17, 61681), "matrix")
     # past 2^40 the product stops growing: a shape of 10^18 factors, or one
     # size with thousands of digits, is refused at once with a short message
     too_many = "^tensor with more than 1099511627776 entries exceeds the 1048576 guard$"
@@ -502,6 +534,24 @@ def test_rank_deficient_product_whose_mod_p_rank_drops():
     assert len(rows) == 2 and _certificate_pays(24, 24, 2)
     assert not _rows_span(w, rows, cols)
     assert rank_exact(m) == domain_rank(m) == 3
+
+
+@pytest.mark.parametrize("rest", [1, 0], ids=["all-ones", "first-row"])
+def test_certificate_checks_every_prime_its_bound_needs(rest):
+    # row 0 all ones, the other rows all `rest`, entry (5, 7) raised by p
+    # times the first check prime: rank 2 over Q and 1 modulo p.  That
+    # product is the one nonzero entry of the checked difference, so the
+    # first prime alone passes it.  With rest = 1 the bound H needs three
+    # primes; with rest = 0, Y = 0 and H is |d| max|W| alone.
+    bump = _ELIM_PRIME * _CHECK_PRIMES[0]
+    m = RatMatrix(16, 16, [
+        (1 if i == 0 else rest) + bump * (i == 5 and j == 7) for i in range(16) for j in range(16)
+    ])
+    w = np.array(m.entries, dtype=np.int64).reshape(16, 16)
+    rows, cols = _mod_p_pivots(w)
+    assert len(rows) == 1
+    assert not _rows_span(w, rows, cols)
+    assert rank_exact(m) == domain_rank(m) == 2
 
 
 def test_the_primes_are_prime_and_keep_int64_exact():
