@@ -635,9 +635,11 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
     is "crown" when the cover's lower bound is its crown's; upper is the
     best of the dimension bound, the singleton-support factorization, and
     (for matrices (and order-2 tensors) with a gap) `nmf_search` at
-    r = lower.  Its witness is `exact` when it is rational and reproduces m
-    exactly (the separable stage at r = rank, or the nested-triangle stage
-    at r = rank = 3), `heuristic-certified` otherwise; a matrix with an
+    r = lower.  A witness is reported only when it passed its own check:
+    `exact` when `verify_nonneg_factorization` passes (the separable stage
+    at r = rank, or the nested-triangle stage at r = rank = 3),
+    `heuristic-certified` only for a float witness (it met the search's
+    tolerance); a rational witness that fails is dropped.  A matrix with an
     entry past float range gets no float search.  `budget_factor` scales
     both the cover search's node budget and the numeric search.
     """
@@ -666,8 +668,9 @@ def mr_bounds(m, budget_factor: float = 1.0) -> MrBoundReport:
         found = nmf_search(m, lower, budget)
         if found is not None:
             exact = verify_nonneg_factorization(m, found).passed
-            upper, status = lower, "exact" if exact else "heuristic-certified"
-            factorization = found
+            if exact or not found.is_rational:
+                upper, status = lower, "exact" if exact else "heuristic-certified"
+                factorization = found
     return MrBoundReport(
         lower=lower,
         lower_witness=witness,

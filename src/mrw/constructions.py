@@ -296,10 +296,6 @@ class CorrelationObjects:
 
     c_matrix: ScaledAntisymmetric
     p_matrix: RatMatrix
-    u0: np.ndarray
-    u1: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
     lambda_magnitude: float
     spectral_error: float
     reconstruction_error: float
@@ -332,27 +328,22 @@ def quantum_distribution(u0, u1, v0, v1) -> np.ndarray:
 
 
 def build_correlation(spec: CorrelationSpec) -> CorrelationObjects:
-    """Construct C, P and the spectral vectors, and cross-check them.
+    """Construct C and P and cross-check them against the spectral split of C.
 
-    u0/u1 come from the spectral split of C; v0 = conj(u0) and
-    v1 = -conj(u1).  The spectral error is the max deviation between C and
-    its rank-2 reconstruction from u0/u1; the reconstruction error is the max
-    deviation between rational P and :func:`quantum_distribution`.
+    The spectral vectors u0/u1 stay in the `SpectralPair` of
+    :func:`antisym_spectral`, and v0 = conj(u0) and v1 = -conj(u1).
+    The spectral error is the max deviation between C and its rank-2
+    reconstruction from u0/u1; the reconstruction error is the max deviation
+    between rational P and :func:`quantum_distribution`.
     """
     cmat = difference_matrix(spec)
     p = outcome_distribution(spec)
     pair = antisym_spectral(cmat)
-    u0, u1 = pair.u0, pair.u1
-    v0 = np.conj(u0)
-    v1 = -np.conj(u1)
-    err = float(np.max(np.abs(quantum_distribution(u0, u1, v0, v1) - as_float_array(p))))
+    dist = quantum_distribution(pair.u0, pair.u1, np.conj(pair.u0), -np.conj(pair.u1))
+    err = float(np.max(np.abs(dist - as_float_array(p))))
     return CorrelationObjects(
         c_matrix=cmat,
         p_matrix=p,
-        u0=u0,
-        u1=u1,
-        v0=v0,
-        v1=v1,
         lambda_magnitude=pair.lambda_magnitude,
         spectral_error=pair.reconstruction_error(cmat.to_float()),
         reconstruction_error=err,

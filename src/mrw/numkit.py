@@ -26,7 +26,6 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .dtensor import DenseTensor
 from .errors import DimensionError, UnsupportedRankError, ValidationError
 from .ratlinalg import RatMatrix, column_basis, is_exact
 
@@ -169,16 +168,18 @@ class NonnegFactorization:
         """True when every entry is an int or a Fraction; one pass per instance."""
         return is_exact(x for term in self.terms for vec in term for x in vec)
 
-    def exact_numerators(self) -> tuple[int, list[int]]:
-        """The exact reconstruction as (den, numerators): cell k is
-        numerators[k] / den, in row-major order, for every order.
-
-        Each factor vector is scaled to ints by the lcm of its denominators,
-        so a term is an integer outer product over the product of its
-        scales; the terms are added as ints over den, the lcm of those
-        products.  Nothing is reduced, so a cell's fraction need not be in
-        lowest terms.
+    def reproduces(self, target) -> bool:
+        """True when the exact reconstruction of these rational factors
+        equals the exact array ``target`` cell for cell (False when the dims
+        differ).  Each factor vector is scaled to ints by the lcm of its
+        denominators, so a term is an integer outer product over the product
+        of its scales; the terms are added as ints over den, the lcm of those
+        products.  A target cell p/q (lowest terms) equals the cell's sum
+        x/den exactly when q divides den and p * (den / q) == x, so no cell
+        becomes a Fraction.
         """
+        if target.dims != self.dims:
+            return False
         if not self.is_rational:
             raise ValidationError("exact reconstruction needs rational factors")
         strides = [math.prod(self.dims[m + 1 :]) for m in range(self.order)]
@@ -197,13 +198,10 @@ class NonnegFactorization:
             for cell in product(*support):
                 offsets, factors = zip(*cell)
                 flat[sum(offsets)] += math.prod(factors)
-        return den, flat
-
-    def reconstruct_exact(self):
-        """Exact reconstruction as a DenseTensor of Fractions, for every
-        order: :meth:`exact_numerators`, each cell one Fraction."""
-        den, flat = self.exact_numerators()
-        return DenseTensor(self.dims, [Fraction(x, den) for x in flat])
+        return all(
+            den % e.denominator == 0 and e.numerator * (den // e.denominator) == x
+            for e, x in zip(target.entries, flat)
+        )
 
 
 def _hals_sweeps(v: np.ndarray, w: np.ndarray, h: np.ndarray, sweeps: int) -> None:
@@ -526,7 +524,7 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization) -> Factorizat
 
     `target` is an exact array (a `RatMatrix` or a `DenseTensor`).  The check
     passes only when every factor entry is an int or a Fraction, none is
-    negative, and the exact reconstruction equals `target`; otherwise
+    negative, and `fact.reproduces(target)`; otherwise
     `reason` is the first failure, in that order: "not rational",
     "negativity" or "error".
     """
@@ -536,13 +534,7 @@ def verify_nonneg_factorization(target, fact: NonnegFactorization) -> Factorizat
         return FactorizationCheck(passed=False, reason="not rational")
     if any(x.numerator < 0 for term in fact.terms for vec in term for x in vec):
         return FactorizationCheck(passed=False, reason="negativity")
-    # target cell p/q (lowest terms) equals x/den exactly when q divides den
-    # and p * (den / q) == x, so no cell becomes a Fraction
-    den, flat = fact.exact_numerators()
-    if not all(
-        den % e.denominator == 0 and e.numerator * (den // e.denominator) == x
-        for e, x in zip(target.entries, flat)
-    ):
+    if not fact.reproduces(target):
         return FactorizationCheck(passed=False, reason="error")
     return FactorizationCheck(passed=True)
 

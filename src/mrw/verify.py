@@ -31,6 +31,7 @@ from .constructions import (
     edm,
     flattening,
     offset_square_matrix,
+    outcome_distribution,
 )
 from .errors import ValidationError
 from .models import (
@@ -195,7 +196,7 @@ def check_quantum_pipeline(scale: str, seed: int):
 
 
 def check_hv_chain(scale: str, seed: int):
-    p = build_correlation(CorrelationSpec(4)).p_matrix
+    p = outcome_distribution(CorrelationSpec(4))
     cover = box_cover_exact(support_pattern(p))
     facts = exact_unit_factorizations(p)
     sizes = []
@@ -230,7 +231,7 @@ def check_divisibility(scale: str, seed: int):
         pattern = support_pattern(tensor)
         mr = _divisibility_mr(spec, pattern)  # raises unless support = mr = base^(order-1)
         witness = divisibility_rank_witness(spec)
-        exact = witness.reconstruct_exact() == tensor
+        exact = witness.reproduces(tensor)
         ok_one = exact and witness.r <= base * order
         details.append(
             f"({base},{order}): support {pattern.size}, mr {mr}, "

@@ -418,13 +418,20 @@ def random_exact_factorization(rng: random.Random, rows: int, cols: int, r: int)
     return NonnegFactorization(dims=(rows, cols), terms=tuple(terms))
 
 
+def _product(fact: NonnegFactorization) -> RatMatrix:
+    """The matrix sum of u v^T over the terms of a matrix factorization."""
+    rows, cols = fact.dims
+    cells = [sum((u[i] * v[j] for u, v in fact.terms), Fraction(0)) for i in range(rows) for j in range(cols)]
+    return RatMatrix(rows, cols, cells)
+
+
 def test_lower_bound_soundness_against_random_factorizations():
     rng = random.Random(77)
     for _ in range(25):
         rows, cols = rng.randint(2, 4), rng.randint(2, 4)
         r = rng.randint(1, 4)
         fact = random_exact_factorization(rng, rows, cols, r)
-        m = RatMatrix(*fact.dims, fact.reconstruct_exact().entries)
+        m = _product(fact)
         assert verify_nonneg_factorization(m, fact).passed
         res = box_cover_exact(support_pattern(m))
         assert r >= res.lower
@@ -577,6 +584,33 @@ def test_mr_bounds_closes_a_search_batch_rank_3_bracket_without_the_float_search
     rep = mr_bounds(m)
     assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
     assert verify_nonneg_factorization(m, rep.factorization).passed
+
+
+@pytest.mark.parametrize(
+    "rows, bracket",
+    [
+        # rank 3, dimension bound 4
+        ([[3, 0, 3, 1, 4], [1, 2, 3, 0, 3], [0, 1, 1, 4, 5], [4, 3, 7, 5, 12]], (3, 4, "trivial")),
+        # rank 1, singleton support of 4 cells
+        ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], (1, 4, "exact")),
+    ],
+)
+def test_mr_bounds_reports_only_a_witness_that_passed_its_check(monkeypatch, rows, bracket):
+    # a rational witness of the right dims that does not reproduce m is
+    # dropped; a float one met the search's tolerance and is kept as such
+    m = RatMatrix.from_rows(rows)
+    lower = bracket[0]
+    wrong = NonnegFactorization(m.dims, ((tuple([1] * m.rows), tuple([1] * m.cols)),) * lower)
+    assert not verify_nonneg_factorization(m, wrong).passed
+    monkeypatch.setattr(mrw.bounds, "nmf_search", lambda m, r, budget: wrong)
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.upper, rep.upper_status) == bracket
+    assert rep.factorization is None
+    floats = NonnegFactorization(m.dims, tuple(tuple(tuple(map(float, v)) for v in t) for t in wrong.terms))
+    monkeypatch.setattr(mrw.bounds, "nmf_search", lambda m, r, budget: floats)
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.upper, rep.upper_status) == (lower, lower, "heuristic-certified")
+    assert rep.factorization is floats
 
 
 def near_crown_7() -> SupportPattern:

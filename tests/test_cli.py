@@ -272,9 +272,27 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
-def test_validation_error_exits_2(capsys):
-    code, _, err = run(capsys, "gen", "flatten", "--n", "2", "--d", "3", "--k", "1")
-    assert code == 2 and "error" in err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "gen flatten --n 2 --d 3 --k 1",
+        "abp --n 1 --d 2",
+        "abp --n 2 --d 3",
+        "comm --nbits 0 --d 3",
+        "comm --nbits 1 --d 0 --ladder",
+        "gen flatten --n 2 --d 4 --k 9",
+        "gen subsidiary --n 2 --d 2",
+        "gen divtensor --base 1 --order 3",
+        "gen correlation --N 3",
+        "quantum --N 3",
+        "gen edm --values 1,1",
+    ],
+    ids=lambda argv: "-".join(argv.replace("--", "").split()),
+)
+def test_validation_error_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_non_canonical_warning_on_stderr(tmp_path, capsys):

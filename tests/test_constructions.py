@@ -30,6 +30,7 @@ from mrw.constructions import (
     outcome_distribution,
 )
 from mrw.errors import CapacityError, UnsupportedRankError, ValidationError
+from mrw.numkit import antisym_spectral
 from mrw.ratlinalg import RatMatrix, char_poly_exact, rank_exact
 
 
@@ -417,7 +418,7 @@ def test_correlation_spectral_phase_is_fixed():
     # |u0[0]| and |u0[N-1]| tie up to rounding; the phase rule must not
     # depend on which of the two rounds larger
     for n in (4, 8, 16, 32):
-        u0 = build_correlation(CorrelationSpec(n)).u0
+        u0 = antisym_spectral(difference_matrix(CorrelationSpec(n))).u0
         assert u0[0].real > 0 and abs(u0[0].imag) <= 1e-15
 
 
@@ -429,8 +430,8 @@ def test_difference_matrix_is_rank_two():
 
 def test_correlation_spectral_vectors_are_orthonormal():
     for n in (2, 4, 8, 16, 32):
-        corr = build_correlation(CorrelationSpec(n))
-        gram = np.array([[np.vdot(a, b) for b in (corr.u0, corr.u1)] for a in (corr.u0, corr.u1)])
+        pair = antisym_spectral(difference_matrix(CorrelationSpec(n)))
+        gram = np.array([[np.vdot(a, b) for b in (pair.u0, pair.u1)] for a in (pair.u0, pair.u1)])
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-9
 
 
@@ -438,10 +439,12 @@ def test_correlation_errors_match_a_direct_recomputation():
     for n in (2, 8, 32):
         corr = build_correlation(CorrelationSpec(n))
         c = corr.c_matrix.to_float()
-        u0, u1 = corr.u0, corr.u1
+        pair = antisym_spectral(corr.c_matrix)
+        u0, u1 = pair.u0, pair.u1
+        assert corr.lambda_magnitude == pair.lambda_magnitude
         rebuilt = 1j * corr.lambda_magnitude * (np.outer(u0, u0.conj()) - np.outer(u1, u1.conj()))
         assert corr.spectral_error == np.max(np.abs(rebuilt - c))
-        dist = 0.5 * np.abs(np.outer(u0, corr.v0) + np.outer(u1, corr.v1)) ** 2
+        dist = 0.5 * np.abs(np.outer(u0, np.conj(u0)) + np.outer(u1, -np.conj(u1))) ** 2
         p = np.array([[float(x) for x in row] for row in corr.p_matrix.iter_rows()])
         assert corr.reconstruction_error == np.max(np.abs(dist - p))
         assert corr.spectral_error <= 1e-9 and corr.reconstruction_error <= 1e-9

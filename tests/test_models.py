@@ -21,7 +21,7 @@ from mrw.constructions import (
     DivTensorSpec,
     EdmSpec,
     FunctionFSpec,
-    build_correlation,
+    difference_matrix,
     divisibility_tensor,
     edm,
     flattening,
@@ -45,7 +45,7 @@ from mrw.models import (
     reduced_depths,
     row_masks,
 )
-from mrw.numkit import NonnegFactorization, SearchBudget, nmf_search, verify_nonneg_factorization
+from mrw.numkit import NonnegFactorization, SearchBudget, antisym_spectral, nmf_search, verify_nonneg_factorization
 from mrw.ratlinalg import CAPACITY_LIMIT, RatMatrix, rank_exact
 
 
@@ -363,7 +363,7 @@ def test_hv_sample_statistics_and_determinism():
 def test_folding_witness_reconstructs_edm_exactly(values):
     spec = EdmSpec(values)
     fact = edm_folding_factorization(spec)
-    assert fact.reconstruct_exact().entries == edm(spec).entries
+    assert fact.reproduces(edm(spec))
     assert all(x >= 0 for term in fact.terms for vec in term for x in vec)
     assert fact.r <= 2 * (spec.n - 1)
 
@@ -383,7 +383,7 @@ def test_folding_witness_on_integers_is_logarithmic():
         spec = EdmSpec.integers(n)
         fact = edm_folding_factorization(spec)
         assert fact.r == 2 * math.ceil(math.log2(n)), n
-        assert fact.reconstruct_exact().entries == edm(spec).entries, n
+        assert fact.reproduces(edm(spec)), n
 
 
 @pytest.mark.parametrize("base", [2, 3, 4])
@@ -391,8 +391,12 @@ def test_folding_witness_on_integers_is_logarithmic():
 def test_divisibility_witness_reconstructs_tensor_exactly(base, order):
     spec = DivTensorSpec(base, order)
     witness = divisibility_rank_witness(spec)
-    assert witness.reconstruct_exact() == divisibility_tensor(spec)
+    assert witness.reproduces(divisibility_tensor(spec))
     assert witness.r == order * (base - 1) + 1 <= base * order
+    # one term's first factor doubled is no longer a witness
+    (first, *rest), *others = witness.terms
+    doubled = NonnegFactorization(witness.dims, ((tuple(2 * x for x in first), *rest), *others))
+    assert not doubled.reproduces(divisibility_tensor(spec))
 
 
 def test_divisibility_witness_builds_past_the_dense_guard():
@@ -424,8 +428,8 @@ def test_quantum_distribution_orthogonal_supports():
 
 
 def test_quantum_distribution_matches_exact_correlation():
-    corr = build_correlation(CorrelationSpec(2))
-    p = quantum_distribution(corr.u0, corr.u1, corr.v0, corr.v1)
+    pair = antisym_spectral(difference_matrix(CorrelationSpec(2)))
+    p = quantum_distribution(pair.u0, pair.u1, np.conj(pair.u0), -np.conj(pair.u1))
     assert np.allclose(p, [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
 
 

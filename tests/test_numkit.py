@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrw import numkit
+from mrw.bounds import mr_bounds
 from mrw.constructions import (
     CorrelationSpec,
     DivTensorSpec,
@@ -597,6 +598,30 @@ def test_a_separable_rank_3_input_with_32_directions_gets_its_column_witness():
     assert {w for w, _ in fact.terms} <= set(zip(*m.iter_rows()))
 
 
+def test_a_float_pick_that_misses_is_refused_and_the_rows_give_the_witness(monkeypatch):
+    # rank 3 with columns g1, g2, g1 + g2, g3, g1 + g2 + g3: the column pick
+    # is forced to (0, 1, 2), which is dependent, so its elimination pivots
+    # elsewhere and the pick must be refused; rows 0 + 1 + 2 = row 3, so
+    # the row side closes the bracket.  No natural input with such a miss
+    # is known
+    g1, g2, g3 = (3, 1, 0, 4), (0, 2, 1, 3), (1, 0, 4, 5)
+    cols = [g1, g2, [a + b for a, b in zip(g1, g2)], g3, [a + b + c for a, b, c in zip(g1, g2, g3)]]
+    m = RatMatrix.from_rows(list(zip(*cols)))
+    real, sides = numkit._pick_generators, []
+
+    def miss_on_columns(points, r):
+        sides.append(len(points))
+        return (0, 1, 2) if len(points) == 5 else real(points, r)
+
+    monkeypatch.setattr(numkit, "_pick_generators", miss_on_columns)
+    fact = nmf_search(m, 3, SearchBudget(1, 50))
+    assert verify_nonneg_factorization(m, fact) == FactorizationCheck(passed=True)
+    assert sides == [5, 4]
+    assert {line for _, line in fact.terms} <= set(m.iter_rows())
+    rep = mr_bounds(m)
+    assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
+
+
 def test_verify_exact_factorization_of_swap():
     swap = RatMatrix.from_rows([[0, 1], [1, 0]])
     fact = NonnegFactorization(
@@ -648,10 +673,11 @@ def test_the_witness_check_needs_the_target_denominator_to_divide_den():
     # A target of 1/3 has 1 * (4 // 3) == 1, the first numerator, but 3 does
     # not divide 4, so the cells differ
     fact = NonnegFactorization(dims=(1, 2), terms=(((Fraction(1, 2),), (Fraction(1, 2), 1)),))
-    assert fact.exact_numerators() == (4, [1, 2])
     target = RatMatrix.from_rows([[Fraction(1, 3), Fraction(1, 2)]])
+    assert not fact.reproduces(target)
     assert verify_nonneg_factorization(target, fact) == FactorizationCheck(False, "error")
     exact = RatMatrix.from_rows([[Fraction(1, 4), Fraction(1, 2)]])
+    assert fact.reproduces(exact)
     assert verify_nonneg_factorization(exact, fact) == FactorizationCheck(passed=True)
 
 
@@ -662,10 +688,10 @@ def test_a_witness_that_matches_only_after_reduction_passes():
     fact = NonnegFactorization(
         dims=(1, 2), terms=(((half,), (half, half)), ((half,), (half, Fraction(3, 2))))
     )
-    assert fact.exact_numerators() == (4, [2, 4])
     target = RatMatrix.from_rows([[half, 1]])
     assert verify_nonneg_factorization(target, fact) == FactorizationCheck(passed=True)
-    assert fact.reconstruct_exact().entries == target.entries
+    assert fact.reproduces(target)
+    assert fact.reproduces(DenseTensor((1, 2), [half, 1]))
 
 
 def test_verify_shape_mismatch():
@@ -716,11 +742,24 @@ def rational_factorizations(draw):
 
 
 @given(rational_factorizations())
-def test_reconstruct_exact_matches_outer_product_sum(fact):
+def test_reproduces_matches_outer_product_sum(fact):
     oracle = np.full(fact.dims, Fraction(0), dtype=object)
     for term in fact.terms:
         oracle = oracle + reduce(np.multiply.outer, [np.array(v, dtype=object) for v in term])
-    assert list(fact.reconstruct_exact().entries) == list(oracle.ravel())
+    cells = list(oracle.ravel())
+    assert fact.reproduces(DenseTensor(fact.dims, cells))
+    # a change of any one cell, by a whole unit or by a part, is seen
+    for k, bump in itertools.product(range(len(cells)), (1, Fraction(1, 7))):
+        other = cells[:k] + [cells[k] + bump] + cells[k + 1 :]
+        assert not fact.reproduces(DenseTensor(fact.dims, other))
+
+
+def test_reproduces_is_false_for_a_target_of_other_dims():
+    fact = NonnegFactorization(dims=(2, 2), terms=(((1, 1), (1, 1)),))
+    assert fact.reproduces(RatMatrix(2, 2, [1] * 4))
+    for dims in ((2, 3), (3, 2), (4, 1), (2, 2, 1)):
+        assert not fact.reproduces(DenseTensor(dims, [1] * math.prod(dims)))
+    assert not fact.reproduces(RatMatrix(1, 4, [1] * 4))
 
 
 def test_cp_als_rank_one_exact():

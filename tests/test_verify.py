@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import mrw.verify as verify
 from mrw.bounds import box_cover_exact, support_pattern
 from mrw.errors import ValidationError
-from mrw.models import dcc_exact_2party, distinct_lines, reduced_depths, row_masks
+from mrw.models import dcc_exact_2party, distinct_lines, divisibility_rank_witness, reduced_depths, row_masks
+from mrw.numkit import NonnegFactorization
 from mrw.ratlinalg import RatMatrix, rank_exact
 
 
@@ -142,6 +143,17 @@ def test_sabotaged_rank_fails_its_check(monkeypatch):
     monkeypatch.setattr(verify, "rank_exact", lambda m: 2)
     ok, observed, _ = verify.check_edm_rank("small", 1)
     assert not ok and "2" in observed
+
+
+def test_a_wrong_divisibility_witness_fails_its_check(monkeypatch):
+    def doubled(spec):
+        witness = divisibility_rank_witness(spec)
+        (first, *rest), *others = witness.terms
+        return NonnegFactorization(witness.dims, ((tuple(2 * x for x in first), *rest), *others))
+
+    monkeypatch.setattr(verify, "divisibility_rank_witness", doubled)
+    ok, observed, _ = verify.check_divisibility("small", 1)
+    assert not ok and observed == "(2,3): support 4, mr 4, rank witness r=4 wrong"
 
 
 def test_sabotaged_depth_fails_the_log_rank_chain(monkeypatch):
