@@ -7,12 +7,16 @@ decomposition yields r support-contained boxes covering the support).  The
 cover number itself is solved exactly when the support is small.  One
 closure enumeration finds the maximal boxes of matrices and tensors alike
 (for a matrix they are the formal concepts of its support).  A box system
-(those boxes as bitmasks over the cells, each one AND over the modes of the
-ORed cell masks of its values, with per-cell covering lists and a fixed
-pivot order) is built once per pattern, and one
-iterative-deepening search over it runs from the best certified bound up to
-the greedy cover.  The certified bounds are the counting bound
-ceil(|support| / max-box-size) and, for matrices, the crown bound: an
+(those boxes as bitmasks over the cells, with per-cell covering lists and a
+fixed pivot order) is built once per pattern, and one iterative-deepening
+search over it runs from the best certified bound up to the greedy cover.
+The system has two constructions, chosen by the number of maximal boxes: a
+scalar one (each mask one AND over the modes of the ORed cell masks of its
+values), and for matrix patterns with at least _WORD_MIN_BOXES boxes one in
+numpy (membership arrays of the row closures, one uint64 word per box),
+which is faster from about 20 boxes on; below that numpy's per-call
+overhead costs more than it saves.  The certified bounds are the counting
+bound ceil(|support| / max-box-size) and, for matrices, the crown bound: an
 induced copy of the m x m off-diagonal pattern (the crown) needs kappa(m)
 boxes, the least k with C(k, floor(k/2)) >= m (de Caen, Gregory and Pullman
 1981, by Sperner's theorem).  Inside a matrix search the greedy crown also
@@ -35,7 +39,7 @@ from functools import cached_property
 from itertools import compress, product
 from math import comb, prod
 from operator import itemgetter
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -50,6 +54,11 @@ assert EXACT_CELL_CAP <= 64
 # a node with fewer children prunes them one at a time: for so few, numpy's
 # per-call overhead costs more than the scalar scans it saves
 _BATCH_MIN_CHILDREN = 8
+# a matrix pattern with at least this many maximal boxes builds its box
+# system in numpy (`_WordBoxSystem`): measured on random matrix patterns,
+# box_cover_exact took 1.5x the scalar time on the word path at <= 12 boxes,
+# 1.01-1.07x at 13-16, 0.98-1.01x at 17-20 and 0.87-0.96x from 21 on
+_WORD_MIN_BOXES = 20
 _CLOSURE_SIDE_CAP = 16
 
 Box = tuple[tuple[int, ...], ...]
@@ -123,6 +132,30 @@ def _closures(lines: Iterable[int]) -> set[int]:
     return found
 
 
+def _slices(
+    cells: Collection[tuple[int, ...]], lead: int, rest_of: Callable
+) -> tuple[dict, list[tuple[int, int]]]:
+    """Split cells by their value in mode `lead`: the bit of each distinct
+    rest (`rest_of` of a cell; bit k for the k-th smallest, in that order),
+    and each value's slice, the bitmask of the rests it holds, as (value,
+    slice) pairs by value."""
+    bit = {r: 1 << k for k, r in enumerate(sorted(set(map(rest_of, cells))))}
+    slices: dict[int, int] = {}
+    for c in cells:
+        slices[c[lead]] = slices.get(c[lead], 0) | bit[rest_of(c)]
+    return bit, sorted(slices.items())
+
+
+def _closure_boxes(ordered: list[tuple[int, int]], bit: dict, closures: Iterable[int]) -> list[Box]:
+    """The box (values of the slices holding it, the rests in it) of each
+    closure of the slices `ordered`, whose rests have the bits `bit`."""
+    values = list(bit.items())
+    return [
+        (tuple([i for i, s in ordered if s & c == c]), tuple([v for v, b in values if c & b]))
+        for c in closures
+    ]
+
+
 def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     """All maximal boxes inside a nonempty set of cells of one order.
 
@@ -147,25 +180,16 @@ def _maximal_boxes(cells: Collection[tuple[int, ...]]) -> set[Box]:
     last = lead == len(first) - 2
     # a rest is the cell past the lead: its last value when one mode is left
     rest_of = itemgetter(lead + 1 if last else slice(lead + 1, None))
-    rests = sorted(set(map(rest_of, cells)))
-    bit = {r: 1 << k for k, r in enumerate(rests)}
-    slices: dict[int, int] = {}
-    for c in cells:
-        slices[c[lead]] = slices.get(c[lead], 0) | bit[rest_of(c)]
-    ordered = sorted(slices.items())
-    closures = _closures(slices.values())
+    bit, ordered = _slices(cells, lead, rest_of)
+    closures = _closures(s for _, s in ordered)
+    if last:
+        return {prefix + box for box in _closure_boxes(ordered, bit, closures)}
     boxes: set[Box] = set()
-    if not last:
-        for closure in closures:
-            for rest_box in _maximal_boxes([r for r in rests if closure & bit[r]]):
-                mask = sum(bit[r] for r in product(*rest_box))
-                rows = tuple([i for i, s in ordered if s & mask == mask])
-                boxes.add(prefix + (rows,) + rest_box)
-    else:
-        values = list(bit.items())
-        for closure in closures:
-            rows = tuple([i for i, s in ordered if s & closure == closure])
-            boxes.add(prefix + (rows, tuple([v for v, b in values if closure & b])))
+    for closure in closures:
+        for rest_box in _maximal_boxes([r for r, b in bit.items() if closure & b]):
+            mask = sum(bit[r] for r in product(*rest_box))
+            rows = tuple([i for i, s in ordered if s & mask == mask])
+            boxes.add(prefix + (rows,) + rest_box)
     return boxes
 
 
@@ -325,25 +349,27 @@ class _BoxSystem:
     """A pattern's maximal boxes as bitmasks over its sorted cells.
 
     Built once per pattern, it holds what the search reads at every node:
-    the box masks, the boxes covering each cell, the fixed pivot order (cells
-    by number of covering boxes, then index: those counts never change during
-    the search) and the (popcount, mask) pairs, largest first.
+    the box masks (`masks`, and as uint64 `words`), the boxes covering each
+    cell and their `counts`, the fixed pivot order (cells by number of
+    covering boxes, then index: those counts never change during the search)
+    and the (popcount, mask) pairs, largest first (`by_size`, and their masks
+    as `size_words`).  `box(i)` is the i-th box in sorted order.
 
-    A box's mask is one AND over the modes of the OR of its values' slabs,
-    the slab of value v in mode m being the mask of the cells holding v
-    there.  The covering lists and the pivot order are read off the masks
-    when a search first asks for them.
+    There are two constructions of one system, and `_box_system` chooses.
+    This one is scalar and serves tensors and matrix patterns with fewer than
+    _WORD_MIN_BOXES maximal boxes: a box's mask is one AND over the modes of
+    the OR of its values' slabs, the slab of value v in mode m being the mask
+    of the cells holding v there, and the covering lists, the pivot order
+    and the word arrays are read off the masks when a search first asks for
+    them.  `_WordBoxSystem` builds the same system in numpy for the larger
+    matrix patterns; below the cut (a measured crossover of about 20 boxes)
+    numpy's per-call overhead makes it the slower one.
     """
 
     def __init__(self, boxes: list[Box], cells: list[tuple[int, ...]]):
         self.boxes = boxes
+        self.cells = cells
         self.full = full = (1 << len(cells)) - 1
-        self.slabs: list[dict[int, int]] = []
-        for values in zip(*cells):
-            slab: dict[int, int] = {}
-            for ci, v in enumerate(values):
-                slab[v] = slab.get(v, 0) | 1 << ci
-            self.slabs.append(slab)
         # a mode with one value holds every cell of every box
         live = [(m, slab) for m, slab in enumerate(self.slabs) if len(slab) > 1]
         masks = self.masks = []
@@ -358,6 +384,20 @@ class _BoxSystem:
         self.by_size = sorted(((mask.bit_count(), mask) for mask in masks), reverse=True)
         self.counting = _counting_bound(len(cells), self.by_size[0][0])
 
+    def box(self, i: int) -> Box:
+        return self.boxes[i]
+
+    @cached_property
+    def slabs(self) -> list[dict[int, int]]:
+        """Per mode, the mask of the cells holding each value."""
+        slabs = []
+        for values in zip(*self.cells):
+            slab: dict[int, int] = {}
+            for ci, v in enumerate(values):
+                slab[v] = slab.get(v, 0) | 1 << ci
+            slabs.append(slab)
+        return slabs
+
     @cached_property
     def covering(self) -> list[list[int]]:
         """The boxes covering each cell, in ascending order."""
@@ -370,10 +410,25 @@ class _BoxSystem:
         return covering
 
     @cached_property
+    def counts(self) -> list[int]:
+        return [len(boxes) for boxes in self.covering]
+
+    def covering_at(self, ci: int) -> np.ndarray:
+        """The boxes covering cell ci, ascending, as an index array."""
+        return np.array(self.covering[ci], dtype=np.intp)
+
+    @cached_property
     def pivot_order(self) -> list[int]:
-        covering = self.covering
         # sorted() is stable, so equal counts stay in index order
-        return sorted(range(len(covering)), key=lambda ci: len(covering[ci]))
+        return sorted(range(len(self.counts)), key=self.counts.__getitem__)
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        return np.array(self.masks, dtype=np.uint64)
+
+    @cached_property
+    def size_words(self) -> np.ndarray:
+        return np.array([mask for _, mask in self.by_size], dtype=np.uint64)
 
     def greedy_cover(self) -> tuple[Box, ...]:
         """Greedy set cover: largest marginal gain, ties by box index."""
@@ -445,13 +500,12 @@ class _BoxSystem:
         """
         if start >= upper:
             return start, None, 0
-        masks, covering, pivot_order, by_size = self.masks, self.covering, self.pivot_order, self.by_size
+        masks, pivot_order, by_size = self.masks, self.pivot_order, self.by_size
         certs = self._certificates(crown, upper - 2) if crown is not None else {}
-        wide = [len(boxes) >= _BATCH_MIN_CHILDREN for boxes in covering]
+        wide = [count >= _BATCH_MIN_CHILDREN for count in self.counts]
         if any(wide):
-            words = np.array(masks, dtype=np.uint64)
+            words, big_words = self.words, self.size_words
             pivot_words: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # pivot -> its boxes, their words inverted
-            big_words = np.array([mask for _, mask in by_size], dtype=np.uint64)
             neg_sizes = [-size for size, _ in by_size]  # ascending, for bisect
             cert_words = {d: np.array(c, dtype=np.uint64) for d, c in certs.items()}
         memo: dict[int, int] = {}
@@ -466,7 +520,7 @@ class _BoxSystem:
             passes = None
             if wide[pivot]:
                 if pivot not in pivot_words:
-                    ix = np.array(covering[pivot], dtype=np.intp)
+                    ix = self.covering_at(pivot)
                     pivot_words[pivot] = ix, ~words[ix]
                 cov_ix, outside = pivot_words[pivot]
                 left = np.uint64(uncovered) & outside
@@ -489,7 +543,7 @@ class _BoxSystem:
                         passes = [False] * len(cand)
             else:
                 # covering lists ascend, so the stable sort breaks ties by box index
-                cand = sorted(covering[pivot], key=lambda bi: -(masks[bi] & uncovered).bit_count())
+                cand = sorted(self.covering[pivot], key=lambda bi: -(masks[bi] & uncovered).bit_count())
                 children = [uncovered & ~masks[bi] for bi in cand]
             for i, (bi, child) in enumerate(zip(cand, children)):
                 if child == 0:
@@ -524,11 +578,103 @@ class _BoxSystem:
                 nodes += 1
                 chosen: list[int] = []
                 if expand(self.full, depth, chosen):
-                    return depth, tuple(self.boxes[i] for i in chosen), nodes
+                    return depth, tuple(map(self.box, chosen)), nodes
                 depth += 1
         except _BudgetExhausted:
             pass
         return depth, None, nodes
+
+
+class _WordBoxSystem(_BoxSystem):
+    """The box system of a matrix pattern, built in numpy from the closures
+    of its rows' slices (bitmasks over the distinct columns, as `_slices`
+    gives them).
+
+    Closure c is the box (rows whose slice holds c, columns in c).  Row and
+    column membership, the order sorted() gives the boxes and the cell
+    incidence are boolean arrays; each box's cells are one uint64 word
+    (EXACT_CELL_CAP <= 64), the pivot order comes from the incidence's
+    column sums, and a cell's covering boxes are read off its column when a
+    search first branches on it.  Box tuples are built only for the boxes a
+    cover reports.
+    """
+
+    def __init__(self, cells: list[tuple[int, int]], bit: dict, ordered: list[tuple[int, int]], closures: set[int]):
+        self.cells = cells
+        self.full = (1 << len(cells)) - 1
+        self.row_values, self.col_values = [i for i, _ in ordered], list(bit)
+        slices = np.array([s for _, s in ordered], dtype=np.uint64)
+        shifts = np.arange(len(bit), dtype=np.uint64)
+        closure = np.array(list(closures), dtype=np.uint64)[:, None]
+        rows_in = slices & closure == closure
+        # a box's rows determine it, so the boxes sort as their row tuples
+        # do: lexsort the rows' positions, 1-based, ascending and padded
+        # with 0, so a tuple sorts before any it is a prefix of
+        width = len(ordered) + 1
+        keys = np.sort(np.where(rows_in, np.arange(1, width), width), axis=1) % width
+        order = np.lexsort(keys.T[::-1])
+        self.rows_in, self.cols_in = rows_in[order], (closure[order] >> shifts & 1).astype(bool)
+        # the (row, column) positions of the cells, in row-major order
+        cell_row, cell_col = np.nonzero(slices[:, None] >> shifts & 1)
+        self.incidence = self.rows_in[:, cell_row] & self.cols_in[:, cell_col]
+        cell_bits = np.uint64(1) << np.arange(len(cells), dtype=np.uint64)
+        self.words = words = self.incidence.astype(np.uint64) @ cell_bits
+        self.masks = words.tolist()
+        sizes = np.bitwise_count(words)
+        largest = np.lexsort((words, sizes))[::-1]  # the masks are distinct, so no tie
+        self.size_words = words[largest]
+        self.by_size = list(zip(sizes[largest].tolist(), self.size_words.tolist()))
+        self.counting = _counting_bound(len(cells), self.by_size[0][0])
+
+    def box(self, i: int) -> Box:
+        rows, cols = self.rows_in[i].tolist(), self.cols_in[i].tolist()
+        return tuple(compress(self.row_values, rows)), tuple(compress(self.col_values, cols))
+
+    @cached_property
+    def covering(self) -> list[list[int]]:
+        """The boxes covering each cell, in ascending order."""
+        _, box_ix = np.nonzero(self.incidence.T)
+        flat, ends = box_ix.tolist(), np.cumsum(self.counts).tolist()
+        return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+    @cached_property
+    def counts(self) -> list[int]:
+        return self.incidence.sum(axis=0).tolist()
+
+    def covering_at(self, ci: int) -> np.ndarray:
+        return np.flatnonzero(self.incidence[:, ci])
+
+    def greedy_cover(self) -> tuple[Box, ...]:
+        """Greedy set cover: largest marginal gain, ties by box index."""
+        words, uncovered = self.words, np.uint64(self.full)
+        picked: list[Box] = []
+        while uncovered:
+            gains = np.bitwise_count(words & uncovered)
+            best = int(gains.argmax())  # the first of the largest
+            if not gains[best]:
+                raise ValidationError("boxes do not cover the support")
+            picked.append(self.box(best))
+            uncovered &= ~words[best]
+        return tuple(picked)
+
+
+def _box_system(pattern: SupportPattern) -> _BoxSystem:
+    """The box system of a nonempty pattern of at most EXACT_CELL_CAP cells.
+
+    A matrix's maximal boxes are the boxes of the closures of its rows'
+    slices (as `_maximal_boxes` finds them), computed once here: from
+    _WORD_MIN_BOXES closures on, `_WordBoxSystem` builds the system from
+    them, and below that the scalar `_BoxSystem` does, as it does for
+    tensors.
+    """
+    cells = sorted(pattern.cells)
+    if pattern.order != 2:
+        return _BoxSystem(enumerate_maximal_boxes(pattern), cells)
+    bit, ordered = _slices(cells, 0, itemgetter(1))
+    closures = _closures(s for _, s in ordered)
+    if len(closures) >= _WORD_MIN_BOXES:
+        return _WordBoxSystem(cells, bit, ordered, closures)
+    return _BoxSystem(sorted(_closure_boxes(ordered, bit, closures)), cells)
 
 
 def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUDGET) -> BoxCoverResult:
@@ -557,7 +703,7 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         else:
             note = f"support of {n} cells exceeds exact-search cap {EXACT_CELL_CAP}; counting lower bound"
         return BoxCoverResult(lower=lower, upper=n, exact=lower == n, boxes=None, note=note, crown=crown)
-    system = _BoxSystem(enumerate_maximal_boxes(pattern), sorted(pattern.cells))
+    system = _box_system(pattern)
     greedy = system.greedy_cover()
     crown = found = None
     if system.counting < len(greedy):

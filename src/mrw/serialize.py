@@ -156,6 +156,16 @@ def _parse_entries(entries, size: int) -> tuple[list[Exact], list[str]]:
         raise ParseError("entries must be a list")
     if len(entries) != size:
         raise ParseError(f"expected {size} entries, got {len(entries)}")
+    # one pass for a file of canonical integer literals; anything else
+    # (JSON `Infinity` reads as a float, whose int() overflows) takes the
+    # per-entry path, with its values, warnings and errors
+    try:
+        ints = list(map(int, entries))
+        canonical = list(map(str, ints)) == entries
+    except (TypeError, ValueError, OverflowError):
+        canonical = False
+    if canonical:
+        return ints, []
     warnings_out: list[str] = []
     parsed = [
         _parse_exact_entry(raw, f"entry {i}", warnings_out) for i, raw in enumerate(entries)

@@ -744,6 +744,51 @@ def test_crown_certificates_change_only_the_node_count(pattern):
         assert box_cover_exact(pattern, node_budget=node_budget).lower >= without_certificates(pattern, node_budget).lower
 
 
+def assert_constructions_agree(pattern: SupportPattern) -> None:
+    """The word-packed and the scalar box systems of a matrix pattern agree
+    field by field, and box_cover_exact returns the same result on both,
+    at the default node budget and at budgets that run out."""
+    systems, covers = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for cut in (0, 10**9):  # every matrix on the word path, then none
+            mp.setattr(mrw.bounds, "_WORD_MIN_BOXES", cut)
+            systems.append(mrw.bounds._box_system(pattern) if pattern.cells else None)
+            covers.append([box_cover_exact(pattern, node_budget=b) for b in (DEFAULT_NODE_BUDGET, 1, 7, 50)])
+    assert covers[0] == covers[1]
+    words, scalar = systems
+    if words is None:
+        return
+    assert type(words) is mrw.bounds._WordBoxSystem and type(scalar) is mrw.bounds._BoxSystem
+    assert scalar.boxes == enumerate_maximal_boxes(pattern)
+    assert [words.box(i) for i in range(len(scalar.boxes))] == scalar.boxes
+    assert words.masks == scalar.masks and words.by_size == scalar.by_size
+    assert words.counting == scalar.counting
+    assert words.covering == scalar.covering and words.counts == scalar.counts
+    assert [words.covering_at(ci).tolist() for ci in range(len(pattern.cells))] == scalar.covering
+    assert words.pivot_order == scalar.pivot_order
+    assert words.words.tolist() == scalar.words.tolist()
+    assert words.size_words.tolist() == scalar.size_words.tolist()
+    assert words.greedy_cover() == scalar.greedy_cover()
+
+
+@given(search_patterns())
+def test_word_and_scalar_box_systems_agree(pattern):
+    assert_constructions_agree(pattern)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_word_and_scalar_box_systems_agree_on_near_crowns(n):
+    rng = random.Random(100 + n)
+    for _ in range(4):
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        cells = {(rows[i], cols[j]) for i in range(n) for j in range(n) if i != j}
+        cells.discard(rng.choice(sorted(cells)))
+        pattern = SupportPattern((n, n), frozenset(cells))
+        # 94 (side 7) or 190 (side 8) maximal boxes: the word path by default
+        assert type(mrw.bounds._box_system(pattern)) is mrw.bounds._WordBoxSystem
+        assert_constructions_agree(pattern)
+
+
 def crossing_cells(zeros) -> set[tuple[int, int]]:
     """The cells (r_i, c_j), i != j, of zeros (r_i, c_i)."""
     return {(r, c) for i, (r, _) in enumerate(zeros) for j, (_, c) in enumerate(zeros) if i != j}

@@ -4,11 +4,13 @@ warnings, malformed-input errors."""
 
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mrw.cli import main
 from mrw.constructions import DivTensorSpec, EdmSpec, divisibility_tensor, edm
 from mrw.dtensor import DenseTensor
 from mrw.errors import CapacityError, ParseError
@@ -16,6 +18,7 @@ from mrw.numkit import NonnegFactorization
 from mrw.ratlinalg import RatMatrix, as_exact
 from mrw.serialize import (
     _clip,
+    _parse_entries,
     _parse_exact_entry,
     canonical_dumps,
     exact_text,
@@ -140,6 +143,81 @@ def read_entry(reader, raw: str):
 def test_int_shortcut_reads_every_string_as_fraction_does(raw):
     # value, type, warnings and error message all agree
     assert read_entry(_parse_exact_entry, raw) == read_entry(fraction_entry_reader, raw)
+
+
+def per_entry_reader(entries: list):
+    """Oracle: every entry read on its own by `_parse_exact_entry`, as
+    (type, value) pairs with the warnings, or the error message."""
+    warns: list[str] = []
+    try:
+        values = [_parse_exact_entry(raw, f"entry {i}", warns) for i, raw in enumerate(entries)]
+    except ParseError as exc:
+        return "error", str(exc)
+    return [(type(v), v) for v in values], warns
+
+
+def entries_reader(entries: list):
+    try:
+        values, warns = _parse_entries(entries, len(entries))
+    except ParseError as exc:
+        return "error", str(exc)
+    return [(type(v), v) for v in values], warns
+
+
+canonical_ints = st.integers().map(str)
+odd_entries = st.one_of(
+    st.sampled_from(["+1", "01", "-0", " 1", "1_0", "\u0663", "6/2", "1/3"]),
+    st.fractions().map(str),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.just(float("inf")),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@given(st.lists(canonical_ints, max_size=8) | st.lists(canonical_ints | odd_entries, max_size=8))
+@example(["1", "0", "-12"])
+@example(["1", float("inf")])
+@example(["1", True])
+@example(["1", 1])
+@example(["1", "+1"])
+def test_entry_list_reads_as_its_entries_do_one_by_one(entries):
+    # values, types, warnings and error message all agree
+    assert entries_reader(entries) == per_entry_reader(entries)
+
+
+@st.composite
+def canonical_arrays(draw):
+    """A matrix or tensor object whose entries are canonical strings."""
+    entry = st.integers(-10**6, 10**6).map(str) | st.fractions(max_denominator=10**4).map(str)
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        return {"rows": rows, "cols": cols, "entries": draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))}
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    size = prod(dims)
+    return {"dims": dims, "entries": draw(st.lists(entry, min_size=size, max_size=size))}
+
+
+@given(canonical_arrays())
+def test_canonical_files_round_trip_byte_for_byte(obj):
+    text = canonical_dumps(obj)
+    if "dims" in obj:
+        value, warns = parse_tensor(json.loads(text))
+        again = canonical_dumps(tensor_to_obj(value))
+    else:
+        value, warns = parse_matrix(json.loads(text))
+        again = canonical_dumps(matrix_to_obj(value))
+    assert not warns and again == text
+
+
+def test_generated_edm_file_round_trips_byte_for_byte(tmp_path):
+    path = tmp_path / "edm8.json"
+    assert main(["gen", "edm", "--n", "8", "--out", str(path)]) == 0
+    text = path.read_text()
+    value, warns = parse_matrix(load_json_file(str(path)))
+    assert not warns and canonical_dumps(matrix_to_obj(value)) == text
 
 
 def test_factorization_round_trip_float_and_rational():
