@@ -23,6 +23,7 @@ from .ratlinalg import (
     CharPoly,
     RatMatrix,
     char_poly_exact,
+    column_basis,
     det_exact,
     rank_exact,
 )

@@ -3,9 +3,11 @@
 Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 (LAPACK's Hermitian eigensolver applied to iC), a nonnegative factorization
 search of an exact matrix (exact stages at r = rank, which share one
-normalisation of the columns: separable cones picked by successive
-projection, and nested triangles at rank 3; then HALS sweeps with random
-restarts on a float copy scaled to a largest entry of 1), and an
+normalisation of the columns into integer homogeneous points, read off the
+integer reduced rows of ``ratlinalg.reduced_rows``: separable cones picked
+by successive projection, and nested triangles at rank 3, both decided on
+ints, with Fractions built only for the witness returned; then HALS sweeps
+with random restarts on a float copy scaled to a largest entry of 1), and an
 alternating-least-squares tensor fitter; both searches read exact arrays
 only.  Searches are deterministic given (input, seed, budget): the
 factorization search returns the first round that reaches its tolerance and
@@ -21,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import chain, combinations, product
+from operator import mul
 
 import numpy as np
 
 from .errors import DimensionError, UnsupportedRankError, ValidationError
-from .ratlinalg import RatMatrix, column_basis, is_exact
+from .ratlinalg import RatMatrix, _integer_rows, as_exact, is_exact, reduced_rows
 
 DEFAULT_SEED = 1729
 
@@ -247,43 +250,95 @@ def _max_rel_err(v: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _column_points(m: RatMatrix):
+def _primitive(v, sign: int) -> tuple[int, ...]:
+    """The nonzero int vector ``v`` divided by the gcd of its entries, with
+    its sign flipped when ``sign`` is negative: the one integer homogeneous
+    representative of its ray (of the opposite ray when ``sign < 0``)."""
+    g = math.gcd(*v) if sign > 0 else -math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """The columns of a matrix as integer homogeneous points of one plane
+    (``_column_points``): ``rows`` and ``last_pivot`` are the integer
+    reduced rows R and last pivot L of ``reduced_rows``, ``basis`` the rows
+    of B = m[:, pivots], ``s`` = 1^T B times ``s_den``, the lcm of its
+    denominators, and ``points`` maps each point to the first column on it,
+    in column order."""
+
+    rows: list[list[int]]
+    last_pivot: int
+    basis: list[tuple]
+    s: list[int]
+    s_den: int
+    points: dict[tuple[int, ...], int]
+
+
+def _column_points(m: RatMatrix) -> _Columns:
     """The columns of ``m`` as points of one plane, read by both exact stages.
 
-    With ``pivots, coords = column_basis(m)``, B = m[:, pivots] and
-    s = 1^T B, column j of m is B c_j, and when it is nonzero it becomes the
-    point c_j / (s.c_j) of the plane s.y = 1 (s.c_j is the sum of column j).
-    Returns ``(coords, rows of B, s, points)``, where ``points`` maps each
-    point to the first column on it, in column order.
+    Column j of m is B c_j with c_j = R_j / L (R_j is column j of R), and
+    when it is nonzero it is the point c_j / (s.c_j) of the plane s.y = 1
+    (s.c_j is the sum of column j, up to the positive scale of s).  That
+    point is kept as the int vector P = R_j divided by the gcd of its
+    entries, signed so that s.P > 0: the point is P / (s.P), and equal
+    points have equal P.  No Fraction is built.
     """
-    pivots, coords = column_basis(m)
+    pivots, rows, last = reduced_rows(m)
     basis = [tuple(row[j] for j in pivots) for row in m.iter_rows()]
-    s = [sum(col) for col in zip(*basis)]
-    points: dict[tuple, int] = {}
-    for j, col in enumerate(zip(*coords)):
+    [s_den], [s] = _integer_rows([[sum(col) for col in zip(*basis)]])
+    points: dict[tuple[int, ...], int] = {}
+    for j, col in enumerate(zip(*rows)):
         if w := _dot(s, col):
-            points.setdefault(tuple(Fraction(x) / w for x in col), j)
-    return coords, basis, s, points
+            points.setdefault(_primitive(col, w), j)
+    return _Columns(rows, last, basis, s, s_den, points)
 
 
-def _pick_generators(points: dict[tuple, int], r: int) -> tuple[int, ...]:
-    """The sorted columns of r of ``points`` (from ``_column_points``) that
-    span a simplex holding every point, when r such points exist.
+def _lex_order(s):
+    """A key that orders integer homogeneous points p (s.p > 0) as their
+    points p / (s.p) compare lexicographically, by cross-multiplying."""
+
+    def compare(p, q):
+        wp, wq = _dot(s, p), _dot(s, q)
+        a, b = [x * wq for x in p], [y * wp for y in q]
+        return (a > b) - (a < b)
+
+    return cmp_to_key(compare)
+
+
+def _pick_generators(columns: _Columns, r: int) -> tuple[int, ...]:
+    """The sorted columns of r of the points of ``columns`` (from
+    ``_column_points``) that span a simplex holding every point, when r such
+    points exist.
 
     At r <= 2 the points lie on one line, and the pick is its two ends (one
     point at r = 1), read exactly.  Past that it is successive projection in
     floats (Gillis and Vavasis 2014): each coordinate is first divided by its
-    largest magnitude, in Fractions, a linear map that keeps the simplex's
-    vertices its vertices and keeps the norms from underflowing; then r
-    times, the point of largest norm (the first on ties) is picked and
-    projected out of all of them, so each pick is a vertex."""
+    largest magnitude, by one int true division each (correctly rounded, as
+    a Fraction's float is), a linear map that keeps the simplex's vertices
+    its vertices and keeps the norms from underflowing; then r times, the
+    point of largest norm (the first on ties) is picked and projected out of
+    all of them, so each pick is a vertex."""
+    points, s = columns.points, columns.s
     if r <= 2:
-        return tuple(sorted({points[min(points)], points[max(points)]}))
-    scale = [max(map(abs, axis)) for axis in zip(*points)]
-    pts = np.array([[float(x / a) for x, a in zip(p, scale)] for p in points])
+        key = _lex_order(s)
+        return tuple(sorted({points[min(points, key=key)], points[max(points, key=key)]}))
+    weights = {p: _dot(s, p) for p in points}
+    # each axis's largest magnitude |x| / (s.p), as the pair (|x|, s.p)
+    scale = []
+    for axis in range(len(s)):
+        top, w_top = 0, 1
+        for p, w in weights.items():
+            if abs(p[axis]) * w_top > top * w:
+                top, w_top = abs(p[axis]), w
+        scale.append((top, w_top))
+    pts = np.array(
+        [[x * w_top / (w * top) for x, (top, w_top) in zip(p, scale)] for p, w in weights.items()]
+    )
     cols = list(points.values())
     picked = []
     for _ in range(r):
@@ -296,7 +351,7 @@ def _pick_generators(points: dict[tuple, int], r: int) -> tuple[int, ...]:
     return tuple(sorted(picked))
 
 
-def _separable_factorization(m: RatMatrix, r: int, columns) -> NonnegFactorization | None:
+def _separable_factorization(m: RatMatrix, r: int, columns: _Columns) -> NonnegFactorization | None:
     """An exact r-term nonnegative factorization of ``m`` read off r of its
     columns, or else r of its rows, whose cone holds all the others; None
     when rank(m) != r or neither side has such r lines.
@@ -308,17 +363,21 @@ def _separable_factorization(m: RatMatrix, r: int, columns) -> NonnegFactorizati
     is simplicial, so S is unique; a side's pick (`_pick_generators`) is
     confirmed by one exact elimination of that side that scans the pick
     first (on the side itself, not on its r-row coordinate matrix, whose
-    long fractions eliminate more slowly).  ``columns`` is
+    long entries eliminate more slowly): its integer reduced rows are H
+    times its last pivot, so H >= 0 is read off their signs, and H is built
+    in Fractions only for the witness returned.  ``columns`` is
     ``_column_points(m)``.
     """
     mt = m.transpose()
     for side, lines, transposed in ((m, mt, False), (mt, m, True)):
-        coords, _, _, points = _column_points(side) if transposed else columns
-        if len(coords) != r:
+        points = _column_points(side) if transposed else columns
+        if len(points.rows) != r:
             return None
         chosen = _pick_generators(points, r)
-        pivots, h = column_basis(side, first=chosen)
-        if pivots == chosen and all(x >= 0 for row in h for x in row):
+        pivots, rows, last = reduced_rows(side, first=chosen)
+        # H = rows / last >= 0: every nonzero entry has the sign of last
+        if pivots == chosen and {x > 0 for row in rows for x in row if x} <= {last > 0}:
+            h = [tuple(as_exact(Fraction(x, last)) for x in row) for row in rows]
             terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
             if transposed:
                 terms = [(w, line) for line, w in terms]
@@ -327,8 +386,9 @@ def _separable_factorization(m: RatMatrix, r: int, columns) -> NonnegFactorizati
 
 
 def _det3(a, b, c):
-    """det[a b c]: for points on a plane s.y = 1 with s > 0 it is positive
-    exactly when a, b, c turn left (counterclockwise)."""
+    """det[a b c]: for points on a plane s.y = 1 with s > 0, or integer
+    homogeneous points p with s.p > 0, it is positive exactly when a, b, c
+    turn left (counterclockwise)."""
     return (
         a[0] * (b[1] * c[2] - b[2] * c[1])
         - a[1] * (b[0] * c[2] - b[2] * c[0])
@@ -336,23 +396,32 @@ def _det3(a, b, c):
     )
 
 
-def _wrap(x, points):
+def _wrap(x, points, s):
     """The point v != x of ``points`` with none of them right of x -> v (the
-    farthest such on ties); x must be a vertex of their hull or outside it."""
+    farthest such on ties); x must be a vertex of their hull or outside it.
+    The points are integer homogeneous (s.p > 0), and distances are compared
+    by cross-multiplying."""
+    wx = _dot(s, x)
 
     def reach(p):
-        return _dot(p, p) - 2 * _dot(p, x)  # |p - x|^2 less |x|^2
+        """|p / (s.p) - x / (s.x)|^2 times (s.x)^2, as (numerator, denominator)."""
+        wp = _dot(s, p)
+        return sum((y * wx - z * wp) ** 2 for y, z in zip(p, x)), wp * wp
+
+    def farther(c, v):
+        (nc, dc), (nv, dv) = reach(c), reach(v)
+        return nc * dv > nv * dc
 
     v = None
     for c in points:
         if c == x:
             continue
-        if v is None or (turn := _det3(x, v, c)) < 0 or turn == 0 and reach(c) > reach(v):
+        if v is None or (turn := _det3(x, v, c)) < 0 or turn == 0 and farther(c, v):
             v = c
     return v
 
 
-def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None:
+def _triangle_factorization(m: RatMatrix, columns: _Columns) -> NonnegFactorization | None:
     """An exact 3-term nonnegative factorization of a rank-3 ``m`` from a
     triangle nested between its columns and the nonnegative orthant, or None.
 
@@ -369,31 +438,45 @@ def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None
     the edge, and then at the corners of Q, which catch triangles pinned by
     columns on Q's boundary.  None when the rank is not 3 or no walk
     closes, which proves nothing about mr(m).
+
+    Every point is an integer homogeneous one, a primitive int vector p
+    with s.p > 0 standing for p / (s.p), so the geometry runs on ints: the
+    least point and the ties of the wrap are cross-multiplied, and each
+    entry of W and H is one Fraction.
     """
-    coords, basis, s, points = columns
-    if len(coords) != 3:
+    if len(columns.rows) != 3:
         return None
-    sides = [row for row in dict.fromkeys(basis) if any(row)]  # Q's edge lines
-    cols = list(zip(*coords))
+    s, points = columns.s, columns.points
+    # Q's edge lines, each scaled to ints
+    sides = _integer_rows([row for row in dict.fromkeys(columns.basis) if any(row)])[1]
     # gift wrapping from the least point, a vertex of P since s > 0
-    hull = [min(points)]
-    while (v := _wrap(hull[-1], points)) != hull[0]:
+    hull = [min(points, key=_lex_order(s))]
+    while (v := _wrap(hull[-1], points, s)) != hull[0]:
         hull.append(v)
 
     def leave(p, q):
-        """The point where the ray from p through q leaves Q."""
-        d = [y - x for x, y in zip(p, q)]
-        t = min(_dot(row, p) / -rd for row in sides if (rd := _dot(row, d)) < 0)
-        return tuple(x + t * y for x, y in zip(p, d))
+        """The point where the ray from p through q leaves Q: with the
+        direction D = q (s.p) - p (s.q) and the first side row to reach 0,
+        it is p (-row.D) + (row.p) D, divided by the gcd of its entries."""
+        wp, wq = _dot(s, p), _dot(s, q)
+        d = [y * wp - x * wq for x, y in zip(p, q)]
+        best = None
+        for row in sides:
+            if (rd := _dot(row, d)) < 0:
+                rp = _dot(row, p)
+                if best is None or rp * best[1] > best[0] * rd:  # rp / -rd is smaller
+                    best = (rp, rd)
+        rp, rd = best
+        return _primitive([-rd * x + rp * y for x, y in zip(p, d)], 1)
 
     def walk(t0):
-        t1 = leave(t0, _wrap(t0, hull))
-        t2 = leave(t1, _wrap(t1, hull))
+        t1 = leave(t0, _wrap(t0, hull, s))
+        t2 = leave(t1, _wrap(t1, hull, s))
         return (t0, t1, t2) if all(_det3(t2, t0, p) >= 0 for p in hull) else None
 
     def corners():
         for r1, r2 in combinations(sides, 2):
-            # r1 x r2 spans the line where both sides are 0; the corner is c / w
+            # r1 x r2 spans the line where both sides are 0
             c = (
                 r1[1] * r2[2] - r1[2] * r2[1],
                 r1[2] * r2[0] - r1[0] * r2[2],
@@ -401,21 +484,29 @@ def _triangle_factorization(m: RatMatrix, columns) -> NonnegFactorization | None
             )
             w = _dot(s, c)
             if w and all(_dot(row, c) * w >= 0 for row in sides):
-                yield tuple(Fraction(x) / w for x in c)
+                yield _primitive(c, w)
 
     flush = (leave(b, a) for a, b in zip(hull, hull[1:] + hull[:1]))
     tri = next(filter(None, map(walk, chain(flush, corners()))), None)
     if tri is None:
         return None
     t0, t1, t2 = tri
-    det = _det3(t0, t1, t2)
-    # Cramer's rule: column j of H solves T h = c_j
+    w0, w1, w2 = (_dot(s, t) for t in tri)
+    # Cramer's rule: column j of H solves T h = c_j, with c_j = R_j / L and
+    # column k of T the point t_k * s_den / (s.t_k) of the plane 1^T B y = 1
+    den = columns.s_den * columns.last_pivot * _det3(t0, t1, t2)
+    cols = list(zip(*columns.rows))
     h = (
-        tuple(_det3(c, t1, t2) / det for c in cols),
-        tuple(_det3(t0, c, t2) / det for c in cols),
-        tuple(_det3(t0, t1, c) / det for c in cols),
+        tuple(Fraction(_det3(c, t1, t2) * w0, den) for c in cols),
+        tuple(Fraction(_det3(t0, c, t2) * w1, den) for c in cols),
+        tuple(Fraction(_det3(t0, t1, c) * w2, den) for c in cols),
     )
-    terms = tuple((tuple(_dot(row, t) for row in basis), hk) for t, hk in zip(tri, h))
+    # W = B T
+    scaled = list(zip(*_integer_rows(columns.basis)))
+    terms = tuple(
+        (tuple(Fraction(_dot(row, t) * columns.s_den, d * w) for d, row in scaled), hk)
+        for t, w, hk in zip(tri, (w0, w1, w2), h)
+    )
     return NonnegFactorization(dims=m.dims, terms=terms)
 
 

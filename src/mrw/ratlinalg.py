@@ -15,9 +15,10 @@ elimination loop (:func:`_eliminate`, Bareiss 1968) runs on the rows scaled
 to ints by the lcm of their denominators, on Python ints, whose size is
 unbounded, with a canonical pivot rule -- first nonzero entry in column
 order.  Its forward sweep gives rank and determinant; its full sweep gives
-basis columns and exact coordinates (:func:`column_basis`) and the
-certificate of :func:`rank_exact`.  The characteristic polynomial runs the
-Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
+basis columns and exact coordinates (:func:`column_basis`, whose integer
+form :func:`reduced_rows` the exact stages of ``numkit.nmf_search`` read)
+and the certificate of :func:`rank_exact`.  The characteristic polynomial
+runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
 division is exact, and rescales each coefficient once at the end.  From
 ``_MODULAR_MIN_ENTRIES`` entries on, :func:`rank_exact` first proves the
 rank by int64 arithmetic modulo primes, where no product overflows, and the
@@ -515,6 +516,20 @@ def _certificate_pays(m: int, n: int, r: int) -> bool:
     return 4 * certificate <= 5 * forward
 
 
+def reduced_rows(
+    m: RatMatrix, first: Sequence[int] = ()
+) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """The integer form of :func:`column_basis`: ``(pivots, rows, last
+    pivot)``, where ``rows`` are the first ``len(pivots)`` rows the full
+    sweep of :func:`_eliminate` leaves, the last pivot times ``coords``.
+    No Fraction is built."""
+    seen = set(first)
+    scan = list(first) + [j for j in range(m.cols) if j not in seen]
+    _, work = _integer_rows(list(m.iter_rows()))
+    pivots, _, last_pivot = _eliminate(work, scan, forward=False)
+    return tuple(pivots), work[: len(pivots)], last_pivot
+
+
 def column_basis(
     m: RatMatrix, first: Sequence[int] = ()
 ) -> tuple[tuple[int, ...], tuple[tuple[Exact, ...], ...]]:
@@ -526,16 +541,11 @@ def column_basis(
     column per column of ``m``, ``m = m[:, pivots] @ coords``, and
     ``coords[:, pivots]`` is the identity (the reduced row echelon form of
     ``m`` in the scan order, less its zero rows).  The elimination is the
-    full sweep of :func:`_eliminate` on the rows scaled to ints.
+    full sweep of :func:`_eliminate` on the rows scaled to ints
+    (:func:`reduced_rows`), divided by its last pivot.
     """
-    seen = set(first)
-    scan = list(first) + [j for j in range(m.cols) if j not in seen]
-    _, work = _integer_rows(list(m.iter_rows()))
-    pivots, _, last_pivot = _eliminate(work, scan, forward=False)
-    coords = tuple(
-        tuple(as_exact(Fraction(x, last_pivot)) for x in row) for row in work[: len(pivots)]
-    )
-    return tuple(pivots), coords
+    pivots, rows, last_pivot = reduced_rows(m, first)
+    return pivots, tuple(tuple(as_exact(Fraction(x, last_pivot)) for x in row) for row in rows)
 
 
 def det_exact(m: RatMatrix) -> Fraction:

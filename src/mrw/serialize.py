@@ -10,7 +10,8 @@ Factorizations: {"order": d, "dims": [...], "terms": [[[...], ...], ...]}
 with decimal floats, or exact "p/q" strings on request or when a float
 cannot hold an entry; only `mr` reports emit them, and no command reads
 them.  `exact_text` writes every exact entry and refuses one too long.
-Canonical bytes are what `canonical_dumps` emits; parsing normalizes
+Canonical bytes are what `canonical_dumps` emits, the bytes of
+`json.dumps(obj, indent=2)` and a newline; parsing normalizes
 entries and reports non-canonical input as warnings rather than errors; an
 echoed literal is clipped, so each warning or error stays one short line.
 An integral entry parses to an int and any other exact entry to a
@@ -20,7 +21,9 @@ Fraction, as `RatMatrix` and `DenseTensor` store them.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .bounds import MrBoundReport
@@ -31,7 +34,94 @@ from .ratlinalg import Exact, RatMatrix, as_exact, as_size, check_capacity, frac
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, written without
+    json's pure-Python encoder (the one CPython runs when an indent is
+    given): one recursive writer that joins a list of ints, strs or floats
+    in one step.  Strings are written ASCII-escaped, floats as json writes
+    them (``NaN``, ``Infinity``), tuples as lists, and dict keys are
+    converted and refused (`TypeError`) as json does."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# how a list of one of these types is written in one join
+_FLAT = {int: int.__repr__, str: encode_basestring_ascii, float: _float_text}
+
+
+def _scalar_text(x) -> str | None:
+    """json's text of a str, None, bool, int or float; None for anything else."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    return None
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _scalar_text(key)
+    return encode_basestring_ascii(key)
+
+
+def _write(obj, indent: str, out: list[str]) -> None:
+    """Append the text of ``obj`` at ``indent``, a newline and the spaces of
+    its level."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        kinds = set(map(type, obj))
+        if len(kinds) == 1 and (fmt := _FLAT.get(kinds.pop())):
+            out.append("[" + inner + ("," + inner).join(map(fmt, obj)) + indent + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, inner, out)
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            head = sep + _key_text(key) + ": "
+            sep = "," + inner
+            if (text := _scalar_text(value)) is not None:
+                out.append(head + text)
+            else:
+                out.append(head)
+                _write(value, inner, out)
+        out.append(indent + "}")
+    elif (text := _scalar_text(obj)) is not None:
+        out.append(text)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def exact_text(x: Exact) -> str:
@@ -201,6 +291,8 @@ def load_json_file(path: str) -> Any:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -170,6 +170,17 @@ def test_bad_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flag", [("rank", "--matrix"), ("mr", "--matrix"), ("mr", "--tensor"), ("dcc", "--matrix")]
+)
+def test_a_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys, command, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"rows":1,"cols":1,"dims":[1,1],"entries":["\xff"]}')
+    code, _, err = run(capsys, command, flag, str(path))
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
     "command, flag, text",
     [
         ("rank", "--matrix", '{"rows": 1, "cols": 1, "entries": 5}'),

@@ -508,6 +508,123 @@ def three_term_products(draw):
     return product_matrix(w, h)
 
 
+@st.composite
+def three_term_rational_products(draw):
+    """W @ H with nonnegative rational W (n x 3) and integer H (3 x m)."""
+    n, m = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    w = [[draw(nonneg_rationals) for _ in range(3)] for _ in range(n)]
+    h = [[draw(st.integers(0, 6)) for _ in range(m)] for _ in range(3)]
+    return product_matrix(w, h)
+
+
+# P is the triangle of the first three columns and equals Q, so each walk
+# closes on a side that holds two vertices of P
+OWN_SIDES = RatMatrix.from_rows([[1, 0, 0, 1, 2], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
+
+# three of the four vertices of the columns' hull P lie on the boundary of
+# the nonnegative polygon Q, and no walk from the line of an edge of P
+# closes; the walk from a corner of Q does
+CORNER_START = RatMatrix.from_rows(
+    [
+        [3, 6, 4, 4, 4, 5, 4],
+        [12, 12, 8, 16, 0, 4, 16],
+        [12, 15, 9, 8, 13, 12, 20],
+        [6, 6, 3, 0, 9, 6, 12],
+        [9, 9, 6, 12, 0, 3, 12],
+        [15, 15, 9, 12, 9, 9, 24],
+        [16, 22, 15, 24, 5, 12, 20],
+    ]
+)
+
+
+def fraction_triangle_terms(m: RatMatrix):
+    """Reference for `_triangle_factorization`: the same walks on Fraction
+    points of the plane s.y = 1, the terms of its witness or None."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    def det3(a, b, c):
+        return (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+
+    def wrap(x, points):
+        def reach(p):
+            return dot(p, p) - 2 * dot(p, x)  # |p - x|^2 less |x|^2
+
+        v = None
+        for c in points:
+            if c == x:
+                continue
+            if v is None or (turn := det3(x, v, c)) < 0 or turn == 0 and reach(c) > reach(v):
+                v = c
+        return v
+
+    pivots, coords = column_basis(m)
+    if len(coords) != 3:
+        return None
+    basis = [tuple(row[j] for j in pivots) for row in m.iter_rows()]
+    s = [sum(col) for col in zip(*basis)]
+    points = {}
+    for j, col in enumerate(zip(*coords)):
+        if w := dot(s, col):
+            points.setdefault(tuple(Fraction(x) / w for x in col), j)
+    sides = [row for row in dict.fromkeys(basis) if any(row)]
+    hull = [min(points)]
+    while (v := wrap(hull[-1], points)) != hull[0]:
+        hull.append(v)
+
+    def leave(p, q):
+        d = [y - x for x, y in zip(p, q)]
+        t = min(dot(row, p) / -rd for row in sides if (rd := dot(row, d)) < 0)
+        return tuple(x + t * y for x, y in zip(p, d))
+
+    def walk(t0):
+        t1 = leave(t0, wrap(t0, hull))
+        t2 = leave(t1, wrap(t1, hull))
+        return (t0, t1, t2) if all(det3(t2, t0, p) >= 0 for p in hull) else None
+
+    def corners():
+        for r1, r2 in itertools.combinations(sides, 2):
+            c = (
+                r1[1] * r2[2] - r1[2] * r2[1],
+                r1[2] * r2[0] - r1[0] * r2[2],
+                r1[0] * r2[1] - r1[1] * r2[0],
+            )
+            w = dot(s, c)
+            if w and all(dot(row, c) * w >= 0 for row in sides):
+                yield tuple(Fraction(x) / w for x in c)
+
+    flush = (leave(b, a) for a, b in zip(hull, hull[1:] + hull[:1]))
+    tri = next(filter(None, map(walk, itertools.chain(flush, corners()))), None)
+    if tri is None:
+        return None
+    t0, t1, t2 = tri
+    det = det3(t0, t1, t2)
+    cols = list(zip(*coords))
+    h = (
+        tuple(det3(c, t1, t2) / det for c in cols),
+        tuple(det3(t0, c, t2) / det for c in cols),
+        tuple(det3(t0, t1, c) / det for c in cols),
+    )
+    return tuple((tuple(dot(row, t) for row in basis), hk) for t, hk in zip(tri, h))
+
+
+@example(OWN_SIDES)
+@example(CORNER_START)
+@given(st.one_of(three_term_products(), three_term_rational_products()))
+def test_the_integer_triangle_stage_returns_the_fraction_reference_terms(m):
+    assume(sympy_rank(m) == 3)
+    fact = numkit._triangle_factorization(m, numkit._column_points(m))
+    want = fraction_triangle_terms(m)
+    assert (fact is None) == (want is None)
+    if fact is not None:
+        assert fact.terms == want
+
+
 @given(three_term_products())
 def test_a_triangle_witness_has_three_terms_and_reproduces_the_matrix(m):
     assume(sympy_rank(m) == 3)
@@ -517,27 +634,12 @@ def test_a_triangle_witness_has_three_terms_and_reproduces_the_matrix(m):
 
 
 def test_columns_that_span_a_triangle_close_on_its_own_sides():
-    # P is the triangle of the first three columns and equals Q, so each
-    # walk closes on a side that holds two vertices of P
-    m = RatMatrix.from_rows([[1, 0, 0, 1, 2], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
+    m = OWN_SIDES
     assert_exact_witness(m, 3, numkit._triangle_factorization(m, numkit._column_points(m)))
 
 
 def test_columns_on_the_boundary_get_a_triangle_from_a_corner_start():
-    # three of the four vertices of the columns' hull P lie on the boundary
-    # of the nonnegative polygon Q, and no walk from the line of an edge of
-    # P closes; the walk from a corner of Q does
-    m = RatMatrix.from_rows(
-        [
-            [3, 6, 4, 4, 4, 5, 4],
-            [12, 12, 8, 16, 0, 4, 16],
-            [12, 15, 9, 8, 13, 12, 20],
-            [6, 6, 3, 0, 9, 6, 12],
-            [9, 9, 6, 12, 0, 3, 12],
-            [15, 15, 9, 12, 9, 9, 24],
-            [16, 22, 15, 24, 5, 12, 20],
-        ]
-    )
+    m = CORNER_START
     assert numkit._separable_factorization(m, 3, numkit._column_points(m)) is None
     assert_exact_witness(m, 3, numkit._triangle_factorization(m, numkit._column_points(m)))
 
@@ -609,9 +711,9 @@ def test_a_float_pick_that_misses_is_refused_and_the_rows_give_the_witness(monke
     m = RatMatrix.from_rows(list(zip(*cols)))
     real, sides = numkit._pick_generators, []
 
-    def miss_on_columns(points, r):
-        sides.append(len(points))
-        return (0, 1, 2) if len(points) == 5 else real(points, r)
+    def miss_on_columns(columns, r):
+        sides.append(len(columns.points))
+        return (0, 1, 2) if len(columns.points) == 5 else real(columns, r)
 
     monkeypatch.setattr(numkit, "_pick_generators", miss_on_columns)
     fact = nmf_search(m, 3, SearchBudget(1, 50))

@@ -3,6 +3,7 @@
 warnings, malformed-input errors."""
 
 import json
+import math
 from fractions import Fraction
 from math import prod
 
@@ -255,3 +256,91 @@ def test_an_entry_too_long_to_print_is_refused_by_every_emitter():
         with pytest.raises(CapacityError, match="digits"):
             emit()
     assert exact_text(Fraction(-3, 4)) == "-3/4" and exact_text(10**4000) == "1" + "0" * 4000
+
+
+# ---------------------------------------------------------------------------
+# canonical_dumps writes what json.dumps(obj, indent=2) writes
+# ---------------------------------------------------------------------------
+
+json_text = st.text(st.characters(codec="utf-8") | st.sampled_from("\x00\x1f\x7f\"\\ é\U0001f600"))
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+    | json_text
+)
+json_keys = json_text | st.integers() | st.floats() | st.booleans() | st.none()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=5)
+    | st.lists(st.integers(), max_size=8)
+    | st.lists(json_text, max_size=8),
+    max_leaves=40,
+)
+
+
+@example({})
+@example([])
+@example([[], {}, ()])
+@example({"a": [2**64, -(2**70)], "b": (0.5, -0.0, math.nan, math.inf, -math.inf)})
+@example(["é\x00\U0001f600", "plain", "\ud800"])
+@given(json_values)
+def test_canonical_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert canonical_dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj", [{(1, 2): 3}, {"a": {Fraction(1, 2): 1}}, [1, object()], {"a": {1, 2}}, Fraction(1, 2)]
+)
+def test_canonical_dumps_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        canonical_dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_every_cli_output_is_the_bytes_of_json_dumps(tmp_path, monkeypatch, capsys):
+    import mrw.cli
+
+    seen = []
+    monkeypatch.setattr(mrw.cli, "canonical_dumps", lambda obj: seen.append(obj) or canonical_dumps(obj))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"rows": 3, "cols": 3, "entries": ["1", "1/2", "0", "2", "1", "1", "0", "3", "1"]}))
+    triangle = tmp_path / "t.json"
+    triangle.write_text(json.dumps({"rows": 3, "cols": 5, "entries": [str(x) for x in (1, 0, 0, 1, 2, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0)]}))
+    zero_one = tmp_path / "z.json"
+    zero_one.write_text(json.dumps({"rows": 2, "cols": 3, "entries": ["1", "0", "1", "0", "1", "1"]}))
+    tensor = tmp_path / "x.json"
+    tensor.write_text(json.dumps({"dims": [2, 2, 2], "entries": ["1", "0", "0", "1", "1", "1", "0", "1"]}))
+    commands = [
+        ["gen", "edm", "--n", "5"],
+        ["gen", "edm", "--values", "1/2,-3/4,7"],
+        ["gen", "flatten", "--n", "2", "--d", "4", "--k", "2"],
+        ["gen", "subsidiary", "--n", "2", "--d", "4"],
+        ["gen", "subsidiary", "--n", "2", "--d", "4", "--root"],
+        ["gen", "divtensor", "--base", "2", "--order", "3"],
+        ["gen", "correlation", "--N", "4"],
+        ["gen", "correlation", "--N", "4", "--part", "base"],
+        ["rank", "--matrix", str(matrix)],
+        ["mr", "--matrix", str(matrix)],
+        ["mr", "--matrix", str(triangle), "--rational"],
+        ["mr", "--tensor", str(tensor)],
+        ["dcc", "--matrix", str(zero_one)],
+        ["abp", "--n", "3", "--d", "4"],
+        ["quantum", "--N", "8"],
+        ["quantum", "--N", "4", "--simulate", "20", "--rational"],
+        ["comm", "--nbits", "2", "--d", "3"],
+        ["comm", "--nbits", "2", "--d", "3", "--ladder"],
+        ["verify", "--json"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert len(seen) == 1, argv
+        assert canonical_dumps(seen[0]) == json.dumps(seen.pop(), indent=2) + "\n", argv
+    capsys.readouterr()
