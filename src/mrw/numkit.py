@@ -5,17 +5,17 @@ Three tools live here: the spectral split of a rank-2 antisymmetric matrix
 search of an exact matrix (exact stages at r = rank, which share one
 normalisation of the columns into integer homogeneous points, read off the
 integer reduced rows of ``ratlinalg.reduced_rows``: separable cones picked
-by successive projection, and nested triangles at rank 3, both decided on
-ints, with Fractions built only for the witness returned; then HALS sweeps
-with random restarts on a float copy scaled to a largest entry of 1), and an
-alternating-least-squares tensor fitter; both searches read exact arrays
-only.  Searches are deterministic given (input, seed, budget): the
-factorization search returns the first round that reaches its tolerance and
-the tensor fitter keeps the lowest residual, ties broken by restart index,
-so the outcome never depends on execution order.  A successful search is a
-witness, never a proof of optimality (it is exact only when
-`verify_nonneg_factorization` passes); failure after budget exhaustion
-proves nothing.
+by successive projection and confirmed by continuing that sweep, and nested
+triangles at rank 3, both decided on ints, with Fractions built only for
+the witness returned; then HALS sweeps with random restarts on a float copy
+scaled to a largest entry of 1), and an alternating-least-squares tensor
+fitter; both searches read exact arrays only.  Searches are deterministic
+given (input, seed, budget): the factorization search returns the first
+round that reaches its tolerance and the tensor fitter keeps the lowest
+residual, ties broken by restart index, so the outcome never depends on
+execution order.  A successful search is a witness, never a proof of
+optimality (it is exact only when `verify_nonneg_factorization` passes);
+failure after budget exhaustion proves nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from operator import mul
 import numpy as np
 
 from .errors import DimensionError, UnsupportedRankError, ValidationError
-from .ratlinalg import RatMatrix, _integer_rows, as_exact, is_exact, reduced_rows
+from .ratlinalg import RatMatrix, _eliminate, _integer_rows, as_exact, is_exact, reduced_rows
 
 DEFAULT_SEED = 1729
 
@@ -361,11 +361,12 @@ def _separable_factorization(m: RatMatrix, r: int, columns: _Columns) -> NonnegF
     qualify (Cohen and Rothblum 1993); in general these are the separable
     matrices of Arora, Ge, Kannan and Moitra (2012).  At r = rank their cone
     is simplicial, so S is unique; a side's pick (`_pick_generators`) is
-    confirmed by one exact elimination of that side that scans the pick
-    first (on the side itself, not on its r-row coordinate matrix, whose
-    long entries eliminate more slowly): its integer reduced rows are H
-    times its last pivot, so H >= 0 is read off their signs, and H is built
-    in Fractions only for the witness returned.  ``columns`` is
+    confirmed by continuing, over the pick alone, the full sweep that left
+    the side's integer reduced rows R and last pivot L (`_column_points`):
+    r independent lines leave H times the new last pivot, so H >= 0 is read
+    off their signs, and H is built in Fractions only for the witness
+    returned.  From L every entry stays an r-order minor of the side (a
+    fresh sweep of R, from 1, grows far longer ints).  ``columns`` is
     ``_column_points(m)``.
     """
     mt = m.transpose()
@@ -374,9 +375,11 @@ def _separable_factorization(m: RatMatrix, r: int, columns: _Columns) -> NonnegF
         if len(points.rows) != r:
             return None
         chosen = _pick_generators(points, r)
-        pivots, rows, last = reduced_rows(side, first=chosen)
-        # H = rows / last >= 0: every nonzero entry has the sign of last
-        if pivots == chosen and {x > 0 for row in rows for x in row if x} <= {last > 0}:
+        rows = [row[:] for row in points.rows]
+        pivots, _, last = _eliminate(rows, chosen, forward=False, last=points.last_pivot)
+        # r pivots: the pick is r independent lines; H = rows / last >= 0
+        # when every nonzero entry has the sign of last
+        if len(pivots) == r and {x > 0 for row in rows for x in row if x} <= {last > 0}:
             h = [tuple(as_exact(Fraction(x, last)) for x in row) for row in rows]
             terms = [(lines.row(j), row) for j, row in zip(chosen, h)]
             if transposed:
@@ -521,11 +524,12 @@ def nmf_search(m: RatMatrix, r: int, budget: SearchBudget) -> NonnegFactorizatio
     exist at rank <= 2), the result is that rational factorization,
     M = M[:, S] @ H (or H^T @ M[S, :]) with H >= 0.  S is the two extreme
     columns at rank <= 2 and is otherwise picked by successive projection
-    in floats, with no cap; each side's pick is confirmed by one exact
-    elimination.  At r = rank = 3 with no such lines, a greedy walk looks
-    for a triangle nested between the same normalized columns and the
-    nonnegative orthant (`_triangle_factorization`) and lifts it to a
-    rational 3-term factorization.  Neither stage draws random numbers.
+    in floats, with no cap; each side's pick is confirmed exactly by
+    continuing the elimination that read the side's columns.  At r = rank
+    = 3 with no such lines, a greedy walk looks for a triangle nested
+    between the same normalized columns and the nonnegative orthant
+    (`_triangle_factorization`) and lifts it to a rational 3-term
+    factorization.  Neither stage draws random numbers.
     Every input they do not settle (rank >= 4, r != rank, or a walk that
     does not close) gets the float search below on a float copy of M, built
     only then and divided by its largest entry (W is multiplied back by it),

@@ -15,8 +15,8 @@ elimination loop (:func:`_eliminate`, Bareiss 1968) runs on the rows scaled
 to ints by the lcm of their denominators, on Python ints, whose size is
 unbounded, with a canonical pivot rule -- first nonzero entry in column
 order.  Its forward sweep gives rank and determinant; its full sweep gives
-basis columns and exact coordinates (:func:`column_basis`, whose integer
-form :func:`reduced_rows` the exact stages of ``numkit.nmf_search`` read)
+basis columns with the integer form of their exact coordinates
+(:func:`reduced_rows`, which ``numkit.nmf_search`` reads and continues),
 and the certificate of :func:`rank_exact`.  The characteristic polynomial
 runs the Faddeev-LeVerrier recurrence on the integer matrix D*M, where every
 division is exact, and rescales each coefficient once at the end.  From
@@ -325,7 +325,9 @@ def _integer_rows(rows_in: Sequence[Sequence[Exact]]) -> tuple[list[int], list[l
     return scales, [_scaled_row(row, s) for row, s in zip(rows_in, scales)]
 
 
-def _eliminate(work: list[list[int]], scan: Iterable[int], forward: bool) -> tuple[list[int], int, int]:
+def _eliminate(
+    work: list[list[int]], scan: Iterable[int], forward: bool, last: int = 1
+) -> tuple[list[int], int, int]:
     """Fraction-free elimination (Bareiss 1968) of the int rows ``work``, in
     place, over the columns in ``scan`` order: (pivot columns, row-swap sign,
     last pivot).
@@ -340,10 +342,15 @@ def _eliminate(work: list[list[int]], scan: Iterable[int], forward: bool) -> tup
     for a square matrix of full rank is its determinant up to the sign.  The
     full sweep updates every other row in full, leaving the first k rows as
     the last pivot times the reduced row echelon form in the scan order.
+
+    ``last`` is the previous pivot of the first step: 1 for a fresh sweep,
+    or the last pivot of the full sweep that left the rows ``work``, which
+    is then continued (Edmonds 1967, basis exchange): every entry stays a
+    minor of that sweep's input.
     """
     rows = len(work)
     pivots: list[int] = []
-    sign = prev_pivot = 1
+    sign, prev_pivot = 1, last
     for col in scan:
         k = len(pivots)
         if k == rows:
@@ -516,36 +523,15 @@ def _certificate_pays(m: int, n: int, r: int) -> bool:
     return 4 * certificate <= 5 * forward
 
 
-def reduced_rows(
-    m: RatMatrix, first: Sequence[int] = ()
-) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """The integer form of :func:`column_basis`: ``(pivots, rows, last
-    pivot)``, where ``rows`` are the first ``len(pivots)`` rows the full
-    sweep of :func:`_eliminate` leaves, the last pivot times ``coords``.
+def reduced_rows(m: RatMatrix) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """The full sweep of :func:`_eliminate` on the rows of ``m`` scaled to
+    ints, columns left to right: ``(pivots, rows, last pivot)``, where
+    ``rows`` are its first ``len(pivots)`` rows, the last pivot times the
+    reduced row echelon form, so ``m = m[:, pivots] @ rows / last pivot``.
     No Fraction is built."""
-    seen = set(first)
-    scan = list(first) + [j for j in range(m.cols) if j not in seen]
     _, work = _integer_rows(list(m.iter_rows()))
-    pivots, _, last_pivot = _eliminate(work, scan, forward=False)
+    pivots, _, last_pivot = _eliminate(work, range(m.cols), forward=False)
     return tuple(pivots), work[: len(pivots)], last_pivot
-
-
-def column_basis(
-    m: RatMatrix, first: Sequence[int] = ()
-) -> tuple[tuple[int, ...], tuple[tuple[Exact, ...], ...]]:
-    """Basis columns of ``m`` and the exact coordinates of every column in them.
-
-    Columns are scanned in the order ``first``, then the rest left to right,
-    and a column is a pivot when it is independent of the pivots before it.
-    Returns ``(pivots, coords)``: ``coords`` has one row per pivot and one
-    column per column of ``m``, ``m = m[:, pivots] @ coords``, and
-    ``coords[:, pivots]`` is the identity (the reduced row echelon form of
-    ``m`` in the scan order, less its zero rows).  The elimination is the
-    full sweep of :func:`_eliminate` on the rows scaled to ints
-    (:func:`reduced_rows`), divided by its last pivot.
-    """
-    pivots, rows, last_pivot = reduced_rows(m, first)
-    return pivots, tuple(tuple(as_exact(Fraction(x, last_pivot)) for x in row) for row in rows)
 
 
 def det_exact(m: RatMatrix) -> Fraction:

@@ -36,7 +36,8 @@ from mrw.numkit import (
     nmf_search,
     verify_nonneg_factorization,
 )
-from mrw.ratlinalg import RatMatrix, char_poly_exact, column_basis
+from mrw.ratlinalg import RatMatrix, char_poly_exact, reduced_rows
+from test_ratlinalg import column_basis
 
 
 def _differences(values) -> RatMatrix:
@@ -382,7 +383,8 @@ def test_a_cone_with_a_nearly_extreme_column_gets_its_own_generators():
 def enumerated_separable(m: RatMatrix, r: int):
     """Oracle for `_separable_factorization`: on the column side, then the
     row side, every r-subset of the first column of each direction, in
-    lexicographic order, each confirmed by `column_basis` alone."""
+    lexicographic order, each confirmed by a fresh reference sweep alone
+    (`column_basis`)."""
     mt = m.transpose()
     for side, lines, transposed in ((m, mt, False), (mt, m, True)):
         pivots, coords = column_basis(side)
@@ -702,26 +704,68 @@ def test_a_separable_rank_3_input_with_32_directions_gets_its_column_witness():
 
 def test_a_float_pick_that_misses_is_refused_and_the_rows_give_the_witness(monkeypatch):
     # rank 3 with columns g1, g2, g1 + g2, g3, g1 + g2 + g3: the column pick
-    # is forced to (0, 1, 2), which is dependent, so its elimination pivots
-    # elsewhere and the pick must be refused; rows 0 + 1 + 2 = row 3, so
-    # the row side closes the bracket.  No natural input with such a miss
-    # is known
+    # is forced to (0, 1, 2), which is dependent, or to (0, 1), short of r;
+    # either leaves a row of the continued sweep unexchanged, and the pick
+    # must be refused; rows 0 + 1 + 2 = row 3, so the row side closes the
+    # bracket.  No natural input with such a miss is known
     g1, g2, g3 = (3, 1, 0, 4), (0, 2, 1, 3), (1, 0, 4, 5)
     cols = [g1, g2, [a + b for a, b in zip(g1, g2)], g3, [a + b + c for a, b, c in zip(g1, g2, g3)]]
     m = RatMatrix.from_rows(list(zip(*cols)))
-    real, sides = numkit._pick_generators, []
+    real = numkit._pick_generators
+    for miss in ((0, 1, 2), (0, 1)):
+        sides = []
 
-    def miss_on_columns(columns, r):
-        sides.append(len(columns.points))
-        return (0, 1, 2) if len(columns.points) == 5 else real(columns, r)
+        def miss_on_columns(columns, r):
+            sides.append(len(columns.points))
+            return miss if len(columns.points) == 5 else real(columns, r)
 
-    monkeypatch.setattr(numkit, "_pick_generators", miss_on_columns)
-    fact = nmf_search(m, 3, SearchBudget(1, 50))
+        monkeypatch.setattr(numkit, "_pick_generators", miss_on_columns)
+        fact = nmf_search(m, 3, SearchBudget(1, 50))
+        assert verify_nonneg_factorization(m, fact) == FactorizationCheck(passed=True), miss
+        assert sides == [5, 4]
+        assert {line for _, line in fact.terms} <= set(m.iter_rows())
+        rep = mr_bounds(m)
+        assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
+
+
+# 8x8 of rank 4 whose rows 0-3 generate the rest and whose column pick fails
+ROW_SEPARABLE = (
+    (3, 4, 1, 4, 1, 2, 3, 0),
+    (0, 3, 2, 3, 4, 0, 2, 2),
+    (1, 4, 2, 0, 0, 4, 0, 3),
+    (0, 2, 3, 0, 0, 0, 1, 1),
+    (13, 39, 20, 21, 15, 22, 16, 19),
+    (16, 32, 12, 16, 4, 24, 12, 12),
+    (1, 6, 5, 0, 0, 4, 1, 4),
+    (15, 32, 16, 16, 4, 20, 14, 11),
+)
+
+
+def test_each_side_continues_its_sweep_from_its_last_pivot(monkeypatch):
+    # the pick is confirmed by continuing the full sweep that left a side's
+    # reduced rows R and last pivot L: every entry stays a 4-order minor of
+    # the side, so the new last pivot is det R[:, pick] / L^3 up to sign (a
+    # sweep of R started from 1 would leave it L^3 times larger).  The
+    # column pick fails and the row side gives the witness
+    m = RatMatrix.from_rows(ROW_SEPARABLE)
+    real, calls = numkit._eliminate, []
+
+    def spy(work, scan, forward, last=1):
+        reduced = [row[:] for row in work]
+        pivots, sign, new_last = real(work, scan, forward, last)
+        calls.append((reduced, list(scan), pivots, new_last))
+        return pivots, sign, new_last
+
+    monkeypatch.setattr(numkit, "_eliminate", spy)
+    fact = nmf_search(m, 4, SMALL_BUDGET)
     assert verify_nonneg_factorization(m, fact) == FactorizationCheck(passed=True)
-    assert sides == [5, 4]
-    assert {line for _, line in fact.terms} <= set(m.iter_rows())
-    rep = mr_bounds(m)
-    assert (rep.lower, rep.upper, rep.upper_status) == (3, 3, "exact")
+    assert [line for _, line in fact.terms] == list(ROW_SEPARABLE[:4])
+    assert len(calls) == 2
+    for side, (reduced, pick, pivots, new_last) in zip((m, m.transpose()), calls):
+        _, rows, last = reduced_rows(side)
+        assert reduced == rows and abs(last) > 1 and pivots == pick
+        minor = sympy.Matrix([[row[j] for j in pick] for row in rows]).det()
+        assert abs(new_last) * abs(last) ** 3 == abs(int(minor))
 
 
 def test_verify_exact_factorization_of_swap():

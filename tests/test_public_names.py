@@ -14,9 +14,6 @@ ALLOWED_UNREFERENCED = {
     # exact kernels the benchmark measures (exact-pipeline)
     "det_exact",
     "char_poly_exact",
-    # exact basis coordinates, checked against sympy's rref; nmf_search
-    # reads their integer form, reduced_rows
-    "column_basis",
 }
 
 

@@ -11,7 +11,7 @@ from math import prod
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -29,16 +29,17 @@ from mrw.ratlinalg import (
     _integer_rows,
     _mod_p_pivots,
     _rows_span,
+    as_exact,
     as_fraction,
     char_poly_exact,
     check_capacity,
-    column_basis,
     det_exact,
     exact_sum,
     exact_entries,
     fraction_from_text,
     is_exact,
     rank_exact,
+    reduced_rows,
 )
 from mrw.serialize import canonical_dumps, matrix_to_obj, parse_matrix, parse_tensor
 
@@ -50,6 +51,18 @@ def identity(n: int) -> RatMatrix:
 def _block(m: RatMatrix, rows, cols) -> RatMatrix:
     """The block of m on `rows` x `cols`, in the given order."""
     return RatMatrix.from_rows([[m[i, j] for j in cols] for i in rows])
+
+
+def column_basis(m: RatMatrix, first=()) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Reference sweep: the basis columns of ``m`` scanned in the order
+    ``first``, then the rest left to right, and the exact coordinates of
+    every column in them, one row per pivot.  It is a fresh full sweep of
+    `_eliminate` on the rows scaled to ints, divided by its last pivot."""
+    scan = list(first) + [j for j in range(m.cols) if j not in first]
+    work = _integer_rows(list(m.iter_rows()))[1]
+    pivots, _, last = _eliminate(work, scan, forward=False)
+    coords = tuple(tuple(as_exact(Fraction(x, last)) for x in row) for row in work[: len(pivots)])
+    return tuple(pivots), coords
 
 
 def naive_rank(m: RatMatrix) -> int:
@@ -215,15 +228,56 @@ def test_rank_and_det_match_sympy(m):
 
 @given(planted_deficient_matrices(), st.data())
 def test_column_basis_matches_sympy_rref(m, data):
+    pivots, rows, last = reduced_rows(m)
+    reduced, oracle_pivots = to_sympy(m).rref()
+    assert pivots == oracle_pivots
+    assert len(rows) == len(pivots) == rank_exact(m)
+    for i, row in enumerate(rows):
+        assert [Fraction(x, last) for x in row] == [to_fraction(x) for x in reduced.row(i)]
+    # the reference sweep with the columns `first` scanned first
     first = data.draw(st.lists(st.integers(0, m.cols - 1), unique=True))
     order = first + [j for j in range(m.cols) if j not in first]
     pivots, coords = column_basis(m, first)
     reduced, oracle_pivots = to_sympy(_block(m, range(m.rows), order)).rref()
     assert pivots == tuple(order[p] for p in oracle_pivots)
-    assert len(coords) == len(pivots) == rank_exact(m)
+    assert len(coords) == len(pivots)
     for i, row in enumerate(coords):
         assert all(type(x) is int or x.denominator > 1 for x in row)
         assert [row[j] for j in order] == [to_fraction(x) for x in reduced.row(i)]
+
+
+@st.composite
+def picks_of_rank_size(draw):
+    """A matrix of rank r > 0, Fraction or int, and r distinct columns of it,
+    independent or not."""
+    rows = draw(st.one_of(planted_deficient_rows(), planted_deficient_rows(entry=st.integers(-3, 3))))
+    m = RatMatrix.from_rows(rows)
+    r = rank_exact(m)
+    assume(r > 0)
+    return m, draw(st.lists(st.integers(0, m.cols - 1), min_size=r, max_size=r, unique=True))
+
+
+@given(picks_of_rank_size())
+@example((RatMatrix.from_rows([[1, 2], [2, 4], [1, 2]]), [1]))
+@example((RatMatrix.from_rows([[2, 0, 2, 1], [0, 3, 3, 1], [1, 1, 2, 5]]), [3, 0, 2]))
+@example((RatMatrix.from_rows([[2, 0, 2, 1], [0, 3, 3, 1], [1, 1, 2, 5]]), [2, 0, 1]))
+def test_a_sweep_continued_from_its_last_pivot_exchanges_the_basis(case):
+    # Edmonds' exchange: the full sweep continued from the reduced rows R
+    # and last pivot L, over a pick of rank size, finds the pivots of a
+    # fresh sweep that scans the pick first and, when the pick is
+    # independent, its exact coordinates, with every entry a minor of the
+    # input: the new last pivot is det R[:, pick] / L^(r-1) up to sign
+    m, pick = case
+    _, reduced, last = reduced_rows(m)
+    r = len(reduced)
+    work = [row[:] for row in reduced]
+    pivots, _, new_last = _eliminate(work, pick, forward=False, last=last)
+    want, coords = column_basis(m, pick)
+    assert pivots == [j for j in want if j in pick]
+    if len(pivots) == r:
+        assert tuple(tuple(as_exact(Fraction(x, new_last)) for x in row) for row in work) == coords
+        minor = sympy.Matrix([[row[j] for j in pick] for row in reduced]).det()
+        assert abs(new_last) * abs(last) ** (r - 1) == abs(int(minor))
 
 
 @given(st.one_of(planted_deficient_rows(), planted_deficient_rows(entry=st.integers(-3, 3))))
@@ -231,7 +285,7 @@ def test_column_basis_matches_sympy_rref(m, data):
 @example([[1, 2], [2, 4], [1, 2]])
 def test_forward_and_full_sweeps_share_pivots_sign_and_last_pivot(rows):
     # the one elimination loop: the forward sweep (rank, det) and the full
-    # sweep (column_basis, the rank certificate) find the same pivots
+    # sweep (reduced_rows, the rank certificate) find the same pivots
     scales, echelon = _integer_rows(rows)
     reduced = [list(row) for row in echelon]
     cols = range(len(rows[0]))
