@@ -21,8 +21,11 @@ induced copy of the m x m off-diagonal pattern (the crown) needs kappa(m)
 boxes, the least k with C(k, floor(k/2)) >= m (de Caen, Gregory and Pullman
 1981, by Sperner's theorem).  Inside a matrix search the greedy crown also
 refutes nodes: an uncovered set holding the crossing cells of
-C(d, floor(d/2)) + 1 of its zeros needs more than d boxes.  Past the cap we
-fall back to these bounds, never to a heuristic.
+C(d, floor(d/2)) + 1 of its zeros needs more than d boxes; and a crown of
+exactly C(d, floor(d/2)) zeros plus one more zero refutes depth d, the root
+included, when too few of their crossing cells are zeros for each line to
+lie in its own set of boxes (Kleitman's count of comparable pairs).  Past the
+cap we fall back to these bounds, never to a heuristic.
 
 Upper bounds are witnesses: the dimension bound, the singleton-support
 factorization, or a factorization from `nmf_search` (exact when r columns
@@ -60,6 +63,10 @@ _BATCH_MIN_CHILDREN = 8
 # 1.01-1.07x at 13-16, 0.98-1.01x at 17-20 and 0.87-0.96x from 21 on
 _WORD_MIN_BOXES = 20
 _CLOSURE_SIDE_CAP = 16
+# the least number of comparable pairs A < B among m distinct subsets of a
+# d-set, for C(d, floor(d/2)) < m <= 2^d (below that an antichain has none),
+# by brute force over every such family; `test_bounds` recomputes it
+_MINPAIRS = {(4, 3): 2, (5, 3): 4, (6, 3): 6, (7, 3): 12, (8, 3): 19, (7, 4): 3, (8, 4): 6, (9, 4): 9, (10, 4): 12}
 
 Box = tuple[tuple[int, ...], ...]
 Crown = tuple[tuple[int, int], ...]
@@ -443,34 +450,68 @@ class _BoxSystem:
             uncovered &= ~masks[best]
         return tuple(picked)
 
-    def _certificates(self, crown: Crown, deepest: int) -> dict[int, list[int]]:
-        """Crown certificates: for each depth 2 <= d <= `deepest` with
-        C(d, floor(d/2)) < len(crown), the masks of the crossing cells
-        (r_i, c_j), i != j, of every C(d, floor(d/2)) + 1 zeros of `crown`.
+    def _certificates(self, crown: Crown, start: int, upper: int) -> dict[int, list[int]]:
+        """Masks of cells, by depth d < `upper`: an uncovered set U holding a
+        mask for d needs more than d boxes.  Two families come from `crown`,
+        an induced crown of a matrix pattern, with zeros (r_i, c_i).  Let A_i
+        (B_i) be the boxes of a d-box cover of U that hold row r_i (column
+        c_i).  A box is a product inside the support, so A_i and B_i are
+        disjoint ((r_i, c_i) is a zero), and A_i meets B_j when U holds the
+        cell (r_i, c_j).  The crossing cells of a set S of zeros are the cells
+        in both the rows and the columns of S.
 
-        An uncovered set U holding one of them needs more than d boxes.  Let
-        A_i (B_i) be the boxes of a d-box cover of U that hold row r_i
-        (column c_i).  A box is a product inside the support, so A_i and B_i
-        are disjoint ((r_i, c_i) is a zero), and A_i meets B_j for i != j (a
-        box covers (r_i, c_j)).  By the set-pair inequality of Bollobás (as
-        used by de Caen, Gregory and Pullman) there are at most
-        C(d, floor(d/2)) such pairs.  At d = 1 the counting prune is exact, so
-        it already refutes every set a certificate would.  The crossing cells
-        of a set S of zeros are the cells in both the rows and the columns of
-        S, so each set's masks are grown from its prefix, one zero at a time.
+        Crown certificates: for each 2 <= d with C(d, floor(d/2)) <
+        len(crown), the crossing cells (r_i, c_j), i != j, of every
+        C(d, floor(d/2)) + 1 zeros of `crown`.  These are all support cells,
+        so A_i meets B_j for every i != j, and by the set-pair inequality of
+        Bollobás (as used by de Caen, Gregory and Pullman) there are at most
+        C(d, floor(d/2)) such pairs.  At d = 1 the counting prune is exact,
+        so it already refutes every set a certificate would.  Each set's masks
+        are grown from its prefix, one zero at a time.
+
+        Near-crown certificates: at the depth d >= `start` with
+        C(d, floor(d/2)) = len(crown), one zero short of a crown certificate,
+        add one zero (r, c) outside the crown's rows and columns, for
+        m = len(crown) + 1 zeros.  Let E hold the pairs (i, j), i != j, whose
+        crossing cell (r_i, c_j) is a zero (only pairs with the new zero can
+        be: the crown is induced).  If E holds no pair (i, j), (j, i) and has
+        fewer than _MINPAIRS[m, d] pairs, the crossing support cells of the m
+        zeros are a certificate.  A_i inside A_j for i != j would leave
+        (r_i, c_j) uncovered (A_i meets no B_j), so that cell is a zero and
+        (i, j) is in E.  So the A_i are distinct, m subsets of a d-set, and
+        each of their comparable pairs, at least _MINPAIRS[m, d] of them
+        (Kleitman 1968), is in E.  Such a certificate also refutes the root
+        at depth d.
         """
-        sizes = {comb(d, d // 2) + 1: d for d in range(2, deepest + 1) if comb(d, d // 2) < len(crown)}
+        sizes = {comb(d, d // 2) + 1: d for d in range(2, upper) if comb(d, d // 2) < len(crown)}
+        m = len(crown) + 1
+        near = next((d for d in range(start, upper) if comb(d, d // 2) == len(crown) and (m, d) in _MINPAIRS), None)
         certs: dict[int, list[int]] = {}
-        if not sizes:
+        if not sizes and near is None:
             return certs
         rows, cols = self.slabs
         lines = [(rows[r], cols[c]) for r, c in crown]
         # the sets of one size as (index past their last zero, rows, columns)
         level = [(i + 1, r, c) for i, (r, c) in enumerate(lines)]
-        for size in range(2, max(sizes) + 1):
+        for size in range(2, max(sizes, default=1) + 1):
             level = [(j + 1, r | lines[j][0], c | lines[j][1]) for nxt, r, c in level for j in range(nxt, len(lines))]
             if size in sizes:
                 certs[sizes[size]] = [r & c for _, r, c in level]
+        if near is not None:
+            crown_rows, crown_cols = {r for r, _ in crown}, {c for _, c in crown}
+            # the slabs of distinct lines are disjoint, so their sum is their union
+            in_rows, in_cols = sum(r for r, _ in lines), sum(c for _, c in lines)
+            least = _MINPAIRS[m, near]
+            # a zero on a line with no support cell (and no slab) would put
+            # m - 1 >= least pairs in E
+            for r, row in rows.items():
+                for c, col in cols.items():
+                    if r in crown_rows or c in crown_cols or row & col:
+                        continue
+                    out = [not row & col_j for _, col_j in lines]
+                    into = [not row_j & col for row_j, _ in lines]
+                    if not any(a and b for a, b in zip(out, into)) and sum(out) + sum(into) < least:
+                        certs.setdefault(near, []).append((in_rows | row) & (in_cols | col))
         return certs
 
     def deepen(
@@ -482,10 +523,13 @@ class _BoxSystem:
         counting bound, upwards with a depth-first search that memoizes
         refuted uncovered sets, refutes an uncovered set U at depth d when no
         box covers ceil(|U| / d) of its cells or when U holds one of the
-        certificates of `crown` (an induced crown of a matrix pattern, see
-        `_certificates`) for d, and branches on the first uncovered cell in
-        pivot order.  Returns (depth, cover, nodes): the first depth with a
-        cover and that cover; `upper` and None when every smaller depth is
+        certificates of `crown` for d (the crown and near-crown certificates
+        of `_certificates`, from an induced crown of a matrix pattern), and
+        branches on the first uncovered cell in pivot order.  The root (every
+        cell uncovered) holds every certificate, so a depth with one is
+        refuted at its root, which counts as one node.  Returns (depth,
+        cover, nodes): the first depth with a cover and that cover; `upper`
+        and None when every smaller depth is
         refuted; or the depth being refuted and None when `node_budget` nodes
         were expanded first.  Both refutations are sound and the order is
         fixed, so the certificates change `nodes` but never the cover found.
@@ -501,7 +545,7 @@ class _BoxSystem:
         if start >= upper:
             return start, None, 0
         masks, pivot_order, by_size = self.masks, self.pivot_order, self.by_size
-        certs = self._certificates(crown, upper - 2) if crown is not None else {}
+        certs = self._certificates(crown, start, upper) if crown is not None else {}
         wide = [count >= _BATCH_MIN_CHILDREN for count in self.counts]
         if any(wide):
             words, big_words = self.words, self.size_words
@@ -572,12 +616,13 @@ class _BoxSystem:
         try:
             while depth < upper:
                 # the root is never memoized and, as depth >= the counting
-                # bound, always passes its prune
+                # bound, passes the counting prune; only a certificate for
+                # its depth refutes it
                 if nodes >= node_budget:
                     raise _BudgetExhausted
                 nodes += 1
                 chosen: list[int] = []
-                if expand(self.full, depth, chosen):
+                if depth not in certs and expand(self.full, depth, chosen):
                     return depth, tuple(map(self.box, chosen)), nodes
                 depth += 1
         except _BudgetExhausted:
@@ -714,7 +759,10 @@ def box_cover_exact(pattern: SupportPattern, node_budget: int = DEFAULT_NODE_BUD
         # refute nodes of depth 2 and up.  (One of 3 rows certifies depth 2
         # only: over the 246 searches of `mrw verify --scale full`, such
         # crowns at a counting bound of 3 or more saved no node and cost more
-        # to find than those searches took.)
+        # to find than those searches took.)  The found crown also seeds the
+        # near-crown certificates, with one more zero, when it has exactly
+        # C(start, floor(start/2)) rows: 3 at a counting bound of 2, or 6
+        # where kappa(6) = 4 starts the search, as in crown(7) less one cell.
         found = _crown_above(pattern, min(system.counting, 3))
         if found is not None and len(found) > comb(system.counting, system.counting // 2):
             crown = found

@@ -613,18 +613,27 @@ def test_mr_bounds_reports_only_a_witness_that_passed_its_check(monkeypatch, row
     assert rep.factorization is floats
 
 
+def near_crown(n: int, removed) -> SupportPattern:
+    """crown(n) less the cells `removed`."""
+    return SupportPattern((n, n), frozenset((i, j) for i in range(n) for j in range(n) if i != j) - set(removed))
+
+
 def near_crown_7() -> SupportPattern:
     """crown(7) less cell (0, 1): its greedy crown has 6 rows, and kappa(6) = 4
     is the counting bound, so the search starts where it did without the
-    crown bound."""
-    return SupportPattern((7, 7), frozenset((i, j) for i in range(7) for j in range(7) if i != j) - {(0, 1)})
+    crown bound.  With the 7th zero the greedy crown leaves out, the zero at
+    (0, 1) is the one pair in E, so a near-crown certificate refutes depth 4
+    at the root."""
+    return near_crown(7, [(0, 1)])
 
 
 def test_cover_respects_node_budget():
     pat = near_crown_7()
-    res = box_cover_exact(pat, node_budget=50)
+    # the root refutation of 4 takes one node and the budget runs out at 5
+    res = box_cover_exact(pat, node_budget=6)
     assert isinstance(res, BoxCoverResult)
-    assert res.lower == 4 and not res.exact and res.crown is None
+    assert res.lower == 5 and not res.exact and res.crown is None
+    assert res.note == "node budget 6 exhausted while refuting size 5"
     full = box_cover_exact(pat)
     assert full.exact and full.lower == 5
     # edm(8): the crown bound 5 holds while its search runs out of nodes
@@ -636,11 +645,17 @@ def test_cover_node_count_pins_search_path():
     # any change to the visited nodes or their order moves these numbers
     pat = near_crown_7()
     assert crown_cover_number(len(_induced_crown(_row_zeros(pat), 7))) == 4
-    # its crown certificates cut the nodes from 2,571 to 1,117
-    assert box_cover_exact(pat).nodes == 1117
-    assert box_cover_exact(pat, node_budget=1117).exact
-    short = box_cover_exact(pat, node_budget=1116)
-    assert not short.exact and short.nodes == 1116
+    # its crown certificates cut the nodes from 2,571 to 1,117, and its
+    # near-crown certificate, refuting 4 at the root, to 7
+    assert box_cover_exact(pat).nodes == 7
+    assert box_cover_exact(pat, node_budget=7).exact
+    short = box_cover_exact(pat, node_budget=6)
+    assert not short.exact and short.nodes == 6
+    # E = {(0, 1), (0, 2)}: two pairs, fewer than the 3 comparable pairs of
+    # 7 distinct subsets of a 4-set, so 4 again falls at its root (277 nodes
+    # without the near-crown certificate)
+    two = box_cover_exact(near_crown(7, [(0, 1), (0, 2)]))
+    assert two.exact and (two.lower, two.nodes) == (5, 8)
     # the crown bound starts edm(8) at 5, which the refutation of 4 took
     # 35,064 nodes to reach
     crown = box_cover_exact(support_pattern(edm(EdmSpec.integers(8))))
@@ -709,14 +724,24 @@ def test_search_from_the_counting_bound_finds_kappa_on_crowns(m):
 
 
 @st.composite
+def near_crowns_less_cells(draw):
+    """crown(n), n = 5..8, less 1-3 cells, drawing on purpose a symmetric
+    pair (i, j), (j, i): a near-crown certificate must not fire on it."""
+    n = draw(st.integers(5, 8))
+    crown = [(i, j) for i in range(n) for j in range(n) if i != j]
+    removed = draw(st.sets(st.sampled_from(crown), min_size=1, max_size=3))
+    if len(removed) < 3 and draw(st.booleans()):
+        i, j = draw(st.sampled_from(sorted(removed)))
+        removed.add((j, i))
+    return near_crown(n, removed)
+
+
+@st.composite
 def search_patterns(draw):
     """Matrix patterns of at most 64 cells, each cell kept at a drawn
-    density, or near-crowns of side 6-8 less 1-3 cells."""
+    density, or near-crowns of side 5-8 less 1-3 cells."""
     if draw(st.booleans()):
-        n = draw(st.integers(6, 8))
-        crown = [(i, j) for i in range(n) for j in range(n) if i != j]
-        removed = draw(st.sets(st.sampled_from(crown), min_size=1, max_size=3))
-        return SupportPattern((n, n), frozenset(crown) - removed)
+        return draw(near_crowns_less_cells())
     dims = draw(st.tuples(st.integers(1, 8), st.integers(1, 8)))
     percent = draw(st.sampled_from([50, 70, 85]))
     grid = list(itertools.product(*map(range, dims)))
@@ -726,13 +751,17 @@ def search_patterns(draw):
 
 def without_certificates(pattern: SupportPattern, node_budget: int) -> BoxCoverResult:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mrw.bounds._BoxSystem, "_certificates", lambda self, crown, deepest: {})
+        mp.setattr(mrw.bounds._BoxSystem, "_certificates", lambda self, crown, start, upper: {})
         return box_cover_exact(pattern, node_budget=node_budget)
 
 
-@settings(deadline=None)
-@given(search_patterns())
-def test_crown_certificates_change_only_the_node_count(pattern):
+def certificates_change_only_the_node_count(pattern: SupportPattern) -> None:
+    """The certificates are sound: at the default budget the result is the
+    certificate-free one but for `nodes`, which is no higher.  At budgets
+    that run out the certificates may refute a depth sooner, so the lower
+    bound is no lower than without them, and never above the upper bound
+    the full search reaches."""
+
     def outcome(res: BoxCoverResult):
         return res.lower, res.upper, res.exact, res.boxes, res.note, res.crown
 
@@ -741,7 +770,29 @@ def test_crown_certificates_change_only_the_node_count(pattern):
     assert outcome(with_certs) == outcome(plain)
     assert with_certs.nodes <= plain.nodes
     for node_budget in (1, 7, 50):
-        assert box_cover_exact(pattern, node_budget=node_budget).lower >= without_certificates(pattern, node_budget).lower
+        lower = box_cover_exact(pattern, node_budget=node_budget).lower
+        assert without_certificates(pattern, node_budget).lower <= lower <= plain.upper
+
+
+@settings(deadline=None)
+@given(search_patterns())
+def test_crown_certificates_change_only_the_node_count(pattern):
+    certificates_change_only_the_node_count(pattern)
+
+
+@settings(deadline=None)
+@given(near_crowns_less_cells())
+# the 4-box covers of 7 distinct subsets of a 4-set: equal ones at rows 0
+# and 1, and {0} or {0, 1, 2} comparable to three 2-subsets (|E| = 3, the
+# least for 7 such sets), so no near-crown certificate may refute 4
+@example(near_crown(7, [(0, 1), (1, 0)]))
+@example(near_crown(7, [(0, 1), (0, 2), (0, 3)]))
+@example(near_crown(7, [(1, 0), (2, 0), (3, 0)]))
+# |E| = 1 and 2: the certificate refutes 4 at the root
+@example(near_crown(7, [(0, 1)]))
+@example(near_crown(7, [(0, 1), (0, 2)]))
+def test_near_crown_certificates_change_only_the_node_count(pattern):
+    certificates_change_only_the_node_count(pattern)
 
 
 def assert_constructions_agree(pattern: SupportPattern) -> None:
@@ -820,7 +871,8 @@ def brute_force_cover_of(pattern: SupportPattern, targets: set) -> int:
 
 def lemma_patterns():
     """Every pattern of the shapes up to 3x3 with two or more rows and
-    columns, and seeded random ones up to 4x4."""
+    columns, seeded random ones up to 4x4, and crown(4) less one or two
+    cells (a greedy crown of 3 rows and a 4th zero)."""
     for dims in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         grid = list(itertools.product(*map(range, dims)))
         for bits in range(1 << len(grid)):
@@ -830,15 +882,62 @@ def lemma_patterns():
         dims = (rng.randint(3, 4), rng.randint(3, 4))
         cells = {c for c in itertools.product(*map(range, dims)) if rng.random() < 0.7}
         yield SupportPattern(dims, frozenset(cells))
+    crown = sorted(near_crown(4, []).cells)
+    for removed in itertools.chain(itertools.combinations(crown, 1), itertools.combinations(crown, 2)):
+        yield near_crown(4, removed)
+
+
+def least_comparable_pairs(m: int, d: int) -> int:
+    """Oracle: the fewest pairs A < B (proper subsets) among m distinct
+    subsets of a d-set, over every family of m of the 2^d subsets."""
+    # the proper subsets of each subset, as a mask over the 2^d subsets
+    below = [sum(1 << b for b in range(1 << d) if b != a and b & a == b) for a in range(1 << d)]
+    return min(
+        sum((below[a] & family).bit_count() for a in members)
+        for members in itertools.combinations(range(1 << d), m)
+        for family in [sum(1 << a for a in members)]
+    )
+
+
+def test_minpairs_table_matches_brute_force():
+    assert {key: least_comparable_pairs(*key) for key in mrw.bounds._MINPAIRS} == mrw.bounds._MINPAIRS
+    # the search reads the entries one set past the middle layer, an
+    # antichain with no comparable pair
+    for d in (3, 4):
+        assert least_comparable_pairs(comb(d, d // 2), d) == 0
+        assert (comb(d, d // 2) + 1, d) in mrw.bounds._MINPAIRS
+
+
+def near_crown_certificates(pattern: SupportPattern, crown, d: int) -> list[set]:
+    """Oracle: for each zero outside the rows and columns of `crown`, the
+    crossing support cells of the crown's zeros and it, when the set E of
+    pairs (i, j) whose crossing cell is a zero holds no pair (i, j), (j, i)
+    and fewer pairs than m = len(crown) + 1 distinct subsets of a d-set must
+    have comparable."""
+    least = least_comparable_pairs(len(crown) + 1, d)
+    found = []
+    for r, c in itertools.product(*map(range, pattern.dims)):
+        if (r, c) in pattern.cells or r in {i for i, _ in crown} or c in {j for _, j in crown}:
+            continue
+        zeros = crown + ((r, c),)
+        pairs = {
+            (i, j) for i, j in itertools.permutations(range(len(zeros)), 2) if (zeros[i][0], zeros[j][1]) not in pattern.cells
+        }
+        if not any((j, i) in pairs for i, j in pairs) and len(pairs) < least:
+            found.append(crossing_cells(zeros) & pattern.cells)
+    return found
 
 
 def test_crossing_cells_of_t_crown_zeros_need_kappa_t_boxes():
     """The set-pair lemma behind the certificates: an uncovered set U holding
     the crossing cells of t zeros of an induced crown needs kappa(t) boxes.
-    The search's certificates for depth d are the crossing cells of every
-    C(d, floor(d/2)) + 1 zeros of the greedy crown."""
+    The search's crown certificates for depth d are the crossing cells of
+    every C(d, floor(d/2)) + 1 zeros of the greedy crown; its near-crown
+    certificates, at the d with C(d, floor(d/2)) = len(crown), are the
+    crossing support cells of the crown and one more zero, when too few of
+    the crossing cells are zeros for distinct sets of boxes per row."""
     rng = random.Random(1981)
-    checked = {"lemma": 0, "certificate": 0}
+    checked = {"lemma": 0, "certificate": 0, "near-crown": 0}
     for pattern in lemma_patterns():
         crowns = induced_crowns(pattern)
         if not crowns:
@@ -846,14 +945,21 @@ def test_crossing_cells_of_t_crown_zeros_need_kappa_t_boxes():
         cells = sorted(pattern.cells)
         system = mrw.bounds._BoxSystem(enumerate_maximal_boxes(pattern), cells)
         greedy = _induced_crown(_row_zeros(pattern), pattern.dims[1])
-        certs = system._certificates(greedy, 4)
-        for d, masks in certs.items():
+        certs = system._certificates(greedy, 3, 5)
+        near = near_crown_certificates(pattern, greedy, 3) if len(greedy) == 3 else []
+        for d in range(2, 5):
+            got = sorted(sorted(c for k, c in enumerate(cells) if mask >> k & 1) for mask in certs.get(d, []))
             t = comb(d, d // 2) + 1
-            want = sorted(crossing_cells(zeros) for zeros in itertools.combinations(greedy, t))
-            assert sorted({c for k, c in enumerate(cells) if mask >> k & 1} for mask in masks) == want
-        for _ in range(3):
-            # random cells plus the crossing cells of a random crown, so the lemma applies
-            uncovered = {c for c in cells if rng.random() < 0.6} | crossing_cells(rng.choice(crowns))
+            if t <= len(greedy):
+                want = [crossing_cells(zeros) for zeros in itertools.combinations(greedy, t)]
+            else:
+                want = near if d == 3 else []
+            assert got == sorted(map(sorted, want))
+        # random cells plus the crossing cells of a random crown, so the lemma
+        # applies, and plus a near-crown certificate's cells
+        extra = [crossing_cells(rng.choice(crowns)) for _ in range(3)] + near
+        for held_cells in extra:
+            uncovered = {c for c in cells if rng.random() < 0.6} | held_cells
             best = brute_force_cover_of(pattern, uncovered)
             for zeros in crowns:
                 if crossing_cells(zeros) <= uncovered:
@@ -864,7 +970,8 @@ def test_crossing_cells_of_t_crown_zeros_need_kappa_t_boxes():
                 if any(mask & held == held for held in masks):
                     assert best > d
                     checked["certificate"] += 1
-    assert checked["lemma"] > 1000 and checked["certificate"] > 10, checked
+                    checked["near-crown"] += comb(d, d // 2) == len(greedy)
+    assert checked["lemma"] > 1000 and checked["certificate"] > 10 and checked["near-crown"] > 10, checked
 
 
 def test_crown_cover_number_values():
